@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover clean
+.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint flake fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover clean
 
 all: build vet lint test
 
@@ -62,6 +62,14 @@ chaos-replica:
 # uninterrupted run (DESIGN.md §16).
 chaos-checkpoint:
 	$(GO) test -race -run 'TestCheckpoint' -v .
+
+# Flake sampling: rerun N times (default 3) the tests that have failed
+# intermittently on loaded multi-CPU hosts — the live record tap across
+# server crashes on both topologies, and the server-crash equivalence
+# sweep — so their failure rate is measured, not seen once.
+N ?= 3
+flake:
+	$(GO) test -count=$(N) -run 'TestLiveStudyAcrossServerCrashes|TestFleetEquivalenceSweep/servercrash' .
 
 # Fuzz the collection server's wire protocol end to end for a short burst
 # (panics and wedged servers fail the run; CI uses the seed corpus only).

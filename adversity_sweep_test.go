@@ -26,6 +26,7 @@ func TestAdversitySweepTable(t *testing.T) {
 				Duration:    4 * phone.StudyMonth,
 				JoinWindow:  phone.StudyMonth / 2,
 				UploadEvery: 3 * 24 * time.Hour,
+				Servers:     1,
 				Adversity: AdversityConfig{
 					Flash:     phone.FlashFaults{TornWriteProb: torn, BitRotPerWrite: rot},
 					Net:       collect.NetFaults{RefuseProb: 0.08, DropProb: 0.04, CorruptProb: 0.04, DropAckProb: 0.04},
@@ -33,10 +34,11 @@ func TestAdversitySweepTable(t *testing.T) {
 					RetryMax:  12 * time.Hour,
 				},
 			}
-			fs, srv, err := RunFieldStudyWithCollector(cfg)
+			fs, err := RunFieldStudy(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			srv := fs.Collector
 			var tornN, flips uint64
 			for _, d := range fs.Fleet.Devices {
 				tornN += d.FS().TornWrites()

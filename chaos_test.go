@@ -24,6 +24,7 @@ func chaosConfig(seed uint64) FieldStudyConfig {
 		Duration:    3 * phone.StudyMonth,
 		JoinWindow:  phone.StudyMonth / 2,
 		UploadEvery: 3 * 24 * time.Hour,
+		Servers:     1,
 		Adversity: AdversityConfig{
 			Flash: phone.FlashFaults{
 				TornWriteProb:  0.7,
@@ -48,10 +49,11 @@ func chaosConfig(seed uint64) FieldStudyConfig {
 // merged dataset, and recovery never surfaces a corrupt record to the
 // analysis.
 func TestChaosNoAcknowledgedDataLoss(t *testing.T) {
-	fs, srv, err := RunFieldStudyWithCollector(chaosConfig(20070625))
+	fs, err := RunFieldStudy(chaosConfig(20070625))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := fs.Collector
 	defer srv.Close()
 
 	// The run must actually have been adversarial, or the invariant is
@@ -121,10 +123,11 @@ func TestChaosNoAcknowledgedDataLoss(t *testing.T) {
 // simulator's ground truth even while flash tears and the network drops
 // every fifth transfer.
 func TestChaosHeadlineWithinBands(t *testing.T) {
-	fs, srv, err := RunFieldStudyWithCollector(chaosConfig(20070626))
+	fs, err := RunFieldStudy(chaosConfig(20070626))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := fs.Collector
 	defer srv.Close()
 
 	rep := ValidateDetection(fs)

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -18,7 +19,6 @@ import (
 	"symfail"
 	"symfail/internal/analysis/stream"
 	"symfail/internal/collect"
-	"symfail/internal/collect/fleet"
 	"symfail/internal/core"
 	"symfail/internal/phone"
 	"symfail/internal/report"
@@ -64,39 +64,18 @@ func run(args []string) error {
 		cfg.JoinWindow = phone.StudyMonth
 	}
 	cfg.WithUserReporter = *extras
-	if *serverKill > 0 {
-		if !*useTCP {
-			return fmt.Errorf("-server-kill needs -tcp (crashes are injected into the TCP collection server)")
-		}
-		// A uniform window around N keeps kills irregular but centred on
-		// the requested rate.
-		cfg.Adversity.ServerCrash = collect.CrashFaults{
-			KillEveryMin: (*serverKill + 1) / 2,
-			KillEveryMax: *serverKill + (*serverKill+1)/2,
-		}
-		// Weekly uploads also enable periodic chunking, so crashes land on
-		// a live stream, not only on the final collection.
-		if cfg.UploadEvery <= 0 {
-			cfg.UploadEvery = 7 * 24 * time.Hour
-		}
+	if *serverKill > 0 && !*useTCP {
+		return fmt.Errorf("-server-kill needs -tcp (crashes are injected into the TCP collection server)")
 	}
 	if *servers > 1 && !*useTCP {
 		return fmt.Errorf("-servers needs -tcp (the fleet shards the TCP collection tier)")
 	}
-	cfg.Servers = *servers
 	if *fleetKill > 0 {
 		if !*useTCP || *servers <= 1 {
 			return fmt.Errorf("-fleet-kill needs -tcp and -servers > 1 (kills are drawn over the fleet)")
 		}
 		if *serverKill > 0 {
 			return fmt.Errorf("-fleet-kill replaces -server-kill: the fleet supervisor owns the kill schedule")
-		}
-		cfg.Adversity.ServerCrash = collect.CrashFaults{
-			KillEveryMin: (*fleetKill + 1) / 2,
-			KillEveryMax: *fleetKill + (*fleetKill+1)/2,
-		}
-		if cfg.UploadEvery <= 0 {
-			cfg.UploadEvery = 7 * 24 * time.Hour
 		}
 	}
 	if *replicate != 0 || *quorum != 0 {
@@ -119,6 +98,14 @@ func run(args []string) error {
 		cfg.Replicate = r
 		cfg.Quorum = w
 	}
+	if *useTCP {
+		cfg.Servers = max(1, *servers)
+		// At most one of the two kill flags is set. A uniform window around
+		// N keeps kills irregular but centred on the requested rate.
+		if n := max(*serverKill, *fleetKill); n > 0 {
+			cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: (n + 1) / 2, KillEveryMax: n + (n+1)/2}
+		}
+	}
 
 	fmt.Println("=== Section 4: high-level failure characterisation (web forums) ===")
 	fmt.Println()
@@ -131,48 +118,32 @@ func run(args []string) error {
 			fmt.Printf("collected %d/%d devices: %d records, %d panics, %d HL events, %d reboots\n",
 				done, total, p.Records, p.Panics, p.HLEvents, p.Reboots)
 		}
-		if *useTCP {
-			cfg.Monitor = stream.NewMonitor()
-		}
 	}
-	if *serveAddr != "" && *useTCP && *servers <= 1 {
-		// On the single-collector path the live study rides the server's
-		// record tap, so the queries served afterwards saw the study live
-		// (crash replays included — LiveStudy deduplicates them).
+	if *useTCP && (*streamMode || *serveAddr != "") {
+		// The live study rides the collector's record tap, so it watches the
+		// study live (crash replays included — LiveStudy deduplicates them)
+		// and the queries served afterwards answer from it.
 		cfg.LiveStudy = stream.NewLiveStudy(cfg.Analysis)
 	}
 
 	fmt.Printf("=== Sections 5-6: field study (%d phones, %d months, seed %d) ===\n\n",
 		cfg.Phones, int(cfg.Duration/phone.StudyMonth), *seed)
 	start := time.Now()
-	var study *symfail.FieldStudy
-	var sup *collect.Supervisor
-	var fl *fleet.Supervisor
-	var err error
-	switch {
-	case *useTCP && *servers > 1:
-		study, fl, err = symfail.RunFieldStudyWithFleet(cfg)
-		if err == nil {
-			defer fl.Close()
-		}
-	case *useTCP:
-		study, sup, err = symfail.RunFieldStudyWithCollector(cfg)
-		if err == nil {
-			defer sup.Close()
-		}
-	default:
-		study, err = symfail.RunFieldStudy(cfg)
-	}
+	study, err := symfail.RunFieldStudy(cfg)
 	if err != nil {
 		return err
 	}
+	fl := study.Collector
+	if fl != nil {
+		defer fl.Close()
+	}
 	fmt.Printf("simulated %.0f phone-hours in %v wall-clock\n\n",
 		study.Fleet.ObservedHours(), time.Since(start).Round(time.Millisecond))
-	if sup != nil && *serverKill > 0 {
+	switch {
+	case cfg.Servers == 1 && *serverKill > 0:
 		fmt.Printf("collection server: %d injected crashes, %d restarts, %d uploads served, %d WAL compactions — zero acknowledged records lost\n\n",
-			sup.Crashes(), sup.Restarts(), sup.Uploads(), sup.Compactions())
-	}
-	if fl != nil {
+			fl.Crashes(), fl.Restarts(), fl.Uploads(), fl.Compactions())
+	case cfg.Servers > 1:
 		fmt.Printf("collection fleet: %d shards live (epoch %d), %d uploads served\n",
 			fl.Servers(), fl.Epoch(), fl.Uploads())
 		if *fleetKill > 0 || cfg.Adversity.ServerCrash.Enabled() {
@@ -186,10 +157,12 @@ func run(args []string) error {
 		}
 		fmt.Println()
 	}
-	if cfg.Monitor != nil {
-		ms := cfg.Monitor.Snapshot().(*stream.MonitorSnapshot)
+	if *streamMode && cfg.LiveStudy != nil {
+		// A window as long as any study covers every record the tap
+		// delivered.
+		w := cfg.LiveStudy.Window(math.MaxInt32)
 		fmt.Printf("live server tap: %d devices, %d records acknowledged mid-study (%d panics)\n\n",
-			ms.Devices, ms.Records, ms.ByKind[core.KindPanic])
+			len(w.Devices), w.Records, w.Panics)
 	}
 
 	s := study.Study
@@ -236,10 +209,10 @@ func run(args []string) error {
 }
 
 // serveQueries keeps a collection server answering the QUERY verb from the
-// live study until interrupted. When the study ran without a live tap (no
-// -tcp, or a sharded fleet), the live study is rebuilt from the collected
-// dataset — equivalent to having watched the study live, since the tier's
-// dedup makes replayed deliveries and re-feeds converge.
+// live study until interrupted. When the study ran without a collector (no
+// -tcp), the live study is rebuilt from the collected dataset — equivalent
+// to having watched the study live, since the tier's dedup makes replayed
+// deliveries and re-feeds converge.
 func serveQueries(addr string, live *stream.LiveStudy, opts stream.Config, study *symfail.FieldStudy) error {
 	if live == nil {
 		live = stream.NewLiveStudy(opts)

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -98,5 +100,33 @@ func TestRunWorkersEquivalent(t *testing.T) {
 	}
 	if strip(serial) != strip(sharded) {
 		t.Error("-workers 4 changed the printed study; parallelism must be output-invariant")
+	}
+}
+
+// TestRunTCPStreamPrintsLiveTap runs the quick study through the single
+// durable server and through a 3-shard fleet with -stream: either way the
+// live study on the collector's record tap reports every phone.
+func TestRunTCPStreamPrintsLiveTap(t *testing.T) {
+	tap := regexp.MustCompile(`live server tap: (\d+) devices, (\d+) records acknowledged mid-study \((\d+) panics\)`)
+	for _, args := range [][]string{
+		{"-quick", "-seed", "5", "-tcp", "-stream"},
+		{"-quick", "-seed", "5", "-tcp", "-servers", "3", "-stream"},
+	} {
+		out, err := captureStdout(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		m := tap.FindStringSubmatch(out)
+		if m == nil {
+			t.Errorf("%v: no live-tap line in the output", args)
+			continue
+		}
+		devices, _ := strconv.Atoi(m[1])
+		records, _ := strconv.Atoi(m[2])
+		panics, _ := strconv.Atoi(m[3])
+		if devices != 8 || records == 0 || panics == 0 {
+			t.Errorf("%v: live tap saw %d devices, %d records, %d panics; want all 8 quick phones with records and panics",
+				args, devices, records, panics)
+		}
 	}
 }

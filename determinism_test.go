@@ -148,7 +148,7 @@ type advFingerprint struct {
 }
 
 // adversityStudyConfig is the pinned fault calibration for the golden
-// adversity run.
+// adversity run, collected through the durable single server.
 func adversityStudyConfig() FieldStudyConfig {
 	return FieldStudyConfig{
 		Seed:        979797,
@@ -156,6 +156,7 @@ func adversityStudyConfig() FieldStudyConfig {
 		Duration:    2 * phone.StudyMonth,
 		JoinWindow:  phone.StudyMonth / 4,
 		UploadEvery: 2 * 24 * time.Hour,
+		Servers:     1,
 		Adversity: AdversityConfig{
 			Flash: phone.FlashFaults{
 				TornWriteProb:  0.6,
@@ -178,10 +179,11 @@ func computeAdversityFingerprint(t *testing.T, workers int) advFingerprint {
 	t.Helper()
 	cfg := adversityStudyConfig()
 	cfg.Workers = workers
-	fs, srv, err := RunFieldStudyWithCollector(cfg)
+	fs, err := RunFieldStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := fs.Collector
 	defer srv.Close()
 	rep := fs.Study.MTBF()
 	fp := advFingerprint{fingerprint: fingerprint{

@@ -35,10 +35,11 @@ func fleetChaosConfig(seed uint64) FieldStudyConfig {
 // still, every record any incarnation of any shard ever acknowledged is
 // present exactly once in the merged dataset.
 func TestFleetKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
-	fs, fl, err := RunFieldStudyWithFleet(fleetChaosConfig(20070627))
+	fs, err := RunFieldStudy(fleetChaosConfig(20070627))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl := fs.Collector
 	defer fl.Close()
 
 	if err := fl.Err(); err != nil {
@@ -115,10 +116,11 @@ func computeFleetCrashFingerprint(t *testing.T, workers, servers int) crashFinge
 	cfg := serverCrashStudyConfig()
 	cfg.Workers = workers
 	cfg.Servers = servers
-	fs, fl, err := RunFieldStudyWithFleet(cfg)
+	fs, err := RunFieldStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl := fs.Collector
 	defer fl.Close()
 	if err := fl.Err(); err != nil {
 		t.Fatal(err)
@@ -218,10 +220,11 @@ func TestFleetEquivalenceSweep(t *testing.T) {
 						cfg.Adversity.FleetJoinAfter = 40
 						cfg.Adversity.FleetLeaveAfter = 120
 					}
-					fs, fl, err := RunFieldStudyWithFleet(cfg)
+					fs, err := RunFieldStudy(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
+					fl := fs.Collector
 					defer fl.Close()
 					if err := fl.Err(); err != nil {
 						t.Fatal(err)
@@ -267,10 +270,11 @@ func TestFleetSweepTable(t *testing.T) {
 				cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: k / 2, KillEveryMax: k + k/2}
 				cfg.Adversity.ServerCompactWAL = 32 << 10
 			}
-			fs, fl, err := RunFieldStudyWithFleet(cfg)
+			fs, err := RunFieldStudy(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fl := fs.Collector
 			if err := fl.Err(); err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"symfail/internal/core"
 )
@@ -412,125 +411,6 @@ func (c *Collect) ExplainedShutdowns() int { return c.explained }
 
 // UptimeOf returns one device's uptime estimate in hours.
 func (c *Collect) UptimeOf(deviceID string) float64 { return c.uptime[deviceID] }
-
-// ---- Monitor: order-insensitive live counters ----
-
-// MonitorSnapshot summarises what a Monitor saw.
-type MonitorSnapshot struct {
-	Devices int
-	Records int
-	ByKind  map[string]int
-}
-
-// Monitor counts records without any per-device ordering assumptions: safe
-// to feed from the collection server's live record tap, where records of
-// one device arrive as uploads land (out of order across devices, and
-// again when a crash-recovered server replays an upload — a restarted
-// incarnation's acked ledger starts empty, so OnRecord delivery is
-// at-least-once). Monitor deduplicates by the record's serialized form per
-// device, so replays across a checkpoint/resume or crash/restart boundary
-// never double-count; the cost is O(distinct records) memory, the price of
-// exact counts on an at-least-once tap. Monitor is the one accumulator
-// that is safe for concurrent Observe calls.
-type Monitor struct {
-	mu      sync.Mutex
-	devices map[string]map[string]string // device -> serialized record -> kind
-	records int
-	byKind  map[string]int
-	sealed  bool
-	snap    *MonitorSnapshot
-}
-
-// NewMonitor builds a live-tap counter.
-func NewMonitor() *Monitor {
-	return &Monitor{devices: make(map[string]map[string]string), byKind: make(map[string]int)}
-}
-
-// Observe counts one record; a record already seen for this device (an
-// at-least-once replay) is ignored.
-func (m *Monitor) Observe(deviceID string, r core.Record) {
-	key := string(core.AppendRecordLine(nil, r))
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.sealed {
-		panic("stream: Monitor.Observe after Seal")
-	}
-	m.insertLocked(deviceID, key, r.Kind)
-}
-
-func (m *Monitor) insertLocked(deviceID, key, kind string) {
-	seen := m.devices[deviceID]
-	if seen == nil {
-		seen = make(map[string]string)
-		m.devices[deviceID] = seen
-	}
-	if _, dup := seen[key]; dup {
-		return
-	}
-	seen[key] = kind
-	m.records++
-	m.byKind[kind]++
-}
-
-// Merge absorbs another Monitor. Device overlap is allowed: the seen sets
-// union, so a record observed by both sides still counts once.
-func (m *Monitor) Merge(other Accumulator) error {
-	o, ok := other.(*Monitor)
-	if !ok {
-		return typeErr("Monitor", other)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if m.sealed || o.sealed {
-		return fmt.Errorf("%w: Monitor", ErrSealed)
-	}
-	for id, seen := range o.devices {
-		for key, kind := range seen {
-			m.insertLocked(id, key, kind)
-		}
-	}
-	o.sealed = true
-	return nil
-}
-
-// Snapshot returns the *MonitorSnapshot for the current epoch. The monitor
-// is naturally re-snapshottable — its state is a fold over a set — so a
-// live monitor computes a fresh snapshot without sealing; a sealed monitor
-// returns the cached final one.
-func (m *Monitor) Snapshot() any {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.snap != nil {
-		return m.snap
-	}
-	byKind := make(map[string]int, len(m.byKind))
-	for k, n := range m.byKind {
-		byKind[k] = n
-	}
-	snap := &MonitorSnapshot{Devices: len(m.devices), Records: m.records, ByKind: byKind}
-	if m.sealed {
-		m.snap = snap
-	}
-	return snap
-}
-
-// Seal freezes the monitor: further Observes panic, further Merges return
-// ErrSealed, and Snapshot returns the cached final counts.
-func (m *Monitor) Seal() {
-	m.mu.Lock()
-	m.sealed = true
-	m.mu.Unlock()
-	_ = m.Snapshot()
-}
-
-// Peek reports live progress without sealing.
-func (m *Monitor) Peek() Peek {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return Peek{Devices: len(m.devices), Records: m.records, Panics: m.byKind[core.KindPanic]}
-}
 
 // ---- Single-experiment accumulators ----
 

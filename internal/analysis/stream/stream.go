@@ -137,7 +137,6 @@ var (
 var RegisteredAccumulators = map[string]bool{
 	"Tables":         true,
 	"Collect":        true,
-	"Monitor":        true,
 	"PanicTableAcc":  true,
 	"RebootAcc":      true,
 	"MTBFAcc":        true,
@@ -156,7 +155,6 @@ func NewRegistered(cfg Config) map[string]Accumulator {
 	return map[string]Accumulator{
 		"Tables":         NewTables(cfg),
 		"Collect":        NewCollect(cfg),
-		"Monitor":        NewMonitor(),
 		"PanicTableAcc":  NewPanicTableAcc(cfg),
 		"RebootAcc":      NewRebootAcc(cfg),
 		"MTBFAcc":        NewMTBFAcc(cfg),

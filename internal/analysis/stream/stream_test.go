@@ -308,8 +308,7 @@ func TestStreamResnapshotLaw(t *testing.T) {
 	}
 }
 
-// TestStreamMergeDeviceOverlap: shards must be device-disjoint (Monitor, a
-// lossy tap fed at-least-once, is the documented exception).
+// TestStreamMergeDeviceOverlap: shards must be device-disjoint.
 func TestStreamMergeDeviceOverlap(t *testing.T) {
 	ds := randomDevices(4)
 	for name := range stream.RegisteredAccumulators {
@@ -318,14 +317,7 @@ func TestStreamMergeDeviceOverlap(t *testing.T) {
 		b := stream.NewRegistered(cfg)[name]
 		feedAcc(a, ds, []string{"a", "b"})
 		feedAcc(b, ds, []string{"b", "c"})
-		err := a.Merge(b)
-		if name == "Monitor" {
-			if err != nil {
-				t.Errorf("Monitor overlap merge = %v, want nil (overlap allowed)", err)
-			}
-			continue
-		}
-		if !errors.Is(err, stream.ErrDeviceOverlap) {
+		if err := a.Merge(b); !errors.Is(err, stream.ErrDeviceOverlap) {
 			t.Errorf("%s: overlap merge = %v, want ErrDeviceOverlap", name, err)
 		}
 	}
@@ -390,32 +382,6 @@ func TestStreamTablesMatchesStudy(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestStreamMonitor: the live tap deduplicates at-least-once delivery —
-// replayed records and overlap merges count each distinct record once.
-func TestStreamMonitor(t *testing.T) {
-	m := stream.NewMonitor()
-	rec := core.Record{Kind: core.KindPanic, Time: 1, Category: "KERN-EXEC", PType: 3}
-	m.Observe("a", rec)
-	m.Observe("a", rec) // duplicate delivery: counted once
-	m.Observe("b", core.Record{Kind: core.KindBoot, Time: 2, Boot: 2})
-	o := stream.NewMonitor()
-	o.Observe("a", rec) // overlapping device, same record: still once
-	o.Observe("a", core.Record{Kind: core.KindPanic, Time: 5, Category: "USER", PType: 7})
-	if err := m.Merge(o); err != nil {
-		t.Fatalf("overlap merge: %v", err)
-	}
-	ms := m.Snapshot().(*stream.MonitorSnapshot)
-	if ms.Devices != 2 || ms.Records != 3 || ms.ByKind[core.KindPanic] != 2 {
-		t.Errorf("monitor snapshot = %+v, want 2 devices, 3 records, 2 panics", ms)
-	}
-	// Live snapshots are fresh epoch values; after Seal the final one is cached.
-	m.Seal()
-	ms = m.Snapshot().(*stream.MonitorSnapshot)
-	if m.Snapshot().(*stream.MonitorSnapshot) != ms {
-		t.Error("second Snapshot after Seal returned a different value")
 	}
 }
 

@@ -224,15 +224,21 @@ type ServerConfig struct {
 	// Nil keeps the exact single-copy commit path.
 	Replicate func(op, deviceID string, state []byte) bool
 
-	// OnRecord, when set, is called for every record the server newly
-	// acknowledges — the live tap the streaming accumulators hang off.
-	// It runs under the server mutex, so it must be fast and must not call
-	// back into the server. Delivery is at-least-once, not exactly-once:
-	// a supervisor-restarted incarnation starts with an empty acked ledger,
-	// so records re-sent after a crash fire again. Consumers must therefore
-	// be order- and duplicate-tolerant (stream.Monitor is; the exact
-	// analysis accumulators are not — they re-read the merged Dataset at
-	// study end instead).
+	// OnRecord, when set, is the live record tap the streaming
+	// accumulators hang off. Its contract: every record that enters the
+	// dataset is delivered at least once. The server calls it for every
+	// record it newly acknowledges. A record a killed predecessor
+	// WAL-synced but never acked is recovered into the dataset unacked; it
+	// is delivered when the client re-sends it or extends its stream, and
+	// at the latest when that stream is rewound or retired by FIN (which
+	// every finished upload conversation reaches). Delivery is not
+	// exactly-once: a supervisor-restarted incarnation starts with an
+	// empty acked ledger, so records re-sent after a crash fire again.
+	// Consumers must therefore be order- and duplicate-tolerant
+	// (stream.LiveStudy is; the exact analysis accumulators are not — they
+	// re-read the merged Dataset at study end instead). It runs under the
+	// server mutex, so it must be fast and must not call back into the
+	// server.
 	OnRecord func(deviceID string, r core.Record)
 
 	// Query, when set, serves the read-only QUERY verb: the hook receives
@@ -628,6 +634,9 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 		fmt.Fprintf(conn, "ERR gap: stream at %d, chunk at %d\n", n, offset)
 		return
 	}
+	if offset < len(stream) {
+		s.tapUnackedLocked(id, stream)
+	}
 	if !s.commitLocked(walEntry{Op: opChunk, Dev: id, Off: offset, Data: chunk}) {
 		return
 	}
@@ -789,7 +798,8 @@ func (s *Server) handleFin(conn net.Conn, fields []string) {
 		s.mu.Unlock()
 		return
 	}
-	if _, ok := s.streams[id]; ok {
+	if stream, ok := s.streams[id]; ok {
+		s.tapUnackedLocked(id, stream)
 		if !s.commitLocked(walEntry{Op: opFin, Dev: id}) {
 			return
 		}
@@ -887,6 +897,27 @@ func (s *Server) recordAckedLocked(id string, data []byte) {
 		}
 		keys[string(scratch)] = true
 		if s.cfg.OnRecord != nil {
+			s.cfg.OnRecord(id, rec)
+		}
+	}
+}
+
+// tapUnackedLocked fires the OnRecord tap for the records of a stream about
+// to be replaced (by a rewind or a FIN) that this incarnation never acked.
+// A verb WAL-synced by a killed predecessor is recovered into the dataset
+// without an ACK; once its stream is replaced nothing else would deliver
+// those records. It runs before the replacing verb commits, so a crash
+// inside that commit cannot skip it. The records stay out of ackedKeys,
+// which holds acknowledged records only. Caller holds s.mu.
+func (s *Server) tapUnackedLocked(id string, stream []byte) {
+	if s.cfg.OnRecord == nil {
+		return
+	}
+	keys := s.ackedKeys[id]
+	var scratch []byte
+	for _, rec := range core.ParseRecords(stream) {
+		scratch = core.AppendRecordLine(scratch[:0], rec)
+		if !keys[string(scratch)] {
 			s.cfg.OnRecord(id, rec)
 		}
 	}

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -139,5 +140,74 @@ func TestSupervisorRestartResumesExistingStore(t *testing.T) {
 	got, ok := ds.Get("dev-x")
 	if !ok || string(got) != string(data) {
 		t.Errorf("recovered dataset = %q, want the WAL-logged upload %q", got, data)
+	}
+}
+
+// TestTapCoversUnackedRecordsReplacedByRewindOrFin pins the record tap's
+// at-least-once contract across a crash between the WAL sync and the ACK.
+// The killed CHUNK is recovered into the dataset without an ACK, so the
+// next incarnation never taps it on its own. A rewind then replaces that
+// stream; later a second unacked CHUNK is retired by a FIN. Every record
+// in the dataset must still reach the tap.
+func TestTapCoversUnackedRecordsReplacedByRewindOrFin(t *testing.T) {
+	const id = "tap-dev"
+	var mu sync.Mutex
+	tapped := make(map[string]bool)
+	ds := NewDataset()
+	sup, err := NewSupervisor("127.0.0.1:0", ds, SupervisorConfig{
+		OnRecord: func(dev string, r core.Record) {
+			mu.Lock()
+			defer mu.Unlock()
+			tapped[dev+" "+string(core.EncodeRecord(r))] = true
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	var tr NetTransport
+	dieUnacked := func(off int, chunk []byte) {
+		t.Helper()
+		if !sup.InjectKill(CrashAfterWALSync) {
+			t.Fatal("kill not armed")
+		}
+		if _, err := tr.UploadChunk(sup.Addr(), id, off, chunk); err == nil {
+			t.Fatal("chunk was acked despite the kill after the WAL sync")
+		}
+		if !sup.Settle(10 * time.Second) {
+			t.Fatal("supervisor did not restart")
+		}
+	}
+	checkTapped := func(stage string, want int) {
+		t.Helper()
+		recs := ds.Records(id)
+		if len(recs) != want {
+			t.Fatalf("%s: dataset holds %d records, want %d", stage, len(recs), want)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range recs {
+			if !tapped[id+" "+string(core.EncodeRecord(r))] {
+				t.Errorf("%s: dataset record never tapped: %s", stage, core.EncodeRecord(r))
+			}
+		}
+	}
+
+	dieUnacked(0, walTestRecords(1, 2))
+	// A master reset restarts the device's log: the rewind to offset 0
+	// replaces the recovered, never-acked stream.
+	second := walTestRecords(3, 4)
+	if n, err := tr.UploadChunk(sup.Addr(), id, 0, second); err != nil || n != len(second) {
+		t.Fatalf("rewind chunk = %d, %v", n, err)
+	}
+	checkTapped("rewind", 4)
+
+	dieUnacked(len(second), walTestRecords(5))
+	if err := Fin(sup.Addr(), id); err != nil {
+		t.Fatal(err)
+	}
+	checkTapped("fin", 5)
+	if sup.Crashes() != 2 || sup.Restarts() != 2 {
+		t.Errorf("crashes/restarts = %d/%d, want 2/2", sup.Crashes(), sup.Restarts())
 	}
 }

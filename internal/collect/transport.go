@@ -142,11 +142,12 @@ func checkChunkArgs(deviceID string, offset int, chunk []byte) error {
 
 // RetryNetTransport is NetTransport with bounded host-time retries on
 // transport-level failures: dial errors, dead connections, lost replies.
-// The sharded fleet path uses it so that shard and router kill windows —
-// host-time phenomena measured in milliseconds — never surface to the
-// simulated uploader, whose shortest retry is half an hour of simulated
-// time; a window crossing a master reset would otherwise destroy records
-// the single-server study delivered. Protocol rejections (a parsed ERR
+// The sharded fleet path, and a single server under parallel workers, use
+// it so that shard and router kill windows — host-time phenomena measured
+// in milliseconds — never surface to the simulated uploader, whose
+// shortest retry is half an hour of simulated time; a window crossing a
+// master reset would otherwise destroy records the kill-free study
+// delivers. Protocol rejections (a parsed ERR
 // reply) are real answers, not windows, and pass through unretried; so
 // does every injected FaultyTransport fault, which either never reaches
 // this layer or arrives via the raw path below.
@@ -162,6 +163,7 @@ func transientNetErr(err error) bool {
 	s := err.Error()
 	return strings.Contains(s, "dial") || strings.Contains(s, "deadline") ||
 		strings.Contains(s, "send header") || strings.Contains(s, "send chunk") ||
+		strings.Contains(s, "send body") ||
 		strings.Contains(s, "read reply") || strings.Contains(s, "shard unavailable")
 }
 

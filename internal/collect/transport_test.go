@@ -2,9 +2,12 @@ package collect
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -145,6 +148,29 @@ func TestFaultyTransportDeterministic(t *testing.T) {
 	}
 	if inj1[0] == 0 || inj1[1] == 0 || inj1[2] == 0 {
 		t.Errorf("fault mix did not exercise every mode: %v", inj1)
+	}
+}
+
+// TestIsTransientNamesTransportWindows: every client verb's transport-level
+// failure — UPLOAD's body write included — is a window to wait out, while
+// a parsed protocol rejection is a real answer.
+func TestIsTransientNamesTransportWindows(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{fmt.Errorf("collect: dial 127.0.0.1:1: %w", syscall.ECONNREFUSED), true},
+		{fmt.Errorf("collect: send header: %w", syscall.EPIPE), true},
+		{fmt.Errorf("collect: send chunk: %w", syscall.ECONNRESET), true},
+		{fmt.Errorf("collect: send body: %w", syscall.EPIPE), true},
+		{fmt.Errorf("collect: read reply: %w", io.EOF), true},
+		{errors.New("collect: server rejected upload: ERR shard unavailable"), true},
+		{errors.New("collect: server rejected upload: ERR checksum mismatch"), false},
+		{nil, false},
+	} {
+		if got := IsTransient(tc.err); got != tc.want {
+			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
+		}
 	}
 }
 

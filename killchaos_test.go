@@ -25,10 +25,11 @@ func killChaosConfig(seed uint64) FieldStudyConfig {
 // itself: every record any server incarnation ever acknowledged is present
 // exactly once in the final merged dataset.
 func TestKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
-	fs, sup, err := RunFieldStudyWithCollector(killChaosConfig(20070627))
+	fs, err := RunFieldStudy(killChaosConfig(20070627))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sup := fs.Collector
 	defer sup.Close()
 
 	if err := sup.Err(); err != nil {
@@ -97,10 +98,11 @@ func TestKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
 // must survive the server being killed out from under the study — same
 // bands as the network/flash-only chaos harness.
 func TestKillAnythingHeadlineWithinBands(t *testing.T) {
-	fs, sup, err := RunFieldStudyWithCollector(killChaosConfig(20070629))
+	fs, err := RunFieldStudy(killChaosConfig(20070629))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sup := fs.Collector
 	defer sup.Close()
 	if sup.Crashes() == 0 {
 		t.Fatal("no server crashes injected")

@@ -2,6 +2,7 @@ package symfail
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -22,126 +23,121 @@ func sortedStrings(m map[string][]core.Record) []string {
 	return ids
 }
 
-// TestMonitorAndLiveStudyAcrossServerCrashes is the at-least-once tap
-// contract under real crashes: with the supervisor killing the collection
-// server mid-study, records acked by a dead incarnation are re-sent and
-// re-fire ServerConfig.OnRecord — yet both live consumers (Monitor and
-// LiveStudy) must end with exactly the distinct record set the final merged
-// dataset holds, and the live query tier must stay answerable over TCP the
-// whole time, restarts included.
-func TestMonitorAndLiveStudyAcrossServerCrashes(t *testing.T) {
-	mon := stream.NewMonitor()
-	live := stream.NewLiveStudy(stream.Config{})
-	cfg := FieldStudyConfig{
-		Seed:        20070801,
-		Phones:      6,
-		Duration:    3 * phone.StudyMonth,
-		JoinWindow:  phone.StudyMonth / 2,
-		UploadEvery: 3 * 24 * time.Hour,
-		Monitor:     mon,
-		LiveStudy:   live,
-	}
-	cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: 6, KillEveryMax: 18}
-	cfg.Adversity.ServerCompactWAL = 64 << 10
-
-	fs, sup, err := RunFieldStudyWithCollector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sup.Close()
-	if sup.Crashes() == 0 {
-		t.Fatal("no server crashes injected — the at-least-once replay path was not exercised")
-	}
-
-	all := fs.Dataset.AllRecords()
-	total, devices := 0, 0
-	for _, recs := range all {
-		if len(recs) > 0 {
-			devices++
-		}
-		total += len(recs)
-	}
-
-	// Satellite invariant: the monitor tolerates the duplicate deliveries a
-	// restarted incarnation replays — its counts equal the distinct set.
-	ms := mon.Snapshot().(*stream.MonitorSnapshot)
-	if ms.Records != total || ms.Devices != devices {
-		t.Errorf("monitor saw %d records on %d devices; dataset holds %d on %d",
-			ms.Records, ms.Devices, total, devices)
-	}
-
-	// The live study deduplicates the same tap; with crashes injected the
-	// replays actually happened, so the dedup did real work.
-	if live.Records() != total {
-		t.Errorf("live study saw %d distinct records, dataset holds %d", live.Records(), total)
-	}
-	if sup.Restarts() > 0 && live.Duplicates() == 0 {
-		t.Logf("note: %d restarts but no duplicate deliveries this seed", sup.Restarts())
-	}
-
-	// The windowed fold is order-insensitive, so the live view must equal a
-	// batch fold of the final dataset byte for byte.
-	batch := stream.NewWindowAcc(stream.Config{})
-	for id, recs := range all {
-		for _, r := range recs {
-			batch.Observe(id, r)
-		}
-	}
-	gotW, _ := json.Marshal(live.Window(0))
-	wantW, _ := json.Marshal(batch.Stats(0))
-	if string(gotW) != string(wantW) {
-		t.Errorf("live windowed view diverged from batch fold of the dataset:\n got %s\nwant %s", gotW, wantW)
-	}
-
-	// When every delivery arrived in per-device time order, the exact live
-	// tables equal a batch fold of the final dataset too (fed the way
-	// analysis.New feeds it: sorted devices, stable time order).
-	if live.Reordered() == 0 {
-		tables := stream.NewTables(stream.Config{})
-		for _, id := range sortedStrings(all) {
-			tables.AddDevice(id)
-			recs := append([]core.Record(nil), all[id]...)
-			sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
-			for _, r := range recs {
-				tables.Observe(id, r)
+// TestLiveStudyAcrossServerCrashes is the at-least-once tap contract under
+// real crashes, on the single durable server and on a replicated 3-shard
+// fleet. The collection tier is killed mid-study, so records acked by a dead
+// incarnation are re-sent and re-fire the record tap. The LiveStudy wired to
+// that tap must still end with exactly the distinct record set the final
+// merged dataset holds, and answer its queries from it.
+func TestLiveStudyAcrossServerCrashes(t *testing.T) {
+	for _, servers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("servers=%d", servers), func(t *testing.T) {
+			live := stream.NewLiveStudy(stream.Config{})
+			cfg := FieldStudyConfig{
+				Seed:        20070801,
+				Phones:      6,
+				Duration:    3 * phone.StudyMonth,
+				JoinWindow:  phone.StudyMonth / 2,
+				UploadEvery: 3 * 24 * time.Hour,
+				Servers:     servers,
+				LiveStudy:   live,
 			}
-		}
-		gotT, _ := json.Marshal(live.Tables())
-		wantT, _ := json.Marshal(tables.Snapshot())
-		if string(gotT) != string(wantT) {
-			t.Error("live exact tables diverged from the batch fold despite in-order delivery")
-		}
-	}
+			cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: 6, KillEveryMax: 18}
+			cfg.Adversity.ServerCompactWAL = 64 << 10
 
-	// The query tier is still serving on the supervisor's address.
-	out, err := collect.Query(sup.Addr(), "status")
-	if err != nil {
-		t.Fatalf("status query: %v", err)
-	}
-	var st stream.LiveStatus
-	if err := json.Unmarshal([]byte(out), &st); err != nil {
-		t.Fatalf("status answer %q: %v", out, err)
-	}
-	if st.Records != total {
-		t.Errorf("status query reports %d records, dataset holds %d", st.Records, total)
-	}
-	for _, q := range []string{"mtbf", "panics", "freezerate"} {
-		if out, err := collect.Query(sup.Addr(), q); err != nil || !json.Valid([]byte(out)) {
-			t.Errorf("query %s: %q, %v", q, out, err)
-		}
-	}
-
-	// Monitor dedup also holds against the ground-truth acked ledger.
-	for id := range all {
-		keys := sup.AckedKeys(id)
-		recs := make(map[string]bool)
-		for _, r := range fs.Dataset.Records(id) {
-			recs[string(core.EncodeRecord(r))] = true
-		}
-		for _, k := range keys {
-			if !recs[k] {
-				t.Errorf("device %s: acked record missing from the dataset: %s", id, k)
+			fs, err := RunFieldStudy(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			col := fs.Collector
+			defer col.Close()
+			if col.Crashes() == 0 {
+				t.Fatal("no server crashes injected — the at-least-once replay path was not exercised")
+			}
+
+			all := fs.Dataset.AllRecords()
+			total, devices := 0, 0
+			for _, recs := range all {
+				if len(recs) > 0 {
+					devices++
+				}
+				total += len(recs)
+			}
+
+			// The live study deduplicates the tap; with crashes injected the
+			// replays actually happened, so the dedup did real work.
+			if live.Records() != total {
+				t.Errorf("live study saw %d distinct records, dataset holds %d", live.Records(), total)
+			}
+			if col.Restarts() > 0 && live.Duplicates() == 0 {
+				t.Logf("note: %d restarts but no duplicate deliveries this seed", col.Restarts())
+			}
+
+			// The windowed fold is order-insensitive, so the live view must
+			// equal a batch fold of the final dataset byte for byte.
+			batch := stream.NewWindowAcc(stream.Config{})
+			for id, recs := range all {
+				for _, r := range recs {
+					batch.Observe(id, r)
+				}
+			}
+			gotW, _ := json.Marshal(live.Window(0))
+			wantW, _ := json.Marshal(batch.Stats(0))
+			if string(gotW) != string(wantW) {
+				t.Errorf("live windowed view diverged from batch fold of the dataset:\n got %s\nwant %s", gotW, wantW)
+			}
+
+			// When every delivery arrived in per-device time order, the exact
+			// live tables equal a batch fold of the final dataset too (fed the
+			// way analysis.New feeds it: sorted devices, stable time order).
+			if live.Reordered() == 0 {
+				tables := stream.NewTables(stream.Config{})
+				for _, id := range sortedStrings(all) {
+					tables.AddDevice(id)
+					recs := append([]core.Record(nil), all[id]...)
+					sort.SliceStable(recs, func(i, j int) bool { return recs[i].Time < recs[j].Time })
+					for _, r := range recs {
+						tables.Observe(id, r)
+					}
+				}
+				gotT, _ := json.Marshal(live.Tables())
+				wantT, _ := json.Marshal(tables.Snapshot())
+				if string(gotT) != string(wantT) {
+					t.Error("live exact tables diverged from the batch fold despite in-order delivery")
+				}
+			}
+
+			// The query answers come from the same deduplicated state.
+			out, err := live.Query("status", nil)
+			if err != nil {
+				t.Fatalf("status query: %v", err)
+			}
+			var st stream.LiveStatus
+			if err := json.Unmarshal([]byte(out), &st); err != nil {
+				t.Fatalf("status answer %q: %v", out, err)
+			}
+			if st.Records != total || st.Devices != devices {
+				t.Errorf("status query reports %d records on %d devices; dataset holds %d on %d",
+					st.Records, st.Devices, total, devices)
+			}
+			for _, q := range []string{"mtbf", "panics", "freezerate"} {
+				if out, err := live.Query(q, nil); err != nil || !json.Valid([]byte(out)) {
+					t.Errorf("query %s: %q, %v", q, out, err)
+				}
+			}
+
+			// Every record the collection tier acknowledged is in the dataset.
+			for id := range all {
+				recs := make(map[string]bool)
+				for _, r := range fs.Dataset.Records(id) {
+					recs[string(core.EncodeRecord(r))] = true
+				}
+				for _, k := range col.AckedKeys(id) {
+					if !recs[k] {
+						t.Errorf("device %s: acked record missing from the dataset: %s", id, k)
+					}
+				}
+			}
+		})
 	}
 }

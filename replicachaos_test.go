@@ -34,10 +34,11 @@ func replicaChaosConfig(seed uint64, r, w int) FieldStudyConfig {
 // dead — every kill here restarts, so the detector may suspect freely but
 // confirmation requires process-level evidence that never materialises.
 func TestReplicaKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
-	fs, fl, err := RunFieldStudyWithFleet(replicaChaosConfig(20070627, 3, 2))
+	fs, err := RunFieldStudy(replicaChaosConfig(20070627, 3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fl := fs.Collector
 	defer fl.Close()
 
 	if err := fl.Err(); err != nil {
@@ -136,10 +137,11 @@ func TestReplicaEquivalenceSweep(t *testing.T) {
 					cfg.Replicate = r
 					cfg.Adversity.FleetJoinAfter = 40
 					cfg.Adversity.FleetLeaveAfter = 120
-					fs, fl, err := RunFieldStudyWithFleet(cfg)
+					fs, err := RunFieldStudy(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
+					fl := fs.Collector
 					defer fl.Close()
 					if err := fl.Err(); err != nil {
 						t.Fatal(err)
@@ -186,10 +188,11 @@ func TestReplicaSweepTable(t *testing.T) {
 				cfg.Adversity.ServerCrash = collect.CrashFaults{KillEveryMin: k / 2, KillEveryMax: k + k/2}
 				cfg.Adversity.ServerCompactWAL = 32 << 10
 			}
-			fs, fl, err := RunFieldStudyWithFleet(cfg)
+			fs, err := RunFieldStudy(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fl := fs.Collector
 			if err := fl.Err(); err != nil {
 				t.Fatal(err)
 			}

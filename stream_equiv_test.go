@@ -203,10 +203,11 @@ func TestStreamAdversityEquivalence(t *testing.T) {
 	}
 	cfg := adversityStudyConfig()
 	cfg.Workers = 1
-	fs, sup, err := RunFieldStudyWithCollector(cfg)
+	fs, err := RunFieldStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sup := fs.Collector
 	defer sup.Close()
 	batch := snapshotJSON(t, fs.Study.Snapshot())
 	opts := fs.Study.Options()

@@ -56,26 +56,24 @@ type FieldStudyConfig struct {
 	Logger core.Config
 	// Analysis tunes the pipeline thresholds (paper defaults when zero).
 	Analysis analysis.Options
-	// CollectorAddr, when non-empty, uploads every phone's log to a
-	// collection server at that address over TCP instead of reading the
-	// logs directly off the simulated flash.
-	CollectorAddr string
-	// UploadEvery additionally attaches a periodic on-device uploader
-	// (simulated time) when a collector is configured. Periodic uploads
-	// are what preserve the study data across service-visit master
-	// resets: reading only the final flash loses everything logged before
-	// a reset. Zero means a single upload at study end.
+	// UploadEvery is the simulated-time cadence of the periodic on-device
+	// uploader attached when a collector runs (Servers >= 1; default
+	// weekly). Periodic uploads are what preserve the study data across
+	// service-visit master resets: reading only the final flash loses
+	// everything logged before a reset.
 	UploadEvery time.Duration
-	// Servers, on the RunFieldStudyWithFleet path, is the collection-fleet
-	// shard count (0 or 1 runs the single durable server of the collector
-	// path; >1 shards the fleet behind a device-hash router). Ignored by
-	// RunFieldStudy and RunFieldStudyWithCollector.
+	// Servers is the one collection-topology switch. 0 reads every log
+	// directly off the simulated flash, in process. 1 uploads over TCP to
+	// one durable collection server; >1 shards the collection fleet behind
+	// a device-hash router. Either way the collector is returned on
+	// FieldStudy.Collector and the study is analysed from the dataset that
+	// travelled over the wire.
 	Servers int
-	// Replicate / Quorum, on the RunFieldStudyWithFleet path with
-	// Servers > 1, set the write-time replication factor R and write quorum
-	// W (fleet.Config.Replicate / Quorum). 0 takes the fleet defaults
-	// (R=3 capped at the live membership, W=min(2,R)); Replicate=1 switches
-	// write-time replication off — the pre-quorum fleet, byte-exact.
+	// Replicate / Quorum, with Servers > 1, set the write-time replication
+	// factor R and write quorum W (fleet.Config.Replicate / Quorum). 0
+	// takes the fleet defaults (R=3 capped at the live membership,
+	// W=min(2,R)); Replicate=1 switches write-time replication off — the
+	// pre-quorum fleet, byte-exact.
 	Replicate int
 	Quorum    int
 	// WithUserReporter additionally installs the output-failure reporting
@@ -93,28 +91,11 @@ type FieldStudyConfig struct {
 	// serialised under a mutex; with parallel workers the completion order
 	// is scheduling-dependent, but the final (done == total) Peek is not.
 	Progress func(done, total int, p stream.Peek)
-	// Monitor, when set on the RunFieldStudyWithCollector path, is wired to
-	// the collection server's live record tap (ServerConfig.OnRecord) and
-	// counts records as they are acknowledged mid-study. Monitor is the one
-	// accumulator whose counts tolerate the tap's at-least-once delivery;
-	// see its doc. Ignored when no collector is run on the caller's behalf.
-	Monitor *stream.Monitor
-	// LiveStudy, when set on the RunFieldStudyWithCollector path, is wired
-	// to the same live record tap and additionally serves the collection
-	// server's QUERY verb (current MTBF, decaying panic leaderboard,
-	// windowed freeze rate) while the study runs. LiveStudy deduplicates
-	// the tap's at-least-once delivery itself; see stream.LiveStudy. The
-	// fleet path does not serve queries (each shard sees only its devices).
+	// LiveStudy, when set with Servers >= 1, is the collector's live
+	// record tap consumer (fleet.Config.OnRecord): it sees records as they
+	// are acknowledged mid-study and deduplicates the tap's at-least-once
+	// delivery itself (see stream.LiveStudy). Ignored when Servers is 0.
 	LiveStudy *stream.LiveStudy
-
-	// healTransport, set internally by the sharded fleet path, rides
-	// uploads on collect.RetryNetTransport: fleet kill/handoff windows are
-	// host-time phenomena (milliseconds) that must not surface to the
-	// simulated uploader, whose shortest retry is half an hour of simulated
-	// time — a window crossing a master reset would destroy records the
-	// single-server study delivers, breaking dataset equivalence. Injected
-	// network faults are unaffected (they ride above the retry layer).
-	healTransport bool
 }
 
 // AdversityConfig calibrates the fault-injection layer. Everything is a
@@ -132,18 +113,18 @@ type AdversityConfig struct {
 	// periodic ticks (zero RetryBase leaves retrying to the next tick).
 	RetryBase, RetryMax time.Duration
 	// ServerCrash injects collection-server crashes: the supervisor kills
-	// the server at drawn crashpoints mid-study and restarts it from its
-	// write-ahead log (see collect.Supervisor). Only meaningful on the TCP
-	// collector path (RunFieldStudyWithCollector).
+	// the server (with Servers > 1, an RNG-drawn subset of shards and
+	// router) at drawn crashpoints mid-study and restarts it from its
+	// write-ahead log (see collect.Supervisor). Needs Servers >= 1.
 	ServerCrash collect.CrashFaults
 	// ServerCompactWAL overrides the WAL size that triggers server
 	// snapshot compaction (zero keeps collect.DefaultCompactEvery); small
 	// values make short chaos runs exercise the compaction crashpoints.
 	ServerCompactWAL int
-	// FleetJoinAfter / FleetLeaveAfter, on the RunFieldStudyWithFleet path
-	// with Servers > 1, respectively add and retire one shard after that
-	// many routed requests — a mid-study scale-up/scale-down with live
-	// rebalancing (fleet.Config.JoinAfter / LeaveAfter).
+	// FleetJoinAfter / FleetLeaveAfter, with Servers > 1, respectively add
+	// and retire one shard after that many routed requests — a mid-study
+	// scale-up/scale-down with live rebalancing (fleet.Config.JoinAfter /
+	// LeaveAfter).
 	FleetJoinAfter  int
 	FleetLeaveAfter int
 }
@@ -177,15 +158,23 @@ type FieldStudy struct {
 	// BaselineDataset holds the D_EXC panic-only logs when enabled.
 	BaselineDataset *collect.Dataset
 	// Uploaders holds the per-device periodic uploaders (aligned with
-	// Fleet.Devices) when the TCP collector path with periodic uploads was
-	// configured; nil otherwise. Their counters — retries, resumes,
-	// reconnects, bytes retransmitted — are the client-side ledger of what
-	// the injected adversity cost.
+	// Fleet.Devices) when a collector ran (Servers >= 1); nil otherwise.
+	// Their counters — retries, resumes, reconnects, bytes retransmitted —
+	// are the client-side ledger of what the injected adversity cost.
 	Uploaders []*collect.Uploader
+	// Collector is the collection tier the logs travelled through when
+	// Servers >= 1 (nil otherwise). The caller owns it and must Close it.
+	Collector *fleet.Supervisor
 }
 
 // RunFieldStudy builds the fleet, installs the logger on every phone, runs
-// the observation window, collects the logs and analyses them.
+// the observation window, collects the logs and analyses them. cfg.Servers
+// picks the collection topology. With a collector (Servers >= 1) every
+// acknowledged verb is write-ahead-logged on a crash-faithful store before
+// the ACK reaches the wire, and cfg.Adversity.ServerCrash kills servers at
+// drawn crashpoints mid-study; with Workers:1 the whole crash/recover
+// history is deterministic in the seed. Whatever dies, the collected
+// dataset holds every acknowledged record exactly once.
 func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 	if cfg.Phones <= 0 {
 		cfg.Phones = 25
@@ -196,7 +185,42 @@ func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 	if cfg.JoinWindow < 0 {
 		return nil, fmt.Errorf("symfail: negative join window")
 	}
+	if cfg.Servers <= 0 {
+		return runFieldStudy(cfg, nil)
+	}
+	if cfg.UploadEvery <= 0 {
+		cfg.UploadEvery = 7 * 24 * time.Hour
+	}
+	fcfg := fleet.Config{
+		Servers:      cfg.Servers,
+		Crash:        cfg.Adversity.ServerCrash,
+		CompactEvery: cfg.Adversity.ServerCompactWAL,
+		Rng:          sim.NewRand(cfg.Seed ^ collectorSeedSalt),
+		JoinAfter:    cfg.Adversity.FleetJoinAfter,
+		LeaveAfter:   cfg.Adversity.FleetLeaveAfter,
+		Replicate:    cfg.Replicate,
+		Quorum:       cfg.Quorum,
+		BeatRng:      sim.NewRand(cfg.Seed ^ beatSeedSalt),
+	}
+	if cfg.LiveStudy != nil {
+		fcfg.OnRecord = cfg.LiveStudy.Observe
+	}
+	col, err := fleet.New(fcfg)
+	if err != nil {
+		return nil, err
+	}
+	fs, err := runFieldStudy(cfg, col)
+	if err != nil {
+		_ = col.Close()
+		return nil, err
+	}
+	return fs, nil
+}
 
+// runFieldStudy is RunFieldStudy past the defaults: it runs the fleet and
+// collects each log either straight off the simulated flash (col == nil)
+// or through the collector, whose merged dataset is then analysed.
+func runFieldStudy(cfg FieldStudyConfig, col *fleet.Supervisor) (*FieldStudy, error) {
 	fleet := phone.NewFleet(phone.FleetConfig{
 		Seed:       cfg.Seed,
 		Phones:     cfg.Phones,
@@ -219,14 +243,25 @@ func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 		if cfg.WithDExc {
 			baselines = append(baselines, core.InstallDExc(d, ""))
 		}
-		if cfg.CollectorAddr != "" && cfg.UploadEvery > 0 {
+		if col != nil {
 			ucfg := collect.UploaderConfig{
 				Every:     cfg.UploadEvery,
 				RetryBase: cfg.Adversity.RetryBase,
 				RetryMax:  cfg.Adversity.RetryMax,
 			}
+			// Kill and handoff windows are healed in host time
+			// (milliseconds) below the simulated uploader, whose shortest
+			// retry is half an hour of simulated time: a window crossing a
+			// master reset would otherwise destroy records the kill-free
+			// study delivers. Only the serial single server (Servers 1,
+			// Workers 1) keeps the plain transport: its request count feeds
+			// a crash schedule that is deterministic in the seed and pinned
+			// by the server-crash golden, and the kills it draws surface to
+			// the uploader. With parallel workers the kills land on
+			// scheduling-dependent requests, so they must stay invisible.
+			// Injected network faults ride above the retry layer either way.
 			var inner collect.Transport
-			if cfg.healTransport {
+			if cfg.Servers > 1 || cfg.Workers != 1 {
 				inner = collect.RetryNetTransport{}
 			}
 			if cfg.Adversity.Net.Enabled() {
@@ -238,7 +273,7 @@ func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 			} else {
 				ucfg.Transport = inner
 			}
-			uploaders = append(uploaders, collect.AttachUploaderWith(d, cfg.CollectorAddr, l.Config().LogPath, ucfg))
+			uploaders = append(uploaders, collect.AttachUploaderWith(d, col.Addr(), l.Config().LogPath, ucfg))
 		}
 	}
 	if err := fleet.Run(); err != nil {
@@ -252,12 +287,9 @@ func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 	// streaming accumulator and merges it into the study-wide one — device
 	// sets are disjoint, so the merge order cannot change the analysis
 	// (DESIGN.md §11) — which is what gives Progress its online view and
-	// the direct path its single-pass Study.
+	// the in-process path its single-pass Study.
 	ds := collect.NewDataset()
 	total := len(loggers)
-	// On the TCP path the accumulator is only needed for Progress — the
-	// Study is re-analysed from the server's dataset afterwards.
-	needAcc := cfg.CollectorAddr == "" || cfg.Progress != nil
 	agg := stream.NewCollect(cfg.Analysis)
 	var (
 		aggMu sync.Mutex
@@ -266,15 +298,15 @@ func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 	err := sim.RunShards(len(loggers), cfg.Workers, func(i int) error {
 		id := fleet.Devices[i].ID()
 		data := loggers[i].LogBytes()
-		if cfg.CollectorAddr != "" {
-			if err := uploadFinal(cfg.CollectorAddr, id, data); err != nil {
+		if col == nil {
+			ds.Put(id, data)
+		} else {
+			if err := uploadFinal(col.Addr(), id, data); err != nil {
 				return err
 			}
-		} else {
-			ds.Put(id, data)
-		}
-		if !needAcc {
-			return nil
+			if cfg.Progress == nil {
+				return nil // the Study is re-analysed from the collector
+			}
 		}
 		part := stream.NewCollect(cfg.Analysis)
 		feedLog(part, id, data)
@@ -293,19 +325,25 @@ func RunFieldStudy(cfg FieldStudyConfig) (*FieldStudy, error) {
 		return nil, err
 	}
 
-	// The direct path's Study comes straight from the merged accumulator.
-	// On the TCP path the local dataset is empty — the data lives on the
-	// caller's collection server (RunFieldStudyWithCollector re-analyses
-	// from there) — so the legacy empty Study is preserved.
-	var study *analysis.Study
-	if cfg.CollectorAddr == "" {
-		study = analysis.FromCollect(agg)
-	} else {
-		study = analysis.New(ds.AllRecords(), cfg.Analysis)
-	}
 	out := &FieldStudy{
-		Fleet: fleet, Loggers: loggers, Dataset: ds, Study: study,
-		Reporters: reporters, Uploaders: uploaders,
+		Fleet: fleet, Loggers: loggers, Dataset: ds,
+		Reporters: reporters, Uploaders: uploaders, Collector: col,
+	}
+	if col == nil {
+		out.Study = analysis.FromCollect(agg)
+	} else {
+		if err := col.Err(); err != nil {
+			return nil, err
+		}
+		// Analyse the dataset that actually travelled over the wire — the
+		// union over every shard, live and departed, with the canonical
+		// merge deduplicating replicas — streaming it one device at a time.
+		out.Dataset = col.MergedDataset()
+		c, err := collectFromDataset(out.Dataset, cfg.Analysis)
+		if err != nil {
+			return nil, err
+		}
+		out.Study = analysis.FromCollect(c)
 	}
 	if cfg.WithDExc {
 		out.BaselineDataset = collect.NewDataset()
@@ -354,6 +392,7 @@ func collectFromDataset(ds *collect.Dataset, opts analysis.Options) (*stream.Col
 // acknowledged).
 func uploadFinal(addr, id string, data []byte) error {
 	var err error
+	failures := 0 // attempts that failed other than below quorum
 	for attempt := 0; attempt < 600; attempt++ {
 		if attempt > 0 {
 			// Host-time pause: the collector is a real TCP server
@@ -376,10 +415,13 @@ func uploadFinal(addr, id string, data []byte) error {
 		// Transport-level windows (dead connection, unreachable shard) get
 		// a generous budget: on a loaded single-CPU host a restarting
 		// shard's WAL replay can easily outlive the first few capped pauses.
-		if attempt >= 8 && !collect.IsTransient(err) {
+		// Below-quorum refusals do not spend it: a long one must not leave
+		// the window that follows it with no budget.
+		failures++
+		if failures > 8 && !collect.IsTransient(err) {
 			break
 		}
-		if attempt >= 120 {
+		if failures > 120 {
 			break
 		}
 	}
@@ -395,135 +437,6 @@ const collectorSeedSalt = 0x636f6c6c656374
 // both the device streams and the collection tier's kill/crashpoint stream,
 // so beat cadence can never perturb either.
 const beatSeedSalt = 0x62656174
-
-// RunFieldStudyWithCollector runs the study uploading logs over TCP to a
-// fresh local collection server, returning the study and the server's
-// supervisor. The caller owns the supervisor's lifetime. Phones upload
-// weekly (unless cfg.UploadEvery says otherwise), so data logged before a
-// service-visit master reset survives on the server.
-//
-// The server is durable: every acknowledged verb is write-ahead-logged on
-// a crash-faithful store before the ACK reaches the wire. When
-// cfg.Adversity.ServerCrash is armed the supervisor kills the server at
-// drawn crashpoints mid-study and restarts it from that log; with
-// Workers:1 the whole crash/recover history is deterministic in the seed.
-func RunFieldStudyWithCollector(cfg FieldStudyConfig) (*FieldStudy, *collect.Supervisor, error) {
-	ds := collect.NewDataset()
-	scfg := collect.SupervisorConfig{
-		Crash:        cfg.Adversity.ServerCrash,
-		CompactEvery: cfg.Adversity.ServerCompactWAL,
-		Rng:          sim.NewRand(cfg.Seed ^ collectorSeedSalt),
-	}
-	if cfg.Monitor != nil {
-		scfg.OnRecord = cfg.Monitor.Observe
-	}
-	if cfg.LiveStudy != nil {
-		live := cfg.LiveStudy
-		scfg.Query = live.Query
-		if mon := scfg.OnRecord; mon != nil {
-			scfg.OnRecord = func(id string, r core.Record) {
-				mon(id, r)
-				live.Observe(id, r)
-			}
-		} else {
-			scfg.OnRecord = live.Observe
-		}
-	}
-	sup, err := collect.NewSupervisor("127.0.0.1:0", ds, scfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.CollectorAddr = sup.Addr()
-	if cfg.UploadEvery <= 0 {
-		cfg.UploadEvery = 7 * 24 * time.Hour
-	}
-	fs, err := RunFieldStudy(cfg)
-	if err != nil {
-		_ = sup.Close()
-		return nil, nil, err
-	}
-	if err := sup.Err(); err != nil {
-		_ = sup.Close()
-		return nil, nil, err
-	}
-	// Analyse the dataset that actually travelled over the wire, streaming
-	// it one device at a time.
-	fs.Dataset = ds
-	c, err := collectFromDataset(ds, cfg.Analysis)
-	if err != nil {
-		_ = sup.Close()
-		return nil, nil, err
-	}
-	fs.Study = analysis.FromCollect(c)
-	return fs, sup, nil
-}
-
-// RunFieldStudyWithFleet runs the study uploading logs over TCP to a
-// sharded collection fleet (cfg.Servers shards behind a device-hash
-// router), returning the study and the fleet supervisor. The caller owns
-// the supervisor's lifetime. With cfg.Servers <= 1 the fleet degenerates to
-// exactly the RunFieldStudyWithCollector single server — same construction,
-// same RNG consumption, byte-identical results.
-//
-// Every shard is the durable server of the collector path (own WAL, own
-// crash store). When cfg.Adversity.ServerCrash is armed the fleet
-// supervisor kills RNG-drawn subsets of {shards..., router} at the server
-// crashpoints plus the fleet's handoff/rebalance points, dying shards hand
-// their acked state to surviving peers, and FleetJoinAfter/FleetLeaveAfter
-// rebalance membership mid-study. Whatever dies, the merged dataset holds
-// every acknowledged record exactly once.
-func RunFieldStudyWithFleet(cfg FieldStudyConfig) (*FieldStudy, *fleet.Supervisor, error) {
-	servers := cfg.Servers
-	if servers < 1 {
-		servers = 1
-	}
-	fcfg := fleet.Config{
-		Servers:      servers,
-		Crash:        cfg.Adversity.ServerCrash,
-		CompactEvery: cfg.Adversity.ServerCompactWAL,
-		Rng:          sim.NewRand(cfg.Seed ^ collectorSeedSalt),
-		JoinAfter:    cfg.Adversity.FleetJoinAfter,
-		LeaveAfter:   cfg.Adversity.FleetLeaveAfter,
-		Replicate:    cfg.Replicate,
-		Quorum:       cfg.Quorum,
-		BeatRng:      sim.NewRand(cfg.Seed ^ beatSeedSalt),
-	}
-	if cfg.Monitor != nil {
-		fcfg.OnRecord = cfg.Monitor.Observe
-	}
-	fl, err := fleet.New(fcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.CollectorAddr = fl.Addr()
-	// Only the true fleet path heals transport windows: the degenerate
-	// single server must keep the collector path's exact behaviour (its
-	// request count feeds the crash schedule, so even an extra retry would
-	// shift the kill pattern off the pinned golden).
-	cfg.healTransport = servers > 1
-	if cfg.UploadEvery <= 0 {
-		cfg.UploadEvery = 7 * 24 * time.Hour
-	}
-	fs, err := RunFieldStudy(cfg)
-	if err != nil {
-		_ = fl.Close()
-		return nil, nil, err
-	}
-	if err := fl.Err(); err != nil {
-		_ = fl.Close()
-		return nil, nil, err
-	}
-	// Analyse the fleet-wide merged dataset — the union over every shard,
-	// live and departed, with the canonical merge deduplicating replicas.
-	fs.Dataset = fl.MergedDataset()
-	c, err := collectFromDataset(fs.Dataset, cfg.Analysis)
-	if err != nil {
-		_ = fl.Close()
-		return nil, nil, err
-	}
-	fs.Study = analysis.FromCollect(c)
-	return fs, fl, nil
-}
 
 // RunForumStudy generates the synthetic web-forum corpus and runs the
 // section 4 pipeline over it.

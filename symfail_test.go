@@ -1,11 +1,19 @@
 package symfail
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math"
+	"net"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"symfail/internal/analysis"
+	"symfail/internal/collect"
+	"symfail/internal/core"
 	"symfail/internal/phone"
 )
 
@@ -147,10 +155,12 @@ func TestFieldStudyOverTCPCollector(t *testing.T) {
 	cfg := smallCfg(17)
 	cfg.Phones = 4
 	cfg.Duration = 2 * phone.StudyMonth
-	fs, srv, err := RunFieldStudyWithCollector(cfg)
+	cfg.Servers = 1
+	fs, err := RunFieldStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := fs.Collector
 	defer srv.Close()
 	// Weekly periodic uploads plus the final one per phone.
 	if srv.Uploads() < 4 {
@@ -252,13 +262,65 @@ func TestFieldStudyDefaultsApplied(t *testing.T) {
 	}
 }
 
+// TestCollectorUploadFailureSurfaces: the study-end upload to a collector
+// that never answers fails the study with an error naming the device, once
+// its retry budget is spent.
 func TestCollectorUploadFailureSurfaces(t *testing.T) {
-	cfg := smallCfg(5)
-	cfg.Phones = 2
-	cfg.Duration = phone.StudyMonth / 2
-	cfg.CollectorAddr = "127.0.0.1:1" // nothing listens there
-	if _, err := RunFieldStudy(cfg); err == nil {
-		t.Error("upload to dead collector did not error")
+	log := collect.EncodeRecords([]core.Record{{Kind: core.KindBoot, Time: 1, Boot: 1}})
+	err := uploadFinal("127.0.0.1:1", "phone-07", log) // nothing listens there
+	if err == nil {
+		t.Fatal("upload to dead collector did not error")
+	}
+	if !strings.Contains(err.Error(), "phone-07") {
+		t.Errorf("error %q does not name the device", err)
+	}
+}
+
+// TestUploadFinalQuorumWindowKeepsTransportBudget: a long below-quorum
+// window must not spend the budget of the dead-connection window after it.
+// The scripted collector refuses 125 UPLOADs as below quorum (a fleet whose
+// shards are suspected mid-restart), drops the next 5 without a reply (its
+// router being killed) and then acknowledges. The final upload must ride
+// out both windows.
+func TestUploadFinalQuorumWindowKeepsTransportBudget(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	uploads := 0
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			r := bufio.NewReader(conn)
+			header, err := r.ReadString('\n')
+			fields := strings.Fields(header)
+			if err != nil || len(fields) < 2 {
+				conn.Close()
+				continue
+			}
+			reply := "OK\n"
+			if fields[0] == "UPLOAD" && len(fields) == 4 {
+				size, _ := strconv.Atoi(fields[2])
+				_, _ = io.ReadFull(r, make([]byte, size))
+				uploads++
+				switch {
+				case uploads <= 125:
+					reply = "ERR quorum unavailable: fewer than 2 shards reachable (retryable)\n"
+				case uploads <= 130:
+					reply = "" // dies without a reply
+				}
+			}
+			fmt.Fprint(conn, reply)
+			conn.Close()
+		}
+	}()
+	log := collect.EncodeRecords([]core.Record{{Kind: core.KindBoot, Time: 1, Boot: 1}})
+	if err := uploadFinal(ln.Addr().String(), "phone-07", log); err != nil {
+		t.Fatalf("final upload gave up: %v", err)
 	}
 }
 
@@ -271,6 +333,7 @@ func TestPeriodicUploadsSurviveMasterReset(t *testing.T) {
 		Phones:     5,
 		Duration:   4 * phone.StudyMonth,
 		JoinWindow: 0,
+		Servers:    1,
 		Device: func(seed uint64) phone.Config {
 			c := phone.DefaultConfig(seed)
 			c.ServiceFailureThreshold = 2
@@ -278,10 +341,11 @@ func TestPeriodicUploadsSurviveMasterReset(t *testing.T) {
 			return c
 		},
 	}
-	fs, srv, err := RunFieldStudyWithCollector(cfg)
+	fs, err := RunFieldStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := fs.Collector
 	defer srv.Close()
 
 	serviced := 0

@@ -57,6 +57,7 @@ func TestUploadFrequencyImprovesPanicCapture(t *testing.T) {
 			Duration:    3 * phone.StudyMonth,
 			JoinWindow:  0,
 			UploadEvery: every,
+			Servers:     1,
 			Device: func(seed uint64) phone.Config {
 				c := phone.DefaultConfig(seed)
 				c.ServiceFailureThreshold = 2
@@ -64,10 +65,11 @@ func TestUploadFrequencyImprovesPanicCapture(t *testing.T) {
 				return c
 			},
 		}
-		fs, srv, err := RunFieldStudyWithCollector(cfg)
+		fs, err := RunFieldStudy(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv := fs.Collector
 		defer srv.Close()
 		return ValidateDetection(fs).PanicCaptureRate
 	}
