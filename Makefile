@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint flake fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover clean
+.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint flake fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover loc clean
 
 all: build vet lint test
 
@@ -146,6 +146,12 @@ repro-quick:
 # Seed-noise quantification: replicate the study, report CIs per metric.
 montecarlo:
 	$(GO) run ./cmd/montecarlo -runs 20 -phones 10 -months 6
+
+# Size of the program: non-test Go lines (blank and comment lines
+# included), leaving out the benchmark harness and its build directory.
+# Each change reports its before/after count.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' -not -path './.git/*' -print0 | xargs -0 cat | wc -l
 
 cover:
 	$(GO) test -cover ./...

@@ -157,11 +157,11 @@ func computeFleetCrashFingerprint(t *testing.T, workers, servers int) crashFinge
 	return fp
 }
 
-// TestFleetServers1DegeneratesToServerCrashGolden: a one-server fleet is
-// not "approximately" the PR 4 collector — it is the PR 4 collector. Same
-// construction, same RNG consumption, no router in the path: the whole
-// crash fingerprint, dataset CRC included, must be byte-identical to the
-// pinned server-crash golden.
+// TestFleetServers1DegeneratesToServerCrashGolden: a one-member fleet is
+// not "approximately" the plain supervised collector. Its lone shard
+// schedules its own kills with the same RNG consumption, and no router is
+// in the path: the whole crash fingerprint, dataset CRC included, must be
+// byte-identical to the pinned server-crash golden.
 func TestFleetServers1DegeneratesToServerCrashGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden_fingerprint_servercrash.json")
 	want, err := os.ReadFile(path)
@@ -176,7 +176,7 @@ func TestFleetServers1DegeneratesToServerCrashGolden(t *testing.T) {
 	blob = append(blob, '\n')
 	if !bytes.Equal(blob, want) {
 		t.Errorf("one-server fleet drifted from the PR 4 golden.\n got: %s\nwant: %s\n"+
-			"The degenerate path must construct the exact single supervisor with the exact RNG stream.",
+			"The one-member fleet must consume the RNG stream exactly as a plain supervisor does.",
 			blob, want)
 	}
 }

@@ -12,10 +12,15 @@ import (
 // LiveStudy is the live query tier of DESIGN.md §16: a concurrency-safe
 // composite of the exact Tables and the windowed/decaying views, fed record
 // by record from collect.ServerConfig.OnRecord and queried while the study
-// is still running. Because the collection tap is at-least-once (a
-// supervisor-restarted server replays records it acked before the crash) and
-// only per-device ordered, LiveStudy deduplicates by serialized record and
-// guards the cursor-fed Tables behind a per-device order check: a fresh but
+// is still running. Because the collection tap is at-least-once and only
+// per-device ordered, LiveStudy deduplicates by serialized record and
+// guards the cursor-fed Tables behind a per-device order check. The
+// duplicates come from three sources the server's own acked ledger cannot
+// see: a record tapped unacked at a stream rewind or FIN and acked later,
+// each of a fleet's R replica shards tapping the record through its own
+// HANDOFF, and a supervisor resumed on an existing store, whose ledger
+// starts empty. UPLOAD and HANDOFF payloads carry no stream offset, so the
+// ledger is keyed by record bytes rather than (device, offset). A fresh but
 // out-of-order record still feeds the order-insensitive windowed and
 // decaying folds, but is excluded from the exact tables (and counted in
 // Reordered) rather than corrupting their cursor state.

@@ -231,9 +231,13 @@ type ServerConfig struct {
 	// WAL-synced but never acked is recovered into the dataset unacked; it
 	// is delivered when the client re-sends it or extends its stream, and
 	// at the latest when that stream is rewound or retired by FIN (which
-	// every finished upload conversation reaches). Delivery is not
-	// exactly-once: a supervisor-restarted incarnation starts with an
-	// empty acked ledger, so records re-sent after a crash fire again.
+	// every finished upload conversation reaches). The acked ledger spans a
+	// supervisor's lifetime, so a restarted incarnation never re-taps what
+	// an earlier one acked. Delivery is still not exactly-once: a record
+	// tapped unacked at a rewind or FIN fires again if a later verb acks
+	// it; every fleet shard that takes custody of a record (the R replicas,
+	// crash handoff, rebalancing) taps it through its own HANDOFF; and a
+	// supervisor resumed on an existing store starts with an empty ledger.
 	// Consumers must therefore be order- and duplicate-tolerant
 	// (stream.LiveStudy is; the exact analysis accumulators are not — they
 	// re-read the merged Dataset at study end instead). It runs under the
@@ -252,8 +256,11 @@ type ServerConfig struct {
 	Query func(name string, args []string) (string, error)
 
 	// monitor is the supervisor hook: it schedules injected crashes and is
-	// told when this incarnation dies. Only the Supervisor sets it.
+	// told when this incarnation dies. ledger is the acknowledgement state
+	// every incarnation of one supervisor shares. Only the Supervisor sets
+	// them; NewServerWith makes a fresh ledger when none is given.
 	monitor *Supervisor
+	ledger  *ledger
 }
 
 // DefaultCompactEvery is the WAL size that triggers compaction when
@@ -262,35 +269,28 @@ const DefaultCompactEvery = 1 << 20
 
 // Server is the collection server. It serves every connection on its own
 // goroutine and is safe under concurrent uploads from a sharded fleet:
-// counters, streams and ackedKeys are only touched under mu, per-device
-// streams are independent keys — two phones uploading simultaneously
-// cannot observe each other — and one phone's uploads are serialised by
-// the uploader that issues them. The dataset guards itself, but every
-// server-side mutation of it happens under mu too (lock order: Server.mu
-// then Dataset.mu), so a compaction snapshot can never miss a verb that
-// was already WAL-synced.
+// streams are only touched under mu, per-device streams are independent
+// keys — two phones uploading simultaneously cannot observe each other —
+// and one phone's uploads are serialised by the uploader that issues them.
+// The dataset and the acked ledger guard themselves, but every server-side
+// mutation of them happens under mu too (lock order: Server.mu, then
+// ledger.mu or Dataset.mu), so a compaction snapshot can never miss a verb
+// that was already WAL-synced.
 type Server struct {
 	ds       *Dataset
 	listener net.Listener
 	wg       sync.WaitGroup
 	cfg      ServerConfig
 
-	mu      sync.Mutex
-	closed  bool
-	uploads int
+	mu     sync.Mutex
+	closed bool
 	// dead marks an incarnation killed by an injected crash: every handler
 	// bails out at the next mu acquisition and the supervisor's replacement
 	// owns the state from then on.
-	dead        bool
-	compactions int
-	handoffs    int
-
-	// streams holds the per-device chunk streams (the raw bytes the
-	// device has pushed so far) and ackedKeys the serialized form of
-	// every record the server has ever acknowledged — the ground truth
-	// for the no-acknowledged-data-loss invariant.
-	streams   map[string][]byte
-	ackedKeys map[string]map[string]bool
+	dead bool
+	// streams holds the per-device chunk streams (the raw bytes the device
+	// has pushed so far).
+	streams map[string][]byte
 }
 
 // NewServer starts a collection server on addr ("127.0.0.1:0" picks a free
@@ -311,11 +311,13 @@ func NewServerWith(addr string, ds *Dataset, cfg ServerConfig) (*Server, error) 
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = DefaultCompactEvery
 	}
+	if cfg.ledger == nil {
+		cfg.ledger = newLedger()
+	}
 	s := &Server{
-		ds:        ds,
-		cfg:       cfg,
-		streams:   make(map[string][]byte),
-		ackedKeys: make(map[string]map[string]bool),
+		ds:      ds,
+		cfg:     cfg,
+		streams: make(map[string][]byte),
 	}
 	if cfg.Store != nil {
 		files, streams := recoverServerState(cfg.Store)
@@ -335,19 +337,9 @@ func NewServerWith(addr string, ds *Dataset, cfg ServerConfig) (*Server, error) 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// Uploads returns the number of successful uploads served.
-func (s *Server) Uploads() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.uploads
-}
-
-// Compactions returns how many snapshot compactions this incarnation ran.
-func (s *Server) Compactions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactions
-}
+// Uploads returns the number of successful uploads served (by every
+// incarnation, for a supervised server).
+func (s *Server) Uploads() int { return int(s.cfg.ledger.uploads.Load()) }
 
 // Close stops accepting connections and waits for in-flight uploads.
 func (s *Server) Close() error {
@@ -530,8 +522,7 @@ func (s *Server) handleUpload(conn net.Conn, r *bufio.Reader, fields []string) {
 		fmt.Fprint(conn, "OK\n")
 		return
 	}
-	s.uploads++
-	s.recordAckedLocked(id, data)
+	s.ackLocked(id, data)
 	s.ds.PutMerged(id, data)
 	if s.maybeCompactLocked() {
 		return
@@ -573,8 +564,7 @@ func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state, acke
 		fmt.Fprint(conn, "ERR quorum not met: committed locally, not replicated (retryable)\n")
 		return false
 	}
-	s.uploads++
-	s.recordAckedLocked(id, acked)
+	s.ackLocked(id, acked)
 	if s.crashAtLocked(CrashAfterAck) {
 		return true // died after ack: recovery must reproduce the state, but the reply still goes out
 	}
@@ -635,7 +625,7 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 		return
 	}
 	if offset < len(stream) {
-		s.tapUnackedLocked(id, stream)
+		s.cfg.ledger.tapUnacked(id, stream, s.cfg.OnRecord)
 	}
 	if !s.commitLocked(walEntry{Op: opChunk, Dev: id, Off: offset, Data: chunk}) {
 		return
@@ -649,8 +639,7 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 		fmt.Fprintf(conn, "OK %d\n", len(stream))
 		return
 	}
-	s.uploads++
-	s.recordAckedLocked(id, stream)
+	s.ackLocked(id, stream)
 	s.ds.PutMerged(id, stream)
 	if s.maybeCompactLocked() {
 		return
@@ -732,11 +721,11 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 	if !s.commitLocked(walEntry{Op: op, Dev: id, Data: data}) {
 		return
 	}
-	s.handoffs++
+	s.cfg.ledger.handoffs.Add(1)
 	if kind == HandoffStream {
 		s.streams[id] = append([]byte(nil), data...)
 	}
-	s.recordAckedLocked(id, data)
+	s.cfg.ledger.record(id, data, s.cfg.OnRecord)
 	s.ds.PutMerged(id, data)
 	if s.maybeCompactLocked() {
 		return
@@ -748,12 +737,9 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 	fmt.Fprint(conn, "OK\n")
 }
 
-// Handoffs returns the peer handoffs this incarnation accepted.
-func (s *Server) Handoffs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.handoffs
-}
+// Handoffs returns the peer handoffs the server accepted (every
+// incarnation, for a supervised server).
+func (s *Server) Handoffs() int { return int(s.cfg.ledger.handoffs.Load()) }
 
 // Stream returns a copy of a device's live chunk stream, if present.
 func (s *Server) Stream(id string) ([]byte, bool) {
@@ -799,7 +785,7 @@ func (s *Server) handleFin(conn net.Conn, fields []string) {
 		return
 	}
 	if stream, ok := s.streams[id]; ok {
-		s.tapUnackedLocked(id, stream)
+		s.cfg.ledger.tapUnacked(id, stream, s.cfg.OnRecord)
 		if !s.commitLocked(walEntry{Op: opFin, Dev: id}) {
 			return
 		}
@@ -857,7 +843,7 @@ func (s *Server) maybeCompactLocked() bool {
 	}
 	st.WriteFile(walName, nil)
 	st.Sync(walName)
-	s.compactions++
+	s.cfg.ledger.compactions.Add(1)
 	return false
 }
 
@@ -876,83 +862,23 @@ func (s *Server) crashAtLocked(p Crashpoint) bool {
 		s.cfg.Store.Crash()
 	}
 	s.mu.Unlock()
-	s.cfg.monitor.serverDied(s)
+	s.cfg.monitor.serverDied()
 	return true
 }
 
-// recordAckedLocked notes every record in data as acknowledged, firing the
-// OnRecord tap for records this incarnation had not acked before. Caller
-// holds s.mu.
-func (s *Server) recordAckedLocked(id string, data []byte) {
-	keys := s.ackedKeys[id]
-	if keys == nil {
-		keys = make(map[string]bool)
-		s.ackedKeys[id] = keys
-	}
-	var scratch []byte
-	for _, rec := range core.ParseRecords(data) {
-		scratch = core.AppendRecordLine(scratch[:0], rec)
-		if keys[string(scratch)] { // alloc-free lookup; re-sent records are the common case
-			continue
-		}
-		keys[string(scratch)] = true
-		if s.cfg.OnRecord != nil {
-			s.cfg.OnRecord(id, rec)
-		}
-	}
-}
-
-// tapUnackedLocked fires the OnRecord tap for the records of a stream about
-// to be replaced (by a rewind or a FIN) that this incarnation never acked.
-// A verb WAL-synced by a killed predecessor is recovered into the dataset
-// without an ACK; once its stream is replaced nothing else would deliver
-// those records. It runs before the replacing verb commits, so a crash
-// inside that commit cannot skip it. The records stay out of ackedKeys,
-// which holds acknowledged records only. Caller holds s.mu.
-func (s *Server) tapUnackedLocked(id string, stream []byte) {
-	if s.cfg.OnRecord == nil {
-		return
-	}
-	keys := s.ackedKeys[id]
-	var scratch []byte
-	for _, rec := range core.ParseRecords(stream) {
-		scratch = core.AppendRecordLine(scratch[:0], rec)
-		if !keys[string(scratch)] {
-			s.cfg.OnRecord(id, rec)
-		}
-	}
+// ackLocked books one acknowledged UPLOAD or CHUNK: it counts the upload
+// and notes every record in data as acked, firing the OnRecord tap for
+// records no incarnation acked before. Caller holds s.mu.
+func (s *Server) ackLocked(id string, data []byte) {
+	s.cfg.ledger.uploads.Add(1)
+	s.cfg.ledger.record(id, data, s.cfg.OnRecord)
 }
 
 // AckedKeys returns the serialized form of every record the server has
-// ever acknowledged for a device, sorted. The chaos harness checks each
-// one appears exactly once in the final merged dataset.
-func (s *Server) AckedKeys(id string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.ackedKeys[id]))
-	for k := range s.ackedKeys[id] {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ackedSnapshot deep-copies the acked-record ledger; the supervisor
-// harvests it from a dying incarnation so the ground truth for the
-// no-acknowledged-data-loss invariant spans restarts.
-func (s *Server) ackedSnapshot() map[string]map[string]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]map[string]bool, len(s.ackedKeys))
-	for id, keys := range s.ackedKeys {
-		cp := make(map[string]bool, len(keys))
-		for k := range keys {
-			cp[k] = true
-		}
-		out[id] = cp
-	}
-	return out
-}
+// ever acknowledged for a device (every incarnation, for a supervised
+// server), sorted. The chaos harness checks each one appears exactly once
+// in the final merged dataset.
+func (s *Server) AckedKeys(id string) []string { return s.cfg.ledger.keys(id) }
 
 func parseHeader(fields []string) (id string, size int, sum uint32, err error) {
 	if len(fields) != 4 || fields[0] != "UPLOAD" {

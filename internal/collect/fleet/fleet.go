@@ -14,9 +14,10 @@ import (
 
 // Config calibrates a collection fleet.
 type Config struct {
-	// Servers is the initial shard count. 1 degenerates to exactly the
-	// single-supervisor collector of PR 4: same construction, same RNG
-	// consumption, no router in the path.
+	// Servers is the initial shard count. 1 is a one-member fleet with no
+	// router in the path: clients talk to the lone shard, whose supervisor
+	// schedules its own kills from Rng — the same construction and RNG
+	// consumption as a plain collect.Supervisor.
 	Servers int
 	// MaxStreamBytes / CompactEvery pass through to every shard's
 	// SupervisorConfig.
@@ -33,13 +34,15 @@ type Config struct {
 	Rng *sim.Rand
 	// OnRecord taps every acknowledged record on every shard. Calls are
 	// serialised across shards under a fleet-level mutex; the same
-	// at-least-once delivery caveats as ServerConfig.OnRecord apply.
+	// at-least-once delivery caveats as ServerConfig.OnRecord apply. Each
+	// shard keeps its own acked ledger, so every shard that takes custody
+	// of a record (the R replicas, crash handoff, rebalancing) taps it.
 	OnRecord func(deviceID string, r core.Record)
 	// JoinAfter, when >0, adds one shard to the fleet after that many routed
 	// requests (a mid-study scale-up with live rebalancing). LeaveAfter,
 	// when >0, retires one shard after that many routed requests (draining
 	// its devices to the survivors first). Both are one-shot and need
-	// Servers > 1 (the degenerate fleet has no router to count requests).
+	// Servers > 1 (a one-member fleet has no router to count requests).
 	JoinAfter  int
 	LeaveAfter int
 
@@ -47,7 +50,8 @@ type Config struct {
 	// UPLOAD/CHUNK is durable on R shards (capped at the live membership)
 	// before the OK goes on the wire. 0 defaults to 3; 1 switches write-time
 	// replication, heartbeats and quorum gating off entirely — byte-exact
-	// the pre-quorum fleet. Ignored on the Servers==1 degenerate path.
+	// the pre-quorum fleet. Validated but then forced to 1 (with Quorum)
+	// when Servers is 1.
 	Replicate int
 	// Quorum is the write quorum W: the ACK requires W of the R copies
 	// (primary included) WAL-synced. 0 defaults to min(2, R). When fewer
@@ -111,12 +115,6 @@ type target struct {
 	name, addr string
 }
 
-// fleetRepointWindow mirrors the single-supervisor repointWindow: an armed
-// kill that waits longer than this many routed requests for its crashpoint
-// is repointed at the commit path so injection cannot stall on a shard that
-// never compacts.
-const fleetRepointWindow = 16
-
 // Supervisor owns a sharded collection fleet across injected crashes: N
 // supervised shards behind a device-hash router, fleet-level kill-subset
 // injection, crash handoff from dying shards to surviving peers, and live
@@ -126,11 +124,6 @@ const fleetRepointWindow = 16
 type Supervisor struct {
 	cfg  Config
 	addr string
-
-	// single is the Servers==1 degenerate path: one plain collect.Supervisor,
-	// no router, no fleet-level machinery — byte-identical to PR 4.
-	single   *collect.Supervisor
-	singleDS *collect.Dataset
 
 	tapMu sync.Mutex
 
@@ -150,10 +143,13 @@ type Supervisor struct {
 	suspectAfter int
 	confirmAfter int
 
-	mu             sync.Mutex
-	rng            *sim.Rand
-	beatRng        *sim.Rand
-	members        []*member
+	mu      sync.Mutex
+	rng     *sim.Rand
+	beatRng *sim.Rand
+	members []*member
+	// router is nil on a one-member fleet (Servers==1), which has no
+	// routed requests, fleet kill draws, membership changes or detector —
+	// and after Close or a failed router restart.
 	router         *Router
 	epoch          int
 	disarmed       bool
@@ -182,10 +178,11 @@ type Supervisor struct {
 	lastErr        error
 }
 
-// New starts a fleet. Servers==1 builds the exact single-server collector
-// (no router); Servers>1 builds the shards serially — store RNGs split off
+// New starts a fleet. It builds the shards serially — store RNGs split off
 // cfg.Rng in shard order, so the layout is a pure function of the seed —
-// then binds the router in front of them.
+// then, for Servers>1, binds the router in front of them. Servers==1 is a
+// one-member fleet with no router: its lone shard is the client-facing
+// server and schedules its own kills.
 func New(cfg Config) (*Supervisor, error) {
 	if cfg.Servers < 1 {
 		return nil, errors.New("fleet: need at least one server")
@@ -209,18 +206,7 @@ func New(cfg Config) (*Supervisor, error) {
 		if cfg.JoinAfter > 0 || cfg.LeaveAfter > 0 {
 			return nil, errors.New("fleet: join/leave needs Servers > 1")
 		}
-		ds := collect.NewDataset()
-		sup, err := collect.NewSupervisor("127.0.0.1:0", ds, collect.SupervisorConfig{
-			MaxStreamBytes: cfg.MaxStreamBytes,
-			CompactEvery:   cfg.CompactEvery,
-			Crash:          cfg.Crash,
-			Rng:            cfg.Rng,
-			OnRecord:       cfg.OnRecord,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Supervisor{cfg: cfg, single: sup, singleDS: ds, addr: sup.Addr()}, nil
+		r, w = 1, 1
 	}
 	f := &Supervisor{
 		cfg:          cfg,
@@ -254,6 +240,10 @@ func New(cfg Config) (*Supervisor, error) {
 			return fail(err)
 		}
 		f.members = append(f.members, m)
+	}
+	if cfg.Servers == 1 {
+		f.addr = f.members[0].sup.Addr()
+		return f, nil
 	}
 	rt, err := newRouter("127.0.0.1:0", f.routerHooks())
 	if err != nil {
@@ -290,8 +280,11 @@ func (f *Supervisor) routerHooks() routerHooks {
 }
 
 // newMemberLocked builds one shard (fresh store, fresh dataset, supervised
-// server). Fleet kills arrive via InjectKill, so the shard's own crash
-// schedule stays disabled — its supervisor never draws from any RNG.
+// server). Behind a router, fleet kills arrive via InjectKill, so the
+// shard's own crash schedule stays disabled — its supervisor never draws
+// from any RNG. The lone shard of a one-member fleet schedules its own
+// kills from the fleet RNG instead, right after its store split, and has
+// no peers to hand its data to when it dies.
 func (f *Supervisor) newMemberLocked() (*member, error) {
 	name := fmt.Sprintf("shard-%02d", len(f.members)+1)
 	var storeRng *sim.Rand
@@ -308,7 +301,11 @@ func (f *Supervisor) newMemberLocked() (*member, error) {
 		MaxStreamBytes: f.cfg.MaxStreamBytes,
 		CompactEvery:   f.cfg.CompactEvery,
 		Store:          m.store,
-		OnCrash:        func() { f.shardCrashed(m) },
+	}
+	if f.cfg.Servers == 1 {
+		scfg.Crash, scfg.Rng = f.cfg.Crash, f.rng
+	} else {
+		scfg.OnCrash = func() { f.shardCrashed(m) }
 	}
 	if f.quorumOn() {
 		scfg.Replicate = f.replicaHook(m)
@@ -324,9 +321,9 @@ func (f *Supervisor) newMemberLocked() (*member, error) {
 	return m, nil
 }
 
-// tap serialises the shards' record taps onto the caller's OnRecord: with
-// one server the handlers already serialise per connection under the server
-// mutex, but N shards acknowledge concurrently.
+// tap serialises the shards' record taps onto the caller's OnRecord: one
+// server's handlers already serialise under its mutex, but N shards
+// acknowledge concurrently.
 func (f *Supervisor) tap(deviceID string, r core.Record) {
 	f.tapMu.Lock()
 	defer f.tapMu.Unlock()
@@ -334,7 +331,7 @@ func (f *Supervisor) tap(deviceID string, r core.Record) {
 }
 
 // Addr returns the fleet's client-facing address (the router's, pinned
-// across router kills; the lone server's on the degenerate path).
+// across router kills; the lone shard's on a one-member fleet).
 func (f *Supervisor) Addr() string { return f.addr }
 
 // route resolves a device to its owning live shard's address under the
@@ -461,8 +458,8 @@ func (f *Supervisor) beginRequest() bool {
 		for _, m := range f.members {
 			// A kill armed for a crashpoint a quiet shard never reaches
 			// (compaction, mostly) would wait forever; repoint it at the
-			// commit path, like the single supervisor's repointWindow.
-			if m.live && m.sup.KillArmed() && f.requests-m.armedAt > fleetRepointWindow {
+			// commit path after the supervisors' own RepointWindow.
+			if m.live && m.sup.KillArmed() && f.requests-m.armedAt > collect.RepointWindow {
 				if m.sup.RepointKill(collect.CrashBeforeWALSync) {
 					m.armedAt = f.requests
 				}
@@ -677,13 +674,13 @@ func rendezvousOrder(dev string, targets []target) []target {
 // makes an aborted rebalance safe by construction.
 func (f *Supervisor) Join() error {
 	f.mu.Lock()
-	if f.single != nil {
-		f.mu.Unlock()
-		return errors.New("fleet: cannot join a single-server fleet")
-	}
 	if f.disarmed {
 		f.mu.Unlock()
 		return errors.New("fleet: closed")
+	}
+	if f.router == nil {
+		f.mu.Unlock()
+		return errors.New("fleet: cannot join a fleet without a router")
 	}
 	joiner, err := f.newMemberLocked()
 	if err != nil {
@@ -748,13 +745,13 @@ func (f *Supervisor) Join() error {
 // cannot lose acknowledged data.
 func (f *Supervisor) Leave() error {
 	f.mu.Lock()
-	if f.single != nil {
-		f.mu.Unlock()
-		return errors.New("fleet: cannot leave a single-server fleet")
-	}
 	if f.disarmed {
 		f.mu.Unlock()
 		return errors.New("fleet: closed")
+	}
+	if f.router == nil {
+		f.mu.Unlock()
+		return errors.New("fleet: cannot leave a fleet without a router")
 	}
 	live := f.liveLocked()
 	if len(live) < 2 {
@@ -802,7 +799,7 @@ func (f *Supervisor) Leave() error {
 	// The leaver may be mid-crash — drain traffic traverses crashpoints, so
 	// an armed kill can fire on the leave itself. Settle before closing: a
 	// Close (or even a Disarm) that lands while serverDied is mid-cycle
-	// makes it skip the restart, stranding a harvested crash with no
+	// makes it skip the restart, stranding a counted crash with no
 	// matching restart in the fleet's ledger. New kills cannot arm here —
 	// fireKillsLocked only targets live members and the leaver just
 	// stopped being one — and Settle cancels any kill still pending.
@@ -876,9 +873,6 @@ func (f *Supervisor) setErr(err error) {
 func (f *Supervisor) MergedDataset() *collect.Dataset {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single != nil {
-		return f.singleDS
-	}
 	out := collect.NewDataset()
 	for _, m := range f.members {
 		if m.cut {
@@ -901,9 +895,6 @@ func (f *Supervisor) MergedDataset() *collect.Dataset {
 func (f *Supervisor) Err() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single != nil {
-		return f.single.Err()
-	}
 	if f.lastErr != nil {
 		return f.lastErr
 	}
@@ -920,14 +911,10 @@ func (f *Supervisor) Err() error {
 func (f *Supervisor) Close() error {
 	f.mu.Lock()
 	f.disarmed = true
-	single := f.single
 	rt := f.router
 	f.router = nil
 	members := append([]*member(nil), f.members...)
 	f.mu.Unlock()
-	if single != nil {
-		return single.Close()
-	}
 	if rt != nil {
 		_ = rt.Close()
 	}
@@ -942,13 +929,10 @@ func (f *Supervisor) Close() error {
 	return first
 }
 
-// Servers returns the live shard count (1 on the degenerate path).
+// Servers returns the live shard count.
 func (f *Supervisor) Servers() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single != nil {
-		return 1
-	}
 	return len(f.liveLocked())
 }
 
@@ -1017,9 +1001,6 @@ func (f *Supervisor) ServerHandoffs() int { return f.sum((*collect.Supervisor).H
 func (f *Supervisor) sum(get func(*collect.Supervisor) int) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single != nil {
-		return get(f.single)
-	}
 	n := 0
 	for _, m := range f.members {
 		n += get(m.sup)
@@ -1093,9 +1074,9 @@ func (f *Supervisor) Rebalances() int {
 // and bumps the epoch.
 func (f *Supervisor) CutPower(name string) error {
 	f.mu.Lock()
-	if f.single != nil {
+	if f.router == nil {
 		f.mu.Unlock()
-		return errors.New("fleet: cannot cut power on a single-server fleet")
+		return errors.New("fleet: cannot cut power on a fleet without a router")
 	}
 	var victim *member
 	for _, m := range f.members {
@@ -1123,8 +1104,8 @@ func (f *Supervisor) CutPower(name string) error {
 func (f *Supervisor) Partition(name string, isolated bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single != nil {
-		return errors.New("fleet: cannot partition a single-server fleet")
+	if f.router == nil {
+		return errors.New("fleet: cannot partition a fleet without a router")
 	}
 	for _, m := range f.members {
 		if m.name == name && m.live && !m.cut {
@@ -1137,20 +1118,10 @@ func (f *Supervisor) Partition(name string, isolated bool) error {
 
 // ReplicationFactor returns the resolved write-time replication factor R
 // (1 when replication is off); WriteQuorum the resolved write quorum W.
-func (f *Supervisor) ReplicationFactor() int {
-	if f.single != nil {
-		return 1
-	}
-	return f.replicateR
-}
+func (f *Supervisor) ReplicationFactor() int { return f.replicateR }
 
 // WriteQuorum returns the resolved write quorum W (1 when replication is off).
-func (f *Supervisor) WriteQuorum() int {
-	if f.single != nil {
-		return 1
-	}
-	return f.writeW
-}
+func (f *Supervisor) WriteQuorum() int { return f.writeW }
 
 // Suspicions counts suspicion episodes raised by the failure detector;
 // FalseSuspicions the subset raised against a shard that a direct
@@ -1220,42 +1191,22 @@ func (f *Supervisor) Suspected() []string {
 // any shard ever acknowledged for a device — the fleet-wide ground truth
 // for the no-acknowledged-data-loss invariant.
 func (f *Supervisor) AckedKeys(id string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.single != nil {
-		return f.single.AckedKeys(id)
-	}
-	set := make(map[string]bool)
-	for _, m := range f.members {
-		for _, k := range m.sup.AckedKeys(id) {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return f.union(func(s *collect.Supervisor) []string { return s.AckedKeys(id) })
 }
 
 // AckedDevices unions every device any shard ever acknowledged records for.
-func (f *Supervisor) AckedDevices() []string {
+func (f *Supervisor) AckedDevices() []string { return f.union((*collect.Supervisor).AckedDevices) }
+
+// union merges one list from every shard, live and departed, into a sorted
+// set.
+func (f *Supervisor) union(get func(*collect.Supervisor) []string) []string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.single != nil {
-		return f.single.AckedDevices()
-	}
 	set := make(map[string]bool)
 	for _, m := range f.members {
-		for _, id := range m.sup.AckedDevices() {
-			set[id] = true
+		for _, k := range get(m.sup) {
+			set[k] = true
 		}
 	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(set)
 }

@@ -342,6 +342,63 @@ func TestFleetKillSubsetsAndRouterRestart(t *testing.T) {
 	}
 }
 
+// TestOneMemberFleet covers Servers: 1 directly: a router-less fleet whose
+// lone shard schedules its own kills. Membership and partition changes are
+// refused, R and W resolve to 1 whatever was asked, and the merged dataset
+// is exactly what was uploaded.
+func TestOneMemberFleet(t *testing.T) {
+	f, err := New(Config{
+		Servers:      1,
+		Replicate:    3,
+		Quorum:       2,
+		CompactEvery: 512,
+		Crash:        collect.CrashFaults{KillEveryMin: 2, KillEveryMax: 4},
+		Rng:          sim.NewRand(7),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Join(); err == nil {
+		t.Error("Join on a one-member fleet succeeded")
+	}
+	if err := f.Leave(); err == nil {
+		t.Error("Leave on a one-member fleet succeeded")
+	}
+	if err := f.CutPower("shard-01"); err == nil {
+		t.Error("CutPower on a one-member fleet succeeded")
+	}
+	if err := f.Partition("shard-01", true); err == nil {
+		t.Error("Partition on a one-member fleet succeeded")
+	}
+	if f.Servers() != 1 || f.ReplicationFactor() != 1 || f.WriteQuorum() != 1 {
+		t.Errorf("servers/R/W = %d/%d/%d, want 1/1/1", f.Servers(), f.ReplicationFactor(), f.WriteQuorum())
+	}
+
+	want := collect.NewDataset()
+	logs := make(map[string][]byte)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 4; i++ {
+			dev := fmt.Sprintf("phone-%02d", i+1)
+			logs[dev] = append(logs[dev], fleetTestLog(int64(100*round+i+1))...)
+			uploadRetry(t, f.Addr(), dev, logs[dev])
+			want.PutMerged(dev, logs[dev])
+		}
+	}
+	if err := f.Err(); err != nil {
+		t.Fatalf("fleet error: %v", err)
+	}
+	if !f.Quiesce(5 * time.Second) {
+		t.Fatal("a shard restart never completed")
+	}
+	if f.Crashes() == 0 || f.Restarts() != f.Crashes() {
+		t.Errorf("crashes/restarts = %d/%d, want equal and > 0", f.Crashes(), f.Restarts())
+	}
+	if got, exp := f.MergedDataset().CRC32C(), want.CRC32C(); got != exp {
+		t.Errorf("merged dataset CRC32C %08x, uploaded %08x", got, exp)
+	}
+}
+
 // TestFleetNoGoroutineLeak is the satellite leak check: after kill/restart
 // cycles on every shard and the router, plus a join and a leave, closing
 // the fleet returns the process to its original goroutine count — no

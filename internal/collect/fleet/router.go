@@ -358,7 +358,7 @@ func (rt *Router) Close() error {
 }
 
 // sortedKeys returns m's keys in sorted order (deterministic iteration).
-func sortedKeys(m map[string][]byte) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -2,7 +2,6 @@ package collect
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,9 +97,11 @@ type SupervisorConfig struct {
 	// state); nil creates a fresh one.
 	Store *CrashStore
 	// OnRecord passes through to ServerConfig.OnRecord for every
-	// incarnation, restarts included. See the delivery caveats there: with
-	// crash injection a restarted server's acked ledger starts empty, so
-	// re-sent records fire the tap again — consumers must be order- and
+	// incarnation, restarts included. Every incarnation shares the
+	// supervisor's acked ledger, so a restart never re-taps a record an
+	// earlier incarnation acked; the duplicate sources that remain (records
+	// tapped unacked at a rewind or FIN and acked later, a resumed Store's
+	// empty ledger) are listed there — consumers must be order- and
 	// duplicate-tolerant.
 	OnRecord func(deviceID string, r core.Record)
 	// Query passes through to ServerConfig.Query for every incarnation,
@@ -108,7 +109,7 @@ type SupervisorConfig struct {
 	// (the answers come from the OnRecord-fed accumulators, which outlive
 	// any one server incarnation).
 	Query func(name string, args []string) (string, error)
-	// OnCrash, when set, runs after an injected kill has been harvested but
+	// OnCrash, when set, runs after an injected kill has been counted but
 	// before the replacement server is constructed — the window in which a
 	// real operator would fail the dead shard's data over to a peer. It runs
 	// on the dying incarnation's goroutine with no supervisor locks held, so
@@ -125,10 +126,12 @@ type SupervisorConfig struct {
 
 // Supervisor owns a durable collection server across injected crashes: it
 // schedules kills from its RNG, lets the dying incarnation tear its store,
-// then recovers the store (snapshot + WAL replay), rebinds the listener on
-// the same address and carries the upload and acked-record accounting
-// across incarnations. It is the process supervisor a real collection
-// service would run under, with the restart loop made deterministic.
+// then recovers the store (snapshot + WAL replay) and rebinds the listener
+// on the same address. Every incarnation books its uploads, compactions,
+// handoffs and acked records into the one ledger the supervisor created,
+// so the accounting spans restarts without being copied out of a dying
+// server. It is the process supervisor a real collection service would run
+// under, with the restart loop made deterministic.
 type Supervisor struct {
 	ds    *Dataset
 	addr  string
@@ -142,21 +145,17 @@ type Supervisor struct {
 	cur   atomic.Pointer[Server]
 	armed atomic.Int32
 
-	mu            sync.Mutex
-	rng           *sim.Rand
-	onCrash       func()
-	disarmed      bool
-	untilKill     int
-	point         Crashpoint
-	armedAge      int
-	crashes       int
-	restarts      int
-	pointHits     [numCrashpoints]int
-	uploadsBefore int
-	compactBefore int
-	handoffBefore int
-	ackedBefore   map[string]map[string]bool
-	lastErr       error
+	mu        sync.Mutex
+	rng       *sim.Rand
+	onCrash   func()
+	disarmed  bool
+	untilKill int
+	point     Crashpoint
+	armedAge  int
+	crashes   int
+	restarts  int
+	pointHits [numCrashpoints]int
+	lastErr   error
 }
 
 // NewSupervisor starts a supervised durable server on addr. The dataset is
@@ -166,11 +165,10 @@ func NewSupervisor(addr string, ds *Dataset, cfg SupervisorConfig) (*Supervisor,
 		return nil, fmt.Errorf("collect: crash injection needs a sim.Rand")
 	}
 	sup := &Supervisor{
-		ds:          ds,
-		crash:       cfg.Crash,
-		rng:         cfg.Rng,
-		onCrash:     cfg.OnCrash,
-		ackedBefore: make(map[string]map[string]bool),
+		ds:      ds,
+		crash:   cfg.Crash,
+		rng:     cfg.Rng,
+		onCrash: cfg.OnCrash,
 	}
 	sup.store = cfg.Store
 	if sup.store == nil {
@@ -190,6 +188,7 @@ func NewSupervisor(addr string, ds *Dataset, cfg SupervisorConfig) (*Supervisor,
 		Query:          cfg.Query,
 		Replicate:      cfg.Replicate,
 		monitor:        sup,
+		ledger:         newLedger(),
 	}
 	srv, err := NewServerWith(addr, ds, sup.scfg)
 	if err != nil {
@@ -283,7 +282,7 @@ func (s *Supervisor) Settle(timeout time.Duration) bool {
 }
 
 // settledNow reports whether no kill is armed, no incarnation is mid-death,
-// and every harvested crash has its restart. A nil current incarnation
+// and every counted crash has its restart. A nil current incarnation
 // (failed restart or shutdown) counts as settled: nothing further will
 // happen, and the caller's Err check owns that story.
 func (s *Supervisor) settledNow() bool {
@@ -312,40 +311,13 @@ func (s *Supervisor) Close() error {
 }
 
 // Uploads returns the successful uploads served across every incarnation.
-func (s *Supervisor) Uploads() int {
-	srv := s.cur.Load()
-	s.mu.Lock()
-	n := s.uploadsBefore
-	s.mu.Unlock()
-	if srv != nil {
-		n += srv.Uploads()
-	}
-	return n
-}
+func (s *Supervisor) Uploads() int { return int(s.scfg.ledger.uploads.Load()) }
 
 // Compactions returns snapshot compactions run across every incarnation.
-func (s *Supervisor) Compactions() int {
-	srv := s.cur.Load()
-	s.mu.Lock()
-	n := s.compactBefore
-	s.mu.Unlock()
-	if srv != nil {
-		n += srv.Compactions()
-	}
-	return n
-}
+func (s *Supervisor) Compactions() int { return int(s.scfg.ledger.compactions.Load()) }
 
 // Handoffs returns the peer handoffs accepted across every incarnation.
-func (s *Supervisor) Handoffs() int {
-	srv := s.cur.Load()
-	s.mu.Lock()
-	n := s.handoffBefore
-	s.mu.Unlock()
-	if srv != nil {
-		n += srv.Handoffs()
-	}
-	return n
-}
+func (s *Supervisor) Handoffs() int { return int(s.scfg.ledger.handoffs.Load()) }
 
 // Stream returns a copy of a device's live chunk stream on the current
 // incarnation, if any — the fleet supervisor reads it when rebalancing a
@@ -361,56 +333,19 @@ func (s *Supervisor) Stream(id string) ([]byte, bool) {
 // AckedKeys returns the serialized form of every record any incarnation
 // ever acknowledged for a device, sorted — the exact wire-level ground
 // truth for the no-acknowledged-data-loss invariant across crashes.
-func (s *Supervisor) AckedKeys(id string) []string {
-	srv := s.cur.Load()
-	set := make(map[string]bool)
-	s.mu.Lock()
-	for k := range s.ackedBefore[id] {
-		set[k] = true
-	}
-	s.mu.Unlock()
-	if srv != nil {
-		for _, k := range srv.AckedKeys(id) {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Supervisor) AckedKeys(id string) []string { return s.scfg.ledger.keys(id) }
 
 // AckedDevices returns every device any incarnation acknowledged records
 // for, sorted.
-func (s *Supervisor) AckedDevices() []string {
-	srv := s.cur.Load()
-	set := make(map[string]bool)
-	s.mu.Lock()
-	for id := range s.ackedBefore {
-		set[id] = true
-	}
-	s.mu.Unlock()
-	if srv != nil {
-		for id := range srv.ackedSnapshot() {
-			set[id] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Supervisor) AckedDevices() []string { return s.scfg.ledger.devices() }
 
-// repointWindow is how many further requests an armed kill may wait for
+// RepointWindow is how many further requests an armed kill may wait for
 // its crashpoint before being repointed at the commit path: a kill drawn
 // for a compaction crashpoint stalls forever if the WAL never reaches the
 // compaction bound, and a stalled kill would silently disable injection —
-// or, kept too long, quietly halve the effective kill rate.
-const repointWindow = 16
+// or, kept too long, quietly halve the effective kill rate. The fleet
+// supervisor applies the same window to the kills it arms on its shards.
+const RepointWindow = 16
 
 // beginRequest is the server's per-request hook (called with no locks
 // held). It advances the kill countdown and arms the crashpoint atomics
@@ -429,7 +364,7 @@ func (s *Supervisor) beginRequest(srv *Server) {
 		// that never triggers), deterministically repoint it at the next
 		// WAL sync so injection cannot stall.
 		s.armedAge++
-		if s.armedAge > repointWindow && s.point != CrashBeforeWALSync {
+		if s.armedAge > RepointWindow && s.point != CrashBeforeWALSync {
 			if s.armed.CompareAndSwap(1+int32(s.point), 1+int32(CrashBeforeWALSync)) {
 				s.point = CrashBeforeWALSync
 				s.armedAge = 0
@@ -482,7 +417,7 @@ func (s *Supervisor) InjectKill(p Crashpoint) bool {
 func (s *Supervisor) KillArmed() bool { return s.armed.Load() != 0 }
 
 // RepointKill moves an armed-but-stalled kill to a different crashpoint —
-// the fleet supervisor's analogue of the internal repointWindow logic: a
+// the fleet supervisor's analogue of the internal RepointWindow logic: a
 // kill armed for a crashpoint the shard never reaches (compaction on a
 // quiet shard) would otherwise wait forever. Returns false when nothing is
 // armed or the kill already points there.
@@ -521,31 +456,13 @@ func (s *Supervisor) drawKillLocked() {
 
 // serverDied is called by the dying incarnation (no locks held) after it
 // marked itself dead, closed its listener and crashed the store. The
-// supervisor harvests the incarnation's accounting, recovers the store by
-// constructing a replacement on the pinned address, and rearms the kill
-// schedule.
-func (s *Supervisor) serverDied(old *Server) {
-	deadUploads := old.Uploads()
-	deadCompactions := old.Compactions()
-	deadHandoffs := old.Handoffs()
-	deadAcked := old.ackedSnapshot()
-
+// supervisor counts the crash, recovers the store by constructing a
+// replacement on the pinned address, and rearms the kill schedule. The
+// dead incarnation's accounting is already in the shared ledger.
+func (s *Supervisor) serverDied() {
 	s.mu.Lock()
 	s.crashes++
 	s.pointHits[s.point]++
-	s.uploadsBefore += deadUploads
-	s.compactBefore += deadCompactions
-	s.handoffBefore += deadHandoffs
-	for id, keys := range deadAcked {
-		dst := s.ackedBefore[id]
-		if dst == nil {
-			dst = make(map[string]bool, len(keys))
-			s.ackedBefore[id] = dst
-		}
-		for k := range keys {
-			dst[k] = true
-		}
-	}
 	disarmed := s.disarmed
 	s.mu.Unlock()
 

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -209,5 +210,62 @@ func TestTapCoversUnackedRecordsReplacedByRewindOrFin(t *testing.T) {
 	checkTapped("fin", 5)
 	if sup.Crashes() != 2 || sup.Restarts() != 2 {
 		t.Errorf("crashes/restarts = %d/%d, want 2/2", sup.Crashes(), sup.Restarts())
+	}
+}
+
+// TestTapFiresOncePerRecordAcrossRestart pins the supervisor-lifetime acked
+// ledger: a restarted incarnation shares it with the one that died, so when
+// the client extends its stream after a kill, the records acked before the
+// kill do not reach the tap a second time.
+func TestTapFiresOncePerRecordAcrossRestart(t *testing.T) {
+	const id = "tap-once"
+	var mu sync.Mutex
+	taps := make(map[string]int)
+	sup, err := NewSupervisor("127.0.0.1:0", NewDataset(), SupervisorConfig{
+		OnRecord: func(dev string, r core.Record) {
+			mu.Lock()
+			defer mu.Unlock()
+			taps[string(core.EncodeRecord(r))]++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	var tr NetTransport
+	send := func(off int, chunk []byte) {
+		t.Helper()
+		if n, err := tr.UploadChunk(sup.Addr(), id, off, chunk); err != nil || n != off+len(chunk) {
+			t.Fatalf("chunk at %d = %d, %v", off, n, err)
+		}
+	}
+
+	ab, c, d := walTestRecords(1, 2), walTestRecords(3), walTestRecords(4)
+	send(0, ab)
+	if !sup.InjectKill(CrashAfterAck) {
+		t.Fatal("kill not armed")
+	}
+	send(len(ab), c)
+	if !sup.Settle(10*time.Second) || sup.Crashes() != 1 || sup.Restarts() != 1 {
+		t.Fatalf("crashes/restarts = %d/%d, want 1/1", sup.Crashes(), sup.Restarts())
+	}
+	send(len(ab)+len(c), d)
+
+	var want []string
+	for _, r := range core.ParseRecords(walTestRecords(1, 2, 3, 4)) {
+		want = append(want, string(core.EncodeRecord(r)))
+	}
+	mu.Lock()
+	for _, k := range want {
+		if taps[k] != 1 {
+			t.Errorf("record tapped %d times, want once: %s", taps[k], k)
+		}
+	}
+	if len(taps) != len(want) {
+		t.Errorf("tap saw %d distinct records, want %d", len(taps), len(want))
+	}
+	mu.Unlock()
+	if got := sup.AckedKeys(id); strings.Join(got, "") != strings.Join(want, "") {
+		t.Errorf("acked keys = %q, want %q", got, want)
 	}
 }

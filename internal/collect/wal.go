@@ -99,7 +99,7 @@ func encodeSnapEntry(e snapEntry) []byte {
 	return core.EncodeFrame(payload)
 }
 
-func sortedKeys(m map[string][]byte) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -25,10 +25,11 @@ func sortedStrings(m map[string][]core.Record) []string {
 
 // TestLiveStudyAcrossServerCrashes is the at-least-once tap contract under
 // real crashes, on the single durable server and on a replicated 3-shard
-// fleet. The collection tier is killed mid-study, so records acked by a dead
-// incarnation are re-sent and re-fire the record tap. The LiveStudy wired to
-// that tap must still end with exactly the distinct record set the final
-// merged dataset holds, and answer its queries from it.
+// fleet. The collection tier is killed mid-study, so unacked records are
+// tapped at rewinds and again when acked, and the fleet's replica shards
+// each tap what they take custody of. The LiveStudy wired to that tap must
+// still end with exactly the distinct record set the final merged dataset
+// holds, and answer its queries from it.
 func TestLiveStudyAcrossServerCrashes(t *testing.T) {
 	for _, servers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("servers=%d", servers), func(t *testing.T) {
@@ -64,8 +65,8 @@ func TestLiveStudyAcrossServerCrashes(t *testing.T) {
 				total += len(recs)
 			}
 
-			// The live study deduplicates the tap; with crashes injected the
-			// replays actually happened, so the dedup did real work.
+			// The live study deduplicates the tap, so duplicate deliveries
+			// never inflate its record count.
 			if live.Records() != total {
 				t.Errorf("live study saw %d distinct records, dataset holds %d", live.Records(), total)
 			}
