@@ -71,10 +71,14 @@ N ?= 3
 flake:
 	$(GO) test -count=$(N) -run 'TestLiveStudyAcrossServerCrashes|TestFleetEquivalenceSweep/servercrash' .
 
-# Fuzz the collection server's wire protocol end to end for a short burst
-# (panics and wedged servers fail the run; CI uses the seed corpus only).
+# Fuzz for a short burst each (CI uses the seed corpora only): the
+# collection server's wire protocol end to end (panics and wedged servers
+# fail the run), the incremental CHUNK ingest against the whole-stream
+# merge, and the settled-offset scan it rests on.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzServerHeader -fuzztime 30s ./internal/collect/
+	$(GO) test -run '^$$' -fuzz '^FuzzServerHeader$$' -fuzztime 30s ./internal/collect/
+	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalIngest$$' -fuzztime 30s ./internal/collect/
+	$(GO) test -run '^$$' -fuzz '^FuzzScanSettled$$' -fuzztime 30s ./internal/core/
 
 # Serial-vs-parallel equivalence: workers 1/2/4/8 must reproduce the
 # golden fingerprints byte-for-byte, under the race detector (DESIGN.md §9).

@@ -98,11 +98,18 @@ var ErrTooLarge = errors.New("collect: upload too large")
 type Dataset struct {
 	mu    sync.Mutex
 	files map[string][]byte
+	// canonical marks the devices whose log a CHUNK merge (putStream) left
+	// canonical, with every record of the server's chunk stream up to its
+	// settled offset in it — what lets the next CHUNK append instead of
+	// re-merging. Put, a first raw store and resetTo clear it; PutMerged
+	// keeps it, because a merge only adds records and a log that a Put
+	// emptied of stream records must not be appended to.
+	canonical map[string]bool
 }
 
 // NewDataset returns an empty dataset.
 func NewDataset() *Dataset {
-	return &Dataset{files: make(map[string][]byte)}
+	return &Dataset{files: make(map[string][]byte), canonical: make(map[string]bool)}
 }
 
 // Put stores (replaces) a device's log.
@@ -110,6 +117,7 @@ func (ds *Dataset) Put(deviceID string, data []byte) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.files[deviceID] = append([]byte(nil), data...)
+	delete(ds.canonical, deviceID)
 }
 
 // Get returns a copy of a device's log.
@@ -291,6 +299,11 @@ type Server struct {
 	// streams holds the per-device chunk streams (the raw bytes the device
 	// has pushed so far).
 	streams map[string][]byte
+	// settled holds, per device stream, the end of the leading run of intact
+	// frames whose records are already in the ledger and in the dataset
+	// (core.ScanSettled): a CHUNK parses only the stream past it. A rewind,
+	// FIN or stream handoff resets it, and every incarnation starts at 0.
+	settled map[string]int
 }
 
 // NewServer starts a collection server on addr ("127.0.0.1:0" picks a free
@@ -318,6 +331,7 @@ func NewServerWith(addr string, ds *Dataset, cfg ServerConfig) (*Server, error) 
 		ds:      ds,
 		cfg:     cfg,
 		streams: make(map[string][]byte),
+		settled: make(map[string]int),
 	}
 	if cfg.Store != nil {
 		files, streams := recoverServerState(cfg.Store)
@@ -516,16 +530,17 @@ func (s *Server) handleUpload(conn net.Conn, r *bufio.Reader, fields []string) {
 		return // injected crash: the connection dies without a reply
 	}
 	if s.cfg.Replicate != nil {
-		if !s.replicateQuorumLocked(conn, ReplicateLog, id, data, data) {
+		s.ds.PutMerged(id, data)
+		if !s.replicateQuorumLocked(conn, ReplicateLog, id, data) {
 			return
 		}
-		fmt.Fprint(conn, "OK\n")
-		return
-	}
-	s.ackLocked(id, data)
-	s.ds.PutMerged(id, data)
-	if s.maybeCompactLocked() {
-		return
+		s.ackLocked(id, core.ParseRecords(data))
+	} else {
+		s.ackLocked(id, core.ParseRecords(data))
+		s.ds.PutMerged(id, data)
+		if s.maybeCompactLocked() {
+			return
+		}
 	}
 	diedAfterAck := s.crashAtLocked(CrashAfterAck)
 	if !diedAfterAck {
@@ -534,18 +549,16 @@ func (s *Server) handleUpload(conn net.Conn, r *bufio.Reader, fields []string) {
 	fmt.Fprint(conn, "OK\n")
 }
 
-// replicateQuorumLocked is the quorum-path tail of UPLOAD and CHUNK: with
-// the verb already WAL-synced, it merges the committed state into the
-// dataset (kept coupled with the commit so a compaction snapshot can never
-// miss WAL-synced data), releases the server mutex for the replication
-// round-trips, and on a met quorum performs the acknowledgement
-// bookkeeping. Returns true with s.mu released and the positive reply
-// still owed to conn; false when the caller must return without replying
-// OK (crash consumed the request, incarnation died during replication, or
-// quorum failed — the retryable ERR is already written). acked is the
-// byte run whose records the ACK covers (the resulting stream for CHUNK).
-func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state, acked []byte) bool {
-	s.ds.PutMerged(id, state)
+// replicateQuorumLocked is the quorum path of UPLOAD and CHUNK: with the
+// verb already WAL-synced and merged into the dataset (kept coupled with
+// the commit so a compaction snapshot can never miss WAL-synced data), it
+// releases the server mutex for the replication round-trips. Returns true
+// with s.mu held again on a met quorum, for the caller's acknowledgement
+// bookkeeping; false when the caller must return without replying OK
+// (crash consumed the request, incarnation died during replication, or
+// quorum failed — the retryable ERR is already written), with s.mu
+// released.
+func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state []byte) bool {
 	if s.maybeCompactLocked() {
 		return false
 	}
@@ -564,11 +577,6 @@ func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state, acke
 		fmt.Fprint(conn, "ERR quorum not met: committed locally, not replicated (retryable)\n")
 		return false
 	}
-	s.ackLocked(id, acked)
-	if s.crashAtLocked(CrashAfterAck) {
-		return true // died after ack: recovery must reproduce the state, but the reply still goes out
-	}
-	s.mu.Unlock()
 	return true
 }
 
@@ -581,7 +589,9 @@ func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state, acke
 // a finished stream is dropped). Every accepted chunk is WAL-logged and
 // synced, and the resulting stream merged into the dataset, before the ACK
 // is sent: an acknowledgement is a durable promise even if the stream is
-// later rewound or the process is killed on the next instruction.
+// later rewound or the process is killed on the next instruction. Only the
+// stream past the device's settled offset is parsed, once, and its records
+// go to both the dataset and the ledger.
 func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 	if len(fields) != 5 {
 		fmt.Fprint(conn, "ERR bad header\n")
@@ -630,25 +640,50 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 	if !s.commitLocked(walEntry{Op: opChunk, Dev: id, Off: offset, Data: chunk}) {
 		return
 	}
-	stream = append(stream[:offset:offset], chunk...)
+	if offset < s.settled[id] {
+		delete(s.settled, id) // the rewind rewrites settled bytes
+	}
+	stream = appendChunk(stream, offset, chunk)
 	s.streams[id] = stream
+	recs, settled := core.ScanSettled(stream, s.settled[id])
 	if s.cfg.Replicate != nil {
-		if !s.replicateQuorumLocked(conn, ReplicateLog, id, stream, stream) {
+		s.ds.putStream(id, stream, recs)
+		if !s.replicateQuorumLocked(conn, ReplicateLog, id, stream) {
 			return
 		}
-		fmt.Fprintf(conn, "OK %d\n", len(stream))
-		return
+		s.ackLocked(id, recs)
+	} else {
+		s.ackLocked(id, recs)
+		s.ds.putStream(id, stream, recs)
+		if s.maybeCompactLocked() {
+			return
+		}
 	}
-	s.ackLocked(id, stream)
-	s.ds.PutMerged(id, stream)
-	if s.maybeCompactLocked() {
-		return
+	// The quorum path released s.mu: a concurrent verb may have replaced
+	// the stream since it was scanned, and then settled belongs to the old
+	// one. Equal start and length mean equal bytes (see appendChunk).
+	if cur := s.streams[id]; len(cur) == len(stream) && (len(cur) == 0 || &cur[0] == &stream[0]) {
+		s.settled[id] = settled
 	}
 	diedAfterAck := s.crashAtLocked(CrashAfterAck)
 	if !diedAfterAck {
 		s.mu.Unlock()
 	}
 	fmt.Fprintf(conn, "OK %d\n", len(stream))
+}
+
+// appendChunk places chunk at offset off of a device stream (off ≤
+// len(stream)). An append at the end extends the stream in place, so a
+// stream costs amortised O(chunk) per CHUNK; a rewind copies into a fresh
+// array. Either way no byte below len(stream) is ever overwritten, so a
+// slice of an earlier stream handed out before (a replication in flight, a
+// settled scan) keeps its bytes, and two streams with the same first
+// element and length hold the same bytes.
+func appendChunk(stream []byte, off int, chunk []byte) []byte {
+	if off == len(stream) {
+		return append(stream, chunk...)
+	}
+	return append(stream[:off:off], chunk...)
 }
 
 // Replicate op values passed to ServerConfig.Replicate.
@@ -724,8 +759,9 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 	s.cfg.ledger.handoffs.Add(1)
 	if kind == HandoffStream {
 		s.streams[id] = append([]byte(nil), data...)
+		delete(s.settled, id)
 	}
-	s.cfg.ledger.record(id, data, s.cfg.OnRecord)
+	s.cfg.ledger.record(id, core.ParseRecords(data), s.cfg.OnRecord)
 	s.ds.PutMerged(id, data)
 	if s.maybeCompactLocked() {
 		return
@@ -790,6 +826,7 @@ func (s *Server) handleFin(conn net.Conn, fields []string) {
 			return
 		}
 		delete(s.streams, id)
+		delete(s.settled, id)
 		committed = true
 	}
 	s.mu.Unlock()
@@ -867,11 +904,11 @@ func (s *Server) crashAtLocked(p Crashpoint) bool {
 }
 
 // ackLocked books one acknowledged UPLOAD or CHUNK: it counts the upload
-// and notes every record in data as acked, firing the OnRecord tap for
-// records no incarnation acked before. Caller holds s.mu.
-func (s *Server) ackLocked(id string, data []byte) {
+// and notes recs as acked, firing the OnRecord tap for records no
+// incarnation acked before. Caller holds s.mu.
+func (s *Server) ackLocked(id string, recs []core.Record) {
 	s.cfg.ledger.uploads.Add(1)
-	s.cfg.ledger.record(id, data, s.cfg.OnRecord)
+	s.cfg.ledger.record(id, recs, s.cfg.OnRecord)
 }
 
 // AckedKeys returns the serialized form of every record the server has
@@ -982,7 +1019,23 @@ func (ds *Dataset) PutMerged(deviceID string, data []byte) {
 		ds.files[deviceID] = append([]byte(nil), data...)
 		return
 	}
-	ds.files[deviceID] = EncodeRecords(MergeRecords(core.ParseRecords(old), core.ParseRecords(data)))
+	ds.files[deviceID] = mergeStream(old, false, data, nil) // not canonical: the whole merge
+}
+
+// putStream is PutMerged for a CHUNK: stream is the device's chunk stream
+// and suffix its records past the settled offset, the only ones not
+// already in the log (see mergeStream). The stored bytes are the ones
+// PutMerged(deviceID, stream) would store.
+func (ds *Dataset) putStream(deviceID string, stream []byte, suffix []core.Record) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	old, ok := ds.files[deviceID]
+	if !ok {
+		ds.files[deviceID] = append([]byte(nil), stream...)
+		return
+	}
+	ds.files[deviceID] = mergeStream(old, ds.canonical[deviceID], stream, suffix)
+	ds.canonical[deviceID] = true
 }
 
 // snapshot copies the per-device logs (compaction input).
@@ -1002,6 +1055,7 @@ func (ds *Dataset) resetTo(files map[string][]byte) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.files = make(map[string][]byte, len(files))
+	ds.canonical = make(map[string]bool)
 	for _, id := range sortedKeys(files) {
 		ds.files[id] = append([]byte(nil), files[id]...)
 	}

@@ -22,12 +22,12 @@ type ledger struct {
 
 func newLedger() *ledger { return &ledger{acked: make(map[string]map[string]bool)} }
 
-// record notes every record in data as acknowledged for a device, then
-// calls tap (when non-nil) for each record no incarnation had acknowledged
-// before. The tap runs after l.mu is released.
-func (l *ledger) record(id string, data []byte, tap func(string, core.Record)) {
-	recs := core.ParseRecords(data)
-	fresh := recs[:0]
+// record notes recs as acknowledged for a device, then calls tap (when
+// non-nil) for each record no incarnation had acknowledged before. recs is
+// only read: a CHUNK hands the same parsed records to the dataset. The tap
+// runs after l.mu is released.
+func (l *ledger) record(id string, recs []core.Record, tap func(string, core.Record)) {
+	var fresh []core.Record
 	var scratch []byte
 	l.mu.Lock()
 	keys := l.acked[id]

@@ -1,6 +1,8 @@
 package collect
 
 import (
+	"bytes"
+	"encoding/json"
 	"hash/crc32"
 	"sort"
 
@@ -51,6 +53,46 @@ func MergeRecords(batches ...[]core.Record) []core.Record {
 		out[i] = k.rec
 	}
 	return out
+}
+
+// mergeStream is the merge step of a CHUNK, shared by the server's dataset
+// and WAL replay. log is a device's existing log. canonical reports that log
+// is MergeRecords output that already holds every record of stream up to
+// the settled offset suffix was scanned from (core.ScanSettled); suffix
+// holds the records of stream past it. When canonical, and the sorted,
+// deduplicated suffix sorts strictly after the log's last (Time, line) key,
+// the encoded suffix is appended to log in place. Otherwise the whole
+// stream is merged. Either way the result is canonical and its bytes equal
+// EncodeRecords(MergeRecords(ParseRecords(log), ParseRecords(stream))): the
+// records before the settled offset are already in the log, and the
+// appended ones sort after all of it.
+func mergeStream(log []byte, canonical bool, stream []byte, suffix []core.Record) []byte {
+	if canonical {
+		if batch := MergeRecords(suffix); len(batch) == 0 || sortsAfterLog(batch[0], log) {
+			for _, r := range batch {
+				log = core.AppendRecordLine(log, r)
+			}
+			return log
+		}
+	}
+	return EncodeRecords(MergeRecords(core.ParseRecords(log), core.ParseRecords(stream)))
+}
+
+// sortsAfterLog reports whether r sorts strictly after the last record of a
+// canonical log in the MergeRecords order, (Time, serialized line).
+func sortsAfterLog(r core.Record, log []byte) bool {
+	if len(log) == 0 {
+		return true
+	}
+	line := log[bytes.LastIndexByte(log[:len(log)-1], '\n')+1:]
+	var last core.Record
+	if json.Unmarshal(line, &last) != nil {
+		return false
+	}
+	if r.Time != last.Time {
+		return r.Time > last.Time
+	}
+	return bytes.Compare(core.AppendRecordLine(nil, r), line) > 0
 }
 
 // EncodeRecords serialises a record sequence as the dataset stores it: one

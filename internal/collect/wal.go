@@ -14,13 +14,14 @@ import (
 //	wal       — one checksummed frame (core.EncodeFrame) per accepted verb
 //	snapshot  — the compacted state: per-device merged log + chunk stream
 //
-// Every state-changing verb (UPLOAD, CHUNK, FIN) is appended to the WAL and
-// synced *before* the acknowledgement is written to the wire, so an ACK is
-// a durable promise: any record the client was told about is recoverable
-// from the synced WAL prefix whatever the server does next. A crash tears
-// the un-synced WAL tail (CrashStore semantics), which is exactly the
-// damage core.RecoverLog was built to survive — torn and corrupt frames are
-// dropped, intact ones replayed.
+// Every state-changing verb (UPLOAD, CHUNK, FIN, and the fleet's HANDOFF of
+// a log or a stream) is appended to the WAL and synced *before* the
+// acknowledgement is written to the wire, so an ACK is a durable promise:
+// any record the client was told about is recoverable from the synced WAL
+// prefix whatever the server does next. A crash tears the un-synced WAL
+// tail (CrashStore semantics), which is exactly the damage core.RecoverLog
+// was built to survive — torn and corrupt frames are dropped, intact ones
+// replayed.
 //
 // Compaction folds the current state into snapshot.tmp, syncs it, renames
 // it over snapshot (the atomic commit point), then truncates the WAL. A
@@ -108,14 +109,19 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// mergeLogs mirrors Dataset.PutMerged on plain bytes: the first write for a
-// device keeps its raw form, later writes go through the canonical
-// order-independent merge.
-func mergeLogs(old, add []byte) []byte {
+// mergeLogs mirrors the Dataset's merges on plain bytes for WAL replay,
+// where a nil log is an absent one: the first write for a device keeps its
+// raw form, later writes go through mergeStream — for a chunk entry
+// (canonical set, suffix the stream's records past its settled offset) the
+// append step when it applies, otherwise the canonical order-independent
+// merge of the whole of add. It returns the new log and whether it is
+// canonical. Replay has no Put, so a merged log keeps every record merged
+// into it before.
+func mergeLogs(old []byte, canonical bool, add []byte, suffix []core.Record) ([]byte, bool) {
 	if old == nil {
-		return append([]byte(nil), add...)
+		return append([]byte(nil), add...), false
 	}
-	return EncodeRecords(MergeRecords(core.ParseRecords(old), core.ParseRecords(add)))
+	return mergeStream(old, canonical, add, suffix), true
 }
 
 // recoverServerState rebuilds the server's in-memory state from the store:
@@ -123,7 +129,10 @@ func mergeLogs(old, add []byte) []byte {
 // online handlers exactly — after every chunk entry the device's stream is
 // merged into its log, just as handleChunk merges before acknowledging — so
 // a stream later rewound by a master reset cannot take already-acknowledged
-// records with it.
+// records with it. Like handleChunk, replay keeps a settled offset per
+// stream and parses each chunk entry's stream only past it, so replaying a
+// device's chunks costs O(stream), not O(stream²); the merged bytes are the
+// ones a whole-stream merge per entry would give.
 //
 // Recovery also normalises the medium, making itself idempotent: a WAL or
 // snapshot with a torn tail is rewritten to its clean prefix and synced,
@@ -148,6 +157,10 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 		}
 	}
 
+	// canonical and settled are replay's copies of Dataset.canonical and
+	// Server.settled; both start empty, as in a new incarnation.
+	canonical := make(map[string]bool)
+	settled := make(map[string]int)
 	walRec := core.RecoverLog(store.Read(walName))
 	for _, payload := range walRec.Payloads {
 		var e walEntry
@@ -160,23 +173,28 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 			if e.Off > len(st) {
 				continue // unreachable: only accepted (gap-free) chunks are logged
 			}
-			st = append(st[:e.Off:e.Off], e.Data...)
+			if e.Off < settled[e.Dev] {
+				delete(settled, e.Dev)
+			}
+			st = appendChunk(st, e.Off, e.Data)
 			streams[e.Dev] = st
-			files[e.Dev] = mergeLogs(files[e.Dev], st)
-		case opUpload:
-			files[e.Dev] = mergeLogs(files[e.Dev], e.Data)
+			var recs []core.Record
+			recs, settled[e.Dev] = core.ScanSettled(st, settled[e.Dev])
+			files[e.Dev], canonical[e.Dev] = mergeLogs(files[e.Dev], canonical[e.Dev], st, recs)
+		case opUpload, opHandoff:
+			files[e.Dev], canonical[e.Dev] = mergeLogs(files[e.Dev], false, e.Data, nil)
 		case opFin:
 			delete(streams, e.Dev)
-		case opHandoff:
-			files[e.Dev] = mergeLogs(files[e.Dev], e.Data)
+			delete(settled, e.Dev)
 		case opHandoffStream:
 			// Mirrors handleHandoff: the entry was only logged when the live
 			// stream was empty at commit time, and replay reconstructs the
 			// same state, so the guard re-evaluates identically.
 			if len(streams[e.Dev]) == 0 {
 				streams[e.Dev] = append([]byte(nil), e.Data...)
+				delete(settled, e.Dev)
 			}
-			files[e.Dev] = mergeLogs(files[e.Dev], e.Data)
+			files[e.Dev], canonical[e.Dev] = mergeLogs(files[e.Dev], false, e.Data, nil)
 		}
 	}
 

@@ -181,6 +181,49 @@ func ScanRecords(data []byte, fn func(Record) error) error {
 	return nil
 }
 
+// ScanSettled parses a growing framed log from byte offset off, for a
+// reader that has already consumed the records before off. It decodes
+// intact frames from off and stops at the first one that fails to decode:
+// that point is settled, because the bytes before it can no longer change
+// what ParseRecords sees there however the log grows, while the bytes past
+// it can (a torn tail completes on the next append). The records past the
+// settled point are still returned; the next call re-reads them from
+// settled. off must be 0 or a settled offset an earlier call returned for a
+// prefix of data. Frame recovery scans left to right, so
+//
+//	ParseRecords(data) == ParseRecords(data[:off]) ++ recs
+//
+// Unframed (legacy JSON-lines) logs never settle: they return every record
+// with settled 0.
+func ScanSettled(data []byte, off int) (recs []Record, settled int) {
+	if len(data) == 0 || data[0] != FrameMagic {
+		return ParseRecords(data), 0
+	}
+	settled = off
+	for settled < len(data) {
+		payload, size, ok := decodeFrame(data[settled:])
+		if !ok {
+			break
+		}
+		recs = appendPayloadRecord(recs, payload)
+		settled += size
+	}
+	for _, payload := range RecoverLog(data[settled:]).Payloads {
+		recs = appendPayloadRecord(recs, payload)
+	}
+	return recs, settled
+}
+
+// appendPayloadRecord appends the record a frame payload holds, skipping a
+// payload that is not a record (the ParseRecords rule).
+func appendPayloadRecord(recs []Record, payload []byte) []Record {
+	var r Record
+	if json.Unmarshal(payload, &r) != nil {
+		return recs
+	}
+	return append(recs, r)
+}
+
 // EncodeBeat serialises the heartbeat record.
 func EncodeBeat(b Beat) []byte {
 	return AppendBeat(make([]byte, 0, 48), b)
