@@ -74,10 +74,12 @@ flake:
 # Fuzz for a short burst each (CI uses the seed corpora only): the
 # collection server's wire protocol end to end (panics and wedged servers
 # fail the run), the incremental CHUNK ingest against the whole-stream
-# merge, and the settled-offset scan it rests on.
+# merge, chunk replication onto a replica's stream against the same
+# merge, and the settled-offset scan they rest on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServerHeader$$' -fuzztime 30s ./internal/collect/
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalIngest$$' -fuzztime 30s ./internal/collect/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplicaChunk$$' -fuzztime 30s ./internal/collect/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSettled$$' -fuzztime 30s ./internal/core/
 
 # Serial-vs-parallel equivalence: workers 1/2/4/8 must reproduce the

@@ -22,12 +22,18 @@
 //	peer:   HANDOFF <device-id> log|stream <n-bytes> <crc32c-hex>\n  then n raw bytes
 //	server: OK\n on success, ERR <reason>\n otherwise
 //
+//	peer:   HANDOFF <device-id> chunk <n-bytes> <crc32c-hex> <offset> <stream-crc32c-hex>\n  then n raw bytes
+//	server: OK <stream-length>\n on success, ERR stale <stream-length>\n or ERR <reason>\n otherwise
+//
 //	peer:   PING\n
 //	server: OK\n
 //
 // HANDOFF is the server-to-server leg of the sharded collection fleet
 // (see the fleet package): a dying or rebalancing shard replicates one
-// device's merged log ("log") or live chunk stream ("stream") onto a peer.
+// device's merged log ("log") or live chunk stream ("stream") onto a peer,
+// and a write-quorum owner replicates each committed CHUNK onto its
+// replicas' streams ("chunk": the chunk's bytes at its offset, with the
+// CRC-32C of the stream they must produce).
 // Handoffs go through the same WAL-sync-before-ACK commit path as uploads,
 // so a successful handoff is the same durable promise, and merging stays
 // idempotent — a handoff re-sent after a lost acknowledgement, or of data
@@ -40,6 +46,8 @@
 // local WAL sync, and the OK goes on the wire only once a write quorum of
 // replicas has synced it; a quorum that cannot be met is a retryable
 // "ERR quorum ..." rejection (see IsBelowQuorum), never a false promise.
+// Replicas hold the device's stream, so after its owner dies the next
+// CHUNK continues on a replica at the acknowledged offset.
 //
 // UPLOAD is the legacy full-file transfer (still used for the final
 // collection at study end). CHUNK appends to a per-device server-side
@@ -217,20 +225,25 @@ type ServerConfig struct {
 
 	// Replicate, when set, is the write-quorum hook: after a verb has been
 	// WAL-synced locally (and merged into the dataset), the server calls it
-	// with the committed state — op ReplicateLog carries the device's
-	// resulting bytes (the full log for UPLOAD, the resulting stream for
-	// CHUNK), op ReplicateFin carries nil — and acknowledges on the wire
-	// only when it returns true. A false return means the write quorum was
-	// not met: the server replies a retryable "ERR quorum ..." instead of
-	// OK, keeping the committed state local (a later retry or anti-entropy
-	// repair re-replicates it; the canonical merge makes that harmless).
+	// with the committed state and acknowledges on the wire only when it
+	// returns true. Op ReplicateLog carries an UPLOAD's full log (off 0);
+	// op ReplicateChunk carries a CHUNK's resulting stream and the chunk's
+	// offset, so the chunk is state[off:]; op ReplicateFin carries nil. A
+	// false return means the write quorum was not met: the server replies a
+	// retryable "ERR quorum ..." instead of OK, keeping the committed state
+	// local (a later retry or anti-entropy repair re-replicates it; the
+	// canonical merge makes that harmless). ReplicateFin results are
+	// ignored (stream retirement is best-effort bookkeeping). Op
+	// ReplicateFetch (state nil) is the gap fill: a CHUNK at offset off past
+	// the end of this server's stream asks the hook to install a peer's
+	// longer copy of the stream here (by HANDOFF) before the gap is
+	// re-checked; it returns whether one was installed.
 	// The hook runs WITHOUT the server mutex held — it performs network
 	// round-trips to peer shards, and two shards replicating to each other
 	// while each holds its own mutex would deadlock — so the server
-	// re-checks its own liveness when the hook returns. ReplicateFin
-	// results are ignored (stream retirement is best-effort bookkeeping).
+	// re-checks its own liveness when the hook returns.
 	// Nil keeps the exact single-copy commit path.
-	Replicate func(op, deviceID string, state []byte) bool
+	Replicate func(op, deviceID string, state []byte, off int) bool
 
 	// OnRecord, when set, is the live record tap the streaming
 	// accumulators hang off. Its contract: every record that enters the
@@ -531,7 +544,7 @@ func (s *Server) handleUpload(conn net.Conn, r *bufio.Reader, fields []string) {
 	}
 	if s.cfg.Replicate != nil {
 		s.ds.PutMerged(id, data)
-		if !s.replicateQuorumLocked(conn, ReplicateLog, id, data) {
+		if !s.replicateQuorumLocked(conn, ReplicateLog, id, data, 0) {
 			return
 		}
 		s.ackLocked(id, core.ParseRecords(data))
@@ -558,12 +571,12 @@ func (s *Server) handleUpload(conn net.Conn, r *bufio.Reader, fields []string) {
 // (crash consumed the request, incarnation died during replication, or
 // quorum failed — the retryable ERR is already written), with s.mu
 // released.
-func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state []byte) bool {
+func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state []byte, off int) bool {
 	if s.maybeCompactLocked() {
 		return false
 	}
 	s.mu.Unlock()
-	met := s.cfg.Replicate(op, id, state)
+	met := s.cfg.Replicate(op, id, state, off)
 	s.mu.Lock()
 	if s.dead {
 		// A fleet kill landed on this incarnation while it replicated; the
@@ -584,14 +597,11 @@ func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state []byt
 // client-stated offset and acknowledges the resulting stream length. An
 // offset short of the stream end rewinds it (the client re-synced after a
 // log rotation or master reset); an offset past the end is a gap the
-// client must resolve via OFFSET; a chunk that would grow the stream past
-// the configured cap is rejected outright (the stream is kept — FIN is how
-// a finished stream is dropped). Every accepted chunk is WAL-logged and
-// synced, and the resulting stream merged into the dataset, before the ACK
-// is sent: an acknowledgement is a durable promise even if the stream is
-// later rewound or the process is killed on the next instruction. Only the
-// stream past the device's settled offset is parsed, once, and its records
-// go to both the dataset and the ledger.
+// client must resolve via OFFSET, unless a fleet peer holds the missing
+// bytes (the ReplicateFetch gap fill); a chunk that would grow the stream
+// past the configured cap is rejected outright (the stream is kept — FIN
+// is how a finished stream is dropped). The accepted chunk goes through
+// applyChunkLocked.
 func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 	if len(fields) != 5 {
 		fmt.Fprint(conn, "ERR bad header\n")
@@ -627,33 +637,65 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 		s.mu.Unlock()
 		return
 	}
-	stream := s.streams[id]
-	if offset > len(stream) {
-		n := len(stream)
+	if offset > len(s.streams[id]) && s.cfg.Replicate != nil {
+		// This shard may have just taken the device over from an owner
+		// that died, and missed writes a peer replica holds: have the
+		// fleet install the peer's stream, then re-check the gap.
+		s.mu.Unlock()
+		s.cfg.Replicate(ReplicateFetch, id, nil, offset)
+		s.mu.Lock()
+		if s.dead {
+			s.mu.Unlock()
+			return
+		}
+	}
+	if n := len(s.streams[id]); offset > n {
 		s.mu.Unlock()
 		fmt.Fprintf(conn, "ERR gap: stream at %d, chunk at %d\n", n, offset)
 		return
 	}
-	if offset < len(stream) {
+	s.applyChunkLocked(conn, id, offset, chunk, false)
+}
+
+// applyChunkLocked is the one chunk-apply step, shared by the CHUNK verb
+// and a replica's HANDOFF chunk. It places chunk at offset off of the
+// device's stream (the caller checked off ≤ len(stream)), WAL-logs and
+// syncs it as an opChunk entry, parses the stream past its settled offset
+// once and hands those records to both the dataset and the acked ledger,
+// then replies "OK <stream-length>". An owner's chunk (replica false) is
+// acknowledged as an upload, after the write quorum when the server
+// replicates (op ReplicateChunk); a replica's is booked as a handoff and
+// never replicated onward. Every record is in the dataset before the ACK,
+// so an acknowledgement is a durable promise even if the stream is later
+// rewound or the process is killed on the next instruction. Called with
+// s.mu held; returns with it released.
+func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byte, replica bool) {
+	stream := s.streams[id]
+	if off < len(stream) {
 		s.cfg.ledger.tapUnacked(id, stream, s.cfg.OnRecord)
 	}
-	if !s.commitLocked(walEntry{Op: opChunk, Dev: id, Off: offset, Data: chunk}) {
+	if !s.commitLocked(walEntry{Op: opChunk, Dev: id, Off: off, Data: chunk}) {
 		return
 	}
-	if offset < s.settled[id] {
+	if off < s.settled[id] {
 		delete(s.settled, id) // the rewind rewrites settled bytes
 	}
-	stream = appendChunk(stream, offset, chunk)
+	stream = appendChunk(stream, off, chunk)
 	s.streams[id] = stream
 	recs, settled := core.ScanSettled(stream, s.settled[id])
-	if s.cfg.Replicate != nil {
+	if s.cfg.Replicate != nil && !replica {
 		s.ds.putStream(id, stream, recs)
-		if !s.replicateQuorumLocked(conn, ReplicateLog, id, stream) {
+		if !s.replicateQuorumLocked(conn, ReplicateChunk, id, stream, off) {
 			return
 		}
 		s.ackLocked(id, recs)
 	} else {
-		s.ackLocked(id, recs)
+		if replica {
+			s.cfg.ledger.handoffs.Add(1)
+			s.cfg.ledger.record(id, recs, s.cfg.OnRecord)
+		} else {
+			s.ackLocked(id, recs)
+		}
 		s.ds.putStream(id, stream, recs)
 		if s.maybeCompactLocked() {
 			return
@@ -688,11 +730,18 @@ func appendChunk(stream []byte, off int, chunk []byte) []byte {
 
 // Replicate op values passed to ServerConfig.Replicate.
 const (
-	// ReplicateLog forwards the device's committed bytes (an UPLOAD's full
-	// log, a CHUNK's resulting stream) — replicas take custody via HANDOFF.
+	// ReplicateLog forwards an UPLOAD's full log — replicas merge it like
+	// an upload (HANDOFF log).
 	ReplicateLog = "log"
+	// ReplicateChunk forwards a CHUNK: the owner's resulting stream and
+	// the chunk's offset — replicas apply state[off:] to their own copy of
+	// the stream (HANDOFF chunk).
+	ReplicateChunk = "chunk"
 	// ReplicateFin propagates a stream retirement (state is nil).
 	ReplicateFin = "fin"
+	// ReplicateFetch asks for a peer's copy of a stream at least off bytes
+	// long to be installed on this server (state is nil).
+	ReplicateFetch = "fetch"
 )
 
 // HandoffKind values accepted by the HANDOFF verb.
@@ -706,20 +755,38 @@ const (
 	// own (the uploader is already mid-conversation with it; the sender
 	// retains its copy, so skipping the install loses nothing).
 	HandoffStream = "stream"
+	// HandoffChunk replicates one committed chunk onto a replica's copy of
+	// the device's stream: the payload is the chunk's bytes, and the header
+	// adds its offset and the CRC-32C of the owner's resulting stream. The
+	// replica applies it with the CHUNK verb's own step only when the
+	// offset is within its stream and the result has that CRC; otherwise
+	// it changes nothing and answers "ERR stale <stream-length>" (it missed
+	// a write or a rewind), and the sender installs its whole stream as a
+	// chunk at offset 0, which replaces the replica's.
+	HandoffChunk = "chunk"
 )
+
+// ErrStale is returned by HandoffFrom when the replica's stream is not the
+// prefix the chunk was cut against (see HandoffChunk).
+var ErrStale = errors.New("collect: replica stream is stale")
 
 // handleHandoff accepts one device's replicated state from a peer server.
 // Like UPLOAD, the payload is WAL-logged and synced before the OK goes on
 // the wire, and its records join this server's acked ledger: once a peer
-// has been told OK, the records are this shard's durable responsibility.
+// has been told OK, the records are this shard's durable responsibility. A
+// chunk handoff goes through applyChunkLocked, the CHUNK verb's own step.
 func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) {
-	if len(fields) != 5 {
+	if len(fields) != 5 && len(fields) != 7 {
 		fmt.Fprint(conn, "ERR bad header\n")
 		return
 	}
 	id, kind := fields[1], fields[2]
-	if kind != HandoffLog && kind != HandoffStream {
+	if kind != HandoffLog && kind != HandoffStream && kind != HandoffChunk {
 		fmt.Fprint(conn, "ERR bad handoff kind\n")
+		return
+	}
+	if (kind == HandoffChunk) != (len(fields) == 7) {
+		fmt.Fprint(conn, "ERR bad header\n")
 		return
 	}
 	size, err := strconv.Atoi(fields[3])
@@ -732,6 +799,19 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 		fmt.Fprint(conn, "ERR bad checksum\n")
 		return
 	}
+	var off int
+	var streamSum uint64
+	if kind == HandoffChunk {
+		off, err = strconv.Atoi(fields[5])
+		if err != nil || off < 0 || off+size > s.cfg.MaxStreamBytes {
+			fmt.Fprint(conn, "ERR bad offset\n")
+			return
+		}
+		if streamSum, err = strconv.ParseUint(fields[6], 16, 32); err != nil {
+			fmt.Fprint(conn, "ERR bad checksum\n")
+			return
+		}
+	}
 	data, err := readBody(r, size, uint32(crc))
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
@@ -740,6 +820,18 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
+		return
+	}
+	if kind == HandoffChunk {
+		// Apply only onto the prefix the owner cut the chunk against.
+		stream := s.streams[id]
+		if off > len(stream) || crc32.Update(crc32.Checksum(stream[:off], castagnoli), castagnoli, data) != uint32(streamSum) {
+			n := len(stream)
+			s.mu.Unlock()
+			fmt.Fprintf(conn, "ERR stale %d\n", n)
+			return
+		}
+		s.applyChunkLocked(conn, id, off, data, true)
 		return
 	}
 	if kind == HandoffStream && len(s.streams[id]) > 0 {
@@ -834,7 +926,7 @@ func (s *Server) handleFin(conn net.Conn, fields []string) {
 		// Propagate the retirement to the replicas so a handed-off stream
 		// is not resurrected there. Best-effort: the ACK below promises
 		// nothing durable (the study data is already merged and acked).
-		_ = s.cfg.Replicate(ReplicateFin, id, nil)
+		_ = s.cfg.Replicate(ReplicateFin, id, nil, 0)
 	}
 	fmt.Fprint(conn, "OK\n")
 }
@@ -976,11 +1068,36 @@ func Upload(addr, deviceID string, data []byte) error {
 // the payload before its OK, so a nil return is the same durable promise an
 // upload acknowledgement is.
 func Handoff(addr, deviceID, kind string, data []byte) error {
-	if len(data) > MaxUploadBytes {
-		return ErrTooLarge
-	}
 	if kind != HandoffLog && kind != HandoffStream {
 		return fmt.Errorf("collect: invalid handoff kind %q", kind)
+	}
+	return handoff(addr, deviceID, fmt.Sprintf("%s %d %08x", kind, len(data), crc32.Checksum(data, castagnoli)), data)
+}
+
+// HandoffFrom replicates stream[off:] — one committed chunk — onto the
+// replica at addr (kind HandoffChunk): the replica applies it only if it
+// turns the replica's own stream into exactly stream. A replica whose
+// stream is not that prefix answers stale and HandoffFrom returns an error
+// wrapping ErrStale; HandoffFrom(addr, id, stream, 0) then replaces the
+// replica's stream with the whole of stream. A nil return is a durable
+// promise, as for Handoff.
+func HandoffFrom(addr, deviceID string, stream []byte, off int) error {
+	if off < 0 || off > len(stream) {
+		return fmt.Errorf("collect: handoff offset %d outside a %d-byte stream", off, len(stream))
+	}
+	return handoff(addr, deviceID, chunkHandoffArgs(stream, off), stream[off:])
+}
+
+// chunkHandoffArgs is the HANDOFF chunk header past the device ID for
+// stream[off:].
+func chunkHandoffArgs(stream []byte, off int) string {
+	return fmt.Sprintf("%s %d %08x %d %08x", HandoffChunk, len(stream)-off, crc32.Checksum(stream[off:], castagnoli), off, crc32.Checksum(stream, castagnoli))
+}
+
+// handoff sends one HANDOFF verb: the header past the device ID, then data.
+func handoff(addr, deviceID, header string, data []byte) error {
+	if len(data) > MaxUploadBytes {
+		return ErrTooLarge
 	}
 	if strings.ContainsAny(deviceID, " \n\t") || deviceID == "" {
 		return fmt.Errorf("collect: invalid device id %q", deviceID)
@@ -990,7 +1107,7 @@ func Handoff(addr, deviceID, kind string, data []byte) error {
 		return err
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "HANDOFF %s %s %d %08x\n", deviceID, kind, len(data), crc32.Checksum(data, castagnoli)); err != nil {
+	if _, err := fmt.Fprintf(conn, "HANDOFF %s %s\n", deviceID, header); err != nil {
 		return fmt.Errorf("collect: send header: %w", err)
 	}
 	if _, err := conn.Write(data); err != nil {
@@ -1000,10 +1117,14 @@ func Handoff(addr, deviceID, kind string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("collect: read reply: %w", err)
 	}
-	if reply = strings.TrimSpace(reply); reply != "OK" {
+	switch reply = strings.TrimSpace(reply); {
+	case reply == "OK" || strings.HasPrefix(reply, "OK "):
+		return nil
+	case strings.HasPrefix(reply, "ERR stale"):
+		return fmt.Errorf("%w: %s", ErrStale, reply)
+	default:
 		return fmt.Errorf("collect: server rejected handoff: %s", reply)
 	}
-	return nil
 }
 
 // PutMerged stores a device's log, preserving records the previous copy

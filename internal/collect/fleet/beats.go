@@ -170,7 +170,7 @@ func (f *Supervisor) confirmDead(m *member) {
 		return
 	}
 	for _, j := range plan {
-		f.replicate(j.dev, collect.HandoffLog, j.data, targets, want, handoffAttempts)
+		f.replicate(j.dev, collect.HandoffLog, j.data, 0, targets, want, handoffAttempts)
 		f.mu.Lock()
 		f.repairs++
 		f.mu.Unlock()

@@ -595,7 +595,7 @@ func (f *Supervisor) shardCrashed(m *member) {
 		return
 	}
 	for _, dev := range devs[:cut] {
-		f.replicate(dev, collect.HandoffLog, files[dev], targets, 1, handoffAttempts)
+		f.replicate(dev, collect.HandoffLog, files[dev], 0, targets, 1, handoffAttempts)
 	}
 }
 
@@ -616,15 +616,18 @@ const (
 // retries — a peer may itself be mid-restart (simultaneous kills) — and
 // each candidate that still refuses counts one HandoffFailure, so a
 // two-target round that loses one peer is visible as exactly one failed
-// leg, not a lost round. Returns how many targets accepted. Crash handoff,
-// join/leave rebalancing, anti-entropy repair and write-time quorum
-// replication all funnel through here: one audited path, one counter set.
-func (f *Supervisor) replicate(dev, kind string, data []byte, targets []target, want, attempts int) int {
+// leg, not a lost round. Kind HandoffChunk replicates the chunk data[off:]
+// of the stream data; a replica that refuses it as stale gets the whole
+// stream on its next attempt, within the same budget. Returns how
+// many targets accepted. Crash handoff, join/leave rebalancing,
+// anti-entropy repair and write-time quorum replication all funnel
+// through here: one audited path, one counter set.
+func (f *Supervisor) replicate(dev, kind string, data []byte, off int, targets []target, want, attempts int) int {
 	successes := 0
 	for _, t := range rendezvousOrder(dev, targets) {
-		ok := false
+		ok, stale, from := false, false, off
 		for attempt := 0; attempt < attempts && !ok; attempt++ {
-			if attempt > 0 {
+			if attempt > 0 && !stale {
 				// Host-time pause while a real TCP peer rebinds; never
 				// observable by the simulation.
 				sleep := time.Duration(attempt*attempt) * 2 * time.Millisecond
@@ -634,7 +637,16 @@ func (f *Supervisor) replicate(dev, kind string, data []byte, targets []target, 
 				//symlint:allow determinism host-time backoff towards a real restarting TCP peer
 				time.Sleep(sleep)
 			}
-			ok = collect.Handoff(t.addr, dev, kind, data) == nil
+			var err error
+			if kind == collect.HandoffChunk {
+				err = collect.HandoffFrom(t.addr, dev, data, from)
+			} else {
+				err = collect.Handoff(t.addr, dev, kind, data)
+			}
+			if stale = errors.Is(err, collect.ErrStale); stale {
+				from = 0 // a chunk at offset 0 replaces the replica's stream
+			}
+			ok = err == nil
 		}
 		f.mu.Lock()
 		if ok {
@@ -723,11 +735,11 @@ func (f *Supervisor) Join() error {
 		if !ok {
 			continue
 		}
-		if f.replicate(p.dev, collect.HandoffLog, data, dst, 1, handoffAttempts) == 0 {
+		if f.replicate(p.dev, collect.HandoffLog, data, 0, dst, 1, handoffAttempts) == 0 {
 			continue
 		}
 		if stream, ok := p.from.sup.Stream(p.dev); ok && len(stream) > 0 {
-			f.replicate(p.dev, collect.HandoffStream, stream, dst, 1, handoffAttempts)
+			f.replicate(p.dev, collect.HandoffStream, stream, 0, dst, 1, handoffAttempts)
 		}
 		f.mu.Lock()
 		f.migrated++
@@ -781,11 +793,11 @@ func (f *Supervisor) Leave() error {
 		if !ok {
 			continue
 		}
-		if f.replicate(dev, collect.HandoffLog, data, targets, 1, handoffAttempts) == 0 {
+		if f.replicate(dev, collect.HandoffLog, data, 0, targets, 1, handoffAttempts) == 0 {
 			continue
 		}
 		if stream, ok := leaver.sup.Stream(dev); ok && len(stream) > 0 {
-			f.replicate(dev, collect.HandoffStream, stream, targets, 1, handoffAttempts)
+			f.replicate(dev, collect.HandoffStream, stream, 0, targets, 1, handoffAttempts)
 		}
 		f.mu.Lock()
 		f.migrated++

@@ -5,22 +5,30 @@ import (
 )
 
 // Write-time quorum replication (DESIGN.md §15). The primary shard — not
-// the router — replicates each committed write: only the primary knows the
-// full resulting state (a CHUNK's ACK covers the whole reassembled stream,
-// not just the chunk's bytes), and shard-to-shard HANDOFF traffic stays off
-// the routed path, so replication advances no kill schedule and draws no
-// fleet RNG. HANDOFF handlers never replicate onward — fan-out is exactly
-// one hop deep, so two shards replicating to each other cannot storm or
-// deadlock.
+// the router — replicates each committed write, and shard-to-shard HANDOFF
+// traffic stays off the routed path, so replication advances no kill
+// schedule and draws no fleet RNG. An UPLOAD is replicated as its whole
+// log. A CHUNK is replicated as itself: its bytes at its offset, applied to
+// each replica's own copy of the device's stream by the step the owner
+// used, so a replica parses each byte once and holds the stream the owner
+// acknowledged. That is what lets a replica take the device's next CHUNK
+// when the owner dies. A replica that missed a write refuses the chunk as
+// stale and is sent the owner's whole stream instead. HANDOFF handlers
+// never replicate onward — fan-out is exactly one hop deep, so two shards
+// replicating to each other cannot storm or deadlock.
 
 // replicaHook builds the ServerConfig.Replicate callback for shard m: the
 // write-time leg of quorum replication. Called by every incarnation of m's
 // server after a local WAL sync with the server mutex released (see the
 // contract on ServerConfig.Replicate). It forwards the committed state to
 // the device's R-1 rendezvous successors and reports whether, counting the
-// local copy, a write quorum of W shards now holds it durably.
-func (f *Supervisor) replicaHook(m *member) func(op, deviceID string, state []byte) bool {
-	return func(op, dev string, state []byte) bool {
+// local copy, a write quorum of W shards now holds it durably. Op
+// ReplicateFetch is the gap fill instead (see fillGap).
+func (f *Supervisor) replicaHook(m *member) func(op, deviceID string, state []byte, off int) bool {
+	return func(op, dev string, state []byte, off int) bool {
+		if op == collect.ReplicateFetch {
+			return f.fillGap(m, dev, off)
+		}
 		f.mu.Lock()
 		if f.disarmed {
 			// Shutdown raced the write. Nothing downstream reads the reply;
@@ -51,10 +59,14 @@ func (f *Supervisor) replicaHook(m *member) func(op, deviceID string, state []by
 			f.mu.Unlock()
 			return false
 		}
+		kind := collect.HandoffLog
+		if op == collect.ReplicateChunk {
+			kind = collect.HandoffChunk
+		}
 		// Offer to every successor (want <= 0), not just W-1: the copies
 		// beyond the quorum are what keep the *next* shard loss survivable
 		// without waiting for repair. The ACK still only needs `need`.
-		got := f.replicate(dev, collect.HandoffLog, state, targets, 0, writeAttempts)
+		got := f.replicate(dev, kind, state, off, targets, 0, writeAttempts)
 		if got < need {
 			f.mu.Lock()
 			f.degradedReqs++
@@ -63,4 +75,30 @@ func (f *Supervisor) replicaHook(m *member) func(op, deviceID string, state []by
 		}
 		return true
 	}
+}
+
+// fillGap is the ReplicateFetch leg: shard m got a CHUNK at offset off past
+// the end of its copy of dev's stream — it took the device over from an
+// owner that died or was routed around, and missed writes. It reads the
+// stream in-process from the first live peer, in the device's rendezvous
+// order, whose copy reaches off, and installs it on m as a chunk at offset
+// 0, which replaces m's copy. The read happens below any client transport,
+// so it draws no fault RNG and no routed request.
+func (f *Supervisor) fillGap(m *member, dev string, off int) bool {
+	f.mu.Lock()
+	peers := make(map[string]*member)
+	var targets []target
+	for _, p := range f.liveLocked() {
+		if p != m {
+			peers[p.name] = p
+			targets = append(targets, target{name: p.name, addr: p.sup.Addr()})
+		}
+	}
+	f.mu.Unlock()
+	for _, t := range rendezvousOrder(dev, targets) {
+		if stream, ok := peers[t.name].sup.Stream(dev); ok && len(stream) >= off {
+			return collect.HandoffFrom(m.sup.Addr(), dev, stream, 0) == nil
+		}
+	}
+	return false
 }

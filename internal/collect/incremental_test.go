@@ -93,19 +93,13 @@ func (r *refServer) handoff(id, kind string, data []byte) {
 }
 
 // refRecover is WAL recovery on the old algorithm: a whole-stream merge
-// after every chunk entry.
+// after every chunk entry, on PutMerged's rule for a first write.
 func refRecover(store *CrashStore) (files, streams map[string][]byte) {
 	files, streams = map[string][]byte{}, map[string][]byte{}
-	merge := func(dev string, add []byte) {
-		if files[dev] == nil {
-			files[dev] = append([]byte(nil), add...)
-			return
-		}
-		files[dev] = EncodeRecords(MergeRecords(core.ParseRecords(files[dev]), core.ParseRecords(add)))
-	}
+	merge := func(dev string, add []byte) { refMerge(files, dev, add) }
 	for _, payload := range core.RecoverLog(store.Read(snapName)).Payloads {
-		var e snapEntry
-		if json.Unmarshal(payload, &e) != nil || e.Dev == "" {
+		e, ok := decodeSnapEntry(payload)
+		if !ok {
 			continue
 		}
 		switch e.Kind {
@@ -306,7 +300,7 @@ func runIngestProgram(t *testing.T, prog []byte) {
 		},
 	}
 	if replicate {
-		cfg.Replicate = func(op, _ string, _ []byte) bool { return op == ReplicateFin || p.quorum.Load() }
+		cfg.Replicate = func(op, _ string, _ []byte, _ int) bool { return op == ReplicateFin || p.quorum.Load() }
 	}
 	ds := NewDataset()
 	srv, err := NewServerWith("127.0.0.1:0", ds, cfg)
@@ -518,7 +512,7 @@ func TestConcurrentChunksOneDevice(t *testing.T) {
 	const id = "phone-01"
 	ds := NewDataset()
 	srv, err := NewServerWith("127.0.0.1:0", ds, ServerConfig{
-		Replicate: func(_, _ string, state []byte) bool {
+		Replicate: func(_, _ string, state []byte, _ int) bool {
 			_ = crc32.Checksum(state, castagnoli) // read every byte while s.mu is released
 			runtime.Gosched()
 			return true

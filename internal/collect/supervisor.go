@@ -121,7 +121,7 @@ type SupervisorConfig struct {
 	// incarnation: the write-time quorum hook a fleet shard uses to forward
 	// committed state to its rendezvous successors before acknowledging.
 	// See ServerConfig.Replicate for the calling contract.
-	Replicate func(op, deviceID string, state []byte) bool
+	Replicate func(op, deviceID string, state []byte, off int) bool
 }
 
 // Supervisor owns a durable collection server across injected crashes: it

@@ -1,9 +1,11 @@
 package collect
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"symfail/internal/core"
 )
@@ -15,10 +17,11 @@ import (
 //	snapshot  — the compacted state: per-device merged log + chunk stream
 //
 // Every state-changing verb (UPLOAD, CHUNK, FIN, and the fleet's HANDOFF of
-// a log or a stream) is appended to the WAL and synced *before* the
-// acknowledgement is written to the wire, so an ACK is a durable promise:
-// any record the client was told about is recoverable from the synced WAL
-// prefix whatever the server does next. A crash tears the un-synced WAL
+// a log, a stream or a chunk — a chunk handoff is logged as the CHUNK it
+// replicates, so a replica's replay is the owner's) is appended to the WAL
+// and synced *before* the acknowledgement is written to the wire, so an ACK
+// is a durable promise: any record the client was told about is
+// recoverable from the synced WAL prefix whatever the server does next. A crash tears the un-synced WAL
 // tail (CrashStore semantics), which is exactly the damage core.RecoverLog
 // was built to survive — torn and corrupt frames are dropped, intact ones
 // replayed.
@@ -61,12 +64,14 @@ type walEntry struct {
 }
 
 // snapEntry is one device's piece of a snapshot: its merged dataset log
-// (kind "log") or its live chunk stream (kind "stream"). Presence of the
-// frame carries presence of the key, so empty entries survive compaction.
+// (kind "log") or its live chunk stream (kind "stream"). Its frame payload
+// is a "<kind> <dev>\n" header followed by the raw bytes: every shard
+// snapshots the streams it replicates as well as the logs, and raw bytes
+// are a quarter smaller than base64 in JSON. Presence of the frame carries
+// presence of the key, so empty entries survive compaction.
 type snapEntry struct {
-	Dev  string `json:"dev"`
-	Kind string `json:"kind"`
-	Data []byte `json:"data,omitempty"`
+	Kind, Dev string
+	Data      []byte
 }
 
 func encodeWALEntry(e walEntry) []byte {
@@ -82,22 +87,40 @@ func encodeWALEntry(e walEntry) []byte {
 // sorted device order (logs first, then streams), so a snapshot of a given
 // state is always the same bytes.
 func encodeSnapshot(files, streams map[string][]byte) []byte {
-	var out []byte
+	var out, payload []byte
 	for _, dev := range sortedKeys(files) {
-		out = append(out, encodeSnapEntry(snapEntry{Dev: dev, Kind: "log", Data: files[dev]})...)
+		payload = appendSnapEntry(payload[:0], snapEntry{Kind: "log", Dev: dev, Data: files[dev]})
+		out = core.AppendFrame(out, payload)
 	}
 	for _, dev := range sortedKeys(streams) {
-		out = append(out, encodeSnapEntry(snapEntry{Dev: dev, Kind: "stream", Data: streams[dev]})...)
+		payload = appendSnapEntry(payload[:0], snapEntry{Kind: "stream", Dev: dev, Data: streams[dev]})
+		out = core.AppendFrame(out, payload)
 	}
 	return out
 }
 
-func encodeSnapEntry(e snapEntry) []byte {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		panic(fmt.Sprintf("collect: marshal snapshot entry: %v", err))
+// appendSnapEntry appends e's frame payload to dst.
+func appendSnapEntry(dst []byte, e snapEntry) []byte {
+	dst = append(dst, e.Kind...)
+	dst = append(dst, ' ')
+	dst = append(dst, e.Dev...)
+	dst = append(dst, '\n')
+	return append(dst, e.Data...)
+}
+
+// decodeSnapEntry parses one snapshot frame's payload. Data aliases the
+// payload. ok is false for a payload that verifies but does not parse,
+// which recovery skips, never fatally.
+func decodeSnapEntry(payload []byte) (e snapEntry, ok bool) {
+	nl := bytes.IndexByte(payload, '\n')
+	if nl < 0 {
+		return e, false
 	}
-	return core.EncodeFrame(payload)
+	kind, dev, found := strings.Cut(string(payload[:nl]), " ")
+	if !found || dev == "" {
+		return e, false
+	}
+	return snapEntry{Kind: kind, Dev: dev, Data: payload[nl+1:]}, true
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -110,18 +133,22 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // mergeLogs mirrors the Dataset's merges on plain bytes for WAL replay,
-// where a nil log is an absent one: the first write for a device keeps its
-// raw form, later writes go through mergeStream — for a chunk entry
-// (canonical set, suffix the stream's records past its settled offset) the
-// append step when it applies, otherwise the canonical order-independent
-// merge of the whole of add. It returns the new log and whether it is
-// canonical. Replay has no Put, so a merged log keeps every record merged
-// into it before.
-func mergeLogs(old []byte, canonical bool, add []byte, suffix []core.Record) ([]byte, bool) {
-	if old == nil {
-		return append([]byte(nil), add...), false
+// on the Dataset's rule: the first write for a device (no log present,
+// not even an empty one) keeps its raw form, later writes go through
+// mergeStream — for a chunk entry (canonical set, suffix the stream's
+// records past its settled offset) the append step when it applies,
+// otherwise the canonical order-independent merge of the whole of add.
+// It stores the new log in files and returns whether it is canonical.
+// Replay has no Put, so a merged log keeps every record merged into it
+// before.
+func mergeLogs(files map[string][]byte, dev string, canonical bool, add []byte, suffix []core.Record) bool {
+	old, ok := files[dev]
+	if !ok {
+		files[dev] = append([]byte(nil), add...)
+		return false
 	}
-	return mergeStream(old, canonical, add, suffix), true
+	files[dev] = mergeStream(old, canonical, add, suffix)
+	return true
 }
 
 // recoverServerState rebuilds the server's in-memory state from the store:
@@ -145,9 +172,9 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 
 	snapRec := core.RecoverLog(store.Read(snapName))
 	for _, payload := range snapRec.Payloads {
-		var e snapEntry
-		if json.Unmarshal(payload, &e) != nil || e.Dev == "" {
-			continue // a frame that verifies but does not parse is skipped, never fatal
+		e, ok := decodeSnapEntry(payload)
+		if !ok {
+			continue
 		}
 		switch e.Kind {
 		case "log":
@@ -180,9 +207,9 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 			streams[e.Dev] = st
 			var recs []core.Record
 			recs, settled[e.Dev] = core.ScanSettled(st, settled[e.Dev])
-			files[e.Dev], canonical[e.Dev] = mergeLogs(files[e.Dev], canonical[e.Dev], st, recs)
+			canonical[e.Dev] = mergeLogs(files, e.Dev, canonical[e.Dev], st, recs)
 		case opUpload, opHandoff:
-			files[e.Dev], canonical[e.Dev] = mergeLogs(files[e.Dev], false, e.Data, nil)
+			canonical[e.Dev] = mergeLogs(files, e.Dev, false, e.Data, nil)
 		case opFin:
 			delete(streams, e.Dev)
 			delete(settled, e.Dev)
@@ -194,7 +221,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 				streams[e.Dev] = append([]byte(nil), e.Data...)
 				delete(settled, e.Dev)
 			}
-			files[e.Dev], canonical[e.Dev] = mergeLogs(files[e.Dev], false, e.Data, nil)
+			canonical[e.Dev] = mergeLogs(files, e.Dev, false, e.Data, nil)
 		}
 	}
 

@@ -2,7 +2,10 @@ package collect
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"symfail/internal/core"
@@ -196,5 +199,53 @@ func TestWALTornTailNormalised(t *testing.T) {
 	}
 	if got := store.Read(walName); !bytes.Equal(got, good) {
 		t.Errorf("WAL not normalised to its clean prefix: %d bytes, want %d", len(got), len(good))
+	}
+}
+
+// TestReplayEmptyFirstWrite: a device whose first write is empty has a log
+// — an empty one — and the next write merges into it, live and in replay
+// alike. Replay once took an empty log for an absent one and stored the
+// next CHUNK's raw stream where the live dataset held canonical lines.
+func TestReplayEmptyFirstWrite(t *testing.T) {
+	const id = "phone-01"
+	stream := append(core.FrameRecord(core.Record{Kind: core.KindPanic, Category: "USER", PType: 11, Time: 5}),
+		core.FrameRecord(core.Record{Kind: core.KindBoot, Time: 7, Boot: 2})...)
+	upload := func(data []byte) string {
+		return fmt.Sprintf("UPLOAD %s %d %08x", id, len(data), crc32.Checksum(data, castagnoli))
+	}
+	chunk := func(off int, data []byte) string {
+		return fmt.Sprintf("CHUNK %s %d %d %08x", id, off, len(data), crc32.Checksum(data, castagnoli))
+	}
+	for _, c := range []struct {
+		name         string
+		compactEvery int
+		first        string
+	}{
+		{"empty upload", 0, upload(nil)},
+		{"empty upload, then a compaction", 1, upload(nil)},
+		{"empty chunk", 0, chunk(0, nil)},
+		{"empty handoff log", 0, fmt.Sprintf("HANDOFF %s %s 0 %08x", id, HandoffLog, crc32.Checksum(nil, castagnoli))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store, ds := NewCrashStore(nil), NewDataset()
+			srv, err := NewServerWith("127.0.0.1:0", ds, ServerConfig{Store: store, CompactEvery: c.compactEvery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for _, req := range []struct {
+				header string
+				body   []byte
+			}{{c.first, nil}, {chunk(0, stream), stream}} {
+				if reply := pipeRequest(srv, req.header, req.body); !strings.HasPrefix(reply, "OK") {
+					t.Fatalf("%s: %q", req.header, reply)
+				}
+			}
+			live, _ := ds.Get(id)
+			files, _ := recoverServerState(store)
+			if !bytes.Equal(files[id], live) {
+				t.Errorf("recovered log %q, live %q", files[id], live)
+			}
+		})
 	}
 }

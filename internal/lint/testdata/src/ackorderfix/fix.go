@@ -87,3 +87,31 @@ func (s *server) handleAllowed(conn net.Conn, rec []byte) {
 	fmt.Fprint(conn, "OK\n")
 	s.wal.Sync("wal")
 }
+
+// applyChunk mirrors the real server's one chunk-apply step, shared by the
+// CHUNK verb and a replica's HANDOFF chunk: commit, then acknowledge.
+func (s *server) applyChunk(conn net.Conn, chunk []byte, crashed bool) {
+	if !s.commit(chunk, crashed) {
+		return
+	}
+	fmt.Fprintf(conn, "OK %d\n", len(chunk))
+}
+
+// Good: a replica refuses a chunk cut against another prefix with a stale
+// rejection, which acknowledges nothing, and applies the rest through the
+// shared step.
+func (s *server) handleHandoffChunk(conn net.Conn, chunk []byte, stale, crashed bool) {
+	if stale {
+		fmt.Fprintf(conn, "ERR stale %d\n", 0)
+		return
+	}
+	s.applyChunk(conn, chunk, crashed)
+}
+
+// Bad: the replica tells the owner OK before its copy of the chunk is
+// synced, so the owner may count a write quorum that a crash undoes.
+func (s *server) handleHandoffChunkEarlyAck(conn net.Conn, chunk []byte) {
+	s.wal.Append("wal", chunk)
+	fmt.Fprintf(conn, "OK %d\n", len(chunk)) // want: reply before sync
+	s.wal.Sync("wal")
+}
