@@ -66,10 +66,12 @@ chaos-checkpoint:
 # Flake sampling: rerun N times (default 3) the tests that have failed
 # intermittently on loaded multi-CPU hosts — the live record tap across
 # server crashes on both topologies, and the server-crash equivalence
-# sweep — so their failure rate is measured, not seen once.
+# sweep — and the kill-and-Settle tap tests of one supervisor, so their
+# failure rate is measured, not seen once.
 N ?= 3
 flake:
 	$(GO) test -count=$(N) -run 'TestLiveStudyAcrossServerCrashes|TestFleetEquivalenceSweep/servercrash' .
+	$(GO) test -count=$(N) -run 'TestTap' ./internal/collect
 
 # Fuzz for a short burst each (CI uses the seed corpora only): the
 # collection server's wire protocol end to end (panics and wedged servers

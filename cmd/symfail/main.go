@@ -121,8 +121,9 @@ func run(args []string) error {
 	}
 	if *useTCP && (*streamMode || *serveAddr != "") {
 		// The live study rides the collector's record tap, so it watches the
-		// study live (crash replays included — LiveStudy deduplicates them)
-		// and the queries served afterwards answer from it.
+		// study live (the collector's acked ledger taps each record once,
+		// across crashes and replicas) and the queries served afterwards
+		// answer from it.
 		cfg.LiveStudy = stream.NewLiveStudy(cfg.Analysis)
 	}
 
@@ -211,8 +212,8 @@ func run(args []string) error {
 // serveQueries keeps a collection server answering the QUERY verb from the
 // live study until interrupted. When the study ran without a collector (no
 // -tcp), the live study is rebuilt from the collected dataset — equivalent
-// to having watched the study live, since the tier's dedup makes replayed
-// deliveries and re-feeds converge.
+// to having watched the study live, since the tier's acked ledger taps
+// each record once.
 func serveQueries(addr string, live *stream.LiveStudy, opts stream.Config, study *symfail.FieldStudy) error {
 	if live == nil {
 		live = stream.NewLiveStudy(opts)

@@ -12,16 +12,12 @@ import (
 // LiveStudy is the live query tier of DESIGN.md §16: a concurrency-safe
 // composite of the exact Tables and the windowed/decaying views, fed record
 // by record from collect.ServerConfig.OnRecord and queried while the study
-// is still running. Because the collection tap is at-least-once and only
-// per-device ordered, LiveStudy deduplicates by serialized record and
-// guards the cursor-fed Tables behind a per-device order check. The
-// duplicates come from three sources the server's own acked ledger cannot
-// see: a record tapped unacked at a stream rewind or FIN and acked later,
-// each of a fleet's R replica shards tapping the record through its own
-// HANDOFF, and a supervisor resumed on an existing store, whose ledger
-// starts empty. UPLOAD and HANDOFF payloads carry no stream offset, so the
-// ledger is keyed by record bytes rather than (device, offset). A fresh but
-// out-of-order record still feeds the order-insensitive windowed and
+// is still running. The collection tier's acked ledger is the one dedup
+// stage in front of the tap, so LiveStudy folds every delivery it is given
+// (a supervisor resumed on an existing store, whose ledger starts empty, is
+// the one case that re-delivers records). Delivery is not ordered, so
+// LiveStudy guards the cursor-fed Tables behind a per-device order check:
+// an out-of-order record still feeds the order-insensitive windowed and
 // decaying folds, but is excluded from the exact tables (and counted in
 // Reordered) rather than corrupting their cursor state.
 type LiveStudy struct {
@@ -31,14 +27,12 @@ type LiveStudy struct {
 	window *WindowAcc
 	decay  *DecayAcc
 
-	// seen is the dedup ledger: device -> serialized record -> true.
-	seen map[string]map[string]bool
-	// lastTime guards the exact tables' per-device time order.
+	// lastTime guards the exact tables' per-device time order; its keys
+	// are the devices seen so far.
 	lastTime map[string]int64
 
-	records   int // distinct records observed
-	dups      int // duplicate deliveries dropped
-	reordered int // fresh records excluded from the exact tables
+	records   int // records observed
+	reordered int // records excluded from the exact tables
 }
 
 // NewLiveStudy builds a live study with the given analysis thresholds.
@@ -49,7 +43,6 @@ func NewLiveStudy(cfg Config) *LiveStudy {
 		tables:   NewTables(cfg),
 		window:   NewWindowAcc(cfg),
 		decay:    NewDecayAcc(cfg),
-		seen:     make(map[string]map[string]bool),
 		lastTime: make(map[string]int64),
 	}
 }
@@ -57,25 +50,17 @@ func NewLiveStudy(cfg Config) *LiveStudy {
 // Observe folds one delivered record in. Safe for concurrent use; shaped to
 // hang directly off collect.ServerConfig.OnRecord.
 func (s *LiveStudy) Observe(deviceID string, r core.Record) {
-	key := string(core.AppendRecordLine(nil, r))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.seen[deviceID]
-	if recs == nil {
-		recs = make(map[string]bool)
-		s.seen[deviceID] = recs
+	last, ok := s.lastTime[deviceID]
+	if !ok {
 		s.tables.AddDevice(deviceID)
-		s.lastTime[deviceID] = r.Time
+		last = r.Time
 	}
-	if recs[key] {
-		s.dups++
-		return
-	}
-	recs[key] = true
 	s.records++
 	s.window.Observe(deviceID, r)
 	s.decay.Observe(deviceID, r)
-	if r.Time >= s.lastTime[deviceID] {
+	if r.Time >= last {
 		s.lastTime[deviceID] = r.Time
 		s.tables.Observe(deviceID, r)
 	} else {
@@ -83,21 +68,19 @@ func (s *LiveStudy) Observe(deviceID string, r core.Record) {
 	}
 }
 
-// Records returns the number of distinct records observed so far.
+// Records returns the number of records observed so far.
 func (s *LiveStudy) Records() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.records
 }
 
-// Duplicates returns how many replayed deliveries were dropped.
-func (s *LiveStudy) Duplicates() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dups
-}
+// Duplicates returns 0: LiveStudy drops no delivery, the collection tier's
+// acked ledger having deduplicated the tap already. It stays for the
+// clients that read it.
+func (s *LiveStudy) Duplicates() int { return 0 }
 
-// Reordered returns how many fresh records the exact tables excluded.
+// Reordered returns how many records the exact tables excluded.
 func (s *LiveStudy) Reordered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -125,7 +108,8 @@ func (s *LiveStudy) Decay() *DecaySnapshot {
 	return s.decay.Snapshot().(*DecaySnapshot)
 }
 
-// LiveStatus is the "status" query answer.
+// LiveStatus is the "status" query answer. Duplicates is always 0 (see
+// LiveStudy.Duplicates).
 type LiveStatus struct {
 	Devices    int `json:"devices"`
 	Records    int `json:"records"`
@@ -165,7 +149,7 @@ type LiveFreezeRate struct {
 // Query answers a named read-only query with compact single-line JSON —
 // the collect.ServerConfig.Query hook. Supported:
 //
-//	status               device/record/duplicate/reorder counters
+//	status               device/record/reorder counters (duplicates 0)
 //	mtbf                 exact and decaying MTBF
 //	panics [n]           top-n decaying panic leaderboard (default 5)
 //	freezerate [days]    windowed freeze rate over the last days (default
@@ -176,10 +160,9 @@ func (s *LiveStudy) Query(name string, args []string) (string, error) {
 	case "status":
 		s.mu.Lock()
 		v = LiveStatus{
-			Devices:    len(s.seen),
-			Records:    s.records,
-			Duplicates: s.dups,
-			Reordered:  s.reordered,
+			Devices:   len(s.lastTime),
+			Records:   s.records,
+			Reordered: s.reordered,
 		}
 		s.mu.Unlock()
 	case "mtbf":

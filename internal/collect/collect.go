@@ -252,18 +252,17 @@ type ServerConfig struct {
 	// WAL-synced but never acked is recovered into the dataset unacked; it
 	// is delivered when the client re-sends it or extends its stream, and
 	// at the latest when that stream is rewound or retired by FIN (which
-	// every finished upload conversation reaches). The acked ledger spans a
-	// supervisor's lifetime, so a restarted incarnation never re-taps what
-	// an earlier one acked. Delivery is still not exactly-once: a record
-	// tapped unacked at a rewind or FIN fires again if a later verb acks
-	// it; every fleet shard that takes custody of a record (the R replicas,
-	// crash handoff, rebalancing) taps it through its own HANDOFF; and a
-	// supervisor resumed on an existing store starts with an empty ledger.
-	// Consumers must therefore be order- and duplicate-tolerant
-	// (stream.LiveStudy is; the exact analysis accumulators are not — they
-	// re-read the merged Dataset at study end instead). It runs under the
-	// server mutex, so it must be fast and must not call back into the
-	// server.
+	// every finished upload conversation reaches). The acked ledger is the
+	// one dedup stage in front of the tap: it remembers every record it
+	// acked or tapped, it spans a supervisor's lifetime, and a fleet shares
+	// it across its shards, so each record is delivered once per ledger.
+	// The one exception is a supervisor resumed on an existing non-empty
+	// store: its ledger starts empty, so it re-taps what an earlier process
+	// delivered. Delivery order is not guaranteed, even within a device,
+	// so consumers must be order-tolerant (stream.LiveStudy is; the exact
+	// analysis accumulators are not — they re-read the merged Dataset at
+	// study end instead). It runs under the server mutex, so it must be
+	// fast and must not call back into the server.
 	OnRecord func(deviceID string, r core.Record)
 
 	// Query, when set, serves the read-only QUERY verb: the hook receives
@@ -278,10 +277,11 @@ type ServerConfig struct {
 
 	// monitor is the supervisor hook: it schedules injected crashes and is
 	// told when this incarnation dies. ledger is the acknowledgement state
-	// every incarnation of one supervisor shares. Only the Supervisor sets
-	// them; NewServerWith makes a fresh ledger when none is given.
+	// every incarnation of one supervisor (and every shard of a fleet)
+	// shares. Only the Supervisor sets them; NewServerWith makes a fresh
+	// ledger when none is given.
 	monitor *Supervisor
-	ledger  *ledger
+	ledger  *Ledger
 }
 
 // DefaultCompactEvery is the WAL size that triggers compaction when
@@ -338,7 +338,7 @@ func NewServerWith(addr string, ds *Dataset, cfg ServerConfig) (*Server, error) 
 		cfg.CompactEvery = DefaultCompactEvery
 	}
 	if cfg.ledger == nil {
-		cfg.ledger = newLedger()
+		cfg.ledger = NewLedger()
 	}
 	s := &Server{
 		ds:      ds,

@@ -19,10 +19,8 @@ type Config struct {
 	// schedules its own kills from Rng — the same construction and RNG
 	// consumption as a plain collect.Supervisor.
 	Servers int
-	// MaxStreamBytes / CompactEvery pass through to every shard's
-	// SupervisorConfig.
-	MaxStreamBytes int
-	CompactEvery   int
+	// CompactEvery passes through to every shard's SupervisorConfig.
+	CompactEvery int
 	// Crash schedules fleet-level kills: every KillEveryMin..KillEveryMax
 	// routed requests a non-empty RNG-drawn subset of {shards..., router}
 	// dies. Requires Rng when enabled.
@@ -32,11 +30,12 @@ type Config struct {
 	// torn-tail lengths. Salt it off the study seed (collectorSeedSalt) so
 	// fleet adversity never perturbs device streams.
 	Rng *sim.Rand
-	// OnRecord taps every acknowledged record on every shard. Calls are
-	// serialised across shards under a fleet-level mutex; the same
-	// at-least-once delivery caveats as ServerConfig.OnRecord apply. Each
-	// shard keeps its own acked ledger, so every shard that takes custody
-	// of a record (the R replicas, crash handoff, rebalancing) taps it.
+	// OnRecord taps every record the fleet commits, once per fleet: every
+	// shard, joiners included, books into the fleet's one acked ledger, so
+	// a record is tapped by whichever shard commits it first and never by
+	// the replicas, crash handoffs or rebalances that take custody of it
+	// later. Calls are serialised across shards under a fleet-level mutex;
+	// otherwise the ServerConfig.OnRecord contract applies.
 	OnRecord func(deviceID string, r core.Record)
 	// JoinAfter, when >0, adds one shard to the fleet after that many routed
 	// requests (a mid-study scale-up with live rebalancing). LeaveAfter,
@@ -83,9 +82,9 @@ type Config struct {
 
 // member is one shard: a supervised durable server with its own dataset and
 // crash store. Members are never removed from the slice — a departed shard
-// keeps live=false and its supervisor keeps answering the accounting and
-// acked-ledger queries, so nothing it ever acknowledged can silently drop
-// out of the invariant checks or the merged dataset.
+// keeps live=false and its dataset, and what it acknowledged stays in the
+// fleet's ledger, so nothing it ever acknowledged can silently drop out of
+// the invariant checks or the merged dataset.
 type member struct {
 	name  string
 	sup   *collect.Supervisor
@@ -99,10 +98,10 @@ type member struct {
 	// Failure-detector state (all under the fleet mutex). misses counts
 	// consecutive failed probes/observations; suspected marks the shard
 	// routed-around; cut marks a permanent power cut (the process is gone,
-	// its dataset with it — only its acked ledger survives as the promise
-	// the replicas must now keep); partitioned blocks the router (and the
-	// router-co-located beat prober) from reaching an otherwise healthy
-	// shard.
+	// its dataset with it — only its acked records survive in the ledger,
+	// as the promise the replicas must now keep); partitioned blocks the
+	// router (and the router-co-located beat prober) from reaching an
+	// otherwise healthy shard.
 	misses      int
 	suspected   bool
 	cut         bool
@@ -124,6 +123,10 @@ type target struct {
 type Supervisor struct {
 	cfg  Config
 	addr string
+	// ledger is the acked ledger every shard books into; first is the first
+	// shard's supervisor, through which it is read.
+	ledger *collect.Ledger
+	first  *collect.Supervisor
 
 	tapMu sync.Mutex
 
@@ -218,6 +221,7 @@ func New(cfg Config) (*Supervisor, error) {
 		suspectAfter: cfg.SuspectAfter,
 		confirmAfter: cfg.ConfirmAfter,
 		abortHandoff: make(map[*member]bool),
+		ledger:       collect.NewLedger(),
 	}
 	if f.beatEvery <= 0 {
 		f.beatEvery = 8
@@ -241,6 +245,7 @@ func New(cfg Config) (*Supervisor, error) {
 		}
 		f.members = append(f.members, m)
 	}
+	f.first = f.members[0].sup
 	if cfg.Servers == 1 {
 		f.addr = f.members[0].sup.Addr()
 		return f, nil
@@ -298,9 +303,9 @@ func (f *Supervisor) newMemberLocked() (*member, error) {
 		live:  true,
 	}
 	scfg := collect.SupervisorConfig{
-		MaxStreamBytes: f.cfg.MaxStreamBytes,
-		CompactEvery:   f.cfg.CompactEvery,
-		Store:          m.store,
+		CompactEvery: f.cfg.CompactEvery,
+		Store:        m.store,
+		Ledger:       f.ledger,
 	}
 	if f.cfg.Servers == 1 {
 		scfg.Crash, scfg.Rng = f.cfg.Crash, f.rng
@@ -876,12 +881,12 @@ func (f *Supervisor) setErr(err error) {
 	f.mu.Unlock()
 }
 
-// MergedDataset folds every shard's dataset — live and departed — into one
-// canonical dataset: the fleet-wide view a study analysis runs over. The
-// union over all members is what makes the over-approximations (handoff as
-// replication, drain races, retained departed datasets) correct: a record
-// may exist on several shards, but the canonical merge emits it exactly
-// once.
+// MergedDataset folds every shard's dataset — live and departed, not cut —
+// into one canonical dataset: the fleet-wide view a study analysis runs
+// over. The union over the members is what makes the over-approximations
+// (handoff as replication, drain races, retained departed datasets)
+// correct: a record may exist on several shards, but the canonical merge
+// emits it exactly once, as the shared ledger taps it once.
 func (f *Supervisor) MergedDataset() *collect.Dataset {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -889,8 +894,8 @@ func (f *Supervisor) MergedDataset() *collect.Dataset {
 	for _, m := range f.members {
 		if m.cut {
 			// A power-cut shard's dataset died with its hardware. Its acked
-			// ledger survives (AckedKeys) precisely so the invariant checks
-			// can catch a replication level that failed to cover it.
+			// records survive in the ledger (AckedKeys) precisely so the
+			// invariant checks can catch an R that failed to cover them.
 			continue
 		}
 		for _, dev := range m.ds.Devices() {
@@ -1000,15 +1005,16 @@ func (f *Supervisor) Quiesce(timeout time.Duration) bool {
 	}
 }
 
-// Uploads sums successful uploads served across every shard and incarnation.
-func (f *Supervisor) Uploads() int { return f.sum((*collect.Supervisor).Uploads) }
+// Uploads returns successful uploads served across every shard and incarnation.
+func (f *Supervisor) Uploads() int { return f.first.Uploads() }
 
-// Compactions sums snapshot compactions across every shard and incarnation.
-func (f *Supervisor) Compactions() int { return f.sum((*collect.Supervisor).Compactions) }
+// Compactions returns snapshot compactions across every shard and incarnation.
+func (f *Supervisor) Compactions() int { return f.first.Compactions() }
 
-// ServerHandoffs sums the HANDOFF verbs accepted across every shard — the
-// receiving side of crash handoffs and rebalance migrations.
-func (f *Supervisor) ServerHandoffs() int { return f.sum((*collect.Supervisor).Handoffs) }
+// ServerHandoffs returns the HANDOFF verbs accepted across every shard —
+// the receiving side of replication, crash handoffs and rebalance
+// migrations.
+func (f *Supervisor) ServerHandoffs() int { return f.first.Handoffs() }
 
 func (f *Supervisor) sum(get func(*collect.Supervisor) int) int {
 	f.mu.Lock()
@@ -1199,26 +1205,10 @@ func (f *Supervisor) Suspected() []string {
 	return out
 }
 
-// AckedKeys unions the serialized form of every record any incarnation of
-// any shard ever acknowledged for a device — the fleet-wide ground truth
+// AckedKeys returns the serialized form of every record any incarnation of
+// any shard acknowledged for a device, sorted — the fleet-wide ground truth
 // for the no-acknowledged-data-loss invariant.
-func (f *Supervisor) AckedKeys(id string) []string {
-	return f.union(func(s *collect.Supervisor) []string { return s.AckedKeys(id) })
-}
+func (f *Supervisor) AckedKeys(id string) []string { return f.first.AckedKeys(id) }
 
-// AckedDevices unions every device any shard ever acknowledged records for.
-func (f *Supervisor) AckedDevices() []string { return f.union((*collect.Supervisor).AckedDevices) }
-
-// union merges one list from every shard, live and departed, into a sorted
-// set.
-func (f *Supervisor) union(get func(*collect.Supervisor) []string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	set := make(map[string]bool)
-	for _, m := range f.members {
-		for _, k := range get(m.sup) {
-			set[k] = true
-		}
-	}
-	return sortedKeys(set)
-}
+// AckedDevices returns every device any shard acknowledged records for.
+func (f *Supervisor) AckedDevices() []string { return f.first.AckedDevices() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -396,6 +397,47 @@ func TestOneMemberFleet(t *testing.T) {
 	}
 	if got, exp := f.MergedDataset().CRC32C(), want.CRC32C(); got != exp {
 		t.Errorf("merged dataset CRC32C %08x, uploaded %08x", got, exp)
+	}
+}
+
+// TestFleetTapsEachRecordOnce: the shards of a replicated fleet share one
+// acked ledger, so each record reaches OnRecord once, from whichever shard
+// commits it first, not once per replica that takes custody of it.
+func TestFleetTapsEachRecordOnce(t *testing.T) {
+	var mu sync.Mutex
+	taps := make(map[string]int)
+	f, err := New(Config{
+		Servers: 3, Replicate: 3, Quorum: 2, BeatEvery: 1 << 30,
+		OnRecord: func(dev string, r core.Record) {
+			mu.Lock()
+			defer mu.Unlock()
+			taps[dev+" "+string(core.EncodeRecord(r))]++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &chunker{addr: f.Addr(), dev: "phone-01"}
+	for i := 0; i < 20; i++ {
+		c.grow(1)
+		if err := c.send(); err != nil {
+			t.Fatalf("chunk %d: %v", i, err)
+		}
+	}
+	// Close waits for the replica that lagged behind the W=2 quorum.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := core.ParseRecords(c.log)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, r := range recs {
+		if n := taps[c.dev+" "+string(core.EncodeRecord(r))]; n != 1 {
+			t.Errorf("record t=%d tapped %d times, want once", r.Time, n)
+		}
+	}
+	if len(taps) != len(recs) {
+		t.Errorf("tap saw %d distinct records, want %d", len(taps), len(recs))
 	}
 }
 

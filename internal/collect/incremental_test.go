@@ -37,12 +37,12 @@ func refMerge(files map[string][]byte, id string, data []byte) {
 type refServer struct {
 	files   map[string][]byte
 	streams map[string][]byte
-	led     *ledger
+	led     *Ledger
 	tapped  map[string]bool
 }
 
 func newRefServer() *refServer {
-	return &refServer{files: map[string][]byte{}, streams: map[string][]byte{}, led: newLedger(), tapped: map[string]bool{}}
+	return &refServer{files: map[string][]byte{}, streams: map[string][]byte{}, led: NewLedger(), tapped: map[string]bool{}}
 }
 
 func (r *refServer) tap(_ string, rec core.Record) {

@@ -79,7 +79,7 @@ func runReplicaProgram(t *testing.T, prog []byte) {
 	p.rng = sim.NewRand(uint64(p.next()))
 	model := &replicaModel{ref: newRefServer()}
 
-	store, led, repDS := NewCrashStore(nil), newLedger(), NewDataset()
+	store, led, repDS := NewCrashStore(nil), NewLedger(), NewDataset()
 	repCfg := ServerConfig{Store: store, CompactEvery: 1 << 10, ledger: led} // compactions every few ops
 	rep, err := NewServerWith("127.0.0.1:0", repDS, repCfg)
 	if err != nil {

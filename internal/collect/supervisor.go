@@ -81,9 +81,8 @@ func (c CrashFaults) Enabled() bool { return c.KillEveryMin > 0 || c.KillEveryMa
 
 // SupervisorConfig calibrates a supervised, durable collection server.
 type SupervisorConfig struct {
-	// MaxStreamBytes / CompactEvery pass through to ServerConfig.
-	MaxStreamBytes int
-	CompactEvery   int
+	// CompactEvery passes through to ServerConfig.
+	CompactEvery int
 	// Crash schedules injected kills; requires Rng when enabled.
 	Crash CrashFaults
 	// Rng drives the kill schedule, the crashpoint draws and (via a Split
@@ -96,13 +95,15 @@ type SupervisorConfig struct {
 	// Store, when set, resumes an existing medium (a prior supervisor's
 	// state); nil creates a fresh one.
 	Store *CrashStore
+	// Ledger, when set, is the acked ledger every incarnation books into;
+	// a fleet hands one ledger to all its shards so that they share one
+	// dedup stage in front of OnRecord. Nil makes a fresh one.
+	Ledger *Ledger
 	// OnRecord passes through to ServerConfig.OnRecord for every
 	// incarnation, restarts included. Every incarnation shares the
-	// supervisor's acked ledger, so a restart never re-taps a record an
-	// earlier incarnation acked; the duplicate sources that remain (records
-	// tapped unacked at a rewind or FIN and acked later, a resumed Store's
-	// empty ledger) are listed there — consumers must be order- and
-	// duplicate-tolerant.
+	// supervisor's ledger, so a restart never re-taps a record an earlier
+	// incarnation acked or tapped; the one duplicate source that remains
+	// (a resumed Store's empty ledger) is described there.
 	OnRecord func(deviceID string, r core.Record)
 	// Query passes through to ServerConfig.Query for every incarnation,
 	// restarts included, so the live query tier survives injected crashes
@@ -128,10 +129,10 @@ type SupervisorConfig struct {
 // schedules kills from its RNG, lets the dying incarnation tear its store,
 // then recovers the store (snapshot + WAL replay) and rebinds the listener
 // on the same address. Every incarnation books its uploads, compactions,
-// handoffs and acked records into the one ledger the supervisor created,
-// so the accounting spans restarts without being copied out of a dying
-// server. It is the process supervisor a real collection service would run
-// under, with the restart loop made deterministic.
+// handoffs and acked records into the supervisor's one ledger, so the
+// accounting spans restarts without being copied out of a dying server. It
+// is the process supervisor a real collection service would run under,
+// with the restart loop made deterministic.
 type Supervisor struct {
 	ds    *Dataset
 	addr  string
@@ -181,14 +182,16 @@ func NewSupervisor(addr string, ds *Dataset, cfg SupervisorConfig) (*Supervisor,
 		sup.store = NewCrashStore(storeRng)
 	}
 	sup.scfg = ServerConfig{
-		MaxStreamBytes: cfg.MaxStreamBytes,
-		CompactEvery:   cfg.CompactEvery,
-		Store:          sup.store,
-		OnRecord:       cfg.OnRecord,
-		Query:          cfg.Query,
-		Replicate:      cfg.Replicate,
-		monitor:        sup,
-		ledger:         newLedger(),
+		CompactEvery: cfg.CompactEvery,
+		Store:        sup.store,
+		OnRecord:     cfg.OnRecord,
+		Query:        cfg.Query,
+		Replicate:    cfg.Replicate,
+		monitor:      sup,
+		ledger:       cfg.Ledger,
+	}
+	if sup.scfg.ledger == nil {
+		sup.scfg.ledger = NewLedger()
 	}
 	srv, err := NewServerWith(addr, ds, sup.scfg)
 	if err != nil {
@@ -206,10 +209,6 @@ func NewSupervisor(addr string, ds *Dataset, cfg SupervisorConfig) (*Supervisor,
 
 // Addr returns the pinned listen address (stable across restarts).
 func (s *Supervisor) Addr() string { return s.addr }
-
-// Server returns the live incarnation (nil only after a failed restart or
-// Close during a crash).
-func (s *Supervisor) Server() *Server { return s.cur.Load() }
 
 // Store returns the durable medium shared by every incarnation.
 func (s *Supervisor) Store() *CrashStore { return s.store }
@@ -237,31 +236,13 @@ func (s *Supervisor) Restarts() int {
 	return s.restarts
 }
 
-// Hits returns how many kills fired at the given crashpoint.
-func (s *Supervisor) Hits(p Crashpoint) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p < 0 || p >= numCrashpoints {
-		return 0
-	}
-	return s.pointHits[p]
-}
-
-// Disarm stops scheduling further kills (already-armed ones still fire).
-func (s *Supervisor) Disarm() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.disarmed = true
-}
-
 // Settle cancels any armed-but-unfired kill and waits (bounded host time)
 // for an in-flight crash-restart cycle to complete, reporting whether the
 // supervisor reached quiescence. Callers must first stop new kills from
-// arming (a fleet does so by taking the shard out of its kill draw) but
-// must NOT Disarm before settling: serverDied skips the restart when it
-// observes a disarmed supervisor, which is exactly the stranded-crash
-// ledger imbalance settling exists to prevent. Settle before Close when
-// retiring a shard whose crash/restart ledger must stay balanced.
+// arming (a fleet does so by taking the shard out of its kill draw). Settle
+// before Close when retiring a shard whose crash/restart ledger must stay
+// balanced: Close disarms, and serverDied skips the restart of a disarmed
+// supervisor.
 func (s *Supervisor) Settle(timeout time.Duration) bool {
 	//symlint:allow determinism host-time settle for a real TCP shard's restart; the simulation never observes it
 	deadline := time.Now().Add(timeout)
@@ -310,13 +291,14 @@ func (s *Supervisor) Close() error {
 	return nil
 }
 
-// Uploads returns the successful uploads served across every incarnation.
+// Uploads returns the successful uploads booked into the supervisor's
+// ledger: by every incarnation, and by every shard sharing the ledger.
 func (s *Supervisor) Uploads() int { return int(s.scfg.ledger.uploads.Load()) }
 
-// Compactions returns snapshot compactions run across every incarnation.
+// Compactions returns the snapshot compactions booked into the ledger.
 func (s *Supervisor) Compactions() int { return int(s.scfg.ledger.compactions.Load()) }
 
-// Handoffs returns the peer handoffs accepted across every incarnation.
+// Handoffs returns the peer handoffs accepted, as booked into the ledger.
 func (s *Supervisor) Handoffs() int { return int(s.scfg.ledger.handoffs.Load()) }
 
 // Stream returns a copy of a device's live chunk stream on the current
@@ -330,13 +312,15 @@ func (s *Supervisor) Stream(id string) ([]byte, bool) {
 	return srv.Stream(id)
 }
 
-// AckedKeys returns the serialized form of every record any incarnation
-// ever acknowledged for a device, sorted — the exact wire-level ground
-// truth for the no-acknowledged-data-loss invariant across crashes.
+// AckedKeys returns the serialized form of every record the ledger holds
+// as acknowledged for a device (by any incarnation, or any shard sharing
+// the ledger), sorted — the exact wire-level ground truth for the
+// no-acknowledged-data-loss invariant across crashes. Records only tapped
+// unacked are left out.
 func (s *Supervisor) AckedKeys(id string) []string { return s.scfg.ledger.keys(id) }
 
-// AckedDevices returns every device any incarnation acknowledged records
-// for, sorted.
+// AckedDevices returns every device the ledger holds an acknowledged
+// record for, sorted.
 func (s *Supervisor) AckedDevices() []string { return s.scfg.ledger.devices() }
 
 // RepointWindow is how many further requests an armed kill may wait for

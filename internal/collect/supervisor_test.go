@@ -41,6 +41,13 @@ func supervisedRun(t *testing.T, seed uint64, days int) (*Supervisor, *Dataset, 
 	return sup, ds, u
 }
 
+// hits returns how many kills fired at each crashpoint.
+func hits(s *Supervisor) [numCrashpoints]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pointHits
+}
+
 func TestSupervisorKillsAndRecovers(t *testing.T) {
 	sup, ds, u := supervisedRun(t, 1701, 10)
 	defer sup.Close()
@@ -62,8 +69,8 @@ func TestSupervisorKillsAndRecovers(t *testing.T) {
 		t.Error("WAL never compacted despite the tiny CompactEvery")
 	}
 	total := 0
-	for p := Crashpoint(0); p < numCrashpoints; p++ {
-		total += sup.Hits(p)
+	for _, n := range hits(sup) {
+		total += n
 	}
 	if total != sup.Crashes() {
 		t.Errorf("crashpoint hits sum to %d, crashes = %d", total, sup.Crashes())
@@ -108,9 +115,7 @@ func TestSupervisorDeterministicRecovery(t *testing.T) {
 			compact:  sup.Compactions(),
 			crc:      ds.CRC32C(),
 			uploads:  sup.Uploads(),
-		}
-		for p := Crashpoint(0); p < numCrashpoints; p++ {
-			w.hits[p] = sup.Hits(p)
+			hits:     hits(sup),
 		}
 		return w
 	}
@@ -144,6 +149,44 @@ func TestSupervisorRestartResumesExistingStore(t *testing.T) {
 	}
 }
 
+// tapCounter is an OnRecord tap that counts deliveries per device and
+// serialized record.
+type tapCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *tapCounter) tap(dev string, r core.Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n == nil {
+		c.n = make(map[string]int)
+	}
+	c.n[dev+" "+string(core.EncodeRecord(r))]++
+}
+
+func (c *tapCounter) count(dev string, r core.Record) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[dev+" "+string(core.EncodeRecord(r))]
+}
+
+// chunkDiesUnacked sends a CHUNK that the supervisor's server is killed
+// on between the WAL sync and the ACK, and waits for the restart: the
+// chunk is recovered into the dataset, never acknowledged.
+func chunkDiesUnacked(t *testing.T, sup *Supervisor, id string, off int, chunk []byte) {
+	t.Helper()
+	if !sup.InjectKill(CrashAfterWALSync) {
+		t.Fatal("kill not armed")
+	}
+	if _, err := (NetTransport{}).UploadChunk(sup.Addr(), id, off, chunk); err == nil {
+		t.Fatal("chunk was acked despite the kill after the WAL sync")
+	}
+	if !sup.Settle(10 * time.Second) {
+		t.Fatal("supervisor did not restart")
+	}
+}
+
 // TestTapCoversUnackedRecordsReplacedByRewindOrFin pins the record tap's
 // at-least-once contract across a crash between the WAL sync and the ACK.
 // The killed CHUNK is recovered into the dataset without an ACK, so the
@@ -152,49 +195,28 @@ func TestSupervisorRestartResumesExistingStore(t *testing.T) {
 // in the dataset must still reach the tap.
 func TestTapCoversUnackedRecordsReplacedByRewindOrFin(t *testing.T) {
 	const id = "tap-dev"
-	var mu sync.Mutex
-	tapped := make(map[string]bool)
+	var taps tapCounter
 	ds := NewDataset()
-	sup, err := NewSupervisor("127.0.0.1:0", ds, SupervisorConfig{
-		OnRecord: func(dev string, r core.Record) {
-			mu.Lock()
-			defer mu.Unlock()
-			tapped[dev+" "+string(core.EncodeRecord(r))] = true
-		},
-	})
+	sup, err := NewSupervisor("127.0.0.1:0", ds, SupervisorConfig{OnRecord: taps.tap})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sup.Close()
 	var tr NetTransport
-	dieUnacked := func(off int, chunk []byte) {
-		t.Helper()
-		if !sup.InjectKill(CrashAfterWALSync) {
-			t.Fatal("kill not armed")
-		}
-		if _, err := tr.UploadChunk(sup.Addr(), id, off, chunk); err == nil {
-			t.Fatal("chunk was acked despite the kill after the WAL sync")
-		}
-		if !sup.Settle(10 * time.Second) {
-			t.Fatal("supervisor did not restart")
-		}
-	}
 	checkTapped := func(stage string, want int) {
 		t.Helper()
 		recs := ds.Records(id)
 		if len(recs) != want {
 			t.Fatalf("%s: dataset holds %d records, want %d", stage, len(recs), want)
 		}
-		mu.Lock()
-		defer mu.Unlock()
 		for _, r := range recs {
-			if !tapped[id+" "+string(core.EncodeRecord(r))] {
+			if taps.count(id, r) == 0 {
 				t.Errorf("%s: dataset record never tapped: %s", stage, core.EncodeRecord(r))
 			}
 		}
 	}
 
-	dieUnacked(0, walTestRecords(1, 2))
+	chunkDiesUnacked(t, sup, id, 0, walTestRecords(1, 2))
 	// A master reset restarts the device's log: the rewind to offset 0
 	// replaces the recovered, never-acked stream.
 	second := walTestRecords(3, 4)
@@ -203,13 +225,57 @@ func TestTapCoversUnackedRecordsReplacedByRewindOrFin(t *testing.T) {
 	}
 	checkTapped("rewind", 4)
 
-	dieUnacked(len(second), walTestRecords(5))
+	chunkDiesUnacked(t, sup, id, len(second), walTestRecords(5))
 	if err := Fin(sup.Addr(), id); err != nil {
 		t.Fatal(err)
 	}
 	checkTapped("fin", 5)
 	if sup.Crashes() != 2 || sup.Restarts() != 2 {
 		t.Errorf("crashes/restarts = %d/%d, want 2/2", sup.Crashes(), sup.Restarts())
+	}
+}
+
+// TestTapUnackedThenAckedFiresOnce pins the ledger's memory of what it
+// tapped: records tapped unacked when a rewind replaces their stream are
+// not tapped again when the rewinding chunk re-sends them and they are
+// acknowledged, and a record only tapped unacked (retired by a FIN) stays
+// out of the acked keys.
+func TestTapUnackedThenAckedFiresOnce(t *testing.T) {
+	const id = "tap-resend"
+	var taps tapCounter
+	ds := NewDataset()
+	sup, err := NewSupervisor("127.0.0.1:0", ds, SupervisorConfig{OnRecord: taps.tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+
+	chunkDiesUnacked(t, sup, id, 0, walTestRecords(1, 2))
+	// The retry rewinds to offset 0 and re-sends the unacked records.
+	resent := walTestRecords(1, 2, 3)
+	if n, err := (NetTransport{}).UploadChunk(sup.Addr(), id, 0, resent); err != nil || n != len(resent) {
+		t.Fatalf("rewind chunk = %d, %v", n, err)
+	}
+	chunkDiesUnacked(t, sup, id, len(resent), walTestRecords(4))
+	if err := Fin(sup.Addr(), id); err != nil {
+		t.Fatal(err)
+	}
+
+	recs := ds.Records(id)
+	if len(recs) != 4 {
+		t.Fatalf("dataset holds %d records, want 4", len(recs))
+	}
+	for _, r := range recs {
+		if n := taps.count(id, r); n != 1 {
+			t.Errorf("record tapped %d times, want once: %s", n, core.EncodeRecord(r))
+		}
+	}
+	var want []string
+	for _, r := range core.ParseRecords(resent) {
+		want = append(want, string(core.EncodeRecord(r)))
+	}
+	if got := sup.AckedKeys(id); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("acked keys = %q, want the three acknowledged records %q", got, want)
 	}
 }
 

@@ -92,9 +92,9 @@ type FieldStudyConfig struct {
 	// is scheduling-dependent, but the final (done == total) Peek is not.
 	Progress func(done, total int, p stream.Peek)
 	// LiveStudy, when set with Servers >= 1, is the collector's live
-	// record tap consumer (fleet.Config.OnRecord): it sees records as they
-	// are acknowledged mid-study and deduplicates the tap's at-least-once
-	// delivery itself (see stream.LiveStudy). Ignored when Servers is 0.
+	// record tap consumer (fleet.Config.OnRecord): it sees each record
+	// once, as it is first committed mid-study (the fleet's acked ledger
+	// is the dedup stage). Ignored when Servers is 0.
 	LiveStudy *stream.LiveStudy
 }
 
