@@ -22,8 +22,10 @@ lint:
 lint-json:
 	$(GO) run ./cmd/symlint -json ./... > symlint-report.json; status=$$?; cat symlint-report.json; exit $$status
 
-# The CI gate: vet, contract lint, and race-enabled short tests.
+# The CI gate: gofmt, vet, contract lint, and race-enabled short tests.
+# The gofmt line lists any unformatted file and fails if there is one.
 check: vet lint
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) test -race -short ./...
 
 # The chaos harness: the fleet under deterministic flash + network fault
@@ -65,12 +67,14 @@ chaos-checkpoint:
 
 # Flake sampling: rerun N times (default 3) the tests that have failed
 # intermittently on loaded multi-CPU hosts — the live record tap across
-# server crashes on both topologies, and the server-crash equivalence
-# sweep — and the kill-and-Settle tap tests of one supervisor, so their
-# failure rate is measured, not seen once.
+# server crashes on both topologies, the server-crash equivalence sweep,
+# and the fleet and quorum kill-anything harnesses under -race (once seen
+# to end with crashes != restarts) — and the kill-and-Settle tap tests of
+# one supervisor, so their failure rate is measured, not seen once.
 N ?= 3
 flake:
 	$(GO) test -count=$(N) -run 'TestLiveStudyAcrossServerCrashes|TestFleetEquivalenceSweep/servercrash' .
+	$(GO) test -race -count=$(N) -run 'TestReplicaKillAnything|TestFleetKillAnything' .
 	$(GO) test -count=$(N) -run 'TestTap' ./internal/collect
 
 # Fuzz for a short burst each (CI uses the seed corpora only): the

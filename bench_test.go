@@ -251,7 +251,8 @@ func BenchmarkFieldStudySimulation(b *testing.B) {
 	b.ReportMetric(float64(5*2), "phone-months/op")
 }
 
-// BenchmarkCollectUpload measures the TCP log-transfer path.
+// BenchmarkCollectUpload measures the TCP log-transfer path: a whole
+// 64 KiB log sent as one CHUNK at offset 0, the study-end write.
 func BenchmarkCollectUpload(b *testing.B) {
 	ds := collect.NewDataset()
 	srv, err := collect.NewServer("127.0.0.1:0", ds)
@@ -263,7 +264,7 @@ func BenchmarkCollectUpload(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := collect.Upload(srv.Addr(), "bench-phone", payload); err != nil {
+		if _, err := (collect.NetTransport{}).UploadChunk(srv.Addr(), "bench-phone", 0, payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,7 +47,9 @@ func TestFleetKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
 	}
 	// With write quorum W < R the last ACK can return while a lagging
 	// replica incarnation is still mid-restart; let it land.
-	fl.Quiesce(5 * time.Second)
+	if !fl.Quiesce(5 * time.Second) {
+		t.Fatalf("restarts still in flight after 5s: crashes %d, restarts %d", fl.Crashes(), fl.Restarts())
+	}
 	// The run must have been adversarial on every fleet axis.
 	if fl.Crashes() == 0 {
 		t.Fatal("no shard crashes injected — the fleet harness is not killing anything")

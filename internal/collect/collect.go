@@ -5,10 +5,7 @@
 // Files from the phones [1]).
 //
 // The transfer protocol is a deliberately simple line-oriented TCP
-// exchange with three verbs:
-//
-//	client: UPLOAD <device-id> <n-bytes> <crc32c-hex>\n  then n raw bytes
-//	server: OK\n on success, ERR <reason>\n otherwise
+// exchange with six verbs:
 //
 //	client: CHUNK <device-id> <offset> <n-bytes> <crc32c-hex>\n  then n raw bytes
 //	server: OK <stream-length>\n on success, ERR <reason>\n otherwise
@@ -28,20 +25,23 @@
 //	peer:   PING\n
 //	server: OK\n
 //
+//	client: QUERY <name> [args...]\n
+//	server: OK <answer>\n on success, ERR <reason>\n otherwise
+//
 // HANDOFF is the server-to-server leg of the sharded collection fleet
 // (see the fleet package): a dying or rebalancing shard replicates one
 // device's merged log ("log") or live chunk stream ("stream") onto a peer,
 // and a write-quorum owner replicates each committed CHUNK onto its
 // replicas' streams ("chunk": the chunk's bytes at its offset, with the
 // CRC-32C of the stream they must produce).
-// Handoffs go through the same WAL-sync-before-ACK commit path as uploads,
+// Handoffs go through the same WAL-sync-before-ACK commit path as chunks,
 // so a successful handoff is the same durable promise, and merging stays
 // idempotent — a handoff re-sent after a lost acknowledgement, or of data
 // the peer already holds, never duplicates records. PING is the fleet's
 // heartbeat probe: a one-line liveness check the failure detector beats
 // against, answered without touching any durable state.
 //
-// With a write-quorum fleet (ServerConfig.Replicate) an UPLOAD or CHUNK is
+// With a write-quorum fleet (ServerConfig.Replicate) a CHUNK is
 // additionally forwarded to the device's rendezvous successors after the
 // local WAL sync, and the OK goes on the wire only once a write quorum of
 // replicas has synced it; a quorum that cannot be met is a retryable
@@ -49,19 +49,20 @@
 // Replicas hold the device's stream, so after its owner dies the next
 // CHUNK continues on a replica at the acknowledged offset.
 //
-// UPLOAD is the legacy full-file transfer (still used for the final
-// collection at study end). CHUNK appends to a per-device server-side
-// stream at a client-stated offset, which is what makes uploads resumable:
-// after a failure only the tail past the last acknowledged offset is
-// re-sent, and OFFSET lets a client that lost an acknowledgement ask where
-// the server actually stands. FIN retires a device's chunk stream once the
-// client is done with it. The CRC-32C field guards every transfer — phones
+// CHUNK appends to a per-device server-side stream at a client-stated offset,
+// which is what makes uploads resumable: after a failure only the tail past
+// the last acknowledged offset is re-sent, and OFFSET lets a client that lost
+// an acknowledgement ask where the server actually stands. The final
+// collection at study end sends the whole log as one CHUNK at offset 0, which
+// replaces the stream. FIN retires a device's chunk stream once the client is
+// done with it. QUERY is a read of the live analysis tier
+// (ServerConfig.Query). The CRC-32C field guards every transfer — phones
 // upload over flaky bearers — and a chunk is acknowledged only after its
 // checksum verifies, so an acknowledgement is a durable promise: with a
 // durable server (ServerConfig.Store) the verb is write-ahead-logged and
 // synced before the ACK is written to the wire, and a Supervisor-restarted
-// server replays the log, so even a crash on the very next instruction
-// cannot take an acknowledged record with it (see wal.go, supervisor.go).
+// server replays the log, so even a crash on the very next instruction cannot
+// take an acknowledged record with it (see wal.go, supervisor.go).
 //
 // Merging is idempotent per device: records are deduplicated by their
 // serialized form, so re-sending data the server already holds (the
@@ -223,21 +224,21 @@ type ServerConfig struct {
 	// many bytes (zero means 1 MiB). Only meaningful with a Store.
 	CompactEvery int
 
-	// Replicate, when set, is the write-quorum hook: after a verb has been
-	// WAL-synced locally (and merged into the dataset), the server calls it
-	// with the committed state and acknowledges on the wire only when it
-	// returns true. Op ReplicateLog carries an UPLOAD's full log (off 0);
-	// op ReplicateChunk carries a CHUNK's resulting stream and the chunk's
-	// offset, so the chunk is state[off:]; op ReplicateFin carries nil. A
-	// false return means the write quorum was not met: the server replies a
-	// retryable "ERR quorum ..." instead of OK, keeping the committed state
-	// local (a later retry or anti-entropy repair re-replicates it; the
-	// canonical merge makes that harmless). ReplicateFin results are
-	// ignored (stream retirement is best-effort bookkeeping). Op
-	// ReplicateFetch (state nil) is the gap fill: a CHUNK at offset off past
-	// the end of this server's stream asks the hook to install a peer's
-	// longer copy of the stream here (by HANDOFF) before the gap is
-	// re-checked; it returns whether one was installed.
+	// Replicate, when set, is the write-quorum hook: after a verb has
+	// been WAL-synced locally (and merged into the dataset), the server
+	// calls it with the committed state and acknowledges on the wire only
+	// when it returns true. Op ReplicateChunk carries a CHUNK's resulting
+	// stream and the chunk's offset, so the chunk is state[off:]; op
+	// ReplicateFin carries nil. A false return means the write quorum was
+	// not met: the server replies a retryable "ERR quorum ..." instead of
+	// OK, keeping the committed state local (a later retry or
+	// anti-entropy repair re-replicates it; the canonical merge makes
+	// that harmless). ReplicateFin results are ignored (stream retirement
+	// is best-effort bookkeeping). Op ReplicateFetch (state nil) is the
+	// gap fill: a CHUNK at offset off past the end of this server's
+	// stream asks the hook to install a peer's longer copy of the stream
+	// here (by HANDOFF) before the gap is re-checked; it returns whether
+	// one was installed.
 	// The hook runs WITHOUT the server mutex held — it performs network
 	// round-trips to peer shards, and two shards replicating to each other
 	// while each holds its own mutex would deadlock — so the server
@@ -421,13 +422,11 @@ func (s *Server) handle(conn net.Conn) {
 		// The supervisor counts recognised requests to schedule its next
 		// injected kill. Called with no locks held.
 		switch fields[0] {
-		case "UPLOAD", "CHUNK", "OFFSET", "FIN", "HANDOFF":
+		case "CHUNK", "OFFSET", "FIN", "HANDOFF":
 			s.cfg.monitor.beginRequest(s)
 		}
 	}
 	switch fields[0] {
-	case "UPLOAD":
-		s.handleUpload(conn, r, fields)
 	case "CHUNK":
 		s.handleChunk(conn, r, fields)
 	case "OFFSET":
@@ -521,49 +520,8 @@ func readBody(r *bufio.Reader, size int, sum uint32) ([]byte, error) {
 	return data, nil
 }
 
-// handleUpload serves the legacy full-file transfer. Like handleChunk, the
-// verb is WAL-logged and synced before the ACK goes on the wire.
-func (s *Server) handleUpload(conn net.Conn, r *bufio.Reader, fields []string) {
-	id, size, sum, err := parseHeader(fields)
-	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
-	}
-	data, err := readBody(r, size, sum)
-	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
-	}
-	s.mu.Lock()
-	if s.dead {
-		s.mu.Unlock()
-		return
-	}
-	if !s.commitLocked(walEntry{Op: opUpload, Dev: id, Data: data}) {
-		return // injected crash: the connection dies without a reply
-	}
-	if s.cfg.Replicate != nil {
-		s.ds.PutMerged(id, data)
-		if !s.replicateQuorumLocked(conn, ReplicateLog, id, data, 0) {
-			return
-		}
-		s.ackLocked(id, core.ParseRecords(data))
-	} else {
-		s.ackLocked(id, core.ParseRecords(data))
-		s.ds.PutMerged(id, data)
-		if s.maybeCompactLocked() {
-			return
-		}
-	}
-	diedAfterAck := s.crashAtLocked(CrashAfterAck)
-	if !diedAfterAck {
-		s.mu.Unlock()
-	}
-	fmt.Fprint(conn, "OK\n")
-}
-
-// replicateQuorumLocked is the quorum path of UPLOAD and CHUNK: with the
-// verb already WAL-synced and merged into the dataset (kept coupled with
+// replicateQuorumLocked is the quorum path of CHUNK: with the chunk
+// already WAL-synced and merged into the dataset (kept coupled with
 // the commit so a compaction snapshot can never miss WAL-synced data), it
 // releases the server mutex for the replication round-trips. Returns true
 // with s.mu held again on a met quorum, for the caller's acknowledgement
@@ -571,12 +529,12 @@ func (s *Server) handleUpload(conn net.Conn, r *bufio.Reader, fields []string) {
 // (crash consumed the request, incarnation died during replication, or
 // quorum failed — the retryable ERR is already written), with s.mu
 // released.
-func (s *Server) replicateQuorumLocked(conn net.Conn, op, id string, state []byte, off int) bool {
+func (s *Server) replicateQuorumLocked(conn net.Conn, id string, state []byte, off int) bool {
 	if s.maybeCompactLocked() {
 		return false
 	}
 	s.mu.Unlock()
-	met := s.cfg.Replicate(op, id, state, off)
+	met := s.cfg.Replicate(ReplicateChunk, id, state, off)
 	s.mu.Lock()
 	if s.dead {
 		// A fleet kill landed on this incarnation while it replicated; the
@@ -685,7 +643,7 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 	recs, settled := core.ScanSettled(stream, s.settled[id])
 	if s.cfg.Replicate != nil && !replica {
 		s.ds.putStream(id, stream, recs)
-		if !s.replicateQuorumLocked(conn, ReplicateChunk, id, stream, off) {
+		if !s.replicateQuorumLocked(conn, id, stream, off) {
 			return
 		}
 		s.ackLocked(id, recs)
@@ -730,9 +688,6 @@ func appendChunk(stream []byte, off int, chunk []byte) []byte {
 
 // Replicate op values passed to ServerConfig.Replicate.
 const (
-	// ReplicateLog forwards an UPLOAD's full log — replicas merge it like
-	// an upload (HANDOFF log).
-	ReplicateLog = "log"
 	// ReplicateChunk forwards a CHUNK: the owner's resulting stream and
 	// the chunk's offset — replicas apply state[off:] to their own copy of
 	// the stream (HANDOFF chunk).
@@ -747,7 +702,8 @@ const (
 // HandoffKind values accepted by the HANDOFF verb.
 const (
 	// HandoffLog replicates a device's merged log — the payload merges into
-	// the dataset like an UPLOAD.
+	// the dataset (Dataset.PutMerged). Crash handoff, rebalancing and repair
+	// send it, so a FIN'd device, which has no stream, still moves.
 	HandoffLog = "log"
 	// HandoffStream replicates a device's live chunk stream so the uploader
 	// can keep CHUNKing at its acknowledged offset against the new shard. A
@@ -771,7 +727,7 @@ const (
 var ErrStale = errors.New("collect: replica stream is stale")
 
 // handleHandoff accepts one device's replicated state from a peer server.
-// Like UPLOAD, the payload is WAL-logged and synced before the OK goes on
+// Like a CHUNK, the payload is WAL-logged and synced before the OK goes on
 // the wire, and its records join this server's acked ledger: once a peer
 // has been told OK, the records are this shard's durable responsibility. A
 // chunk handoff goes through applyChunkLocked, the CHUNK verb's own step.
@@ -898,7 +854,7 @@ func (s *Server) handleOffset(conn net.Conn, fields []string) {
 }
 
 // handleFin retires a device's chunk stream (the client is done uploading,
-// typically after the study-end full UPLOAD). The retirement is WAL-logged
+// typically after the study-end CHUNK of the whole log). The retirement is WAL-logged
 // so a restarted server does not resurrect the stream.
 func (s *Server) handleFin(conn net.Conn, fields []string) {
 	if len(fields) != 2 {
@@ -995,7 +951,7 @@ func (s *Server) crashAtLocked(p Crashpoint) bool {
 	return true
 }
 
-// ackLocked books one acknowledged UPLOAD or CHUNK: it counts the upload
+// ackLocked books one acknowledged CHUNK: it counts the upload
 // and notes recs as acked, firing the OnRecord tap for records no
 // incarnation acked before. Caller holds s.mu.
 func (s *Server) ackLocked(id string, recs []core.Record) {
@@ -1008,59 +964,6 @@ func (s *Server) ackLocked(id string, recs []core.Record) {
 // server), sorted. The chaos harness checks each one appears exactly once
 // in the final merged dataset.
 func (s *Server) AckedKeys(id string) []string { return s.cfg.ledger.keys(id) }
-
-func parseHeader(fields []string) (id string, size int, sum uint32, err error) {
-	if len(fields) != 4 || fields[0] != "UPLOAD" {
-		return "", 0, 0, errors.New("bad header")
-	}
-	id = fields[1]
-	size, err = strconv.Atoi(fields[2])
-	if err != nil || size < 0 {
-		return "", 0, 0, errors.New("bad size")
-	}
-	if size > MaxUploadBytes {
-		return "", 0, 0, ErrTooLarge
-	}
-	crc, err := strconv.ParseUint(fields[3], 16, 32)
-	if err != nil {
-		return "", 0, 0, errors.New("bad checksum")
-	}
-	return id, size, uint32(crc), nil
-}
-
-// Upload sends a device's log to the collection server at addr.
-func Upload(addr, deviceID string, data []byte) error {
-	if len(data) > MaxUploadBytes {
-		return ErrTooLarge
-	}
-	if strings.ContainsAny(deviceID, " \n\t") || deviceID == "" {
-		return fmt.Errorf("collect: invalid device id %q", deviceID)
-	}
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return fmt.Errorf("collect: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		return fmt.Errorf("collect: deadline: %w", err)
-	}
-	if _, err := fmt.Fprintf(conn, "UPLOAD %s %d %08x\n", deviceID, len(data), crc32.Checksum(data, castagnoli)); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
-	}
-	if _, err := conn.Write(data); err != nil {
-		return fmt.Errorf("collect: send body: %w", err)
-	}
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
-	}
-	reply = strings.TrimSpace(reply)
-	if reply != "OK" {
-		return fmt.Errorf("collect: server rejected upload: %s", reply)
-	}
-	return nil
-}
 
 // Handoff replicates one device's state (kind HandoffLog or HandoffStream)
 // onto the collection server at addr — the server-to-server leg of fleet

@@ -23,10 +23,20 @@ func newTestServer(t *testing.T) (*Server, *Dataset) {
 	return s, ds
 }
 
+// uploadLog sends a device's whole log the way the study-end collection
+// does: one CHUNK at offset 0, acknowledged with the log's length.
+func uploadLog(addr, id string, data []byte) error {
+	n, err := NetTransport{}.UploadChunk(addr, id, 0, data)
+	if err == nil && n != len(data) {
+		err = fmt.Errorf("acked %d of %d bytes", n, len(data))
+	}
+	return err
+}
+
 func TestUploadRoundTrip(t *testing.T) {
 	s, ds := newTestServer(t)
 	payload := []byte("{\"kind\":\"boot\",\"time\":1}\n")
-	if err := Upload(s.Addr(), "phone-01", payload); err != nil {
+	if err := uploadLog(s.Addr(), "phone-01", payload); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := ds.Get("phone-01")
@@ -44,11 +54,11 @@ func TestUploadMergesAcrossMasterReset(t *testing.T) {
 	recB := core.EncodeRecord(core.Record{Kind: core.KindPanic, Time: 2, Category: "USER", PType: 11})
 	recC := core.EncodeRecord(core.Record{Kind: core.KindBoot, Time: 3, Boot: 1, Detected: core.DetectedFirstBoot, OSVersion: "8.0"})
 	// First upload: records A and B.
-	if err := Upload(s.Addr(), "p", append(append([]byte(nil), recA...), recB...)); err != nil {
+	if err := uploadLog(s.Addr(), "p", append(append([]byte(nil), recA...), recB...)); err != nil {
 		t.Fatal(err)
 	}
 	// The phone is master-reset; it re-uploads a fresh log holding only C.
-	if err := Upload(s.Addr(), "p", recC); err != nil {
+	if err := uploadLog(s.Addr(), "p", recC); err != nil {
 		t.Fatal(err)
 	}
 	recs := ds.Records("p")
@@ -62,7 +72,7 @@ func TestUploadMergesAcrossMasterReset(t *testing.T) {
 		}
 	}
 	// Re-uploading the same log is idempotent.
-	if err := Upload(s.Addr(), "p", recC); err != nil {
+	if err := uploadLog(s.Addr(), "p", recC); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(ds.Records("p")); got != 3 {
@@ -72,7 +82,7 @@ func TestUploadMergesAcrossMasterReset(t *testing.T) {
 
 func TestUploadEmptyBody(t *testing.T) {
 	s, ds := newTestServer(t)
-	if err := Upload(s.Addr(), "empty", nil); err != nil {
+	if err := uploadLog(s.Addr(), "empty", nil); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := ds.Get("empty")
@@ -84,14 +94,14 @@ func TestUploadEmptyBody(t *testing.T) {
 func TestUploadInvalidDeviceID(t *testing.T) {
 	s, _ := newTestServer(t)
 	for _, id := range []string{"", "has space", "has\nnewline"} {
-		if err := Upload(s.Addr(), id, []byte("x")); err == nil {
+		if err := uploadLog(s.Addr(), id, []byte("x")); err == nil {
 			t.Errorf("id %q accepted", id)
 		}
 	}
 }
 
 func TestUploadTooLargeRejectedClientSide(t *testing.T) {
-	if err := Upload("127.0.0.1:1", "p", make([]byte, MaxUploadBytes+1)); err != ErrTooLarge {
+	if err := uploadLog("127.0.0.1:1", "p", make([]byte, MaxUploadBytes+1)); err != ErrTooLarge {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -100,12 +110,13 @@ func TestServerRejectsBadHeader(t *testing.T) {
 	s, _ := newTestServer(t)
 	cases := []string{
 		"NOPE p 3 00000000\n",
-		"UPLOAD p\n",
-		"UPLOAD p 3\n", // missing checksum
-		"UPLOAD p notanumber 00000000\n",
-		"UPLOAD p -5 00000000\n",
-		"UPLOAD p 3 nothex\n",
-		fmt.Sprintf("UPLOAD p %d 00000000\n", MaxUploadBytes+1),
+		"UPLOAD p 3 00000000\n", // the retired whole-file verb
+		"CHUNK p\n",
+		"CHUNK p 0 3\n", // missing checksum
+		"CHUNK p 0 notanumber 00000000\n",
+		"CHUNK p 0 -5 00000000\n",
+		"CHUNK p 0 3 nothex\n",
+		fmt.Sprintf("CHUNK p 0 %d 00000000\n", MaxUploadBytes+1),
 	}
 	for _, h := range cases {
 		conn, err := net.DialTimeout("tcp", s.Addr(), time.Second)
@@ -121,6 +132,9 @@ func TestServerRejectsBadHeader(t *testing.T) {
 		if !strings.HasPrefix(reply, "ERR") {
 			t.Errorf("header %q accepted: %q", h, reply)
 		}
+		if strings.HasPrefix(h, "UPLOAD") && reply != "ERR bad header\n" {
+			t.Errorf("header %q: reply %q, want ERR bad header", h, reply)
+		}
 	}
 }
 
@@ -134,7 +148,7 @@ func TestConcurrentUploads(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("phone-%02d", i)
-			errs[i] = Upload(s.Addr(), id, []byte(id+" log"))
+			errs[i] = uploadLog(s.Addr(), id, []byte(id+" log"))
 		}(i)
 	}
 	wg.Wait()
@@ -199,7 +213,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if err := Upload(s.Addr(), "p", []byte("x")); err == nil {
+	if err := uploadLog(s.Addr(), "p", []byte("x")); err == nil {
 		t.Error("upload to closed server succeeded")
 	}
 }
@@ -220,7 +234,7 @@ func TestServerRejectsChecksumMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprint(conn, "UPLOAD p 3 deadbeef\nabc")
+	fmt.Fprint(conn, "CHUNK p 0 3 deadbeef\nabc")
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
 		t.Fatal(err)

@@ -202,7 +202,7 @@ func (f *Supervisor) updateQuorumLocked() {
 // round, and a fleet that is healthy again should not keep refusing writes
 // while it waits for its own heartbeat to notice.
 func (f *Supervisor) gate(verb string) error {
-	if verb != "UPLOAD" && verb != "CHUNK" {
+	if verb != "CHUNK" {
 		return nil
 	}
 	f.mu.Lock()

@@ -46,7 +46,7 @@ type Config struct {
 	LeaveAfter int
 
 	// Replicate is the write-time replication factor R: every acknowledged
-	// UPLOAD/CHUNK is durable on R shards (capped at the live membership)
+	// CHUNK is durable on R shards (capped at the live membership)
 	// before the OK goes on the wire. 0 defaults to 3; 1 switches write-time
 	// replication, heartbeats and quorum gating off entirely — byte-exact
 	// the pre-quorum fleet. Validated but then forced to 1 (with Quorum)
@@ -820,7 +820,10 @@ func (f *Supervisor) Leave() error {
 	// matching restart in the fleet's ledger. New kills cannot arm here —
 	// fireKillsLocked only targets live members and the leaver just
 	// stopped being one — and Settle cancels any kill still pending.
-	leaver.sup.Settle(5 * time.Second)
+	if !leaver.sup.Settle(5 * time.Second) {
+		f.setErr(fmt.Errorf("fleet: leaving shard %s still restarting after 5s; "+
+			"closing it mid-restart strands a crash with no restart", leaver.name))
+	}
 	_ = leaver.sup.Close()
 	return nil
 }

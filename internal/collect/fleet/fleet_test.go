@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"hash/crc32"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -22,6 +25,16 @@ func fleetTestLog(times ...int64) []byte {
 	return collect.EncodeRecords(recs)
 }
 
+// uploadLog sends a device's whole log the way the study-end collection
+// does: one CHUNK at offset 0, acknowledged with the log's length.
+func uploadLog(addr, id string, data []byte) error {
+	n, err := collect.NetTransport{}.UploadChunk(addr, id, 0, data)
+	if err == nil && n != len(data) {
+		err = fmt.Errorf("acked %d of %d bytes", n, len(data))
+	}
+	return err
+}
+
 // uploadRetry rides out injected kills the way the study uploader does: a
 // dead connection is retried against the same (pinned) fleet address.
 func uploadRetry(t *testing.T, addr, id string, data []byte) {
@@ -31,7 +44,7 @@ func uploadRetry(t *testing.T, addr, id string, data []byte) {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 2 * time.Millisecond)
 		}
-		if err = collect.Upload(addr, id, data); err == nil {
+		if err = uploadLog(addr, id, data); err == nil {
 			return
 		}
 	}
@@ -83,7 +96,7 @@ func TestFleetRoutesByDevice(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		dev := fmt.Sprintf("phone-%02d", i+1)
 		logs[dev] = fleetTestLog(int64(100*i+1), int64(100*i+2))
-		if err := collect.Upload(f.Addr(), dev, logs[dev]); err != nil {
+		if err := uploadLog(f.Addr(), dev, logs[dev]); err != nil {
 			t.Fatalf("upload %s: %v", dev, err)
 		}
 	}
@@ -138,13 +151,23 @@ func TestFleetJoinMidUpload(t *testing.T) {
 	oldOwner, _ := Owner(stolen, oldNames)
 
 	logBytes := fleetTestLog(1, 2, 3)
-	if err := collect.Upload(f.Addr(), stolen, logBytes); err != nil {
+	if err := uploadLog(f.Addr(), stolen, logBytes); err != nil {
+		t.Fatal(err)
+	}
+	if err := collect.Fin(f.Addr(), stolen); err != nil {
 		t.Fatal(err)
 	}
 	// A live chunk stream on the old owner: mid-upload state that must
-	// follow the device to the joiner.
+	// follow the device to the joiner. HANDOFF goes shard to shard, so it
+	// is sent to the owner's own address.
+	oldAddr := ""
+	for _, m := range f.members {
+		if m.name == oldOwner {
+			oldAddr = m.sup.Addr()
+		}
+	}
 	streamBytes := fleetTestLog(7)
-	if err := collect.Handoff(f.Addr(), stolen, collect.HandoffStream, streamBytes); err != nil {
+	if err := collect.Handoff(oldAddr, stolen, collect.HandoffStream, streamBytes); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,7 +205,7 @@ func TestFleetJoinMidUpload(t *testing.T) {
 		}
 	}
 	more := fleetTestLog(9)
-	if err := collect.Upload(f.Addr(), stolen, more); err != nil {
+	if err := uploadLog(f.Addr(), stolen, more); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := joiner.ds.Get(stolen)
@@ -216,6 +239,36 @@ func TestFleetJoinMidUpload(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesHandoff: HANDOFF goes shard to shard, never through the
+// router. A chunk handoff sent to the fleet address is refused at once,
+// not forwarded without its body to sit out the shard's read deadline.
+func TestRouterRefusesHandoff(t *testing.T) {
+	f, err := New(Config{Servers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	conn, err := net.DialTimeout("tcp", f.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	body := fleetTestLog(1)
+	sum := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))
+	fmt.Fprintf(conn, "HANDOFF phone-01 %s %d %08x 0 %08x\n%s", collect.HandoffChunk, len(body), sum, sum, body)
+	reply, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply within the deadline: %v", err)
+	}
+	if reply != "ERR bad header\n" {
+		t.Errorf("reply %q, want ERR bad header", reply)
+	}
+}
+
 // TestFleetLeaveMidHandoffNoLoss: a shard leaving while its drain is cut
 // short partway (the during-rebalance crashpoint) can lose nothing — the
 // departed shard's dataset is retained by the merge.
@@ -232,7 +285,7 @@ func TestFleetLeaveMidHandoffNoLoss(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		dev := fmt.Sprintf("phone-%02d", i+1)
 		logs[dev] = fleetTestLog(int64(10*i + 1))
-		if err := collect.Upload(f.Addr(), dev, logs[dev]); err != nil {
+		if err := uploadLog(f.Addr(), dev, logs[dev]); err != nil {
 			t.Fatal(err)
 		}
 		if o, _ := Owner(dev, live); o == "shard-01" {

@@ -79,7 +79,7 @@ func TestQuorumWriteReplication(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		dev := fmt.Sprintf("phone-%02d", i+1)
 		logs[dev] = fleetTestLog(int64(100*i+1), int64(100*i+2))
-		if err := collect.Upload(f.Addr(), dev, logs[dev]); err != nil {
+		if err := uploadLog(f.Addr(), dev, logs[dev]); err != nil {
 			t.Fatalf("upload %s: %v", dev, err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestQuorumKillAckingShardNoLoss(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		dev := fmt.Sprintf("phone-%02d", i+1)
 		logs[dev] = fleetTestLog(int64(10*i + 1))
-		if err := collect.Upload(f.Addr(), dev, logs[dev]); err != nil {
+		if err := uploadLog(f.Addr(), dev, logs[dev]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestR1KillAckingShardLoses(t *testing.T) {
 	live, _ := f.Members()
 	for i := 0; i < 12; i++ {
 		dev := fmt.Sprintf("phone-%02d", i+1)
-		if err := collect.Upload(f.Addr(), dev, fleetTestLog(int64(10*i+1))); err != nil {
+		if err := uploadLog(f.Addr(), dev, fleetTestLog(int64(10*i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestPartitionSuspectRejoin(t *testing.T) {
 		t.Fatal("no device maps to shard-02")
 	}
 	base := fleetTestLog(1, 2)
-	if err := collect.Upload(f.Addr(), dev, base); err != nil {
+	if err := uploadLog(f.Addr(), dev, base); err != nil {
 		t.Fatal(err)
 	}
 	epochBefore := f.Epoch()
@@ -274,7 +274,7 @@ func TestBelowQuorumDegradation(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		dev := fmt.Sprintf("phone-%02d", i+1)
 		logs[dev] = fleetTestLog(int64(10*i + 1))
-		if err := collect.Upload(f.Addr(), dev, logs[dev]); err != nil {
+		if err := uploadLog(f.Addr(), dev, logs[dev]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestBelowQuorumDegradation(t *testing.T) {
 	if err := f.CutPower("shard-02"); err != nil {
 		t.Fatal(err)
 	}
-	err = collect.Upload(f.Addr(), "phone-01", fleetTestLog(500))
+	err = uploadLog(f.Addr(), "phone-01", fleetTestLog(500))
 	if err == nil {
 		t.Fatal("below-quorum write was acknowledged")
 	}
@@ -333,7 +333,7 @@ func TestConfirmDeadTriggersRepair(t *testing.T) {
 
 	for i := 0; i < 9; i++ {
 		dev := fmt.Sprintf("phone-%02d", i+1)
-		if err := collect.Upload(f.Addr(), dev, fleetTestLog(int64(10*i+1))); err != nil {
+		if err := uploadLog(f.Addr(), dev, fleetTestLog(int64(10*i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}

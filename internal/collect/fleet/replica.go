@@ -6,12 +6,13 @@ import (
 
 // Write-time quorum replication (DESIGN.md §15). The primary shard — not
 // the router — replicates each committed write, and shard-to-shard HANDOFF
-// traffic stays off the routed path, so replication advances no kill
-// schedule and draws no fleet RNG. An UPLOAD is replicated as its whole
-// log. A CHUNK is replicated as itself: its bytes at its offset, applied to
-// each replica's own copy of the device's stream by the step the owner
-// used, so a replica parses each byte once and holds the stream the owner
-// acknowledged. That is what lets a replica take the device's next CHUNK
+// traffic stays off the routed path (the router does not route HANDOFF),
+// so replication advances no kill schedule and draws no fleet RNG. CHUNK
+// is the only write verb, and each is replicated as itself: its bytes at
+// its offset, applied to each replica's own copy of the device's stream by
+// the step the owner used, so a replica parses each byte once and holds
+// the stream the owner acknowledged. The study-end log is a CHUNK at
+// offset 0 and is replicated the same way. That is what lets a replica take the device's next CHUNK
 // when the owner dies. A replica that missed a write refuses the chunk as
 // stale and is sent the owner's whole stream instead. HANDOFF handlers
 // never replicate onward — fan-out is exactly one hop deep, so two shards
@@ -59,14 +60,10 @@ func (f *Supervisor) replicaHook(m *member) func(op, deviceID string, state []by
 			f.mu.Unlock()
 			return false
 		}
-		kind := collect.HandoffLog
-		if op == collect.ReplicateChunk {
-			kind = collect.HandoffChunk
-		}
 		// Offer to every successor (want <= 0), not just W-1: the copies
 		// beyond the quorum are what keep the *next* shard loss survivable
 		// without waiting for repair. The ACK still only needs `need`.
-		got := f.replicate(dev, kind, state, off, targets, 0, writeAttempts)
+		got := f.replicate(dev, collect.HandoffChunk, state, off, targets, 0, writeAttempts)
 		if got < need {
 			f.mu.Lock()
 			f.degradedReqs++

@@ -106,11 +106,12 @@ type routerHooks struct {
 	observe func(addr string, ok bool)
 }
 
-// routedVerbs are the headers the router understands; everything carries
-// the device ID as its second field.
+// routedVerb reports whether v is a client header the router understands;
+// each carries the device ID as its second field. HANDOFF is not one: it
+// goes shard to shard, never through the router.
 func routedVerb(v string) bool {
 	switch v {
-	case "UPLOAD", "CHUNK", "OFFSET", "FIN", "HANDOFF":
+	case "CHUNK", "OFFSET", "FIN":
 		return true
 	}
 	return false
@@ -198,15 +199,8 @@ func (rt *Router) handle(conn net.Conn) {
 	// idempotent on the shard (merges are canonical, chunk appends are
 	// positional), so a replay after a post-commit crash is harmless.
 	n := 0
-	switch fields[0] {
-	case "UPLOAD":
-		if len(fields) == 4 {
-			n, _ = strconv.Atoi(fields[2])
-		}
-	case "CHUNK", "HANDOFF":
-		if len(fields) == 5 {
-			n, _ = strconv.Atoi(fields[3])
-		}
+	if fields[0] == "CHUNK" && len(fields) == 5 {
+		n, _ = strconv.Atoi(fields[3])
 	}
 	if n < 0 || n > collect.MaxUploadBytes {
 		fmt.Fprint(conn, "ERR bad size\n")

@@ -50,19 +50,22 @@ func fireAndClose(addr string, payload []byte) {
 func FuzzServerHeader(f *testing.F) {
 	body := []byte("hello")
 	sum := crc32.Checksum(body, castagnoli)
-	f.Add([]byte(fmt.Sprintf("UPLOAD fuzzdev %d %08x\n%s", len(body), sum, body)))
 	f.Add([]byte(fmt.Sprintf("CHUNK fuzzdev 0 %d %08x\n%s", len(body), sum, body)))
 	f.Add([]byte("OFFSET fuzzdev\n"))
 	f.Add([]byte("FIN fuzzdev\n"))
-	f.Add([]byte("UPLOAD fuzzdev 5 00000000\nhello"))   // wrong checksum
-	f.Add([]byte("UPLOAD fuzzdev 999 deadbeef\nshort")) // undelivered body
-	f.Add([]byte("CHUNK fuzzdev 7 5 00000000\nhello"))  // gap
-	f.Add([]byte("CHUNK fuzzdev -1 -1 zz\n"))           // unparsable numbers
-	f.Add([]byte("UPLOAD a b c d e f\n"))               // too many fields
+	f.Add([]byte("CHUNK fuzzdev 0 5 00000000\nhello"))                                      // wrong checksum
+	f.Add([]byte("CHUNK fuzzdev 0 999 deadbeef\nshort"))                                    // undelivered body
+	f.Add([]byte("CHUNK fuzzdev 7 5 00000000\nhello"))                                      // gap
+	f.Add([]byte("CHUNK fuzzdev -1 -1 zz\n"))                                               // unparsable numbers
+	f.Add([]byte("CHUNK a b c d e f\n"))                                                    // too many fields
+	f.Add([]byte(fmt.Sprintf("HANDOFF fuzzdev chunk %d %08x 0\n%s", len(body), sum, body))) // chunk without its stream CRC
+	f.Add([]byte(fmt.Sprintf("HANDOFF fuzzdev bogus %d %08x\n%s", len(body), sum, body)))   // unknown kind
+	f.Add([]byte("HANDOFF fuzzdev log 999 deadbeef\nshort"))                                // undelivered body
+	f.Add([]byte(fmt.Sprintf("UPLOAD fuzzdev %d %08x\n%s", len(body), sum, body)))          // retired verb: ERR bad header
 	f.Add([]byte("NOSUCHVERB x\n"))
 	f.Add([]byte("\n"))
 	f.Add([]byte{})
-	f.Add([]byte("UPLOAD dev"))                 // no newline: header times out short
+	f.Add([]byte("CHUNK dev"))                  // no newline: header times out short
 	f.Add([]byte{0x7e, 0x00, 0xff, 0x0a, 0x80}) // frame-magic garbage
 	f.Add(make([]byte, MaxHeaderBytes+32))      // oversized header line
 
@@ -99,8 +102,8 @@ func TestServerNoGoroutineLeakAfterBadTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := [][]byte{
-		[]byte("UPLOAD leakdev 999999 deadbeef\n"), // declared body never sent
-		[]byte("CHUNK leakdev 0 5 00000000\nxx"),   // short body
+		[]byte("CHUNK leakdev 0 999999 deadbeef\n"), // declared body never sent
+		[]byte("CHUNK leakdev 0 5 00000000\nxx"),    // short body
 		[]byte("garbage with no newline"),
 		[]byte("OFFSET leakdev\n"),
 		{},

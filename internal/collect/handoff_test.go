@@ -9,7 +9,7 @@ import (
 )
 
 // TestHandoffDurableBeforeAck: a HANDOFF OK is the same durable promise as
-// an UPLOAD OK — the replicated payload must be WAL-synced before the peer
+// a CHUNK OK — the replicated payload must be WAL-synced before the peer
 // is told OK, so a crash right after the reply cannot lose it.
 func TestHandoffDurableBeforeAck(t *testing.T) {
 	store := NewCrashStore(sim.NewRand(1))

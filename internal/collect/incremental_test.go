@@ -67,13 +67,6 @@ func (r *refServer) chunk(id string, off int, data []byte, replicate, quorum boo
 	refMerge(r.files, id, stream)
 }
 
-func (r *refServer) upload(id string, data []byte, replicate, quorum bool) {
-	if !replicate || quorum {
-		r.ack(id, data)
-	}
-	refMerge(r.files, id, data)
-}
-
 func (r *refServer) fin(id string) {
 	if stream, ok := r.streams[id]; ok {
 		r.led.tapUnacked(id, stream, r.tap)
@@ -123,7 +116,7 @@ func refRecover(store *CrashStore) (files, streams map[string][]byte) {
 			st = append(st[:e.Off:e.Off], e.Data...)
 			streams[e.Dev] = st
 			merge(e.Dev, st)
-		case opUpload, opHandoff:
+		case opHandoff:
 			merge(e.Dev, e.Data)
 		case opFin:
 			delete(streams, e.Dev)
@@ -151,7 +144,7 @@ const (
 	ingTieBelow        // a record at the last record's time whose bytes sort before it
 	ingPut             // Dataset.Put of a few old records between chunks
 	ingFin             // FIN the stream
-	ingUpload          // UPLOAD the phone log from a drawn frame
+	ingUpload          // the study-end upload: CHUNK the whole phone log at offset 0
 	ingHandoff         // HANDOFF the phone log from a drawn frame, as a log or a stream
 	ingQuorum          // flip the replication hook's answer
 	ingCount
@@ -241,12 +234,12 @@ func FuzzIncrementalIngest(f *testing.F) {
 			{ingExtend, 2, ingReset, 2, ingExtend, 0},                                              // a master reset
 			{ingExtend, 2, ingExtend, 2, ingRotate, 3, 0, ingExtend, 0},                            // a rotation: duplicates, the fallback
 			{ingExtend, 0, ingTieBelow, ingTieBelow, ingExtend, 0},                                 // equal times, bytes out of order
-			{ingExtend, 2, ingPut, 1, ingExtend, 0, ingPut, 0, ingUpload, 2, ingExtend, 0},         // Puts between chunks
+			{ingExtend, 2, ingPut, 1, ingExtend, 0, ingPut, 0, ingUpload, ingExtend, 0},            // Puts between chunks
 			{ingExtend, 2, ingFin, ingHandoff, 1, 0, ingExtend, 0, ingHandoff, 0, 1, ingExtend, 1}, // FIN, stream handoff
 			{ingExtend, 1, ingQuorum, ingExtend, 1, ingMidFrame, 0, 2, ingQuorum, ingExtend, 1},    // missed quorums
 			// Everything mixed.
 			{ingExtend, 2, ingMidFrame, 1, 4, ingCorrupt, ingReset, 1, ingRotate, 1, 2, ingTieBelow, ingPut, 0,
-				ingExtend, 2, ingFin, ingUpload, 1, ingHandoff, 0, 1, ingExtend, 1, ingResend, 200, ingExtend, 2},
+				ingExtend, 2, ingFin, ingUpload, ingHandoff, 0, 1, ingExtend, 1, ingResend, 200, ingExtend, 2},
 		} {
 			f.Add(append([]byte{mode}, ops...))
 		}
@@ -379,9 +372,7 @@ func runIngestProgram(t *testing.T, prog []byte) {
 			ref.fin(id)
 			p.stream = nil
 		case ingUpload:
-			log := p.tail()
-			pipeRequest(srv, fmt.Sprintf("UPLOAD %s %d %08x", id, len(log), crc32.Checksum(log, castagnoli)), log)
-			ref.upload(id, log, replicate, p.quorum.Load())
+			send(0, p.phone)
 		case ingHandoff:
 			kind := HandoffLog
 			if p.next()%2 == 1 {

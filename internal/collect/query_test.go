@@ -115,7 +115,7 @@ func TestQuerySurvivesSupervisorRestarts(t *testing.T) {
 	// injected kills, interleaving queries with the uploads.
 	data := walTestRecords(1, 2)
 	for i := 0; i < 12; i++ {
-		if err := retry(func() error { return Upload(sup.Addr(), "q-dev", data) }); err != nil {
+		if err := retry(func() error { return uploadLog(sup.Addr(), "q-dev", data) }); err != nil {
 			t.Fatalf("upload %d: %v", i, err)
 		}
 		if err := retry(func() error { _, e := Query(sup.Addr(), "count"); return e }); err != nil {

@@ -21,7 +21,7 @@ const (
 	repDrop            // the owner's next replication never reaches the replica
 	repRestart         // crash the replica and restart it on its store
 	repFin             // FIN the stream; the owner replicates the FIN
-	repUpload          // UPLOAD the phone log from a drawn frame
+	repUpload          // the study-end upload: CHUNK the whole phone log at offset 0
 	repCount
 )
 
@@ -44,9 +44,9 @@ func FuzzReplicaChunk(f *testing.F) {
 		{repExtend, 1, repRestart, repExtend, 1, repDrop, repExtend, 0, repRestart, repExtend, 0}, // replica crash and restart
 		{repExtend, 2, repReset, 2, repExtend, 0},                                                 // a master reset
 		{repExtend, 1, repDrop, repFin, repReset, 1, repExtend, 0},                                // a missed FIN
-		{repExtend, 1, repUpload, 0, repExtend, 0, repFin, repExtend, 1},                          // uploads and FINs between chunks
+		{repExtend, 1, repUpload, repExtend, 0, repFin, repExtend, 1},                             // uploads and FINs between chunks
 		// Everything mixed.
-		{repExtend, 2, repMidFrame, 1, 4, repDrop, repRewind, 3, 1, repRestart, repExtend, 1, repUpload, 1,
+		{repExtend, 2, repMidFrame, 1, 4, repDrop, repRewind, 3, 1, repRestart, repExtend, 1, repUpload,
 			repDrop, repFin, repExtend, 2, repReset, 0, repRestart, repDrop, repMidFrame, 0, 2, repExtend, 0},
 	} {
 		f.Add(append([]byte{0}, ops...))
@@ -95,8 +95,7 @@ func runReplicaProgram(t *testing.T, prog []byte) {
 	var hookErr error
 	hook := func(op, dev string, state []byte, off int) bool {
 		if drop {
-			drop = false
-			synced = synced && op == ReplicateLog
+			drop, synced = false, false
 			return true
 		}
 		switch op {
@@ -116,13 +115,6 @@ func runReplicaProgram(t *testing.T, prog []byte) {
 			}
 			model.applied(dev, state)
 			synced = true
-		case ReplicateLog:
-			if reply := pipeRequest(rep, fmt.Sprintf("HANDOFF %s %s %d %08x", dev, HandoffLog, len(state), crc32.Checksum(state, castagnoli)), state); reply != "OK\n" {
-				hookErr = fmt.Errorf("log handoff: reply %q", reply)
-				return false
-			}
-			model.ref.led.record(dev, core.ParseRecords(state), nil)
-			refMerge(model.ref.files, dev, state)
 		case ReplicateFin:
 			pipeRequest(rep, "FIN "+dev, nil)
 			model.stream, synced = nil, true
@@ -183,8 +175,7 @@ func runReplicaProgram(t *testing.T, prog []byte) {
 			pipeRequest(owner, "FIN "+id, nil)
 			p.stream = nil
 		case repUpload:
-			log := p.tail()
-			pipeRequest(owner, fmt.Sprintf("UPLOAD %s %d %08x", id, len(log), crc32.Checksum(log, castagnoli)), log)
+			send(0, p.phone)
 		}
 		if hookErr != nil {
 			t.Fatalf("step %d (op %d): %v", step, op, hookErr)

@@ -164,13 +164,13 @@ func TestServerOnRecordFiresOncePerUniqueRecord(t *testing.T) {
 	}
 	defer srv.Close()
 
-	if err := Upload(srv.Addr(), "p", encodeLog(recA, recB)); err != nil {
+	if err := uploadLog(srv.Addr(), "p", encodeLog(recA, recB)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Upload(srv.Addr(), "p", encodeLog(recA, recB)); err != nil { // pure duplicate
+	if err := uploadLog(srv.Addr(), "p", encodeLog(recA, recB)); err != nil { // pure duplicate
 		t.Fatal(err)
 	}
-	if err := Upload(srv.Addr(), "p", encodeLog(recB, recC)); err != nil { // overlap + one new
+	if err := uploadLog(srv.Addr(), "p", encodeLog(recB, recC)); err != nil { // overlap + one new
 		t.Fatal(err)
 	}
 	want := []core.Record{recA, recB, recC}

@@ -134,7 +134,7 @@ func TestSupervisorDeterministicRecovery(t *testing.T) {
 func TestSupervisorRestartResumesExistingStore(t *testing.T) {
 	store := NewCrashStore(nil)
 	data := walTestRecords(1, 2, 3)
-	store.Append(walName, encodeWALEntry(walEntry{Op: opUpload, Dev: "dev-x", Data: data}))
+	store.Append(walName, encodeWALEntry(walEntry{Op: opChunk, Dev: "dev-x", Data: data}))
 	store.Sync(walName)
 
 	ds := NewDataset()

@@ -152,7 +152,7 @@ func TestFaultyTransportDeterministic(t *testing.T) {
 }
 
 // TestIsTransientNamesTransportWindows: every client verb's transport-level
-// failure — UPLOAD's body write included — is a window to wait out, while
+// failure — HANDOFF's body write included — is a window to wait out, while
 // a parsed protocol rejection is a real answer.
 func TestIsTransientNamesTransportWindows(t *testing.T) {
 	for _, tc := range []struct {
@@ -164,8 +164,8 @@ func TestIsTransientNamesTransportWindows(t *testing.T) {
 		{fmt.Errorf("collect: send chunk: %w", syscall.ECONNRESET), true},
 		{fmt.Errorf("collect: send body: %w", syscall.EPIPE), true},
 		{fmt.Errorf("collect: read reply: %w", io.EOF), true},
-		{errors.New("collect: server rejected upload: ERR shard unavailable"), true},
-		{errors.New("collect: server rejected upload: ERR checksum mismatch"), false},
+		{errors.New("collect: server rejected chunk: ERR shard unavailable"), true},
+		{errors.New("collect: server rejected chunk: ERR checksum mismatch"), false},
 		{nil, false},
 	} {
 		if got := IsTransient(tc.err); got != tc.want {
@@ -184,7 +184,7 @@ func TestServerRejectsOversizedHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("UPLOAD " + strings.Repeat("x", MaxHeaderBytes+32))); err != nil {
+	if _, err := conn.Write([]byte("CHUNK " + strings.Repeat("x", MaxHeaderBytes+32))); err != nil {
 		t.Fatal(err)
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')

@@ -16,7 +16,7 @@ import (
 //	wal       — one checksummed frame (core.EncodeFrame) per accepted verb
 //	snapshot  — the compacted state: per-device merged log + chunk stream
 //
-// Every state-changing verb (UPLOAD, CHUNK, FIN, and the fleet's HANDOFF of
+// Every state-changing verb (CHUNK, FIN, and the fleet's HANDOFF of
 // a log, a stream or a chunk — a chunk handoff is logged as the CHUNK it
 // replicates, so a replica's replay is the owner's) is appended to the WAL
 // and synced *before* the acknowledgement is written to the wire, so an ACK
@@ -43,12 +43,11 @@ const (
 	snapTmpName = "snapshot.tmp"
 )
 
-// WAL operations. opChunk and opUpload carry payload bytes; opFin retires a
+// WAL operations. opChunk carries a chunk and its offset; opFin retires a
 // device's chunk stream; opHandoff and opHandoffStream carry state
 // replicated from a peer server (fleet crash handoff and rebalancing).
 const (
 	opChunk         = "chunk"
-	opUpload        = "upload"
 	opFin           = "fin"
 	opHandoff       = "handoff"
 	opHandoffStream = "handoffstream"
@@ -208,7 +207,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 			var recs []core.Record
 			recs, settled[e.Dev] = core.ScanSettled(st, settled[e.Dev])
 			canonical[e.Dev] = mergeLogs(files, e.Dev, canonical[e.Dev], st, recs)
-		case opUpload, opHandoff:
+		case opHandoff:
 			canonical[e.Dev] = mergeLogs(files, e.Dev, false, e.Data, nil)
 		case opFin:
 			delete(streams, e.Dev)

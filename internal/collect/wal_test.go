@@ -49,9 +49,10 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	// Device a: two chunks split mid-record.
 	append2(walEntry{Op: opChunk, Dev: "a", Off: 0, Data: logA[:5]})
 	append2(walEntry{Op: opChunk, Dev: "a", Off: 5, Data: logA[5:]})
-	// Device b: a chunk, then the study-end full upload, then FIN.
+	// Device b: a chunk, then the study-end whole log as a chunk at offset
+	// 0, then FIN.
 	append2(walEntry{Op: opChunk, Dev: "b", Off: 0, Data: logB[:4]})
-	append2(walEntry{Op: opUpload, Dev: "b", Data: logB})
+	append2(walEntry{Op: opChunk, Dev: "b", Off: 0, Data: logB})
 	append2(walEntry{Op: opFin, Dev: "b"})
 	// Device c: a master reset rewinds the stream to zero with new history;
 	// the already-acknowledged old records must survive in the merged log.
@@ -160,7 +161,7 @@ func TestWALReplayAgainstFreshSnapshotIsNoOp(t *testing.T) {
 	ref := NewCrashStore(nil)
 	entry := walEntry{Op: opChunk, Dev: "a", Off: 0, Data: walTestRecords(1, 2, 3)}
 	ref.Append(walName, encodeWALEntry(entry))
-	ref.Append(walName, encodeWALEntry(walEntry{Op: opUpload, Dev: "b", Data: walTestRecords(9)}))
+	ref.Append(walName, encodeWALEntry(walEntry{Op: opHandoff, Dev: "b", Data: walTestRecords(9)}))
 	ref.Sync(walName)
 	filesRef, streamsRef := recoverServerState(ref)
 
@@ -170,7 +171,7 @@ func TestWALReplayAgainstFreshSnapshotIsNoOp(t *testing.T) {
 	store.Append(snapName, encodeSnapshot(filesRef, streamsRef))
 	store.Sync(snapName)
 	store.Append(walName, encodeWALEntry(entry))
-	store.Append(walName, encodeWALEntry(walEntry{Op: opUpload, Dev: "b", Data: walTestRecords(9)}))
+	store.Append(walName, encodeWALEntry(walEntry{Op: opHandoff, Dev: "b", Data: walTestRecords(9)}))
 	store.Sync(walName)
 
 	files, streams := recoverServerState(store)
@@ -184,10 +185,10 @@ func TestWALReplayAgainstFreshSnapshotIsNoOp(t *testing.T) {
 // prefix, so the medium converges instead of carrying damage forward.
 func TestWALTornTailNormalised(t *testing.T) {
 	store := NewCrashStore(sim.NewRand(5))
-	good := encodeWALEntry(walEntry{Op: opUpload, Dev: "a", Data: walTestRecords(1)})
+	good := encodeWALEntry(walEntry{Op: opHandoff, Dev: "a", Data: walTestRecords(1)})
 	store.Append(walName, good)
 	store.Sync(walName)
-	store.Append(walName, encodeWALEntry(walEntry{Op: opUpload, Dev: "a", Data: walTestRecords(2)}))
+	store.Append(walName, encodeWALEntry(walEntry{Op: opHandoff, Dev: "a", Data: walTestRecords(2)}))
 	store.Crash() // tears the second entry mid-frame
 
 	if store.Size(walName) == len(good) {
@@ -210,21 +211,21 @@ func TestReplayEmptyFirstWrite(t *testing.T) {
 	const id = "phone-01"
 	stream := append(core.FrameRecord(core.Record{Kind: core.KindPanic, Category: "USER", PType: 11, Time: 5}),
 		core.FrameRecord(core.Record{Kind: core.KindBoot, Time: 7, Boot: 2})...)
-	upload := func(data []byte) string {
-		return fmt.Sprintf("UPLOAD %s %d %08x", id, len(data), crc32.Checksum(data, castagnoli))
-	}
 	chunk := func(off int, data []byte) string {
 		return fmt.Sprintf("CHUNK %s %d %d %08x", id, off, len(data), crc32.Checksum(data, castagnoli))
 	}
+	// The study-end upload of an empty log: the whole log as a chunk at
+	// offset 0, then FIN, so the next CHUNK starts a new stream.
+	upload := []string{chunk(0, nil), "FIN " + id}
 	for _, c := range []struct {
 		name         string
 		compactEvery int
-		first        string
+		first        []string
 	}{
-		{"empty upload", 0, upload(nil)},
-		{"empty upload, then a compaction", 1, upload(nil)},
-		{"empty chunk", 0, chunk(0, nil)},
-		{"empty handoff log", 0, fmt.Sprintf("HANDOFF %s %s 0 %08x", id, HandoffLog, crc32.Checksum(nil, castagnoli))},
+		{"empty upload", 0, upload},
+		{"empty upload, then a compaction", 1, upload},
+		{"empty chunk", 0, []string{chunk(0, nil)}},
+		{"empty handoff log", 0, []string{fmt.Sprintf("HANDOFF %s %s 0 %08x", id, HandoffLog, crc32.Checksum(nil, castagnoli))}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			store, ds := NewCrashStore(nil), NewDataset()
@@ -233,13 +234,13 @@ func TestReplayEmptyFirstWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer srv.Close()
-			for _, req := range []struct {
-				header string
-				body   []byte
-			}{{c.first, nil}, {chunk(0, stream), stream}} {
-				if reply := pipeRequest(srv, req.header, req.body); !strings.HasPrefix(reply, "OK") {
-					t.Fatalf("%s: %q", req.header, reply)
+			for _, h := range c.first {
+				if reply := pipeRequest(srv, h, nil); !strings.HasPrefix(reply, "OK") {
+					t.Fatalf("%s: %q", h, reply)
 				}
+			}
+			if reply := pipeRequest(srv, chunk(0, stream), stream); !strings.HasPrefix(reply, "OK") {
+				t.Fatalf("chunk: %q", reply)
 			}
 			live, _ := ds.Get(id)
 			files, _ := recoverServerState(store)

@@ -256,12 +256,12 @@ func DefaultConfig(seed uint64) Config {
 		ActivitiesPerDay:       18,
 		ActivityMix:            mix,
 		ActivityMedianDuration: median,
-		ActivitySigma:         0.7,
-		LingerProb:            0.12,
-		WakeHour:              7,
-		SleepHour:             23.25,
-		WeekendWakeDelayHours: 1.5,
-		WeekendActivityFactor: 0.8,
+		ActivitySigma:          0.7,
+		LingerProb:             0.12,
+		WakeHour:               7,
+		SleepHour:              23.25,
+		WeekendWakeDelayHours:  1.5,
+		WeekendActivityFactor:  0.8,
 
 		NightOffProb:     0.16,
 		NightOffDuration: 30000 * time.Second,
@@ -281,11 +281,11 @@ func DefaultConfig(seed uint64) Config {
 
 		PanicOpportunityPerHour: 1.0 / 700,
 		ActivityRisk:            risk,
-		CallOnlyBias:    0.26,
-		MessageOnlyBias: 0.04,
-		BurstProb:       0.13,
-		BurstContinue:   0.40,
-		BurstGap:        20 * time.Second,
+		CallOnlyBias:            0.26,
+		MessageOnlyBias:         0.04,
+		BurstProb:               0.13,
+		BurstContinue:           0.40,
+		BurstGap:                20 * time.Second,
 
 		SpontaneousFreezePerHour:   1.0 / 425,
 		SpontaneousShutdownPerHour: 1.0 / 268,

@@ -35,9 +35,9 @@ var diffDelays = []Duration{
 
 var diffRuns = []Duration{
 	time.Second,
-	70 * time.Second,  // crosses a level-0 window boundary
-	75 * time.Minute,  // crosses a level-1 window boundary
-	80 * time.Hour,    // crosses the overflow horizon
+	70 * time.Second, // crosses a level-0 window boundary
+	75 * time.Minute, // crosses a level-1 window boundary
+	80 * time.Hour,   // crosses the overflow horizon
 	24 * time.Hour * 7,
 }
 

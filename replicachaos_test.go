@@ -46,7 +46,9 @@ func TestReplicaKillAnythingNoAcknowledgedDataLoss(t *testing.T) {
 	}
 	// W < R: the last ACK can return while a lagging replica incarnation
 	// is still mid-restart; let it land before balancing the ledger.
-	fl.Quiesce(5 * time.Second)
+	if !fl.Quiesce(5 * time.Second) {
+		t.Fatalf("restarts still in flight after 5s: crashes %d, restarts %d", fl.Crashes(), fl.Restarts())
+	}
 
 	if fl.ReplicationFactor() != 3 || fl.WriteQuorum() != 2 {
 		t.Fatalf("resolved R=%d W=%d, want R=3 W=2", fl.ReplicationFactor(), fl.WriteQuorum())
@@ -196,7 +198,9 @@ func TestReplicaSweepTable(t *testing.T) {
 			if err := fl.Err(); err != nil {
 				t.Fatal(err)
 			}
-			fl.Quiesce(5 * time.Second)
+			if !fl.Quiesce(5 * time.Second) {
+				t.Fatalf("restarts still in flight after 5s: crashes %d, restarts %d", fl.Crashes(), fl.Restarts())
+			}
 			rw := row{
 				r:            r,
 				killEvery:    k,

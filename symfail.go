@@ -379,11 +379,13 @@ func collectFromDataset(ds *collect.Dataset, opts analysis.Options) (*stream.Col
 	return c, nil
 }
 
-// uploadFinal ships a device's end-of-study log, riding out collector
-// restarts: an injected server crash can land mid-upload, in which case
-// the client sees a dead connection, the supervisor replays the WAL and
-// rebinds, and the retry re-sends the payload — harmless, because the
-// server's merge is idempotent. A quorum-replicated fleet can also refuse
+// uploadFinal ships a device's end-of-study log as one CHUNK at offset 0,
+// which replaces the device's server-side stream with the whole log and
+// is acknowledged with its length. It rides out collector restarts: an
+// injected server crash can land mid-upload, in which case the client
+// sees a dead connection, the supervisor replays the WAL and rebinds, and
+// the retry re-sends the payload — harmless, because the server's merge
+// is idempotent. A quorum-replicated fleet can also refuse
 // the write outright while too many shards are suspected mid-restart;
 // those retryable ERRs get a larger budget, because a below-quorum window
 // clears on the fleet's own heartbeat cadence rather than a single shard
@@ -404,9 +406,13 @@ func uploadFinal(addr, id string, data []byte) error {
 			}
 			time.Sleep(pause)
 		}
-		if err = collect.Upload(addr, id, data); err == nil {
-			_ = collect.Fin(addr, id)
-			return nil
+		var acked int
+		if acked, err = (collect.NetTransport{}).UploadChunk(addr, id, 0, data); err == nil {
+			if acked == len(data) {
+				_ = collect.Fin(addr, id)
+				return nil
+			}
+			err = fmt.Errorf("acked %d of %d bytes", acked, len(data))
 		}
 		if collect.IsBelowQuorum(err) {
 			continue // clears on the fleet's heartbeat cadence: full budget

@@ -278,7 +278,7 @@ func TestCollectorUploadFailureSurfaces(t *testing.T) {
 
 // TestUploadFinalQuorumWindowKeepsTransportBudget: a long below-quorum
 // window must not spend the budget of the dead-connection window after it.
-// The scripted collector refuses 125 UPLOADs as below quorum (a fleet whose
+// The scripted collector refuses 125 CHUNKs as below quorum (a fleet whose
 // shards are suspected mid-restart), drops the next 5 without a reply (its
 // router being killed) and then acknowledges. The final upload must ride
 // out both windows.
@@ -303,9 +303,11 @@ func TestUploadFinalQuorumWindowKeepsTransportBudget(t *testing.T) {
 				continue
 			}
 			reply := "OK\n"
-			if fields[0] == "UPLOAD" && len(fields) == 4 {
-				size, _ := strconv.Atoi(fields[2])
+			if fields[0] == "CHUNK" && len(fields) == 5 {
+				off, _ := strconv.Atoi(fields[2])
+				size, _ := strconv.Atoi(fields[3])
 				_, _ = io.ReadFull(r, make([]byte, size))
+				reply = fmt.Sprintf("OK %d\n", off+size)
 				uploads++
 				switch {
 				case uploads <= 125:
