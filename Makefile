@@ -77,9 +77,10 @@ flake:
 	$(GO) test -race -count=$(N) -run 'TestReplicaKillAnything|TestFleetKillAnything' .
 	$(GO) test -count=$(N) -run 'TestTap' ./internal/collect
 
-# Fuzz for a short burst each (CI uses the seed corpora only): the
-# collection server's wire protocol end to end (panics and wedged servers
-# fail the run), the incremental CHUNK ingest against the whole-stream
+# Fuzz for a short burst each (CI runs a 10 s FuzzServerHeader burst and
+# the other seed corpora): the collection server's wire protocol through
+# its connection handler (panics and wedged handlers fail the run), the
+# incremental CHUNK ingest against the whole-stream
 # merge, chunk replication onto a replica's stream against the same
 # merge, and the settled-offset scan they rest on.
 fuzz:
@@ -95,10 +96,11 @@ parallel:
 
 # Streaming-vs-batch equivalence: the single-pass accumulators, the batch
 # Study, and shard-merged partial accumulators must snapshot to identical
-# bytes, anchored to the pinned golden fingerprints, under the race
-# detector (DESIGN.md §11).
+# bytes, anchored to the pinned golden fingerprints, and `analyze -stream`
+# must print the batch `analyze` tables and -json summary byte for byte,
+# under the race detector (DESIGN.md §11).
 stream:
-	$(GO) test -race -run 'Stream' -v . ./internal/analysis/...
+	$(GO) test -race -run 'Stream' -v . ./internal/analysis/... ./cmd/analyze
 
 test:
 	$(GO) test ./...

@@ -18,7 +18,9 @@ package symfail
 // calls out. Paper-shape metrics are attached to each bench through
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as the
 // reproduction summary (see EXPERIMENTS.md for the paper-vs-measured
-// comparison at full scale).
+// comparison at full scale). A field-study bench renders through its
+// report.*FromSnapshot renderer, from a stream.TablesSnapshot holding only
+// the fields that table reads, so it times its own table and no other.
 
 import (
 	"sync"
@@ -26,6 +28,7 @@ import (
 	"time"
 
 	"symfail/internal/analysis"
+	"symfail/internal/analysis/stream"
 	"symfail/internal/collect"
 	"symfail/internal/core"
 	"symfail/internal/forum"
@@ -94,7 +97,9 @@ func BenchmarkFigure2RebootDurations(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s = analysis.New(ds, analysis.Options{})
-		_ = report.Figure2(s)
+		_ = report.Figure2FromSnapshot(&stream.TablesSnapshot{
+			Config: s.Options(), RebootDurations: s.RebootDurations(), MTBF: s.MTBF(),
+		})
 	}
 	durs := s.RebootDurations()
 	selfs := len(s.HLEvents(analysis.HLSelfShutdown))
@@ -129,7 +134,7 @@ func BenchmarkTable2PanicDistribution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s = analysis.New(ds, analysis.Options{})
-		_ = report.Table2(s)
+		_ = report.Table2FromSnapshot(&stream.TablesSnapshot{PanicTable: s.PanicTable()})
 	}
 	rows := s.PanicTable()
 	if len(rows) > 0 {
@@ -146,7 +151,7 @@ func BenchmarkFigure3PanicBursts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := analysis.New(ds, analysis.Options{})
 		st = s.Bursts()
-		_ = report.Figure3(s)
+		_ = report.Figure3FromSnapshot(&stream.TablesSnapshot{Bursts: st})
 	}
 	b.ReportMetric(100*st.PanicsInBursts, "panics-in-bursts-pct")
 }
@@ -180,7 +185,9 @@ func BenchmarkFigure5Coalescence(b *testing.B) {
 		s := analysis.New(ds, analysis.Options{})
 		st = s.Coalesce()
 		all = s.RelatedPercentWithAllShutdowns()
-		_ = report.Figure5(s)
+		_ = report.Figure5FromSnapshot(&stream.TablesSnapshot{
+			Config: s.Options(), Coalescence: st, RelatedPercentAllShutdowns: all,
+		})
 	}
 	b.ReportMetric(st.RelatedPercent, "related-pct")
 	b.ReportMetric(all, "related-all-shutdowns-pct")
@@ -193,7 +200,9 @@ func BenchmarkTable3PanicActivity(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s = analysis.New(ds, analysis.Options{})
-		_ = report.Table3(s)
+		_ = report.Table3FromSnapshot(&stream.TablesSnapshot{
+			Activity: s.ActivityTable(), RealTimeActivitySharePct: s.RealTimeActivityShare(),
+		})
 	}
 	b.ReportMetric(s.RealTimeActivityShare(), "realtime-activity-pct")
 }
@@ -205,8 +214,8 @@ func BenchmarkFigure6RunningApps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := analysis.New(ds, analysis.Options{})
-		hist = s.RunningAppsHistogram(8)
-		_ = report.Figure6(s)
+		hist = s.RunningAppsHistogram(stream.RunningAppsCap)
+		_ = report.Figure6FromSnapshot(&stream.TablesSnapshot{RunningApps: hist})
 	}
 	mode, best := 0, 0
 	for n, c := range hist {
@@ -224,7 +233,7 @@ func BenchmarkTable4PanicApps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s = analysis.New(ds, analysis.Options{})
-		_ = report.Table4(s)
+		_ = report.Table4FromSnapshot(&stream.TablesSnapshot{AppTable: s.AppPanicTable(), TopApps: s.TopPanicApps(5)})
 	}
 	tops := s.TopPanicApps(1)
 	if len(tops) > 0 {

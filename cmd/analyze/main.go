@@ -8,9 +8,12 @@
 //	analyze -data <dir> [-threshold 360s] [-window 5m] [-json] [-stream]
 //
 // With -stream the dataset is analysed in a single incremental pass through
-// the streaming accumulators (internal/analysis/stream): one device's log is
-// in memory at a time, and the printed tables are byte-identical to the
-// batch path's.
+// the composite streaming accumulator (internal/analysis/stream): StreamDir
+// reads one device's log at a time into a sorting Feeder, so peak memory is
+// O(one device + bins) instead of O(dataset). Both paths render the same
+// stream.TablesSnapshot, so the tables and the -json summary are
+// byte-identical; only the batch path prints the Extras, which need the full
+// event set.
 package main
 
 import (
@@ -66,66 +69,29 @@ func run(args []string) error {
 		SelfShutdownThreshold: *threshold,
 		CoalescenceWindow:     *window,
 	}
+	var (
+		sn     *stream.TablesSnapshot
+		study  *analysis.Study
+		source = *dataDir
+	)
 	if *streamMode {
-		return runStream(*dataDir, opts, *asJSON)
+		acc := stream.NewTables(opts)
+		f := &stream.Feeder{AddDevice: acc.AddDevice, Observe: acc.Observe}
+		if err := collect.StreamDir(*dataDir, f.Begin, f.Record); err != nil {
+			return err
+		}
+		f.Flush()
+		sn, source = acc.Tables(), source+" (streamed)"
+	} else {
+		ds, err := collect.ImportDir(*dataDir)
+		if err != nil {
+			return err
+		}
+		study = analysis.New(ds.AllRecords(), opts)
+		sn = study.Snapshot()
 	}
-	ds, err := collect.ImportDir(*dataDir)
-	if err != nil {
-		return err
-	}
-	study := analysis.New(ds.AllRecords(), opts)
 
 	if *asJSON {
-		rep := study.MTBF()
-		sum := summary{
-			Devices:        len(study.Devices()),
-			ObservedHours:  rep.ObservedHours,
-			Freezes:        rep.Freezes,
-			SelfShutdowns:  rep.SelfShutdowns,
-			MTBFrHours:     rep.MTBFrHours,
-			MTBSHours:      rep.MTBSHours,
-			Panics:         len(study.Panics()),
-			RelatedPercent: study.Coalesce().RelatedPercent,
-			PanicsInBursts: 100 * study.Bursts().PanicsInBursts,
-			PanicShares:    make(map[string]float64),
-		}
-		for _, row := range study.PanicTable() {
-			sum.PanicShares[row.Key] = row.Percent
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(sum)
-	}
-
-	fmt.Printf("dataset: %d devices from %s\n\n", len(study.Devices()), *dataDir)
-	fmt.Println(report.Figure2(study))
-	fmt.Println(report.MTBF(study))
-	fmt.Println(report.Table2(study))
-	fmt.Println(report.Figure3(study))
-	fmt.Println(report.Figure5(study))
-	fmt.Println(report.Table3(study))
-	fmt.Println(report.Figure6(study))
-	fmt.Println(report.Table4(study))
-	fmt.Println(report.Extras(study))
-	return nil
-}
-
-// runStream analyses the exported dataset in one incremental pass: StreamDir
-// reads one device's log at a time into a sorting Feeder feeding the
-// composite Tables accumulator, so peak memory is O(one device + bins)
-// instead of O(dataset). The paper tables print byte-identically to the
-// batch path; the beyond-the-paper extras need the full event set and are
-// batch-only.
-func runStream(dir string, opts analysis.Options, asJSON bool) error {
-	acc := stream.NewTables(opts)
-	f := &stream.Feeder{AddDevice: acc.AddDevice, Observe: acc.Observe}
-	if err := collect.StreamDir(dir, f.Begin, f.Record); err != nil {
-		return err
-	}
-	f.Flush()
-	sn := acc.Tables()
-
-	if asJSON {
 		sum := summary{
 			Devices:        len(sn.Devices),
 			ObservedHours:  sn.MTBF.ObservedHours,
@@ -146,7 +112,7 @@ func runStream(dir string, opts analysis.Options, asJSON bool) error {
 		return enc.Encode(sum)
 	}
 
-	fmt.Printf("dataset: %d devices from %s (streamed)\n\n", len(sn.Devices), dir)
+	fmt.Printf("dataset: %d devices from %s\n\n", len(sn.Devices), source)
 	fmt.Println(report.Figure2FromSnapshot(sn))
 	fmt.Println(report.MTBFFromSnapshot(sn))
 	fmt.Println(report.Table2FromSnapshot(sn))
@@ -155,5 +121,9 @@ func runStream(dir string, opts analysis.Options, asJSON bool) error {
 	fmt.Println(report.Table3FromSnapshot(sn))
 	fmt.Println(report.Figure6FromSnapshot(sn))
 	fmt.Println(report.Table4FromSnapshot(sn))
+	if study != nil {
+		// The beyond-the-paper extras need the full event set: batch only.
+		fmt.Println(report.Extras(study))
+	}
 	return nil
 }

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"symfail"
+	"symfail/internal/analysis"
 	"symfail/internal/collect"
 	"symfail/internal/phone"
+	"symfail/internal/report"
 )
 
 func capture(t *testing.T, fn func() error) (string, error) {
@@ -79,6 +81,51 @@ func TestAnalyzeJSON(t *testing.T) {
 	}
 	if sum.Panics > 0 && len(sum.PanicShares) == 0 {
 		t.Error("panic shares missing")
+	}
+}
+
+// TestAnalyzeStreamMatchesBatch pins the two input paths to one output: the
+// -json summaries are byte-equal, and the printed reports differ only in
+// the header line and the batch-only Extras block that ends the batch
+// report.
+func TestAnalyzeStreamMatchesBatch(t *testing.T) {
+	dir := exportSmallStudy(t)
+	ds, err := collect.ImportDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flags []string
+		opts  analysis.Options
+	}{
+		{nil, analysis.Options{SelfShutdownThreshold: 360 * time.Second, CoalescenceWindow: 5 * time.Minute}},
+		{[]string{"-threshold", "2m", "-window", "90s"}, analysis.Options{SelfShutdownThreshold: 2 * time.Minute, CoalescenceWindow: 90 * time.Second}},
+	} {
+		out := func(extra ...string) string {
+			t.Helper()
+			args := append(append([]string{"-data", dir}, tc.flags...), extra...)
+			got, err := capture(t, func() error { return run(args) })
+			if err != nil {
+				t.Fatalf("analyze %v: %v", args, err)
+			}
+			return got
+		}
+		if batch, streamed := out("-json"), out("-json", "-stream"); batch != streamed {
+			t.Errorf("%v: -json differs between batch and -stream:\nbatch:\n%s\nstream:\n%s", tc.flags, batch, streamed)
+		}
+		head := "dataset: 4 devices from " + dir
+		batch, ok := strings.CutPrefix(out(), head+"\n\n")
+		if !ok {
+			t.Fatalf("%v: batch report does not start with %q", tc.flags, head)
+		}
+		streamed, ok := strings.CutPrefix(out("-stream"), head+" (streamed)\n\n")
+		if !ok {
+			t.Fatalf("%v: -stream report does not start with %q (streamed)", tc.flags, head)
+		}
+		extras := report.Extras(analysis.New(ds.AllRecords(), tc.opts)) + "\n"
+		if batch != streamed+extras {
+			t.Errorf("%v: batch report is not the -stream report plus Extras:\nbatch:\n%s\nstream:\n%s", tc.flags, batch, streamed)
+		}
 	}
 }
 

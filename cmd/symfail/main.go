@@ -167,18 +167,19 @@ func run(args []string) error {
 	}
 
 	s := study.Study
-	fmt.Println(report.Figure2(s))
-	fmt.Println(report.MTBF(s))
-	fmt.Println(report.Table2(s))
-	fmt.Println(report.Figure3(s))
+	sn := s.Snapshot()
+	fmt.Println(report.Figure2FromSnapshot(sn))
+	fmt.Println(report.MTBFFromSnapshot(sn))
+	fmt.Println(report.Table2FromSnapshot(sn))
+	fmt.Println(report.Figure3FromSnapshot(sn))
 	fmt.Println(report.Figure4Sweep(s, []time.Duration{
 		30 * time.Second, time.Minute, 2 * time.Minute, 5 * time.Minute,
 		15 * time.Minute, time.Hour, 4 * time.Hour,
 	}))
-	fmt.Println(report.Figure5(s))
-	fmt.Println(report.Table3(s))
-	fmt.Println(report.Figure6(s))
-	fmt.Println(report.Table4(s))
+	fmt.Println(report.Figure5FromSnapshot(sn))
+	fmt.Println(report.Table3FromSnapshot(sn))
+	fmt.Println(report.Figure6FromSnapshot(sn))
+	fmt.Println(report.Table4FromSnapshot(sn))
 
 	if *export != "" {
 		if err := collect.ExportDir(study.Dataset, *export); err != nil {

@@ -32,7 +32,8 @@ func main() {
 		srv.Uploads(), len(study.Fleet.Devices), study.Fleet.ObservedHours())
 	fmt.Printf("the live record tap delivered %d distinct records\n\n", cfg.LiveStudy.Records())
 
-	fmt.Println(report.MTBF(study.Study))
-	fmt.Println(report.Figure2(study.Study))
-	fmt.Println(report.Table2(study.Study))
+	sn := study.Study.Snapshot()
+	fmt.Println(report.MTBFFromSnapshot(sn))
+	fmt.Println(report.Figure2FromSnapshot(sn))
+	fmt.Println(report.Table2FromSnapshot(sn))
 }

@@ -50,7 +50,7 @@ func (b *accBase) seal() []string {
 	return b.cs.devices()
 }
 
-// ---- Tables: the composite accumulator behind `-stream` ----
+// ---- Tables: the composite accumulator behind every paper table ----
 
 // TablesSnapshot is every paper table and figure of the field study,
 // computed in one streaming pass. RebootDurations is kept raw — O(shutdown
@@ -411,411 +411,3 @@ func (c *Collect) ExplainedShutdowns() int { return c.explained }
 
 // UptimeOf returns one device's uptime estimate in hours.
 func (c *Collect) UptimeOf(deviceID string) float64 { return c.uptime[deviceID] }
-
-// ---- Single-experiment accumulators ----
-
-// PanicTableAcc streams Table 2 (panic frequencies) alone.
-type PanicTableAcc struct {
-	accBase
-	red  *panicRed
-	snap []PanicRow
-}
-
-// NewPanicTableAcc builds the Table 2 accumulator.
-func NewPanicTableAcc(cfg Config) *PanicTableAcc {
-	a := &PanicTableAcc{red: newPanicRed()}
-	a.cfg = cfg.WithDefaults()
-	a.cs = newCursorSet(a.cfg, a.red)
-	return a
-}
-
-// Observe folds one record in.
-func (a *PanicTableAcc) Observe(deviceID string, r core.Record) {
-	a.observe("PanicTableAcc", deviceID, r)
-}
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *PanicTableAcc) Merge(other Accumulator) error {
-	o, ok := other.(*PanicTableAcc)
-	if !ok {
-		return typeErr("PanicTableAcc", other)
-	}
-	if err := a.mergeBase(&o.accBase, "PanicTableAcc"); err != nil {
-		return err
-	}
-	a.red.merge(o.red)
-	return nil
-}
-
-// Snapshot returns the current epoch's []PanicRow without sealing a live
-// accumulator; a sealed one returns the cached final rows.
-func (a *PanicTableAcc) Snapshot() any {
-	if a.sealed {
-		return a.Rows()
-	}
-	c := &PanicTableAcc{red: a.red.clone()}
-	c.cfg = a.cfg
-	c.cs = a.cs.clone(c.red)
-	return c.Rows()
-}
-
-// Seal finalizes the accumulator destructively (the batch path).
-func (a *PanicTableAcc) Seal() { a.Rows() }
-
-// Rows finalizes (sealing the accumulator) and returns Table 2.
-func (a *PanicTableAcc) Rows() []PanicRow {
-	if a.snap == nil {
-		a.seal()
-		a.snap = a.red.rows()
-	}
-	return a.snap
-}
-
-// RebootAcc streams Figure 2's reboot durations and the explained-shutdown
-// count alone.
-type RebootAcc struct {
-	accBase
-	red  *rebootRed
-	snap *RebootSnapshot
-}
-
-// RebootSnapshot is RebootAcc's result.
-type RebootSnapshot struct {
-	Durations          []float64
-	ExplainedShutdowns int
-}
-
-// NewRebootAcc builds the Figure 2 accumulator.
-func NewRebootAcc(cfg Config) *RebootAcc {
-	a := &RebootAcc{red: newRebootRed()}
-	a.cfg = cfg.WithDefaults()
-	a.cs = newCursorSet(a.cfg, a.red)
-	return a
-}
-
-// Observe folds one record in.
-func (a *RebootAcc) Observe(deviceID string, r core.Record) { a.observe("RebootAcc", deviceID, r) }
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *RebootAcc) Merge(other Accumulator) error {
-	o, ok := other.(*RebootAcc)
-	if !ok {
-		return typeErr("RebootAcc", other)
-	}
-	if err := a.mergeBase(&o.accBase, "RebootAcc"); err != nil {
-		return err
-	}
-	a.red.merge(o.red)
-	return nil
-}
-
-// Snapshot returns the current epoch's *RebootSnapshot without sealing a
-// live accumulator; a sealed one returns the cached final snapshot.
-func (a *RebootAcc) Snapshot() any {
-	if a.sealed {
-		return a.finalize()
-	}
-	c := &RebootAcc{red: a.red.clone()}
-	c.cfg = a.cfg
-	c.cs = a.cs.clone(c.red)
-	return c.finalize()
-}
-
-// Seal finalizes the accumulator destructively (the batch path).
-func (a *RebootAcc) Seal() { a.finalize() }
-
-func (a *RebootAcc) finalize() *RebootSnapshot {
-	if a.snap == nil {
-		devices := a.seal()
-		a.snap = &RebootSnapshot{Durations: a.red.all(devices), ExplainedShutdowns: a.red.explained}
-	}
-	return a.snap
-}
-
-// MTBFAcc streams the section 6 headline alone.
-type MTBFAcc struct {
-	accBase
-	red  *mtbfRed
-	snap *MTBFReport
-}
-
-// NewMTBFAcc builds the MTBF/uptime accumulator.
-func NewMTBFAcc(cfg Config) *MTBFAcc {
-	a := &MTBFAcc{red: newMTBFRed()}
-	a.cfg = cfg.WithDefaults()
-	a.cs = newCursorSet(a.cfg, a.red)
-	return a
-}
-
-// Observe folds one record in.
-func (a *MTBFAcc) Observe(deviceID string, r core.Record) { a.observe("MTBFAcc", deviceID, r) }
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *MTBFAcc) Merge(other Accumulator) error {
-	o, ok := other.(*MTBFAcc)
-	if !ok {
-		return typeErr("MTBFAcc", other)
-	}
-	if err := a.mergeBase(&o.accBase, "MTBFAcc"); err != nil {
-		return err
-	}
-	a.red.merge(o.red)
-	return nil
-}
-
-// Snapshot returns the current epoch's MTBFReport without sealing a live
-// accumulator; a sealed one returns the cached final report.
-func (a *MTBFAcc) Snapshot() any {
-	if a.sealed {
-		return a.Report()
-	}
-	c := &MTBFAcc{red: a.red.clone()}
-	c.cfg = a.cfg
-	c.cs = a.cs.clone(c.red)
-	return c.Report()
-}
-
-// Seal finalizes the accumulator destructively (the batch path).
-func (a *MTBFAcc) Seal() { a.Report() }
-
-// Report finalizes (sealing the accumulator) and returns the headline.
-func (a *MTBFAcc) Report() MTBFReport {
-	if a.snap == nil {
-		devices := a.seal()
-		rep := MTBFOf(a.red.hours(devices), a.red.freezes, a.red.selfs)
-		a.snap = &rep
-	}
-	return *a.snap
-}
-
-// CoalescenceAcc streams Figure 5 alone.
-type CoalescenceAcc struct {
-	accBase
-	red  *coalRed
-	snap *CoalescenceStats
-}
-
-// NewCoalescenceAcc builds the Figure 5 accumulator.
-func NewCoalescenceAcc(cfg Config) *CoalescenceAcc {
-	a := &CoalescenceAcc{red: newCoalRed()}
-	a.cfg = cfg.WithDefaults()
-	a.cs = newCursorSet(a.cfg, a.red)
-	return a
-}
-
-// Observe folds one record in.
-func (a *CoalescenceAcc) Observe(deviceID string, r core.Record) {
-	a.observe("CoalescenceAcc", deviceID, r)
-}
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *CoalescenceAcc) Merge(other Accumulator) error {
-	o, ok := other.(*CoalescenceAcc)
-	if !ok {
-		return typeErr("CoalescenceAcc", other)
-	}
-	if err := a.mergeBase(&o.accBase, "CoalescenceAcc"); err != nil {
-		return err
-	}
-	a.red.merge(o.red)
-	return nil
-}
-
-// Snapshot returns the current epoch's CoalescenceStats without sealing a
-// live accumulator; a sealed one returns the cached final stats.
-func (a *CoalescenceAcc) Snapshot() any {
-	if a.sealed {
-		return a.Stats()
-	}
-	c := &CoalescenceAcc{red: a.red.clone()}
-	c.cfg = a.cfg
-	c.cs = a.cs.clone(c.red)
-	return c.Stats()
-}
-
-// Seal finalizes the accumulator destructively (the batch path).
-func (a *CoalescenceAcc) Seal() { a.Stats() }
-
-// Stats finalizes (sealing the accumulator) and returns Figure 5's data.
-func (a *CoalescenceAcc) Stats() CoalescenceStats {
-	if a.snap == nil {
-		a.seal()
-		st := a.red.stats()
-		a.snap = &st
-	}
-	return *a.snap
-}
-
-// BurstAcc streams Figure 3 alone.
-type BurstAcc struct {
-	accBase
-	red  *burstRed
-	snap *BurstStats
-}
-
-// NewBurstAcc builds the Figure 3 accumulator.
-func NewBurstAcc(cfg Config) *BurstAcc {
-	a := &BurstAcc{red: newBurstRed()}
-	a.cfg = cfg.WithDefaults()
-	a.cs = newCursorSet(a.cfg, a.red)
-	return a
-}
-
-// Observe folds one record in.
-func (a *BurstAcc) Observe(deviceID string, r core.Record) { a.observe("BurstAcc", deviceID, r) }
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *BurstAcc) Merge(other Accumulator) error {
-	o, ok := other.(*BurstAcc)
-	if !ok {
-		return typeErr("BurstAcc", other)
-	}
-	if err := a.mergeBase(&o.accBase, "BurstAcc"); err != nil {
-		return err
-	}
-	a.red.merge(o.red)
-	return nil
-}
-
-// Snapshot returns the current epoch's BurstStats without sealing a live
-// accumulator; a sealed one returns the cached final stats.
-func (a *BurstAcc) Snapshot() any {
-	if a.sealed {
-		return a.Stats()
-	}
-	c := &BurstAcc{red: a.red.clone()}
-	c.cfg = a.cfg
-	c.cs = a.cs.clone(c.red)
-	return c.Stats()
-}
-
-// Seal finalizes the accumulator destructively (the batch path).
-func (a *BurstAcc) Seal() { a.Stats() }
-
-// Stats finalizes (sealing the accumulator) and returns Figure 3's data.
-func (a *BurstAcc) Stats() BurstStats {
-	if a.snap == nil {
-		a.seal()
-		st := a.red.stats()
-		a.snap = &st
-	}
-	return *a.snap
-}
-
-// ActivityAcc streams Table 3 alone.
-type ActivityAcc struct {
-	accBase
-	red  *activityRed
-	snap []ActivityRow
-}
-
-// NewActivityAcc builds the Table 3 accumulator.
-func NewActivityAcc(cfg Config) *ActivityAcc {
-	a := &ActivityAcc{red: newActivityRed()}
-	a.cfg = cfg.WithDefaults()
-	a.cs = newCursorSet(a.cfg, a.red)
-	return a
-}
-
-// Observe folds one record in.
-func (a *ActivityAcc) Observe(deviceID string, r core.Record) {
-	a.observe("ActivityAcc", deviceID, r)
-}
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *ActivityAcc) Merge(other Accumulator) error {
-	o, ok := other.(*ActivityAcc)
-	if !ok {
-		return typeErr("ActivityAcc", other)
-	}
-	if err := a.mergeBase(&o.accBase, "ActivityAcc"); err != nil {
-		return err
-	}
-	a.red.merge(o.red)
-	return nil
-}
-
-// Snapshot returns the current epoch's []ActivityRow without sealing a
-// live accumulator; a sealed one returns the cached final rows.
-func (a *ActivityAcc) Snapshot() any {
-	if a.sealed {
-		return a.Rows()
-	}
-	c := &ActivityAcc{red: a.red.clone()}
-	c.cfg = a.cfg
-	c.cs = a.cs.clone(c.red)
-	return c.Rows()
-}
-
-// Seal finalizes the accumulator destructively (the batch path).
-func (a *ActivityAcc) Seal() { a.Rows() }
-
-// Rows finalizes (sealing the accumulator) and returns Table 3.
-func (a *ActivityAcc) Rows() []ActivityRow {
-	if a.snap == nil {
-		a.seal()
-		a.snap = a.red.rows()
-	}
-	return a.snap
-}
-
-// AppsAcc streams Figure 6 and Table 4 alone.
-type AppsAcc struct {
-	accBase
-	red  *appsRed
-	snap *AppsSnapshot
-}
-
-// AppsSnapshot is AppsAcc's result.
-type AppsSnapshot struct {
-	RunningApps map[int]int
-	AppTable    []AppPanicRow
-	TopApps     []AppShare
-}
-
-// NewAppsAcc builds the Figure 6 / Table 4 accumulator.
-func NewAppsAcc(cfg Config) *AppsAcc {
-	a := &AppsAcc{red: newAppsRed()}
-	a.cfg = cfg.WithDefaults()
-	a.cs = newCursorSet(a.cfg, a.red)
-	return a
-}
-
-// Observe folds one record in.
-func (a *AppsAcc) Observe(deviceID string, r core.Record) { a.observe("AppsAcc", deviceID, r) }
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *AppsAcc) Merge(other Accumulator) error {
-	o, ok := other.(*AppsAcc)
-	if !ok {
-		return typeErr("AppsAcc", other)
-	}
-	if err := a.mergeBase(&o.accBase, "AppsAcc"); err != nil {
-		return err
-	}
-	a.red.merge(o.red)
-	return nil
-}
-
-// Snapshot returns the current epoch's *AppsSnapshot without sealing a
-// live accumulator; a sealed one returns the cached final snapshot.
-func (a *AppsAcc) Snapshot() any {
-	if a.sealed {
-		return a.finalize()
-	}
-	c := &AppsAcc{red: a.red.clone()}
-	c.cfg = a.cfg
-	c.cs = a.cs.clone(c.red)
-	return c.finalize()
-}
-
-// Seal finalizes the accumulator destructively (the batch path).
-func (a *AppsAcc) Seal() { a.finalize() }
-
-func (a *AppsAcc) finalize() *AppsSnapshot {
-	if a.snap == nil {
-		a.seal()
-		a.snap = &AppsSnapshot{RunningApps: a.red.hist(), AppTable: a.red.table(), TopApps: a.red.top(0)}
-	}
-	return a.snap
-}

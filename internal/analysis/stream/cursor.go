@@ -30,15 +30,6 @@ type evsink interface {
 	uptimeDone(deviceID string, hours float64)
 }
 
-// nopSink is embedded by reducers that only care about a subset of events.
-type nopSink struct{}
-
-func (nopSink) panicDone(string, *PanicEvent, bool) {}
-func (nopSink) hlDone(string, *HLEvent)             {}
-func (nopSink) rebootDone(string, float64)          {}
-func (nopSink) explainedDone(string)                {}
-func (nopSink) uptimeDone(string, float64)          {}
-
 // pendingPanic is a panic whose burst or coalescence is not yet final.
 type pendingPanic struct {
 	ev        *PanicEvent

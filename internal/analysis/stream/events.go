@@ -26,9 +26,10 @@ type HLEvent struct {
 	OffSeconds float64  // reboot duration observed at the following boot
 
 	// refd is set by the device cursor when a finalized panic coalesces
-	// with this event, so the streaming CoalescenceAcc can count isolated
-	// HL events without holding every panic pointer. The batch Study does
-	// not use it (it recomputes relations from Related pointers).
+	// with this event, so the streaming coalescence reducer (in Tables)
+	// can count isolated HL events without holding every panic pointer.
+	// The batch Study does not use it (it recomputes relations from
+	// Related pointers).
 	refd bool
 }
 

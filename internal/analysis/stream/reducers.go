@@ -9,11 +9,13 @@ import (
 
 // This file holds the per-experiment reducers: small folds over finalized
 // events with O(bins + devices) state. Each reducer is used twice — fed
-// from a deviceCursor by the streaming accumulators, and fed from the
-// event slices by the batch Study's table methods (via the exported *Of
-// helpers) — so both paths share one implementation and stay byte-identical
-// by construction. Merges only add integers and union device-keyed maps;
-// every float is derived at finalize time in canonical order.
+// the cursor's finalized events by the composite Tables accumulator, and
+// fed from the event slices by the batch Study's table methods (via the
+// exported *Of helpers) — so both paths share one implementation and stay
+// byte-identical by construction. A reducer implements only the event
+// methods it folds; Tables calls them directly. Merges only add integers
+// and union device-keyed maps; every float is derived at finalize time in
+// canonical order.
 
 // ---- Table 2: panic frequencies ----
 
@@ -31,7 +33,6 @@ type panicID struct {
 }
 
 type panicRed struct {
-	nopSink
 	counts map[string]int
 	ids    map[string]panicID // key -> (category, type); key is injective
 	cats   map[string]int
@@ -143,7 +144,6 @@ func CategoryShareOf(panics []*PanicEvent, category string) float64 {
 // ---- Figure 2: reboot durations, plus explained shutdowns ----
 
 type rebootRed struct {
-	nopSink
 	durs      map[string][]float64 // per device, record order
 	count     int
 	explained int
@@ -225,7 +225,6 @@ func MTBFOf(hours float64, freezes, selfShutdowns int) MTBFReport {
 }
 
 type mtbfRed struct {
-	nopSink
 	uptime  map[string]float64
 	freezes int
 	selfs   int
@@ -289,7 +288,6 @@ type BurstStats struct {
 }
 
 type burstRed struct {
-	nopSink
 	sizeCounts  map[int]int
 	lastBurst   map[string]int // device -> last cascade index counted
 	totalPanics int
@@ -391,7 +389,6 @@ type RelatedCount struct {
 }
 
 type coalRed struct {
-	nopSink
 	total    int
 	related  int
 	toFreeze int
@@ -531,7 +528,6 @@ type ActivityRow struct {
 }
 
 type activityRed struct {
-	nopSink
 	counts  map[string]map[string]int // activity -> category -> count
 	related int
 	rt      int // voice-call or message
@@ -663,7 +659,6 @@ type AppShare struct {
 type appCell struct{ outcome, cat, app string }
 
 type appsRed struct {
-	nopSink
 	cells     map[appCell]int
 	appCounts map[string]int
 	runApps   map[int]int // folded at RunningAppsCap

@@ -44,8 +44,7 @@ import (
 // Seal finalizes the accumulator destructively — the batch path: pending
 // cursor state is flushed in place, further Merges return ErrSealed,
 // further Observes panic, and Snapshot returns the cached final result.
-// The batch finalizers (Tables, Rows, Report, Stats, Finish) seal
-// implicitly.
+// The batch finalizers (Tables.Tables, Collect.Finish) seal implicitly.
 //
 // Merge is associative and order-insensitive: any merge tree over any
 // device-disjoint sharding of the same observations snapshots to identical
@@ -131,21 +130,14 @@ var (
 // RegisteredAccumulators is the closed set of Accumulator implementations,
 // keyed by type name. The symlint accmerge analyzer statically cross-checks
 // this table against the types in this package that implement Accumulator,
-// in both directions, and TestRegisteredAccumulators cross-checks it against
-// NewRegistered — adding an implementation without registering it here (or
-// vice versa) fails `make lint` and the test suite.
+// in both directions, and TestStreamRegisteredAccumulators cross-checks it
+// against NewRegistered — adding an implementation without registering it
+// here (or vice versa) fails `make lint` and the test suite.
 var RegisteredAccumulators = map[string]bool{
-	"Tables":         true,
-	"Collect":        true,
-	"PanicTableAcc":  true,
-	"RebootAcc":      true,
-	"MTBFAcc":        true,
-	"CoalescenceAcc": true,
-	"BurstAcc":       true,
-	"ActivityAcc":    true,
-	"AppsAcc":        true,
-	"WindowAcc":      true,
-	"DecayAcc":       true,
+	"Tables":    true,
+	"Collect":   true,
+	"WindowAcc": true,
+	"DecayAcc":  true,
 }
 
 // NewRegistered constructs one accumulator of every registered type, keyed
@@ -153,17 +145,10 @@ var RegisteredAccumulators = map[string]bool{
 // suite over every implementation without hand-maintaining a second list.
 func NewRegistered(cfg Config) map[string]Accumulator {
 	return map[string]Accumulator{
-		"Tables":         NewTables(cfg),
-		"Collect":        NewCollect(cfg),
-		"PanicTableAcc":  NewPanicTableAcc(cfg),
-		"RebootAcc":      NewRebootAcc(cfg),
-		"MTBFAcc":        NewMTBFAcc(cfg),
-		"CoalescenceAcc": NewCoalescenceAcc(cfg),
-		"BurstAcc":       NewBurstAcc(cfg),
-		"ActivityAcc":    NewActivityAcc(cfg),
-		"AppsAcc":        NewAppsAcc(cfg),
-		"WindowAcc":      NewWindowAcc(cfg),
-		"DecayAcc":       NewDecayAcc(cfg),
+		"Tables":    NewTables(cfg),
+		"Collect":   NewCollect(cfg),
+		"WindowAcc": NewWindowAcc(cfg),
+		"DecayAcc":  NewDecayAcc(cfg),
 	}
 }
 

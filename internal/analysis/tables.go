@@ -8,8 +8,8 @@ import (
 )
 
 // Every table method in this file delegates to the reducers in
-// internal/analysis/stream — the same code the streaming accumulators run —
-// so the batch and streaming paths cannot drift apart.
+// internal/analysis/stream — the same code the streaming Tables accumulator
+// runs — so the batch and streaming paths cannot drift apart.
 
 // KnownPanicKeys is the closed panic taxonomy of the study: every
 // "Category Type" pair from Table 2 of the paper, i.e. every panic the

@@ -3,32 +3,48 @@ package collect
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
-// fuzzDial throws raw bytes at the server and drains whatever comes back.
-// Errors are expected — the server rejects almost everything — the property
-// under test is that it survives and stays responsive. The read deadline is
-// short: on inputs that leave the server legitimately waiting for more
-// bytes (a header with no newline, an undelivered body) there is no reply
-// to drain, and the close is what unblocks the handler.
-func fuzzDial(addr string, payload []byte) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return
+// fuzzWedge bounds one fuzz exchange: a handler still running this long
+// after its client hung up is wedged.
+const fuzzWedge = 5 * time.Second
+
+// pipeExchange drives one connection of the server's handler over net.Pipe
+// — no socket, so no ephemeral ports and no read deadline to sit out. It
+// writes payload, then hangs up at once (hangUp) or waits for the server to
+// close, draining the replies concurrently either way, and returns what it
+// read. It fails if the handler has not returned within fuzzWedge.
+func pipeExchange(srv *Server, payload []byte, hangUp bool) (string, error) {
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		srv.handle(server)
+		close(done)
+	}()
+	replies := make(chan []byte, 1)
+	go func() {
+		b, _ := io.ReadAll(client)
+		replies <- b
+	}()
+	_ = client.SetWriteDeadline(time.Now().Add(fuzzWedge))
+	_, _ = client.Write(payload)
+	if hangUp {
+		_ = client.Close()
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(200 * time.Millisecond))
-	_, _ = conn.Write(payload)
-	buf := make([]byte, 256)
-	for {
-		if _, err := conn.Read(buf); err != nil {
-			return
-		}
+	select {
+	case <-done:
+	case <-time.After(fuzzWedge):
+		return "", fmt.Errorf("handler still running %v after the input", fuzzWedge)
 	}
+	_ = client.Close()
+	return string(<-replies), nil
 }
 
 // fireAndClose writes the payload and hangs up without waiting for a reply
@@ -43,10 +59,14 @@ func fireAndClose(addr string, payload []byte) {
 	_ = conn.Close()
 }
 
-// FuzzServerHeader feeds arbitrary bytes to a live durable server — header
-// line, body, framing and all — and asserts the server neither panics nor
-// wedges: after every input a well-formed OFFSET round-trip must still
-// succeed. The corpus seeds every verb, valid and malformed.
+// FuzzServerHeader feeds arbitrary bytes to a durable server's connection
+// handler — header line, body, framing and all — then hangs up, and asserts
+// the server neither panics nor wedges: the handler returns within
+// fuzzWedge, and after every input a well-formed OFFSET round-trip must
+// still succeed. The handler runs over net.Pipe, so an input that leaves it
+// waiting for more bytes ends at the hang-up rather than a read deadline;
+// TestServerNoGoroutineLeakAfterBadTraffic covers the same traffic over
+// real TCP. The corpus seeds every verb, valid and malformed.
 func FuzzServerHeader(f *testing.F) {
 	body := []byte("hello")
 	sum := crc32.Checksum(body, castagnoli)
@@ -65,7 +85,7 @@ func FuzzServerHeader(f *testing.F) {
 	f.Add([]byte("NOSUCHVERB x\n"))
 	f.Add([]byte("\n"))
 	f.Add([]byte{})
-	f.Add([]byte("CHUNK dev"))                  // no newline: header times out short
+	f.Add([]byte("CHUNK dev"))                  // no newline: the hang-up ends the header
 	f.Add([]byte{0x7e, 0x00, 0xff, 0x0a, 0x80}) // frame-magic garbage
 	f.Add(make([]byte, MaxHeaderBytes+32))      // oversized header line
 
@@ -78,13 +98,15 @@ func FuzzServerHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { _ = srv.Close() })
-	addr := srv.Addr()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDial(addr, data)
+		if _, err := pipeExchange(srv, data, true); err != nil {
+			t.Fatalf("server wedged by fuzz input %q: %v", data, err)
+		}
 		// Liveness: the server must still answer a well-formed query.
-		if _, _, err := (NetTransport{}).Offset(addr, "liveness-probe"); err != nil {
-			t.Fatalf("server unresponsive after fuzz input %q: %v", data, err)
+		reply, err := pipeExchange(srv, []byte("OFFSET liveness-probe\n"), false)
+		if err != nil || !strings.HasPrefix(reply, "OK ") {
+			t.Fatalf("server unresponsive after fuzz input %q: reply %q, %v", data, reply, err)
 		}
 	})
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"net"
 	"reflect"
 	"runtime"
 	"sync"
@@ -255,20 +253,13 @@ func FuzzIncrementalIngest(f *testing.F) {
 // pipeRequest serves one request on srv over an in-memory connection and
 // returns the reply once the handler has finished: a fuzz run issues
 // thousands of verbs, more than the host's ephemeral TCP ports would allow.
+// A wedged handler panics the run.
 func pipeRequest(srv *Server, header string, body []byte) string {
-	client, server := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		srv.handle(server)
-		close(done)
-	}()
-	go func() {
-		_, _ = fmt.Fprintf(client, "%s\n", header)
-		_, _ = client.Write(body)
-	}()
-	reply, _ := io.ReadAll(client)
-	<-done
-	return string(reply)
+	reply, err := pipeExchange(srv, append([]byte(header+"\n"), body...), false)
+	if err != nil {
+		panic(fmt.Sprintf("%s: %v", header, err))
+	}
+	return reply
 }
 
 func runIngestProgram(t *testing.T, prog []byte) {

@@ -12,12 +12,11 @@ import (
 	"symfail/internal/sim"
 )
 
-// Each paper renderer below is split into a data-level core that consumes
-// the stream package's table types and a thin *analysis.Study wrapper. The
-// FromSnapshot variants render the same text from a stream.TablesSnapshot —
-// the `-stream` path — and, because the batch table methods and the
-// streaming accumulators share one reducer implementation, the two paths
-// print byte-identical reports.
+// The field-study renderers below print each paper table and figure from a
+// stream.TablesSnapshot. The batch path (analysis.Study.Snapshot) and the
+// streaming path (stream.Tables) build the same snapshot from one reducer
+// implementation, so both print byte-identical reports. Figure4Sweep alone
+// takes a Study: the window sweep re-coalesces the events themselves.
 
 // Table1 renders the forum study's failure-type × recovery-action joint
 // distribution (paper Table 1).
@@ -60,19 +59,10 @@ func Section41(rep *forum.Report) string {
 	return b.String()
 }
 
-// Figure2 renders the reboot-duration distribution with the paper's two
-// views: the full range and the sub-500 s zoom.
-func Figure2(s *analysis.Study) string {
-	return figure2Core(s.RebootDurations(), len(s.HLEvents(analysis.HLSelfShutdown)),
-		s.Options().SelfShutdownThreshold)
-}
-
-// Figure2FromSnapshot renders Figure 2 from a streaming snapshot.
+// Figure2FromSnapshot renders the reboot-duration distribution with the
+// paper's two views: the full range and the sub-500 s zoom.
 func Figure2FromSnapshot(sn *stream.TablesSnapshot) string {
-	return figure2Core(sn.RebootDurations, sn.MTBF.SelfShutdowns, sn.Config.SelfShutdownThreshold)
-}
-
-func figure2Core(durs []float64, selfs int, threshold time.Duration) string {
+	durs, selfs, threshold := sn.RebootDurations, sn.MTBF.SelfShutdowns, sn.Config.SelfShutdownThreshold
 	var b strings.Builder
 	b.WriteString("Figure 2 — distribution of reboot durations\n")
 	fmt.Fprintf(&b, "shutdown events: %d\n", len(durs))
@@ -117,13 +107,9 @@ func medianOf(durs []float64, below float64) float64 {
 	return xs[len(xs)/2]
 }
 
-// MTBF renders the section 6 headline numbers.
-func MTBF(s *analysis.Study) string { return mtbfCore(s.MTBF()) }
-
-// MTBFFromSnapshot renders the section 6 headline from a streaming snapshot.
-func MTBFFromSnapshot(sn *stream.TablesSnapshot) string { return mtbfCore(sn.MTBF) }
-
-func mtbfCore(rep stream.MTBFReport) string {
+// MTBFFromSnapshot renders the section 6 headline numbers.
+func MTBFFromSnapshot(sn *stream.TablesSnapshot) string {
+	rep := sn.MTBF
 	var b strings.Builder
 	b.WriteString("Section 6 — freezes and self-shutdowns\n")
 	fmt.Fprintf(&b, "observed phone-hours: %.0f\n", rep.ObservedHours)
@@ -133,15 +119,11 @@ func mtbfCore(rep stream.MTBFReport) string {
 	return b.String()
 }
 
-// Table2 renders the collected panic events with frequencies and meanings.
-func Table2(s *analysis.Study) string { return table2Core(s.PanicTable()) }
-
-// Table2FromSnapshot renders Table 2 from a streaming snapshot.
-func Table2FromSnapshot(sn *stream.TablesSnapshot) string { return table2Core(sn.PanicTable) }
-
-func table2Core(rows []stream.PanicRow) string {
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
+// Table2FromSnapshot renders the collected panic events with frequencies
+// and meanings.
+func Table2FromSnapshot(sn *stream.TablesSnapshot) string {
+	out := make([][]string, 0, len(sn.PanicTable))
+	for _, r := range sn.PanicTable {
 		meaning := r.Meaning
 		if len(meaning) > 72 {
 			meaning = meaning[:69] + "..."
@@ -151,38 +133,25 @@ func table2Core(rows []stream.PanicRow) string {
 	return Table("Table 2 — collected panic events", []string{"panic", "count", "%", "meaning"}, out)
 }
 
-// Figure3 renders the distribution of panic cascade sizes.
-func Figure3(s *analysis.Study) string { return figure3Core(s.Bursts()) }
-
-// Figure3FromSnapshot renders Figure 3 from a streaming snapshot.
-func Figure3FromSnapshot(sn *stream.TablesSnapshot) string { return figure3Core(sn.Bursts) }
-
-func figure3Core(st stream.BurstStats) string {
+// Figure3FromSnapshot renders the distribution of panic cascade sizes.
+func Figure3FromSnapshot(sn *stream.TablesSnapshot) string {
 	var b strings.Builder
-	b.WriteString(IntHistogram("Figure 3 — distribution of subsequent panics (cascade sizes)", "size", st.SizeCounts, 40))
-	fmt.Fprintf(&b, "panics in cascades of >= 2: %.1f%% (paper: ~25%%)\n", 100*st.PanicsInBursts)
+	b.WriteString(IntHistogram("Figure 3 — distribution of subsequent panics (cascade sizes)", "size", sn.Bursts.SizeCounts, 40))
+	fmt.Fprintf(&b, "panics in cascades of >= 2: %.1f%% (paper: ~25%%)\n", 100*sn.Bursts.PanicsInBursts)
 	return b.String()
 }
 
-// Figure5 renders the panic / high-level-event coalescence.
-func Figure5(s *analysis.Study) string {
-	return figure5Core(s.Coalesce(), s.Options().CoalescenceWindow, s.RelatedPercentWithAllShutdowns())
-}
-
-// Figure5FromSnapshot renders Figure 5 from a streaming snapshot.
+// Figure5FromSnapshot renders the panic / high-level-event coalescence.
 func Figure5FromSnapshot(sn *stream.TablesSnapshot) string {
-	return figure5Core(sn.Coalescence, sn.Config.CoalescenceWindow, sn.RelatedPercentAllShutdowns)
-}
-
-func figure5Core(st stream.CoalescenceStats, window time.Duration, allPct float64) string {
+	st := sn.Coalescence
 	var b strings.Builder
 	b.WriteString("Figure 5 — panics and high-level events (window ")
-	fmt.Fprintf(&b, "%v)\n", window)
+	fmt.Fprintf(&b, "%v)\n", sn.Config.CoalescenceWindow)
 	fmt.Fprintf(&b, "panics: %d, related to HL events: %d (%.1f%%, paper: 51%%)\n",
 		st.TotalPanics, st.RelatedPanics, st.RelatedPercent)
 	fmt.Fprintf(&b, "  -> freezes: %d, -> self-shutdowns: %d, isolated HL events: %d\n",
 		st.ToFreeze, st.ToSelfShutdown, st.IsolatedHL)
-	fmt.Fprintf(&b, "with ALL shutdown events included: %.1f%% related (paper: 55%%)\n", allPct)
+	fmt.Fprintf(&b, "with ALL shutdown events included: %.1f%% related (paper: 55%%)\n", sn.RelatedPercentAllShutdowns)
 	b.WriteString("\nper category (Figure 5b):\n")
 	keys := make([]string, 0, len(st.ByCategory))
 	for k := range st.ByCategory {
@@ -226,20 +195,11 @@ func Figure4Sweep(s *analysis.Study, windows []time.Duration) string {
 	return b.String()
 }
 
-// Table3 renders the panic-activity relationship.
-func Table3(s *analysis.Study) string {
-	return table3Core(s.ActivityTable(), s.RealTimeActivityShare())
-}
-
-// Table3FromSnapshot renders Table 3 from a streaming snapshot.
+// Table3FromSnapshot renders the panic-activity relationship.
 func Table3FromSnapshot(sn *stream.TablesSnapshot) string {
-	return table3Core(sn.Activity, sn.RealTimeActivitySharePct)
-}
-
-func table3Core(rows []stream.ActivityRow, rtShare float64) string {
 	cats := []string{"E32USER-CBase", "KERN-EXEC", "MSGS Client", "Phone.app", "USER", "ViewSrv"}
 	var out [][]string
-	for _, r := range rows {
+	for _, r := range sn.Activity {
 		row := []string{r.Activity}
 		for _, c := range cats {
 			row = append(row, Pct(r.ByCategory[c]))
@@ -250,37 +210,22 @@ func table3Core(rows []stream.ActivityRow, rtShare float64) string {
 	headers := append([]string{"activity"}, append(cats, "total")...)
 	var b strings.Builder
 	b.WriteString(Table("Table 3 — panic-activity relationship (% of HL-related panics)", headers, out))
-	fmt.Fprintf(&b, "panics during real-time activity (call/message): %.1f%% (paper: ~45%%)\n", rtShare)
+	fmt.Fprintf(&b, "panics during real-time activity (call/message): %.1f%% (paper: ~45%%)\n", sn.RealTimeActivitySharePct)
 	return b.String()
 }
 
-// Figure6 renders the running-applications-at-panic distribution.
-func Figure6(s *analysis.Study) string {
-	return figure6Core(s.RunningAppsHistogram(stream.RunningAppsCap))
+// Figure6FromSnapshot renders the running-applications-at-panic
+// distribution.
+func Figure6FromSnapshot(sn *stream.TablesSnapshot) string {
+	return IntHistogram("Figure 6 — number of running applications at panic time", "apps", sn.RunningApps, 40)
 }
 
-// Figure6FromSnapshot renders Figure 6 from a streaming snapshot.
-func Figure6FromSnapshot(sn *stream.TablesSnapshot) string { return figure6Core(sn.RunningApps) }
-
-func figure6Core(hist map[int]int) string {
-	return IntHistogram("Figure 6 — number of running applications at panic time", "apps", hist, 40)
-}
-
-// Table4 renders the panic / running-application relationship.
-func Table4(s *analysis.Study) string {
-	return table4Core(s.AppPanicTable(), s.TopPanicApps(5))
-}
-
-// Table4FromSnapshot renders Table 4 from a streaming snapshot.
+// Table4FromSnapshot renders the panic / running-application relationship.
 func Table4FromSnapshot(sn *stream.TablesSnapshot) string {
-	top := sn.TopApps
+	rows, top := sn.AppTable, sn.TopApps
 	if len(top) > 5 {
 		top = top[:5]
 	}
-	return table4Core(sn.AppTable, top)
-}
-
-func table4Core(rows []stream.AppPanicRow, top []stream.AppShare) string {
 	appSet := make(map[string]bool)
 	for _, r := range rows {
 		for app := range r.ByApp {

@@ -102,15 +102,16 @@ func smallStudy() *analysis.Study {
 
 func TestPaperRenderersProduceOutput(t *testing.T) {
 	s := smallStudy()
+	sn := s.Snapshot()
 	cases := map[string]string{
-		"Figure 2":  Figure2(s),
-		"Section 6": MTBF(s),
-		"Table 2":   Table2(s),
-		"Figure 3":  Figure3(s),
-		"Figure 5":  Figure5(s),
-		"Table 3":   Table3(s),
-		"Figure 6":  Figure6(s),
-		"Table 4":   Table4(s),
+		"Figure 2":  Figure2FromSnapshot(sn),
+		"Section 6": MTBFFromSnapshot(sn),
+		"Table 2":   Table2FromSnapshot(sn),
+		"Figure 3":  Figure3FromSnapshot(sn),
+		"Figure 5":  Figure5FromSnapshot(sn),
+		"Table 3":   Table3FromSnapshot(sn),
+		"Figure 6":  Figure6FromSnapshot(sn),
+		"Table 4":   Table4FromSnapshot(sn),
 	}
 	for name, out := range cases {
 		if !strings.Contains(out, strings.Split(name, " ")[0]) {
@@ -127,7 +128,7 @@ func TestPaperRenderersProduceOutput(t *testing.T) {
 }
 
 func TestFigure2ContentDetails(t *testing.T) {
-	out := Figure2(smallStudy())
+	out := Figure2FromSnapshot(smallStudy().Snapshot())
 	if !strings.Contains(out, "shutdown events: 2") {
 		t.Errorf("missing event count:\n%s", out)
 	}
@@ -140,7 +141,7 @@ func TestFigure2ContentDetails(t *testing.T) {
 }
 
 func TestTable2IncludesMeanings(t *testing.T) {
-	out := Table2(smallStudy())
+	out := Table2FromSnapshot(smallStudy().Snapshot())
 	if !strings.Contains(out, "KERN-EXEC 3") || !strings.Contains(out, "unhandled exception") {
 		t.Errorf("table 2 content:\n%s", out)
 	}

@@ -160,7 +160,8 @@ func TestStreamEquivalence(t *testing.T) {
 }
 
 // TestStreamReportEquivalence proves the rendered paper report is
-// byte-identical between the Study renderers and the FromSnapshot variants.
+// byte-identical between the batch Study's snapshot and the streamed Tables
+// snapshot of the same dataset.
 func TestStreamReportEquivalence(t *testing.T) {
 	fs, err := RunFieldStudy(FieldStudyConfig{
 		Seed:       424242,
@@ -172,24 +173,24 @@ func TestStreamReportEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fs.Study
-	sn := streamSnapshot(t, fs.Dataset, s.Options())
-	pairs := []struct {
-		name         string
-		batch, strem string
+	batch := fs.Study.Snapshot()
+	streamed := streamSnapshot(t, fs.Dataset, fs.Study.Options())
+	renderers := []struct {
+		name   string
+		render func(*stream.TablesSnapshot) string
 	}{
-		{"Figure2", report.Figure2(s), report.Figure2FromSnapshot(sn)},
-		{"MTBF", report.MTBF(s), report.MTBFFromSnapshot(sn)},
-		{"Table2", report.Table2(s), report.Table2FromSnapshot(sn)},
-		{"Figure3", report.Figure3(s), report.Figure3FromSnapshot(sn)},
-		{"Figure5", report.Figure5(s), report.Figure5FromSnapshot(sn)},
-		{"Table3", report.Table3(s), report.Table3FromSnapshot(sn)},
-		{"Figure6", report.Figure6(s), report.Figure6FromSnapshot(sn)},
-		{"Table4", report.Table4(s), report.Table4FromSnapshot(sn)},
+		{"Figure2", report.Figure2FromSnapshot},
+		{"MTBF", report.MTBFFromSnapshot},
+		{"Table2", report.Table2FromSnapshot},
+		{"Figure3", report.Figure3FromSnapshot},
+		{"Figure5", report.Figure5FromSnapshot},
+		{"Table3", report.Table3FromSnapshot},
+		{"Figure6", report.Figure6FromSnapshot},
+		{"Table4", report.Table4FromSnapshot},
 	}
-	for _, p := range pairs {
-		if p.batch != p.strem {
-			t.Errorf("%s renders differently:\nbatch:\n%s\nstream:\n%s", p.name, p.batch, p.strem)
+	for _, r := range renderers {
+		if b, st := r.render(batch), r.render(streamed); b != st {
+			t.Errorf("%s renders differently:\nbatch:\n%s\nstream:\n%s", r.name, b, st)
 		}
 	}
 }
