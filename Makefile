@@ -69,13 +69,16 @@ chaos-checkpoint:
 # intermittently on loaded multi-CPU hosts — the live record tap across
 # server crashes on both topologies, the server-crash equivalence sweep,
 # and the fleet and quorum kill-anything harnesses under -race (once seen
-# to end with crashes != restarts) — and the kill-and-Settle tap tests of
-# one supervisor, so their failure rate is measured, not seen once.
+# to end with crashes != restarts) — the kill-and-Settle tap tests of one
+# supervisor, and, under -race, the persistent-connection tests, which
+# race a client's pooled connection against a server that closes or dies
+# in host time, so their failure rate is measured, not seen once.
 N ?= 3
 flake:
 	$(GO) test -count=$(N) -run 'TestLiveStudyAcrossServerCrashes|TestFleetEquivalenceSweep/servercrash' .
 	$(GO) test -race -count=$(N) -run 'TestReplicaKillAnything|TestFleetKillAnything' .
 	$(GO) test -count=$(N) -run 'TestTap' ./internal/collect
+	$(GO) test -race -count=$(N) -run 'TestKeepAlive|TestServerNoGoroutineLeak|FuzzServerHeader' ./internal/collect ./internal/collect/fleet
 
 # Fuzz for a short burst each (CI runs a 10 s FuzzServerHeader burst and
 # the other seed corpora): the collection server's wire protocol through

@@ -131,25 +131,13 @@ var (
 // keyed by type name. The symlint accmerge analyzer statically cross-checks
 // this table against the types in this package that implement Accumulator,
 // in both directions, and TestStreamRegisteredAccumulators cross-checks it
-// against NewRegistered — adding an implementation without registering it
-// here (or vice versa) fails `make lint` and the test suite.
+// against the test-only NewRegistered — adding an implementation without
+// registering it here (or vice versa) fails `make lint` and the test suite.
 var RegisteredAccumulators = map[string]bool{
 	"Tables":    true,
 	"Collect":   true,
 	"WindowAcc": true,
 	"DecayAcc":  true,
-}
-
-// NewRegistered constructs one accumulator of every registered type, keyed
-// exactly like RegisteredAccumulators. Tests use it to run the merge-law
-// suite over every implementation without hand-maintaining a second list.
-func NewRegistered(cfg Config) map[string]Accumulator {
-	return map[string]Accumulator{
-		"Tables":    NewTables(cfg),
-		"Collect":   NewCollect(cfg),
-		"WindowAcc": NewWindowAcc(cfg),
-		"DecayAcc":  NewDecayAcc(cfg),
-	}
 }
 
 // Peek is a cheap, non-sealing progress summary of an accumulator. Counts

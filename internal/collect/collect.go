@@ -67,6 +67,13 @@
 // Merging is idempotent per device: records are deduplicated by their
 // serialized form, so re-sending data the server already holds (the
 // inevitable outcome of a lost acknowledgement) never duplicates records.
+//
+// A connection carries one request/reply exchange after another. The
+// server keeps serving it after every OK reply whose request it read in
+// full, and closes it after an ERR, a reply it could not send, a read
+// error, or when it shuts down or its incarnation dies; an OK it sends
+// while it is hanging up is followed by an empty line, so the client does
+// not reuse the connection. Clients keep idle connections in a Pool.
 package collect
 
 import (
@@ -318,6 +325,14 @@ type Server struct {
 	// (core.ScanSettled): a CHUNK parses only the stream past it. A rewind,
 	// FIN or stream handoff resets it, and every incarnation starts at 0.
 	settled map[string]int
+
+	// connMu guards conns, every open connection mapped to whether it is
+	// serving a request (busy) or waiting for the next one, and hangUp,
+	// set when the server closes or the incarnation dies: from then on no
+	// connection starts another request.
+	connMu sync.Mutex
+	conns  map[net.Conn]bool
+	hangUp bool
 }
 
 // NewServer starts a collection server on addr ("127.0.0.1:0" picks a free
@@ -346,6 +361,7 @@ func NewServerWith(addr string, ds *Dataset, cfg ServerConfig) (*Server, error) 
 		cfg:     cfg,
 		streams: make(map[string][]byte),
 		settled: make(map[string]int),
+		conns:   make(map[net.Conn]bool),
 	}
 	if cfg.Store != nil {
 		files, streams := recoverServerState(cfg.Store)
@@ -369,7 +385,8 @@ func (s *Server) Addr() string { return s.listener.Addr().String() }
 // incarnation, for a supervised server).
 func (s *Server) Uploads() int { return int(s.cfg.ledger.uploads.Load()) }
 
-// Close stops accepting connections and waits for in-flight uploads.
+// Close stops accepting connections, closes the idle ones and waits for
+// in-flight requests, whose connections close after their replies.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -379,6 +396,7 @@ func (s *Server) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	err := s.listener.Close()
+	s.hangUpIdle()
 	s.wg.Wait()
 	return err
 }
@@ -398,25 +416,41 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// handle serves one connection's requests in turn until one leaves the
+// connection out of protocol sync or the server hangs up.
 func (s *Server) handle(conn net.Conn) {
+	defer s.forget(conn)
 	defer conn.Close()
-	// One stalled or malicious phone must not wedge the accept loop: the
-	// whole exchange happens under a read deadline, the header line is
-	// length-capped and the payload size is bounded before allocation.
-	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		return
-	}
 	r := bufio.NewReader(conn)
-	header, err := readLine(r, MaxHeaderBytes)
-	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
+	for s.setBusy(conn, false) {
+		// One stalled or malicious phone must not wedge the accept loop:
+		// each request, and each wait for the next, happens under a
+		// deadline, the header line is length-capped and the payload size
+		// is bounded before allocation.
+		//symlint:allow determinism network I/O deadline on a real socket, not simulated time
+		if err := conn.SetDeadline(time.Now().Add(connDeadline)); err != nil {
+			return
+		}
+		header, err := readLine(r, MaxHeaderBytes)
+		if err != nil {
+			fmt.Fprintf(conn, "ERR %v\n", err)
+			return
+		}
+		// A request that arrives as the server hangs up dies unanswered,
+		// like one in flight when a process crashes, and is not counted.
+		if !s.setBusy(conn, true) || !s.serve(conn, r, strings.Fields(header)) {
+			return
+		}
 	}
-	fields := strings.Fields(header)
+}
+
+// serve answers one request and reports whether the connection is still
+// in protocol sync: true only after an OK reply with the request's body
+// read in full.
+func (s *Server) serve(conn net.Conn, r *bufio.Reader, fields []string) bool {
 	if len(fields) == 0 {
 		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return false
 	}
 	if s.cfg.monitor != nil {
 		// The supervisor counts recognised requests to schedule its next
@@ -428,59 +462,106 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	switch fields[0] {
 	case "CHUNK":
-		s.handleChunk(conn, r, fields)
+		return s.handleChunk(conn, r, fields)
 	case "OFFSET":
-		s.handleOffset(conn, fields)
+		return s.handleOffset(conn, fields)
 	case "FIN":
-		s.handleFin(conn, fields)
+		return s.handleFin(conn, fields)
 	case "HANDOFF":
-		s.handleHandoff(conn, r, fields)
+		return s.handleHandoff(conn, r, fields)
 	case "PING":
-		s.handlePing(conn)
+		return s.handlePing(conn)
 	case "QUERY":
-		s.handleQuery(conn, fields)
-	default:
-		fmt.Fprint(conn, "ERR bad header\n")
+		return s.handleQuery(conn, fields)
 	}
+	fmt.Fprint(conn, "ERR bad header\n")
+	return false
+}
+
+// setBusy marks conn as serving a request (busy) or waiting for the next
+// one. It reports false once the server is hanging up: conn must then
+// close without starting another request.
+func (s *Server) setBusy(conn net.Conn, busy bool) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.hangUp {
+		return false
+	}
+	s.conns[conn] = busy
+	return true
+}
+
+func (s *Server) forget(conn net.Conn) {
+	s.connMu.Lock()
+	delete(s.conns, conn)
+	s.connMu.Unlock()
+}
+
+// hangUpIdle stops every connection from starting another request and
+// closes the idle ones; a busy one closes after its reply.
+func (s *Server) hangUpIdle() {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	s.hangUp = true
+	for conn, busy := range s.conns {
+		if !busy {
+			_ = conn.Close()
+		}
+	}
+}
+
+// replyOK writes one OK reply line and reports whether the connection
+// stays in protocol sync. A server that is hanging up follows the line
+// with an empty one in the same write, which tells the client that this
+// connection carries no further request.
+func (s *Server) replyOK(conn net.Conn, line string) bool {
+	s.connMu.Lock()
+	keep := !s.hangUp
+	s.connMu.Unlock()
+	if !keep {
+		line += "\n"
+	}
+	_, err := conn.Write([]byte(line + "\n"))
+	return keep && err == nil
 }
 
 // handlePing answers the fleet's heartbeat probe. A PING is deliberately
 // outside the supervisor's request accounting (it must not advance injected
 // kill schedules) and touches no durable state: it only proves the server
 // process is alive and accepting connections.
-func (s *Server) handlePing(conn net.Conn) {
+func (s *Server) handlePing(conn net.Conn) bool {
 	if s.isDead() {
-		return
+		return false
 	}
-	fmt.Fprint(conn, "OK\n")
+	return s.replyOK(conn, "OK")
 }
 
 // handleQuery serves the read-only query verb. Like PING it is outside the
 // supervisor's request accounting and touches no durable state: the answer
 // comes entirely from the ServerConfig.Query hook (the live analysis tier),
 // never from the dataset or the WAL.
-func (s *Server) handleQuery(conn net.Conn, fields []string) {
+func (s *Server) handleQuery(conn net.Conn, fields []string) bool {
 	if s.isDead() {
-		return
+		return false
 	}
 	if s.cfg.Query == nil {
 		fmt.Fprint(conn, "ERR queries not served\n")
-		return
+		return false
 	}
 	if len(fields) < 2 {
 		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return false
 	}
 	out, err := s.cfg.Query(fields[1], fields[2:])
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
+		return false
 	}
 	if strings.ContainsAny(out, "\n") {
 		fmt.Fprint(conn, "ERR query answer not single-line\n")
-		return
+		return false
 	}
-	fmt.Fprintf(conn, "OK %s\n", out)
+	return s.replyOK(conn, "OK "+out)
 }
 
 // isDead reports whether this incarnation has been crashed (marked dead by
@@ -560,40 +641,40 @@ func (s *Server) replicateQuorumLocked(conn net.Conn, id string, state []byte, o
 // past the configured cap is rejected outright (the stream is kept — FIN
 // is how a finished stream is dropped). The accepted chunk goes through
 // applyChunkLocked.
-func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
+func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) bool {
 	if len(fields) != 5 {
 		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return false
 	}
 	id := fields[1]
 	offset, err := strconv.Atoi(fields[2])
 	if err != nil || offset < 0 || offset > MaxUploadBytes {
 		fmt.Fprint(conn, "ERR bad offset\n")
-		return
+		return false
 	}
 	size, err := strconv.Atoi(fields[3])
 	if err != nil || size < 0 || offset+size > MaxUploadBytes {
 		fmt.Fprint(conn, "ERR bad size\n")
-		return
+		return false
 	}
 	crc, err := strconv.ParseUint(fields[4], 16, 32)
 	if err != nil {
 		fmt.Fprint(conn, "ERR bad checksum\n")
-		return
+		return false
 	}
 	if offset+size > s.cfg.MaxStreamBytes {
 		fmt.Fprint(conn, "ERR stream too large\n")
-		return
+		return false
 	}
 	chunk, err := readBody(r, size, uint32(crc))
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
+		return false
 	}
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	if offset > len(s.streams[id]) && s.cfg.Replicate != nil {
 		// This shard may have just taken the device over from an owner
@@ -604,15 +685,15 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 		s.mu.Lock()
 		if s.dead {
 			s.mu.Unlock()
-			return
+			return false
 		}
 	}
 	if n := len(s.streams[id]); offset > n {
 		s.mu.Unlock()
 		fmt.Fprintf(conn, "ERR gap: stream at %d, chunk at %d\n", n, offset)
-		return
+		return false
 	}
-	s.applyChunkLocked(conn, id, offset, chunk, false)
+	return s.applyChunkLocked(conn, id, offset, chunk, false)
 }
 
 // applyChunkLocked is the one chunk-apply step, shared by the CHUNK verb
@@ -627,13 +708,13 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) {
 // so an acknowledgement is a durable promise even if the stream is later
 // rewound or the process is killed on the next instruction. Called with
 // s.mu held; returns with it released.
-func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byte, replica bool) {
+func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byte, replica bool) bool {
 	stream := s.streams[id]
 	if off < len(stream) {
 		s.cfg.ledger.tapUnacked(id, stream, s.cfg.OnRecord)
 	}
 	if !s.commitLocked(walEntry{Op: opChunk, Dev: id, Off: off, Data: chunk}) {
-		return
+		return false
 	}
 	if off < s.settled[id] {
 		delete(s.settled, id) // the rewind rewrites settled bytes
@@ -644,7 +725,7 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 	if s.cfg.Replicate != nil && !replica {
 		s.ds.putStream(id, stream, recs)
 		if !s.replicateQuorumLocked(conn, id, stream, off) {
-			return
+			return false
 		}
 		s.ackLocked(id, recs)
 	} else {
@@ -656,7 +737,7 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 		}
 		s.ds.putStream(id, stream, recs)
 		if s.maybeCompactLocked() {
-			return
+			return false
 		}
 	}
 	// The quorum path released s.mu: a concurrent verb may have replaced
@@ -669,7 +750,7 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 	if !diedAfterAck {
 		s.mu.Unlock()
 	}
-	fmt.Fprintf(conn, "OK %d\n", len(stream))
+	return s.replyOK(conn, "OK "+strconv.Itoa(len(stream)))
 }
 
 // appendChunk places chunk at offset off of a device stream (off ≤
@@ -731,29 +812,29 @@ var ErrStale = errors.New("collect: replica stream is stale")
 // the wire, and its records join this server's acked ledger: once a peer
 // has been told OK, the records are this shard's durable responsibility. A
 // chunk handoff goes through applyChunkLocked, the CHUNK verb's own step.
-func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) {
+func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) bool {
 	if len(fields) != 5 && len(fields) != 7 {
 		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return false
 	}
 	id, kind := fields[1], fields[2]
 	if kind != HandoffLog && kind != HandoffStream && kind != HandoffChunk {
 		fmt.Fprint(conn, "ERR bad handoff kind\n")
-		return
+		return false
 	}
 	if (kind == HandoffChunk) != (len(fields) == 7) {
 		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return false
 	}
 	size, err := strconv.Atoi(fields[3])
 	if err != nil || size < 0 || size > MaxUploadBytes {
 		fmt.Fprint(conn, "ERR bad size\n")
-		return
+		return false
 	}
 	crc, err := strconv.ParseUint(fields[4], 16, 32)
 	if err != nil {
 		fmt.Fprint(conn, "ERR bad checksum\n")
-		return
+		return false
 	}
 	var off int
 	var streamSum uint64
@@ -761,22 +842,22 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 		off, err = strconv.Atoi(fields[5])
 		if err != nil || off < 0 || off+size > s.cfg.MaxStreamBytes {
 			fmt.Fprint(conn, "ERR bad offset\n")
-			return
+			return false
 		}
 		if streamSum, err = strconv.ParseUint(fields[6], 16, 32); err != nil {
 			fmt.Fprint(conn, "ERR bad checksum\n")
-			return
+			return false
 		}
 	}
 	data, err := readBody(r, size, uint32(crc))
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
+		return false
 	}
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	if kind == HandoffChunk {
 		// Apply only onto the prefix the owner cut the chunk against.
@@ -785,24 +866,22 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 			n := len(stream)
 			s.mu.Unlock()
 			fmt.Fprintf(conn, "ERR stale %d\n", n)
-			return
+			return false
 		}
-		s.applyChunkLocked(conn, id, off, data, true)
-		return
+		return s.applyChunkLocked(conn, id, off, data, true)
 	}
 	if kind == HandoffStream && len(s.streams[id]) > 0 {
 		// Nothing committed, nothing to WAL: the live stream outranks the
 		// replicated copy (see HandoffStream).
 		s.mu.Unlock()
-		fmt.Fprint(conn, "OK\n")
-		return
+		return s.replyOK(conn, "OK")
 	}
 	op := opHandoff
 	if kind == HandoffStream {
 		op = opHandoffStream
 	}
 	if !s.commitLocked(walEntry{Op: op, Dev: id, Data: data}) {
-		return
+		return false
 	}
 	s.cfg.ledger.handoffs.Add(1)
 	if kind == HandoffStream {
@@ -812,13 +891,13 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 	s.cfg.ledger.record(id, core.ParseRecords(data), s.cfg.OnRecord)
 	s.ds.PutMerged(id, data)
 	if s.maybeCompactLocked() {
-		return
+		return false
 	}
 	diedAfterAck := s.crashAtLocked(CrashAfterAck)
 	if !diedAfterAck {
 		s.mu.Unlock()
 	}
-	fmt.Fprint(conn, "OK\n")
+	return s.replyOK(conn, "OK")
 }
 
 // Handoffs returns the peer handoffs the server accepted (every
@@ -837,41 +916,41 @@ func (s *Server) Stream(id string) ([]byte, bool) {
 }
 
 // handleOffset reports how much of the device's stream the server holds.
-func (s *Server) handleOffset(conn net.Conn, fields []string) {
+func (s *Server) handleOffset(conn net.Conn, fields []string) bool {
 	if len(fields) != 2 {
 		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return false
 	}
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	stream := s.streams[fields[1]]
 	n, sum := len(stream), crc32.Checksum(stream, castagnoli)
 	s.mu.Unlock()
-	fmt.Fprintf(conn, "OK %d %08x\n", n, sum)
+	return s.replyOK(conn, fmt.Sprintf("OK %d %08x", n, sum))
 }
 
 // handleFin retires a device's chunk stream (the client is done uploading,
 // typically after the study-end CHUNK of the whole log). The retirement is WAL-logged
 // so a restarted server does not resurrect the stream.
-func (s *Server) handleFin(conn net.Conn, fields []string) {
+func (s *Server) handleFin(conn net.Conn, fields []string) bool {
 	if len(fields) != 2 {
 		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return false
 	}
 	id := fields[1]
 	committed := false
 	s.mu.Lock()
 	if s.dead {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	if stream, ok := s.streams[id]; ok {
 		s.cfg.ledger.tapUnacked(id, stream, s.cfg.OnRecord)
 		if !s.commitLocked(walEntry{Op: opFin, Dev: id}) {
-			return
+			return false
 		}
 		delete(s.streams, id)
 		delete(s.settled, id)
@@ -884,7 +963,7 @@ func (s *Server) handleFin(conn net.Conn, fields []string) {
 		// nothing durable (the study data is already merged and acked).
 		_ = s.cfg.Replicate(ReplicateFin, id, nil, 0)
 	}
-	fmt.Fprint(conn, "OK\n")
+	return s.replyOK(conn, "OK")
 }
 
 // commitLocked makes one verb durable: WAL append, then the sync barrier,
@@ -934,7 +1013,7 @@ func (s *Server) maybeCompactLocked() bool {
 
 // crashAtLocked fires an injected crash if the supervisor has armed this
 // crashpoint for this incarnation. On a kill the incarnation is marked
-// dead, its listener closed, the store crashed (tearing un-synced tails),
+// dead, its listener and idle connections closed, the store crashed (tearing un-synced tails),
 // s.mu released, and the supervisor told to recover — by the time this
 // returns true a replacement server owns the state. Caller holds s.mu.
 func (s *Server) crashAtLocked(p Crashpoint) bool {
@@ -943,6 +1022,7 @@ func (s *Server) crashAtLocked(p Crashpoint) bool {
 	}
 	s.dead = true
 	_ = s.listener.Close()
+	s.hangUpIdle()
 	if s.cfg.Store != nil {
 		s.cfg.Store.Crash()
 	}
@@ -1002,25 +1082,14 @@ func handoff(addr, deviceID, header string, data []byte) error {
 	if len(data) > MaxUploadBytes {
 		return ErrTooLarge
 	}
-	if strings.ContainsAny(deviceID, " \n\t") || deviceID == "" {
-		return fmt.Errorf("collect: invalid device id %q", deviceID)
+	if err := checkDeviceID(deviceID); err != nil {
+		return err
 	}
-	conn, err := dialCollect(addr)
+	reply, err := defaultPool.RoundTrip(addr, "HANDOFF "+deviceID+" "+header, data)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "HANDOFF %s %s\n", deviceID, header); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
-	}
-	if _, err := conn.Write(data); err != nil {
-		return fmt.Errorf("collect: send body: %w", err)
-	}
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
-	}
-	switch reply = strings.TrimSpace(reply); {
+	switch {
 	case reply == "OK" || strings.HasPrefix(reply, "OK "):
 		return nil
 	case strings.HasPrefix(reply, "ERR stale"):
@@ -1086,20 +1155,17 @@ func (ds *Dataset) resetTo(files map[string][]byte) {
 }
 
 // Ping probes the collection server at addr — the heartbeat leg of the
-// fleet's failure detector. It deliberately uses short timeouts: a beat
-// exists to fail fast, and a slow answer is as suspicious as none.
+// fleet's failure detector — over a connection of its own. It deliberately
+// uses short timeouts: a beat exists to fail fast, and a slow answer is as
+// suspicious as none.
 func Ping(addr string) error {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	conn, err := dial(addr, 2*time.Second)
 	if err != nil {
-		return fmt.Errorf("collect: dial %s: %w", addr, err)
+		return err
 	}
 	defer conn.Close()
-	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		return fmt.Errorf("collect: deadline: %w", err)
-	}
 	if _, err := fmt.Fprint(conn, "PING\n"); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
+		return fmt.Errorf("collect: send request: %w", err)
 	}
 	reply, err := bufio.NewReader(conn).ReadString('\n')
 	if err != nil {
@@ -1130,19 +1196,10 @@ func Query(addr, name string, args ...string) (string, error) {
 	if len(header)+1 > MaxHeaderBytes {
 		return "", errors.New("collect: query too long")
 	}
-	conn, err := dialCollect(addr)
+	reply, err := defaultPool.RoundTrip(addr, header, nil)
 	if err != nil {
 		return "", err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "%s\n", header); err != nil {
-		return "", fmt.Errorf("collect: send header: %w", err)
-	}
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return "", fmt.Errorf("collect: read reply: %w", err)
-	}
-	reply = strings.TrimSpace(reply)
 	switch {
 	case reply == "OK":
 		return "", nil
@@ -1157,23 +1214,15 @@ func Query(addr, name string, args ...string) (string, error) {
 // server may drop it). Best-effort bookkeeping: the study data itself has
 // already been merged and acknowledged.
 func Fin(addr, deviceID string) error {
-	if strings.ContainsAny(deviceID, " \n\t") || deviceID == "" {
-		return fmt.Errorf("collect: invalid device id %q", deviceID)
+	if err := checkDeviceID(deviceID); err != nil {
+		return err
 	}
-	conn, err := dialCollect(addr)
+	reply, err := defaultPool.RoundTrip(addr, "FIN "+deviceID, nil)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "FIN %s\n", deviceID); err != nil {
-		return fmt.Errorf("collect: send header: %w", err)
-	}
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
-	}
-	if strings.TrimSpace(reply) != "OK" {
-		return fmt.Errorf("collect: server rejected fin: %s", strings.TrimSpace(reply))
+	if reply != "OK" {
+		return fmt.Errorf("collect: server rejected fin: %s", reply)
 	}
 	return nil
 }

@@ -61,20 +61,25 @@ func rendezvousScore(deviceID, member string) uint64 {
 	return h.Sum64()
 }
 
-// Router is the fleet's front door: an L7 proxy that reads one protocol
-// header, routes the connection to the shard owning the device, and pumps
-// bytes both ways. Uploaders keep talking to one pinned address whatever
-// the fleet does behind it; when routing moves a device between shards the
+// Router is the fleet's front door: an L7 proxy that reads one request at
+// a time off a client connection, forwards it to the shard owning its
+// device, and writes the shard's reply back. Each request is routed on its
+// own, so one client connection carries requests for devices on different
+// shards; the router keeps it after every OK reply and closes it after an
+// ERR, as a server does. Shard connections come from the router's own
+// collect.Pool. Uploaders keep talking to one pinned address whatever the
+// fleet does behind it; when routing moves a device between shards the
 // uploader renegotiates through the existing OFFSET protocol (a gap error
 // makes it resync), so no client-side changes are needed.
 //
-// The router is itself a kill target: killing it drops the listener and
-// every in-flight connection without replies — clients see dead
-// connections and retry — and the fleet rebinds a fresh router on the same
-// address.
+// The router is itself a kill target: killing it drops the listener, every
+// client connection without replies — clients see dead connections and
+// retry — and its pool of shard connections, and the fleet rebinds a fresh
+// router on the same address.
 type Router struct {
 	listener net.Listener
 	hooks    routerHooks
+	pool     collect.Pool
 
 	wg     sync.WaitGroup
 	mu     sync.Mutex
@@ -151,7 +156,8 @@ func (rt *Router) acceptLoop() {
 	}
 }
 
-// track registers a connection for kill-time teardown; false once killed.
+// track registers a client connection for kill-time teardown; false once
+// killed.
 func (rt *Router) track(conn net.Conn) bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -168,29 +174,49 @@ func (rt *Router) forget(conn net.Conn) {
 	rt.mu.Unlock()
 }
 
+func (rt *Router) killed() bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.closed
+}
+
+// handle serves one client connection's requests in turn, each under its
+// own deadline, until a reply other than OK or a dead write ends it.
 func (rt *Router) handle(conn net.Conn) {
 	defer rt.forget(conn)
 	defer conn.Close()
-	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		return
-	}
 	br := bufio.NewReader(conn)
+	for {
+		//symlint:allow determinism network I/O deadline on a real socket, not simulated time
+		if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+			return
+		}
+		reply := rt.serve(br)
+		if reply == "" {
+			return
+		}
+		if _, err := conn.Write([]byte(reply + "\n")); err != nil || !strings.HasPrefix(reply, "OK") {
+			return
+		}
+	}
+}
+
+// serve reads one request and returns the reply line for it, "" when the
+// router died on it and the connection dies unanswered.
+func (rt *Router) serve(br *bufio.Reader) string {
 	header, err := readLine(br, collect.MaxHeaderBytes)
 	if err != nil {
-		fmt.Fprintf(conn, "ERR %v\n", err)
-		return
+		return fmt.Sprintf("ERR %v", err)
 	}
 	fields := strings.Fields(header)
 	if len(fields) < 2 || !routedVerb(fields[0]) {
-		fmt.Fprint(conn, "ERR bad header\n")
-		return
+		return "ERR bad header"
 	}
 	if rt.hooks.begin != nil && rt.hooks.begin() {
 		// The router was drawn into this request's kill subset: the fleet
 		// has already torn this router down and rebound a fresh one; this
 		// connection dies without a reply, like any crashed process.
-		return
+		return ""
 	}
 	// Buffer the declared body before touching a shard: with header and
 	// body in hand the router can replay the request against the shard's
@@ -203,39 +229,36 @@ func (rt *Router) handle(conn net.Conn) {
 		n, _ = strconv.Atoi(fields[3])
 	}
 	if n < 0 || n > collect.MaxUploadBytes {
-		fmt.Fprint(conn, "ERR bad size\n")
-		return
+		return "ERR bad size"
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(br, body); err != nil {
-		fmt.Fprintf(conn, "ERR short body: %v\n", err)
-		return
+		return fmt.Sprintf("ERR short body: %v", err)
 	}
 	// The below-quorum gate runs after the body is buffered: the client has
 	// finished writing and is reading for a reply, so the retryable ERR
 	// actually reaches it instead of racing a mid-body connection reset.
 	if rt.hooks.gate != nil {
 		if err := rt.hooks.gate(fields[0]); err != nil {
-			fmt.Fprintf(conn, "ERR %v\n", err)
-			return
+			return fmt.Sprintf("ERR %v", err)
 		}
 	}
 	reply, ok := rt.forward(fields[1], header, body)
 	if !ok {
-		fmt.Fprint(conn, "ERR shard unavailable\n")
-		return
+		return "ERR shard unavailable"
 	}
-	_, _ = conn.Write(reply)
+	return reply
 }
 
 // forward delivers one buffered request to the device's shard and returns
-// the reply, riding out shard crashes: a dead upstream connection or a
-// refused dial means the shard is mid-restart (recovery plus crash
+// the reply line, riding out shard crashes: a dead upstream connection or
+// a refused dial means the shard is mid-restart (recovery plus crash
 // handoff can span hundreds of host milliseconds), so the router re-routes
-// — a leave may have moved the device — re-dials and replays. A reply is
-// only trusted when terminated by the protocol's newline; a truncated one
-// (the shard died while replying) is retried like any other failure.
-func (rt *Router) forward(dev, header string, body []byte) ([]byte, bool) {
+// — a leave may have moved the device — and replays, on a fresh connection
+// unless the pool holds a clean one. A reply counts only when its line is
+// whole; a truncated one (the shard died while replying) is retried like
+// any other failure.
+func (rt *Router) forward(dev, header string, body []byte) (string, bool) {
 	for attempt := 0; attempt < 250; attempt++ {
 		if attempt > 0 {
 			// Host-time pause while a real shard rebinds; the simulation
@@ -245,7 +268,7 @@ func (rt *Router) forward(dev, header string, body []byte) ([]byte, bool) {
 		}
 		addr, ok := rt.hooks.route(dev)
 		if !ok {
-			return nil, false
+			return "", false
 		}
 		if rt.hooks.blocked != nil && rt.hooks.blocked(addr) {
 			// Partitioned: the shard may be perfectly healthy, but this
@@ -254,25 +277,17 @@ func (rt *Router) forward(dev, header string, body []byte) ([]byte, bool) {
 			rt.observe(addr, false)
 			continue
 		}
-		up, err := net.DialTimeout("tcp", addr, 10*time.Second)
-		if err != nil {
-			rt.observe(addr, false)
-			continue
-		}
-		if !rt.track(up) {
-			_ = up.Close()
-			return nil, false // the router itself was killed mid-request
-		}
-		reply := rt.attempt(up, header, body)
-		rt.forget(up)
-		_ = up.Close()
-		if len(reply) > 0 && reply[len(reply)-1] == '\n' {
+		reply, err := rt.pool.RoundTrip(addr, header, body)
+		if err == nil {
 			rt.observe(addr, true)
 			return reply, true
 		}
+		if rt.killed() {
+			return "", false // the router itself was killed mid-request
+		}
 		rt.observe(addr, false)
 	}
-	return nil, false
+	return "", false
 }
 
 // observe forwards a per-attempt outcome to the fleet's failure detector —
@@ -282,27 +297,6 @@ func (rt *Router) observe(addr string, ok bool) {
 	if rt.hooks.observe != nil {
 		rt.hooks.observe(addr, ok)
 	}
-}
-
-// attempt runs one request/reply exchange against a shard; a nil or
-// truncated reply means the shard died on us.
-func (rt *Router) attempt(up net.Conn, header string, body []byte) []byte {
-	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := up.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		return nil
-	}
-	if _, err := fmt.Fprintf(up, "%s\n", header); err != nil {
-		return nil
-	}
-	if len(body) > 0 {
-		if _, err := up.Write(body); err != nil {
-			return nil
-		}
-	}
-	// The shard replies one line and closes; read to EOF and let the
-	// newline check decide whether the reply is whole.
-	reply, _ := io.ReadAll(up)
-	return reply
 }
 
 // readLine mirrors the server's bounded header read.
@@ -321,9 +315,10 @@ func readLine(r *bufio.Reader, max int) (string, error) {
 	return "", errors.New("header too long")
 }
 
-// kill tears the router down the way a crash would: listener and every
-// in-flight connection closed, no replies, no draining. Safe to call from
-// one of the router's own handler goroutines (it does not wait for them).
+// kill tears the router down the way a crash would: listener, every client
+// connection and the shard connection pool closed, no replies, no
+// draining. Safe to call from one of the router's own handler goroutines
+// (it does not wait for them).
 func (rt *Router) kill() {
 	rt.mu.Lock()
 	if rt.closed {
@@ -339,6 +334,7 @@ func (rt *Router) kill() {
 	rt.conns = make(map[net.Conn]struct{})
 	rt.mu.Unlock()
 	_ = rt.listener.Close()
+	rt.pool.Close()
 	for _, c := range conns {
 		_ = c.Close()
 	}

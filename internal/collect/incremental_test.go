@@ -251,11 +251,11 @@ func FuzzIncrementalIngest(f *testing.F) {
 }
 
 // pipeRequest serves one request on srv over an in-memory connection and
-// returns the reply once the handler has finished: a fuzz run issues
-// thousands of verbs, more than the host's ephemeral TCP ports would allow.
-// A wedged handler panics the run.
+// returns the reply line ("" when the server closed without one) once the
+// handler has finished: a fuzz run issues thousands of verbs, more than the
+// host's ephemeral TCP ports would allow. A wedged handler panics the run.
 func pipeRequest(srv *Server, header string, body []byte) string {
-	reply, err := pipeExchange(srv, append([]byte(header+"\n"), body...), false)
+	reply, err := pipeExchange(srv, append([]byte(header+"\n"), body...), 1, false)
 	if err != nil {
 		panic(fmt.Sprintf("%s: %v", header, err))
 	}

@@ -1,7 +1,6 @@
 package collect
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -39,21 +38,10 @@ type rawChunkSender interface {
 	uploadChunkRaw(addr, deviceID string, offset int, declared, body []byte) (int, error)
 }
 
-// NetTransport speaks the wire protocol over real TCP.
+// NetTransport speaks the wire protocol over real TCP. Its zero value, like
+// the package's Handoff, HandoffFrom, Query and Fin, sends every request
+// through one process-wide Pool.
 type NetTransport struct{}
-
-func dialCollect(addr string) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("collect: dial %s: %w", addr, err)
-	}
-	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("collect: deadline: %w", err)
-	}
-	return conn, nil
-}
 
 // UploadChunk implements Transport.
 func (t NetTransport) UploadChunk(addr, deviceID string, offset int, chunk []byte) (int, error) {
@@ -67,29 +55,27 @@ func (NetTransport) uploadChunkRaw(addr, deviceID string, offset int, declared, 
 	if err := checkChunkArgs(deviceID, offset, declared); err != nil {
 		return 0, err
 	}
-	conn, err := dialCollect(addr)
+	header := fmt.Sprintf("CHUNK %s %d %d %08x", deviceID, offset, len(declared), crc32.Checksum(declared, castagnoli))
+	if len(body) < len(declared) {
+		// A dropped connection never sees the server's reply. It dies on a
+		// fresh connection of its own, so no pooled one is left mid-body.
+		conn, err := dial(addr, dialTimeout)
+		if err != nil {
+			return 0, err
+		}
+		defer conn.Close()
+		if _, err := (&net.Buffers{[]byte(header + "\n"), body}).WriteTo(conn); err != nil {
+			return 0, fmt.Errorf("collect: send request: %w", err)
+		}
+		return 0, errors.New("collect: connection dropped mid-transfer (injected)")
+	}
+	reply, err := defaultPool.RoundTrip(addr, header, body)
 	if err != nil {
 		return 0, err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "CHUNK %s %d %d %08x\n",
-		deviceID, offset, len(declared), crc32.Checksum(declared, castagnoli)); err != nil {
-		return 0, fmt.Errorf("collect: send header: %w", err)
-	}
-	if _, err := conn.Write(body); err != nil {
-		return 0, fmt.Errorf("collect: send chunk: %w", err)
-	}
-	if len(body) < len(declared) {
-		// A dropped connection never sees the server's reply.
-		return 0, errors.New("collect: connection dropped mid-transfer (injected)")
-	}
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return 0, fmt.Errorf("collect: read reply: %w", err)
-	}
-	fields := strings.Fields(strings.TrimSpace(reply))
+	fields := strings.Fields(reply)
 	if len(fields) != 2 || fields[0] != "OK" {
-		return 0, fmt.Errorf("collect: server rejected chunk: %s", strings.TrimSpace(reply))
+		return 0, fmt.Errorf("collect: server rejected chunk: %s", reply)
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil || n < 0 {
@@ -100,24 +86,16 @@ func (NetTransport) uploadChunkRaw(addr, deviceID string, offset int, declared, 
 
 // Offset implements Transport.
 func (NetTransport) Offset(addr, deviceID string) (int, uint32, error) {
-	if strings.ContainsAny(deviceID, " \n\t") || deviceID == "" {
-		return 0, 0, fmt.Errorf("collect: invalid device id %q", deviceID)
+	if err := checkDeviceID(deviceID); err != nil {
+		return 0, 0, err
 	}
-	conn, err := dialCollect(addr)
+	reply, err := defaultPool.RoundTrip(addr, "OFFSET "+deviceID, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "OFFSET %s\n", deviceID); err != nil {
-		return 0, 0, fmt.Errorf("collect: send header: %w", err)
-	}
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return 0, 0, fmt.Errorf("collect: read reply: %w", err)
-	}
-	fields := strings.Fields(strings.TrimSpace(reply))
+	fields := strings.Fields(reply)
 	if len(fields) != 3 || fields[0] != "OK" {
-		return 0, 0, fmt.Errorf("collect: server rejected offset query: %s", strings.TrimSpace(reply))
+		return 0, 0, fmt.Errorf("collect: server rejected offset query: %s", reply)
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil || n < 0 {
@@ -130,9 +108,16 @@ func (NetTransport) Offset(addr, deviceID string) (int, uint32, error) {
 	return n, uint32(sum), nil
 }
 
-func checkChunkArgs(deviceID string, offset int, chunk []byte) error {
+func checkDeviceID(deviceID string) error {
 	if strings.ContainsAny(deviceID, " \n\t") || deviceID == "" {
 		return fmt.Errorf("collect: invalid device id %q", deviceID)
+	}
+	return nil
+}
+
+func checkChunkArgs(deviceID string, offset int, chunk []byte) error {
+	if err := checkDeviceID(deviceID); err != nil {
+		return err
 	}
 	if offset < 0 || offset+len(chunk) > MaxUploadBytes {
 		return ErrTooLarge
@@ -162,9 +147,8 @@ func transientNetErr(err error) bool {
 	}
 	s := err.Error()
 	return strings.Contains(s, "dial") || strings.Contains(s, "deadline") ||
-		strings.Contains(s, "send header") || strings.Contains(s, "send chunk") ||
-		strings.Contains(s, "send body") ||
-		strings.Contains(s, "read reply") || strings.Contains(s, "shard unavailable")
+		strings.Contains(s, "send request") || strings.Contains(s, "read reply") ||
+		strings.Contains(s, "shard unavailable")
 }
 
 // IsBelowQuorum reports whether an error is the fleet's retryable

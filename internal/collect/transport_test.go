@@ -152,17 +152,16 @@ func TestFaultyTransportDeterministic(t *testing.T) {
 }
 
 // TestIsTransientNamesTransportWindows: every client verb's transport-level
-// failure — HANDOFF's body write included — is a window to wait out, while
-// a parsed protocol rejection is a real answer.
+// failure — a dial, a request write, a lost reply — is a window to wait
+// out, while a parsed protocol rejection is a real answer.
 func TestIsTransientNamesTransportWindows(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
 		want bool
 	}{
 		{fmt.Errorf("collect: dial 127.0.0.1:1: %w", syscall.ECONNREFUSED), true},
-		{fmt.Errorf("collect: send header: %w", syscall.EPIPE), true},
-		{fmt.Errorf("collect: send chunk: %w", syscall.ECONNRESET), true},
-		{fmt.Errorf("collect: send body: %w", syscall.EPIPE), true},
+		{fmt.Errorf("collect: send request: %w", syscall.EPIPE), true},
+		{fmt.Errorf("collect: send request: %w", syscall.ECONNRESET), true},
 		{fmt.Errorf("collect: read reply: %w", io.EOF), true},
 		{errors.New("collect: server rejected chunk: ERR shard unavailable"), true},
 		{errors.New("collect: server rejected chunk: ERR checksum mismatch"), false},

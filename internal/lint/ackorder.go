@@ -16,12 +16,20 @@ type AckOrderConfig struct {
 	// StoreTypes are the WAL-bearing store types; their Append and Sync
 	// methods are the durability primitives the ordering is stated over.
 	StoreTypes []TypeRef
+	// RequestStarts are the package-level functions that read the next
+	// request's header off a connection that carries one request after
+	// another. A reply acknowledges only the request it answers, so a call
+	// to one starts a fresh request: the path state resets, and what the
+	// connection's earlier requests appended or replied constrains nothing
+	// in this one.
+	RequestStarts []TypeRef
 }
 
 // DefaultAckOrderConfig matches the symfail module.
 var DefaultAckOrderConfig = AckOrderConfig{
-	PkgPrefixes: []string{"symfail/internal/collect"},
-	StoreTypes:  []TypeRef{{Pkg: "symfail/internal/collect", Name: "CrashStore"}},
+	PkgPrefixes:   []string{"symfail/internal/collect"},
+	StoreTypes:    []TypeRef{{Pkg: "symfail/internal/collect", Name: "CrashStore"}},
+	RequestStarts: []TypeRef{{Pkg: "symfail/internal/collect", Name: "readLine"}},
 }
 
 // The abstract state tracks two facts per control-flow path: is there a
@@ -84,7 +92,9 @@ func identitySummary(in stateSet) ackSummary { return ackSummary{onTrue: in, onF
 // fmt.Fprint* (or raw Write/WriteString) to a net.Conn; a string literal
 // first payload that does not begin with "OK" (an "ERR ..." rejection, a
 // client verb header) is not a reply, and a non-literal payload is
-// conservatively treated as one.
+// conservatively treated as one. A call to one of the configured request
+// starts (the server's header read) resets the path state, so each request
+// on a connection that carries many is checked on its own.
 //
 // Known approximations (all erring toward reporting): effects inside
 // defer and go statements are applied at the statement's position;
@@ -412,6 +422,8 @@ func (fc *ackFuncCtx) applyCall(call *ast.CallExpr, in stateSet) stateSet {
 			}
 			return singleton(s | apAcked)
 		})
+	case ackOpRequest:
+		return cleanStates
 	}
 	fn := calleeOf(fc.node.Pkg.Info, call)
 	if fn == nil {
@@ -431,9 +443,11 @@ const (
 	ackOpAppend
 	ackOpSync
 	ackOpAck
+	ackOpRequest
 )
 
-// opOf classifies a call as one of the three durability primitives.
+// opOf classifies a call as one of the three durability primitives or a
+// request start.
 func (fc *ackFuncCtx) opOf(call *ast.CallExpr) ackOp {
 	info := fc.node.Pkg.Info
 	fn := calleeOf(info, call)
@@ -443,6 +457,13 @@ func (fc *ackFuncCtx) opOf(call *ast.CallExpr) ackOp {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return ackOpNone
+	}
+	if sig.Recv() == nil && fn.Pkg() != nil {
+		for _, ref := range fc.an.cfg.RequestStarts {
+			if fn.Pkg().Path() == ref.Pkg && fn.Name() == ref.Name {
+				return ackOpRequest
+			}
+		}
 	}
 	// Append / Sync on a configured store type.
 	if sig.Recv() != nil && matchesRef(sig.Recv().Type(), fc.an.cfg.StoreTypes) {

@@ -180,8 +180,9 @@ func TestDirectiveGolden(t *testing.T) {
 func TestAckOrderGolden(t *testing.T) {
 	fixturePath := "symfail/internal/lint/testdata/src/ackorderfix"
 	checkGolden(t, "ackorderfix", lint.NewAckOrder(lint.AckOrderConfig{
-		PkgPrefixes: []string{fixturePath},
-		StoreTypes:  []lint.TypeRef{{Pkg: fixturePath, Name: "WAL"}},
+		PkgPrefixes:   []string{fixturePath},
+		StoreTypes:    []lint.TypeRef{{Pkg: fixturePath, Name: "WAL"}},
+		RequestStarts: []lint.TypeRef{{Pkg: fixturePath, Name: "readHeader"}},
 	}))
 }
 

@@ -115,3 +115,31 @@ func (s *server) handleHandoffChunkEarlyAck(conn net.Conn, chunk []byte) {
 	fmt.Fprintf(conn, "OK %d\n", len(chunk)) // want: reply before sync
 	s.wal.Sync("wal")
 }
+
+// readHeader stands in for the server's header read: each call starts the
+// next request on a connection that carries one after another.
+func readHeader(conn net.Conn) (string, error) { return "", nil }
+
+// Good: a keep-alive connection serves request after request. Each
+// request's append is synced before its own reply, and the replies to the
+// earlier requests constrain nothing.
+func (s *server) serveConn(conn net.Conn, recs [][]byte) {
+	for _, rec := range recs {
+		if _, err := readHeader(conn); err != nil {
+			return
+		}
+		s.handleCommit(conn, rec, false)
+	}
+}
+
+// Bad: on a keep-alive connection an append that trails its own request's
+// reply is still caught.
+func (s *server) serveConnLateAppend(conn net.Conn, recs [][]byte) {
+	for _, rec := range recs {
+		if _, err := readHeader(conn); err != nil {
+			return
+		}
+		fmt.Fprint(conn, "OK\n")
+		s.wal.Append("wal", rec) // want: append after reply
+	}
+}
