@@ -78,7 +78,7 @@ flake:
 	$(GO) test -count=$(N) -run 'TestLiveStudyAcrossServerCrashes|TestFleetEquivalenceSweep/servercrash' .
 	$(GO) test -race -count=$(N) -run 'TestReplicaKillAnything|TestFleetKillAnything' .
 	$(GO) test -count=$(N) -run 'TestTap' ./internal/collect
-	$(GO) test -race -count=$(N) -run 'TestKeepAlive|TestServerNoGoroutineLeak|FuzzServerHeader' ./internal/collect ./internal/collect/fleet
+	$(GO) test -race -count=$(N) -run 'TestKeepAlive|TestServerNoGoroutineLeak|FuzzServerHeader|TestBeat|TestReplicateLegs' ./internal/collect ./internal/collect/fleet
 
 # Fuzz for a short burst each (CI runs a 10 s FuzzServerHeader burst and
 # the other seed corpora): the collection server's wire protocol through

@@ -527,8 +527,10 @@ func (s *Server) replyOK(conn net.Conn, line string) bool {
 
 // handlePing answers the fleet's heartbeat probe. A PING is deliberately
 // outside the supervisor's request accounting (it must not advance injected
-// kill schedules) and touches no durable state: it only proves the server
-// process is alive and accepting connections.
+// kill schedules) and touches no durable state: it only proves the
+// incarnation is alive and serving requests. Beats ride pooled
+// connections, so it does not prove the server still accepts new ones. A
+// dead incarnation answers nothing, and the beat counts as a miss.
 func (s *Server) handlePing(conn net.Conn) bool {
 	if s.isDead() {
 		return false
@@ -996,7 +998,10 @@ func (s *Server) maybeCompactLocked() bool {
 	if st == nil || st.Size(walName) <= s.cfg.CompactEvery {
 		return false
 	}
-	st.WriteFile(snapTmpName, encodeSnapshot(s.ds.snapshot(), s.streams))
+	s.ds.mu.Lock()
+	snap := encodeSnapshot(s.ds.files, s.streams)
+	s.ds.mu.Unlock()
+	st.WriteFile(snapTmpName, snap)
 	st.Sync(snapTmpName)
 	if s.crashAtLocked(CrashDuringCompaction) {
 		return true
@@ -1131,17 +1136,6 @@ func (ds *Dataset) putStream(deviceID string, stream []byte, suffix []core.Recor
 	ds.canonical[deviceID] = true
 }
 
-// snapshot copies the per-device logs (compaction input).
-func (ds *Dataset) snapshot() map[string][]byte {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	out := make(map[string][]byte, len(ds.files))
-	for _, id := range sortedKeys(ds.files) {
-		out[id] = append([]byte(nil), ds.files[id]...)
-	}
-	return out
-}
-
 // resetTo replaces the dataset's content wholesale with recovered state (a
 // durable server restarting on its store owns the dataset outright).
 func (ds *Dataset) resetTo(files map[string][]byte) {
@@ -1155,27 +1149,26 @@ func (ds *Dataset) resetTo(files map[string][]byte) {
 }
 
 // Ping probes the collection server at addr — the heartbeat leg of the
-// fleet's failure detector — over a connection of its own. It deliberately
-// uses short timeouts: a beat exists to fail fast, and a slow answer is as
-// suspicious as none.
+// fleet's failure detector — over a pooled connection, like every other
+// client verb. It deliberately bounds the dial and the exchange to
+// pingTimeout: a beat exists to fail fast, and a slow answer is as
+// suspicious as none. A pooled connection never carries a beat to a dead
+// incarnation: a dying server closes its idle connections and marks its
+// last OK with a trailing empty line, so the checkout drops them and dials
+// whoever listens on addr now.
 func Ping(addr string) error {
-	conn, err := dial(addr, 2*time.Second)
+	reply, err := defaultPool.roundTrip(addr, "PING", nil, pingTimeout, pingTimeout)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	if _, err := fmt.Fprint(conn, "PING\n"); err != nil {
-		return fmt.Errorf("collect: send request: %w", err)
-	}
-	reply, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("collect: read reply: %w", err)
-	}
-	if strings.TrimSpace(reply) != "OK" {
-		return fmt.Errorf("collect: server rejected ping: %s", strings.TrimSpace(reply))
+	if reply != "OK" {
+		return fmt.Errorf("collect: server rejected ping: %s", reply)
 	}
 	return nil
 }
+
+// pingTimeout bounds a heartbeat's dial and its exchange.
+const pingTimeout = 2 * time.Second
 
 // Query asks the collection server at addr a read-only question and returns
 // the single-line answer (compact JSON by convention). The whole exchange is

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// snapshot copies the per-device logs.
+func (ds *Dataset) snapshot() map[string][]byte {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	out := make(map[string][]byte, len(ds.files))
+	for _, id := range sortedKeys(ds.files) {
+		out[id] = append([]byte(nil), ds.files[id]...)
+	}
+	return out
+}
+
 func TestExportImportRoundTrip(t *testing.T) {
 	ds := NewDataset()
 	ds.Put("phone-01", []byte("log one"))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"symfail/internal/collect"
@@ -615,57 +616,81 @@ const (
 	writeAttempts   = 60
 )
 
-// replicate offers one device's bytes to targets in rendezvous order (the
-// device's truest owners first) until want of them have taken durable
-// custody; want <= 0 offers to every target. Each candidate gets bounded
-// retries — a peer may itself be mid-restart (simultaneous kills) — and
-// each candidate that still refuses counts one HandoffFailure, so a
-// two-target round that loses one peer is visible as exactly one failed
-// leg, not a lost round. Kind HandoffChunk replicates the chunk data[off:]
-// of the stream data; a replica that refuses it as stale gets the whole
-// stream on its next attempt, within the same budget. Returns how
-// many targets accepted. Crash handoff, join/leave rebalancing,
-// anti-entropy repair and write-time quorum replication all funnel
-// through here: one audited path, one counter set.
+// replicate offers one device's bytes to targets until want of them have
+// taken durable custody, and returns how many accepted. With want > 0
+// (crash handoff, rebalance, anti-entropy repair) it offers them one at a
+// time in rendezvous order — the device's truest owners first — and stops
+// at the want-th success. With want <= 0 (write-time quorum replication)
+// it offers to every target at once, one leg per target, and returns when
+// every leg has finished: a client's ACK waits for the slowest leg, not
+// for the sum of them. All replication funnels through here: one audited
+// path, one counter set.
 func (f *Supervisor) replicate(dev, kind string, data []byte, off int, targets []target, want, attempts int) int {
+	if want <= 0 {
+		var wg sync.WaitGroup
+		var accepted atomic.Int32
+		for _, t := range targets {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if f.offer(dev, kind, data, off, t, attempts) {
+					accepted.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		return int(accepted.Load())
+	}
 	successes := 0
 	for _, t := range rendezvousOrder(dev, targets) {
-		ok, stale, from := false, false, off
-		for attempt := 0; attempt < attempts && !ok; attempt++ {
-			if attempt > 0 && !stale {
-				// Host-time pause while a real TCP peer rebinds; never
-				// observable by the simulation.
-				sleep := time.Duration(attempt*attempt) * 2 * time.Millisecond
-				if sleep > 10*time.Millisecond {
-					sleep = 10 * time.Millisecond
-				}
-				//symlint:allow determinism host-time backoff towards a real restarting TCP peer
-				time.Sleep(sleep)
+		if f.offer(dev, kind, data, off, t, attempts) {
+			if successes++; successes >= want {
+				break
 			}
-			var err error
-			if kind == collect.HandoffChunk {
-				err = collect.HandoffFrom(t.addr, dev, data, from)
-			} else {
-				err = collect.Handoff(t.addr, dev, kind, data)
-			}
-			if stale = errors.Is(err, collect.ErrStale); stale {
-				from = 0 // a chunk at offset 0 replaces the replica's stream
-			}
-			ok = err == nil
-		}
-		f.mu.Lock()
-		if ok {
-			f.handoffs++
-			successes++
-		} else {
-			f.handoffFails++
-		}
-		f.mu.Unlock()
-		if want > 0 && successes >= want {
-			break
 		}
 	}
 	return successes
+}
+
+// offer is one replication leg: it hands dev's bytes to t with bounded
+// retries — a peer may itself be mid-restart (simultaneous kills) — and
+// counts one handoff, or one HandoffFailure if t still refuses, so a
+// two-target round that loses one peer is visible as exactly one failed
+// leg, not a lost round. Kind HandoffChunk replicates the chunk data[off:]
+// of the stream data; a replica that refuses it as stale gets the whole
+// stream on its next attempt, within the same budget.
+func (f *Supervisor) offer(dev, kind string, data []byte, off int, t target, attempts int) bool {
+	ok, stale, from := false, false, off
+	for attempt := 0; attempt < attempts && !ok; attempt++ {
+		if attempt > 0 && !stale {
+			// Host-time pause while a real TCP peer rebinds; never
+			// observable by the simulation.
+			sleep := time.Duration(attempt*attempt) * 2 * time.Millisecond
+			if sleep > 10*time.Millisecond {
+				sleep = 10 * time.Millisecond
+			}
+			//symlint:allow determinism host-time backoff towards a real restarting TCP peer
+			time.Sleep(sleep)
+		}
+		var err error
+		if kind == collect.HandoffChunk {
+			err = collect.HandoffFrom(t.addr, dev, data, from)
+		} else {
+			err = collect.Handoff(t.addr, dev, kind, data)
+		}
+		if stale = errors.Is(err, collect.ErrStale); stale {
+			from = 0 // a chunk at offset 0 replaces the replica's stream
+		}
+		ok = err == nil
+	}
+	f.mu.Lock()
+	if ok {
+		f.handoffs++
+	} else {
+		f.handoffFails++
+	}
+	f.mu.Unlock()
+	return ok
 }
 
 // rendezvousOrder sorts targets by the device's rendezvous preference,

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,5 +121,77 @@ func TestKeepAliveRouterRoutesEachRequest(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d shard goroutines still serve the killed router's connections", shardHandlers()-baseline)
 		}
+	}
+}
+
+// TestBeatRoundsOneConnectionPerShard: beat rounds against a healthy fleet
+// ride pooled connections, so however many rounds run, each shard serves
+// one beat connection.
+func TestBeatRoundsOneConnectionPerShard(t *testing.T) {
+	f := replicaFleet(t, 0)
+	f.mu.Lock()
+	probes := f.liveLocked()
+	f.mu.Unlock()
+	baseline := shardHandlers()
+	for round := 0; round < 5; round++ {
+		f.runBeat(probes)
+	}
+	if got := shardHandlers() - baseline; got != len(probes) {
+		t.Fatalf("5 beat rounds left %d shard connections open, want one per shard (%d)", got, len(probes))
+	}
+	if s := f.Suspicions(); s != 0 {
+		t.Fatalf("a healthy fleet raised %d suspicions", s)
+	}
+}
+
+// TestReplicateLegsOverlap: write-time replication offers a chunk to every
+// replica at once. Each fake replica holds its reply until both have a
+// request, so legs run one after the other would stall the first until
+// its bounded wait runs out and count it failed.
+func TestReplicateLegsOverlap(t *testing.T) {
+	const hold = 3 * time.Second
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	both := make(chan struct{})
+	go func() { arrived.Wait(); close(both) }()
+	var targets []target
+	for i := 0; i < 2; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		targets = append(targets, target{name: fmt.Sprintf("replica-%d", i), addr: ln.Addr().String()})
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			// HANDOFF <dev> chunk <len> <crc> <off> <crc>, then the chunk.
+			br := bufio.NewReader(conn)
+			header, _ := br.ReadString('\n')
+			fields := strings.Fields(header)
+			n := 0
+			if len(fields) > 4 {
+				n, _ = strconv.Atoi(fields[3])
+			}
+			_, _ = io.ReadFull(br, make([]byte, n))
+			arrived.Done()
+			select {
+			case <-both:
+				fmt.Fprint(conn, "OK\n")
+			case <-time.After(hold):
+				fmt.Fprint(conn, "ERR the other replica got no request\n")
+			}
+		}()
+	}
+	f := &Supervisor{}
+	stream := fleetTestLog(1, 2, 3)
+	if got := f.replicate("phone-01", collect.HandoffChunk, stream, 0, targets, 0, 1); got != 2 {
+		t.Fatalf("%d of 2 replicas accepted: the legs did not overlap", got)
+	}
+	if f.handoffs != 2 || f.handoffFails != 0 {
+		t.Fatalf("handoffs %d, failures %d, want 2 and 0", f.handoffs, f.handoffFails)
 	}
 }

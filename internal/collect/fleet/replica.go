@@ -60,9 +60,10 @@ func (f *Supervisor) replicaHook(m *member) func(op, deviceID string, state []by
 			f.mu.Unlock()
 			return false
 		}
-		// Offer to every successor (want <= 0), not just W-1: the copies
-		// beyond the quorum are what keep the *next* shard loss survivable
-		// without waiting for repair. The ACK still only needs `need`.
+		// Offer to every successor (want <= 0), not just W-1, each on its
+		// own leg at once: the copies beyond the quorum are what keep the
+		// *next* shard loss survivable without waiting for repair. The ACK
+		// still only needs `need`.
 		got := f.replicate(dev, collect.HandoffChunk, state, off, targets, 0, writeAttempts)
 		if got < need {
 			f.mu.Lock()

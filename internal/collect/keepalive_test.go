@@ -2,6 +2,7 @@ package collect
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
@@ -161,6 +162,73 @@ func TestKeepAliveNextRequestReachesNewIncarnation(t *testing.T) {
 		}
 		if n, _, err := (NetTransport{}).Offset(sup.Addr(), "phone-01"); err != nil || n != len(data) {
 			t.Fatalf("kill %d (%v): next request: stream %d (want %d), %v", i, p, n, len(data), err)
+		}
+	}
+	if c, r := sup.Crashes(), sup.Restarts(); c != kills || r != kills {
+		t.Fatalf("crashes %d, restarts %d, want %d each", c, r, kills)
+	}
+}
+
+// servesPooledConn reports whether srv is serving the default pool's
+// newest idle connection to addr.
+func servesPooledConn(srv *Server, addr string) bool {
+	defaultPool.mu.Lock()
+	local := ""
+	for _, c := range defaultPool.idle {
+		if c.addr == addr {
+			local = c.LocalAddr().String()
+		}
+	}
+	defaultPool.mu.Unlock()
+	srv.connMu.Lock()
+	defer srv.connMu.Unlock()
+	for conn := range srv.conns {
+		if local != "" && conn.RemoteAddr().String() == local {
+			return true
+		}
+	}
+	return false
+}
+
+// TestBeatAfterKillMissesOrReachesNewIncarnation: a beat rides a pooled
+// connection, and one pooled before a kill never carries a beat to the
+// dead incarnation: the next beat is a miss, or the replacement answers
+// it.
+func TestBeatAfterKillMissesOrReachesNewIncarnation(t *testing.T) {
+	sup, err := NewSupervisor("127.0.0.1:0", NewDataset(), SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	addr := sup.Addr()
+	const kills = 10
+	for i := 0; i < kills; i++ {
+		if err := Ping(addr); err != nil {
+			t.Fatalf("kill %d: beat before the kill: %v", i, err)
+		}
+		old := sup.cur.Load()
+		if !servesPooledConn(old, addr) {
+			t.Fatalf("kill %d: the beat left no pooled connection to the live incarnation", i)
+		}
+		if !sup.InjectKill(CrashBeforeWALSync) {
+			t.Fatalf("kill %d not armed", i)
+		}
+		// The killed CHUNK goes over a pool of its own, so the beat's
+		// connection is idle when the incarnation dies.
+		var own Pool
+		rec := keepAliveLog(int64(i + 1))
+		header := fmt.Sprintf("CHUNK phone-%02d 0 %d %08x", i, len(rec), crc32.Checksum(rec, castagnoli))
+		if reply, err := own.RoundTrip(addr, header, rec); err == nil {
+			t.Fatalf("kill %d: the killed request was answered %q", i, reply)
+		}
+		own.Close()
+		if err := Ping(addr); err == nil {
+			if cur := sup.cur.Load(); cur == old || !servesPooledConn(cur, addr) {
+				t.Fatalf("kill %d: a beat after the kill was answered, but not by the new incarnation", i)
+			}
+		}
+		if !sup.Settle(5 * time.Second) {
+			t.Fatalf("kill %d: restart did not settle", i)
 		}
 	}
 	if c, r := sup.Crashes(), sup.Restarts(); c != kills || r != kills {

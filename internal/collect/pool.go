@@ -72,12 +72,18 @@ type pooledConn struct {
 // line without its line end. An ERR reply is returned as a reply, not as
 // an error.
 func (p *Pool) RoundTrip(addr, header string, body []byte) (string, error) {
-	c, err := p.get(addr)
+	return p.roundTrip(addr, header, body, dialTimeout, connDeadline)
+}
+
+// roundTrip is RoundTrip with its own bounds: dialWithin on a dial, if one
+// is needed, and exchangeWithin on the request and its reply.
+func (p *Pool) roundTrip(addr, header string, body []byte, dialWithin, exchangeWithin time.Duration) (string, error) {
+	c, err := p.get(addr, dialWithin)
 	if err != nil {
 		return "", err
 	}
 	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := c.SetDeadline(time.Now().Add(connDeadline)); err != nil {
+	if err := c.SetDeadline(time.Now().Add(exchangeWithin)); err != nil {
 		c.Close()
 		return "", fmt.Errorf("collect: deadline: %w", err)
 	}
@@ -100,8 +106,9 @@ func (p *Pool) RoundTrip(addr, header string, body []byte) (string, error) {
 	return reply, nil
 }
 
-// get checks out the newest clean idle connection to addr, or dials one.
-func (p *Pool) get(addr string) (*pooledConn, error) {
+// get checks out the newest clean idle connection to addr, or dials one
+// within timeout.
+func (p *Pool) get(addr string, timeout time.Duration) (*pooledConn, error) {
 	for {
 		c, err := p.take(addr)
 		if err != nil {
@@ -115,7 +122,7 @@ func (p *Pool) get(addr string) (*pooledConn, error) {
 		}
 		c.Close()
 	}
-	conn, err := dial(addr, dialTimeout)
+	conn, err := dial(addr, timeout)
 	if err != nil {
 		return nil, err
 	}

@@ -79,11 +79,14 @@ func (s *CrashStore) Append(name string, p []byte) {
 
 // WriteFile stages a full replacement of the file's content. Until Sync the
 // replacement is volatile: a crash reverts to the previous synced content.
+// The store takes ownership of p, which the caller must not modify
+// afterwards; its capacity is clipped, so a later Append copies rather
+// than writing into the caller's memory past len(p).
 func (s *CrashStore) WriteFile(name string, p []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.file(name)
-	f.repl = append([]byte(nil), p...)
+	f.repl = p[:len(p):len(p)]
 	f.hasRepl = true
 	s.appends++
 }

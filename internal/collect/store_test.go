@@ -2,6 +2,7 @@ package collect
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"symfail/internal/sim"
@@ -117,5 +118,25 @@ func TestCrashStoreRenameRemoveDurable(t *testing.T) {
 	s.Rename("missing", "other") // renaming a missing file is a no-op
 	if names := s.Names(); len(names) != 0 {
 		t.Errorf("store should be empty, has %v", names)
+	}
+}
+
+// TestCrashStoreWriteFileKeepsCallerCapacity: WriteFile owns its buffer but
+// not the capacity past it, so later Appends — onto the staged copy or onto
+// the synced one — never write into the caller's memory.
+func TestCrashStoreWriteFileKeepsCallerCapacity(t *testing.T) {
+	buf := bytes.Repeat([]byte{'#'}, 64)
+	copy(buf, "base")
+	s := NewCrashStore(nil)
+	s.WriteFile("f", buf[:4])
+	s.Append("f", []byte("+staged"))
+	s.Sync("f")
+	s.Append("f", []byte("+tail"))
+	s.Sync("f")
+	if got := s.Read("f"); string(got) != "base+staged+tail" {
+		t.Errorf("store reads %q", got)
+	}
+	if want := "base" + strings.Repeat("#", 60); string(buf) != want {
+		t.Errorf("caller's buffer became %q", buf)
 	}
 }

@@ -84,27 +84,34 @@ func encodeWALEntry(e walEntry) []byte {
 
 // encodeSnapshot serialises the server state as framed snapEntries in
 // sorted device order (logs first, then streams), so a snapshot of a given
-// state is always the same bytes.
+// state is always the same bytes. It sums the snapshot's exact size first
+// and writes every frame into one buffer of that size, reading files and
+// streams in place: the server calls it under Dataset.mu with the live
+// maps. Besides that buffer it allocates the two sorted key slices and one
+// header scratch sized for the longest header, however much data the shard
+// holds.
 func encodeSnapshot(files, streams map[string][]byte) []byte {
-	var out, payload []byte
-	for _, dev := range sortedKeys(files) {
-		payload = appendSnapEntry(payload[:0], snapEntry{Kind: "log", Dev: dev, Data: files[dev]})
-		out = core.AppendFrame(out, payload)
+	kinds := [...]struct {
+		name string
+		m    map[string][]byte
+	}{{"log", files}, {"stream", streams}}
+	size, longest := 0, 0
+	for _, kind := range kinds {
+		for dev, data := range kind.m {
+			h := len(kind.name) + 1 + len(dev) + 1
+			size += core.FrameSize(h + len(data))
+			longest = max(longest, h)
+		}
 	}
-	for _, dev := range sortedKeys(streams) {
-		payload = appendSnapEntry(payload[:0], snapEntry{Kind: "stream", Dev: dev, Data: streams[dev]})
-		out = core.AppendFrame(out, payload)
+	out := make([]byte, 0, size)
+	header := make([]byte, 0, longest) // "<kind> <dev>\n"
+	for _, kind := range kinds {
+		for _, dev := range sortedKeys(kind.m) {
+			header = append(append(append(append(header[:0], kind.name...), ' '), dev...), '\n')
+			out = core.AppendFrameParts(out, header, kind.m[dev])
+		}
 	}
 	return out
-}
-
-// appendSnapEntry appends e's frame payload to dst.
-func appendSnapEntry(dst []byte, e snapEntry) []byte {
-	dst = append(dst, e.Kind...)
-	dst = append(dst, ' ')
-	dst = append(dst, e.Dev...)
-	dst = append(dst, '\n')
-	return append(dst, e.Data...)
 }
 
 // decodeSnapEntry parses one snapshot frame's payload. Data aliases the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -101,28 +102,52 @@ func AppendBeat(dst []byte, b Beat) []byte {
 // AppendFrame appends payload wrapped in a checksummed frame (EncodeFrame's
 // bytes) to dst.
 func AppendFrame(dst, payload []byte) []byte {
-	if len(payload) > MaxFramePayload {
+	return AppendFrameParts(dst, payload)
+}
+
+// AppendFrameParts appends one checksummed frame whose payload is the
+// concatenation of parts: AppendFrame(dst, concat(parts)) without the
+// concatenated copy. Each part is copied once, into dst, and checksummed
+// there, so the parts themselves never escape (a caller may build one on
+// its stack).
+func AppendFrameParts(dst []byte, parts ...[]byte) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > MaxFramePayload {
 		// Records are small JSON objects; a payload this large is a
 		// programming error, not flash damage.
-		panic(fmt.Sprintf("core: frame payload %d bytes exceeds %d", len(payload), MaxFramePayload))
+		panic(fmt.Sprintf("core: frame payload %d bytes exceeds %d", n, MaxFramePayload))
 	}
-	dst = append(dst, FrameMagic)
-	dst = appendHex(dst, uint32(crc32.Checksum(payload, frameTable)), 8)
-	dst = append(dst, ':')
-	dst = appendHex(dst, uint32(len(payload)), 6)
-	dst = append(dst, ':')
-	dst = append(dst, payload...)
+	start := len(dst)
+	dst = slices.Grow(dst, FrameSize(n))[:start+frameHeaderLen]
+	header := dst[start:]
+	header[0] = FrameMagic
+	header[9] = ':'
+	putHex(header[10:16], uint32(n))
+	header[16] = ':'
+	var sum uint32
+	for _, p := range parts {
+		i := len(dst)
+		dst = append(dst, p...)
+		sum = crc32.Update(sum, frameTable, dst[i:])
+	}
+	putHex(header[1:9], sum)
 	return append(dst, '\n')
 }
 
+// FrameSize is the encoded size of a frame around an n-byte payload.
+func FrameSize(n int) int { return frameHeaderLen + n + 1 }
+
 const hexDigits = "0123456789abcdef"
 
-// appendHex appends v as exactly width lowercase hex digits.
-func appendHex(dst []byte, v uint32, width int) []byte {
-	for i := width - 1; i >= 0; i-- {
-		dst = append(dst, hexDigits[(v>>(uint(i)*4))&0xf])
+// putHex writes v into b as exactly len(b) lowercase hex digits.
+func putHex(b []byte, v uint32) {
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hexDigits[v&0xf]
+		v >>= 4
 	}
-	return dst
 }
 
 // appendJSONFloat matches encoding/json's float64 encoder: %f in the

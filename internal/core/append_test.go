@@ -244,3 +244,60 @@ func TestAppendRecordAllocs(t *testing.T) {
 		t.Errorf("AppendFrame into warm scratch = %v allocs, want 0", avg)
 	}
 }
+
+// splitParts cuts data into parts at the offsets cuts draws, keeping empty
+// parts where two cuts coincide or one falls at an end.
+func splitParts(data, cuts []byte) [][]byte {
+	var parts [][]byte
+	at := 0
+	for _, c := range cuts {
+		end := at + int(c)%(len(data)-at+1)
+		parts = append(parts, data[at:end])
+		at = end
+	}
+	return append(parts, data[at:])
+}
+
+// FuzzAppendFrameParts: a frame written from parts is the frame of their
+// concatenation, after whatever dst already held.
+func FuzzAppendFrameParts(f *testing.F) {
+	f.Add([]byte(""), []byte(""), []byte(""))
+	f.Add([]byte("~"), []byte("log phone-01\n{}"), []byte{0, 0, 3, 200})
+	f.Add([]byte("prefix"), bytes.Repeat([]byte{0xab}, 4096), []byte{17, 0, 255, 1})
+	f.Fuzz(func(t *testing.T, dst, data, cuts []byte) {
+		parts := splitParts(data, cuts)
+		want := AppendFrame(append([]byte(nil), dst...), data)
+		got := AppendFrameParts(append([]byte(nil), dst...), parts...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendFrameParts(%q, %q):\n got %q\nwant %q", dst, parts, got, want)
+		}
+		if payload, size, ok := decodeFrame(got[len(dst):]); !ok || size != len(got)-len(dst) || !bytes.Equal(payload, data) {
+			t.Fatalf("frame of %q does not decode to its payload", parts)
+		}
+	})
+}
+
+func TestAppendFramePartsPanicsLikeAppendFrame(t *testing.T) {
+	panicOf := func(fn func()) (v any) {
+		defer func() { v = recover() }()
+		fn()
+		return nil
+	}
+	big := make([]byte, MaxFramePayload+1)
+	want := panicOf(func() { AppendFrame(nil, big) })
+	if want == nil {
+		t.Fatal("AppendFrame accepted an oversized payload")
+	}
+	for _, parts := range [][][]byte{
+		{big},
+		{big[:1], big[1:]},
+		{nil, big[:MaxFramePayload], {}, big[:1]},
+	} {
+		if got := panicOf(func() { AppendFrameParts(nil, parts...) }); got != want {
+			t.Errorf("AppendFrameParts over %d parts panicked with %v, want %v", len(parts), got, want)
+		}
+	}
+	if got := panicOf(func() { AppendFrameParts(nil, big[:MaxFramePayload-1], big[:1]) }); got != nil {
+		t.Errorf("AppendFrameParts at exactly MaxFramePayload panicked: %v", got)
+	}
+}

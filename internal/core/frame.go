@@ -36,7 +36,7 @@ var frameTable = crc32.MakeTable(crc32.Castagnoli)
 
 // EncodeFrame wraps payload in a checksummed frame.
 func EncodeFrame(payload []byte) []byte {
-	return AppendFrame(make([]byte, 0, frameHeaderLen+len(payload)+1), payload)
+	return AppendFrame(make([]byte, 0, FrameSize(len(payload))), payload)
 }
 
 // FrameRecord serialises a record as one checksummed frame (the on-flash
@@ -56,7 +56,7 @@ func decodeFrame(data []byte) (payload []byte, size int, ok bool) {
 	if !parseHex32(data[1:9], &sum) || !parseHex24(data[10:16], &n) {
 		return nil, 0, false
 	}
-	size = frameHeaderLen + n + 1
+	size = FrameSize(n)
 	if len(data) < size || data[size-1] != '\n' {
 		return nil, 0, false // torn tail: the write stopped before the payload landed
 	}
