@@ -14,6 +14,9 @@ import (
 // with the subsystem spelled out. Budgets only ever go down — when an
 // optimisation lands, tighten the number in this table so the gain cannot
 // silently erode. Skipped under -race (instrumentation allocates).
+// decodeSink keeps the decoder's result alive, as a caller's would be.
+var decodeSink core.Record
+
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -59,6 +62,32 @@ func TestAllocBudgets(t *testing.T) {
 				payload := core.AppendRecord(nil, core.Record{Kind: core.KindBoot, Time: 7, Boot: 2})
 				buf := make([]byte, 0, 256)
 				return func() { buf = core.AppendFrame(buf[:0], payload) }
+			},
+		},
+		{
+			// The collection tier decodes every record it is sent with the
+			// canonical decoder: only the free-text OS version allocates
+			// (json.Unmarshal made 9 allocations for this record).
+			name: "core: decode canonical boot record", budget: 1,
+			setup: func() func() {
+				payload := core.AppendRecord(nil, core.Record{
+					Kind: core.KindBoot, Time: 1234567890, Boot: 7, OSVersion: "8.0",
+					PrevBeat: core.BeatAlive, PrevTime: 1234000000, OffSeconds: 30.5,
+					Detected: core.DetectedFreeze,
+				})
+				return func() { decodeSink, _ = core.DecodeRecord(payload) }
+			},
+		},
+		{
+			// The category, the app list, each app and the activity (13
+			// under json.Unmarshal).
+			name: "core: decode canonical panic record", budget: 5,
+			setup: func() func() {
+				payload := core.AppendRecord(nil, core.Record{
+					Kind: core.KindPanic, Time: 1234567890, Category: "KERN-EXEC",
+					PType: 3, Apps: []string{"phone", "camera"}, Activity: "voice-call",
+				})
+				return func() { decodeSink, _ = core.DecodeRecord(payload) }
 			},
 		},
 		{

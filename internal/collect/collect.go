@@ -723,6 +723,11 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 	}
 	stream = appendChunk(stream, off, chunk)
 	s.streams[id] = stream
+	// The records' lines are subslices of stream. They stay valid after the
+	// quorum path below releases s.mu: no verb overwrites a stream's bytes
+	// below its length (appendChunk extends in place past the end and
+	// copies on a rewind; a stream handoff installs a fresh copy), so a
+	// concurrent verb cannot change what ackLocked reads.
 	recs, settled := core.ScanSettled(stream, s.settled[id])
 	if s.cfg.Replicate != nil && !replica {
 		s.ds.putStream(id, stream, recs)
@@ -890,7 +895,7 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 		s.streams[id] = append([]byte(nil), data...)
 		delete(s.settled, id)
 	}
-	s.cfg.ledger.record(id, core.ParseRecords(data), s.cfg.OnRecord)
+	s.cfg.ledger.record(id, core.ParseRecordLines(data), s.cfg.OnRecord)
 	s.ds.PutMerged(id, data)
 	if s.maybeCompactLocked() {
 		return false
@@ -1039,7 +1044,7 @@ func (s *Server) crashAtLocked(p Crashpoint) bool {
 // ackLocked books one acknowledged CHUNK: it counts the upload
 // and notes recs as acked, firing the OnRecord tap for records no
 // incarnation acked before. Caller holds s.mu.
-func (s *Server) ackLocked(id string, recs []core.Record) {
+func (s *Server) ackLocked(id string, recs []core.RecordLine) {
 	s.cfg.ledger.uploads.Add(1)
 	s.cfg.ledger.record(id, recs, s.cfg.OnRecord)
 }
@@ -1124,7 +1129,7 @@ func (ds *Dataset) PutMerged(deviceID string, data []byte) {
 // and suffix its records past the settled offset, the only ones not
 // already in the log (see mergeStream). The stored bytes are the ones
 // PutMerged(deviceID, stream) would store.
-func (ds *Dataset) putStream(deviceID string, stream []byte, suffix []core.Record) {
+func (ds *Dataset) putStream(deviceID string, stream []byte, suffix []core.RecordLine) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	old, ok := ds.files[deviceID]

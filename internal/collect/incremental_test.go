@@ -49,7 +49,7 @@ func (r *refServer) tap(_ string, rec core.Record) {
 
 func (r *refServer) ack(id string, data []byte) {
 	r.led.uploads.Add(1)
-	r.led.record(id, core.ParseRecords(data), r.tap)
+	r.led.record(id, withLines(core.ParseRecords(data)), r.tap)
 }
 
 func (r *refServer) chunk(id string, off int, data []byte, replicate, quorum bool) {
@@ -79,7 +79,7 @@ func (r *refServer) handoff(id, kind string, data []byte) {
 	if kind == HandoffStream {
 		r.streams[id] = append([]byte(nil), data...)
 	}
-	r.led.record(id, core.ParseRecords(data), r.tap)
+	r.led.record(id, withLines(core.ParseRecords(data)), r.tap)
 	refMerge(r.files, id, data)
 }
 

@@ -34,11 +34,11 @@ func NewLedger() *Ledger { return &Ledger{recs: make(map[string]map[string]bool)
 // record notes recs as acknowledged for a device, then calls tap (when
 // non-nil) for each record the ledger had neither acknowledged nor tapped
 // before. The tap runs after l.mu is released.
-func (l *Ledger) record(id string, recs []core.Record, tap func(string, core.Record)) {
+func (l *Ledger) record(id string, recs []core.RecordLine, tap func(string, core.Record)) {
 	fresh := l.mark(id, recs, true)
 	if tap != nil {
-		for _, rec := range fresh {
-			tap(id, rec)
+		for _, rl := range fresh {
+			tap(id, rl.Record)
 		}
 	}
 }
@@ -55,23 +55,22 @@ func (l *Ledger) tapUnacked(id string, stream []byte, tap func(string, core.Reco
 	if tap == nil {
 		return
 	}
-	for _, rec := range l.mark(id, core.ParseRecords(stream), false) {
-		tap(id, rec)
+	for _, rl := range l.mark(id, core.ParseRecordLines(stream), false) {
+		tap(id, rl.Record)
 	}
 }
 
-// mark notes recs as acknowledged (ack) or tapped for a device and returns
-// those it had neither acknowledged nor tapped before. recs is only read: a
-// CHUNK hands the same parsed records to the dataset.
-func (l *Ledger) mark(id string, recs []core.Record, ack bool) []core.Record {
-	var fresh []core.Record
-	var scratch []byte
+// mark notes recs as acknowledged (ack) or tapped for a device, keyed by
+// their lines, and returns those it had neither acknowledged nor tapped
+// before. recs is only read: a CHUNK hands the same parsed records to the
+// dataset.
+func (l *Ledger) mark(id string, recs []core.RecordLine, ack bool) []core.RecordLine {
+	var fresh []core.RecordLine
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	keys := l.recs[id]
-	for _, rec := range recs {
-		scratch = core.AppendRecordLine(scratch[:0], rec)
-		acked, seen := keys[string(scratch)] // alloc-free lookup; re-sent records are the common case
+	for _, rl := range recs {
+		acked, seen := keys[string(rl.Line)] // alloc-free lookup; re-sent records are the common case
 		if acked || (seen && !ack) {
 			continue
 		}
@@ -79,9 +78,9 @@ func (l *Ledger) mark(id string, recs []core.Record, ack bool) []core.Record {
 			keys = make(map[string]bool)
 			l.recs[id] = keys
 		}
-		keys[string(scratch)] = ack
+		keys[string(rl.Line)] = ack
 		if !seen {
-			fresh = append(fresh, rec)
+			fresh = append(fresh, rl)
 		}
 	}
 	return fresh

@@ -2,9 +2,9 @@ package collect
 
 import (
 	"bytes"
-	"encoding/json"
+	"cmp"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"symfail/internal/core"
 )
@@ -18,39 +18,48 @@ import (
 // acknowledgements, rewound streams and concurrent per-shard uploads all
 // collapse to the same bytes.
 //
-// Records deduplicate by their exact serialized form and order by
-// (timestamp, serialized bytes). The byte tie-break gives equal-time
-// records a total order no arrival schedule can perturb; device identity,
-// the outermost key of the merge order, lives in the Dataset keying above
-// this level.
+// Records deduplicate by their line (core.AppendRecordLine's bytes) and
+// order by (timestamp, line). The line tie-break gives equal-time records a
+// total order no arrival schedule can perturb; device identity, the
+// outermost key of the merge order, lives in the Dataset keying above this
+// level.
 func MergeRecords(batches ...[]core.Record) []core.Record {
-	seen := make(map[string]bool)
-	type keyed struct {
-		rec core.Record
-		key string
+	lined := make([][]core.RecordLine, len(batches))
+	for i, batch := range batches {
+		lined[i] = withLines(batch)
 	}
-	var all []keyed
-	var scratch []byte
-	for _, batch := range batches {
-		for _, r := range batch {
-			scratch = core.AppendRecordLine(scratch[:0], r)
-			if seen[string(scratch)] { // alloc-free lookup; the key string is built only for new records
-				continue
-			}
-			key := string(scratch)
-			seen[key] = true
-			all = append(all, keyed{rec: r, key: key})
-		}
+	merged := mergeLines(lined...)
+	out := make([]core.Record, len(merged))
+	for i, rl := range merged {
+		out[i] = rl.Record
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].rec.Time != all[j].rec.Time {
-			return all[i].rec.Time < all[j].rec.Time
+	return out
+}
+
+// mergeLines is MergeRecords on records that carry their lines, as
+// core.ScanSettled and core.ParseRecordLines return them: it re-encodes
+// nothing. Equal lines sort next to each other, so deduplication is one
+// pass over the sorted batches. Which of a run of equal lines is kept
+// does not change the merged bytes.
+func mergeLines(batches ...[]core.RecordLine) []core.RecordLine {
+	all := slices.Concat(batches...)
+	slices.SortFunc(all, func(a, b core.RecordLine) int {
+		if c := cmp.Compare(a.Record.Time, b.Record.Time); c != 0 {
+			return c
 		}
-		return all[i].key < all[j].key
+		return bytes.Compare(a.Line, b.Line)
 	})
-	out := make([]core.Record, len(all))
-	for i, k := range all {
-		out[i] = k.rec
+	return slices.CompactFunc(all, func(a, b core.RecordLine) bool {
+		return bytes.Equal(a.Line, b.Line)
+	})
+}
+
+// withLines pairs each record with its core.AppendRecordLine bytes, for
+// callers that hold records without the bytes they were parsed from.
+func withLines(recs []core.Record) []core.RecordLine {
+	out := make([]core.RecordLine, len(recs))
+	for i, r := range recs {
+		out[i] = core.RecordLine{Record: r, Line: core.AppendRecordLine(nil, r)}
 	}
 	return out
 }
@@ -61,38 +70,43 @@ func MergeRecords(batches ...[]core.Record) []core.Record {
 // the settled offset suffix was scanned from (core.ScanSettled); suffix
 // holds the records of stream past it. When canonical, and the sorted,
 // deduplicated suffix sorts strictly after the log's last (Time, line) key,
-// the encoded suffix is appended to log in place. Otherwise the whole
+// the suffix's lines are appended to log in place. Otherwise the whole
 // stream is merged. Either way the result is canonical and its bytes equal
 // EncodeRecords(MergeRecords(ParseRecords(log), ParseRecords(stream))): the
 // records before the settled offset are already in the log, and the
 // appended ones sort after all of it.
-func mergeStream(log []byte, canonical bool, stream []byte, suffix []core.Record) []byte {
+func mergeStream(log []byte, canonical bool, stream []byte, suffix []core.RecordLine) []byte {
 	if canonical {
-		if batch := MergeRecords(suffix); len(batch) == 0 || sortsAfterLog(batch[0], log) {
-			for _, r := range batch {
-				log = core.AppendRecordLine(log, r)
-			}
-			return log
+		if batch := mergeLines(suffix); len(batch) == 0 || sortsAfterLog(batch[0], log) {
+			return appendLines(log, batch)
 		}
 	}
-	return EncodeRecords(MergeRecords(core.ParseRecords(log), core.ParseRecords(stream)))
+	return appendLines(nil, mergeLines(core.ParseRecordLines(log), core.ParseRecordLines(stream)))
 }
 
-// sortsAfterLog reports whether r sorts strictly after the last record of a
-// canonical log in the MergeRecords order, (Time, serialized line).
-func sortsAfterLog(r core.Record, log []byte) bool {
+// sortsAfterLog reports whether rl sorts strictly after the last record of
+// a canonical log in the MergeRecords order, (Time, line).
+func sortsAfterLog(rl core.RecordLine, log []byte) bool {
 	if len(log) == 0 {
 		return true
 	}
 	line := log[bytes.LastIndexByte(log[:len(log)-1], '\n')+1:]
-	var last core.Record
-	if json.Unmarshal(line, &last) != nil {
+	last, ok := core.DecodeRecord(bytes.TrimSuffix(line, []byte{'\n'}))
+	if !ok {
 		return false
 	}
-	if r.Time != last.Time {
-		return r.Time > last.Time
+	if rl.Record.Time != last.Time {
+		return rl.Record.Time > last.Time
 	}
-	return bytes.Compare(core.AppendRecordLine(nil, r), line) > 0
+	return bytes.Compare(rl.Line, line) > 0
+}
+
+// appendLines appends the lines of recs to dst.
+func appendLines(dst []byte, recs []core.RecordLine) []byte {
+	for _, rl := range recs {
+		dst = append(dst, rl.Line...)
+	}
+	return dst
 }
 
 // EncodeRecords serialises a record sequence as the dataset stores it: one

@@ -69,7 +69,7 @@ type replicaModel struct {
 // applied books a stream the replica took (a chunk or a heal).
 func (m *replicaModel) applied(id string, stream []byte) {
 	m.stream = append([]byte(nil), stream...)
-	m.ref.led.record(id, core.ParseRecords(stream), nil)
+	m.ref.led.record(id, withLines(core.ParseRecords(stream)), nil)
 	refMerge(m.ref.files, id, stream)
 }
 

@@ -2,9 +2,10 @@ package collect
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"symfail/internal/core"
@@ -73,13 +74,25 @@ type snapEntry struct {
 	Data      []byte
 }
 
+// encodeWALEntry frames e's JSON object, written by hand as json.Marshal
+// writes it: fields in order, off and data left out when zero, data in
+// standard base64, op and dev escaped as encoding/json escapes strings (a
+// device ID may hold '<', '"' or invalid UTF-8). The WAL's size decides
+// when the server compacts, so these bytes are pinned to json.Marshal's by
+// a differential test. The payload's parts are copied once, into the frame.
 func encodeWALEntry(e walEntry) []byte {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		// walEntry has only marshalable fields; unreachable.
-		panic(fmt.Sprintf("collect: marshal wal entry: %v", err))
+	head := append(make([]byte, 0, 64+len(e.Dev)), `{"op":`...)
+	head = core.AppendJSONString(head, e.Op)
+	head = core.AppendJSONString(append(head, `,"dev":`...), e.Dev)
+	if e.Off != 0 {
+		head = strconv.AppendInt(append(head, `,"off":`...), int64(e.Off), 10)
 	}
-	return core.EncodeFrame(payload)
+	if len(e.Data) == 0 {
+		return core.AppendFrameParts(nil, head, []byte("}"))
+	}
+	head = append(head, `,"data":"`...)
+	data := base64.StdEncoding.AppendEncode(nil, e.Data)
+	return core.AppendFrameParts(nil, head, data, []byte(`"}`))
 }
 
 // encodeSnapshot serialises the server state as framed snapEntries in
@@ -147,7 +160,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // It stores the new log in files and returns whether it is canonical.
 // Replay has no Put, so a merged log keeps every record merged into it
 // before.
-func mergeLogs(files map[string][]byte, dev string, canonical bool, add []byte, suffix []core.Record) bool {
+func mergeLogs(files map[string][]byte, dev string, canonical bool, add []byte, suffix []core.RecordLine) bool {
 	old, ok := files[dev]
 	if !ok {
 		files[dev] = append([]byte(nil), add...)
@@ -211,7 +224,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 			}
 			st = appendChunk(st, e.Off, e.Data)
 			streams[e.Dev] = st
-			var recs []core.Record
+			var recs []core.RecordLine
 			recs, settled[e.Dev] = core.ScanSettled(st, settled[e.Dev])
 			canonical[e.Dev] = mergeLogs(files, e.Dev, canonical[e.Dev], st, recs)
 		case opHandoff:

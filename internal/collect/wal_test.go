@@ -2,6 +2,7 @@ package collect
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"reflect"
@@ -353,5 +354,40 @@ func TestEncodeSnapshotAllocationsFlat(t *testing.T) {
 	small, large := snapAllocs(50), snapAllocs(1500)
 	if large != small || large > 4 {
 		t.Errorf("encodeSnapshot = %v allocs at 50 devices, %v at 1500; want the same count, at most 4", small, large)
+	}
+}
+
+// TestEncodeWALEntryMatchesMarshal pins the hand-written WAL encoder to the
+// frame of json.Marshal's bytes: WAL size triggers compaction, so a byte
+// more or less would move every compaction point. Device IDs cover what
+// checkDeviceID admits and encoding/json escapes.
+func TestEncodeWALEntryMatchesMarshal(t *testing.T) {
+	devs := []string{
+		"phone-01", `we"ird`, `back\slash`, "a<b>&c", "ctl\x01\x1f\x7f", "\r",
+		"bad\xff\xfeutf8", "line\u2028sep\u2029", "é€𝄞", "\xed\xa0\x80",
+	}
+	rng := sim.NewRand(5)
+	for _, op := range []string{opChunk, opFin, opHandoff, opHandoffStream} {
+		for _, dev := range devs {
+			for _, off := range []int{0, 1, 4096, 1 << 30} {
+				for _, n := range []int{-1, 0, 1, 2, 3, 100} {
+					var data []byte
+					if n >= 0 {
+						data = make([]byte, n)
+						for i := range data {
+							data[i] = byte(rng.Intn(256))
+						}
+					}
+					e := walEntry{Op: op, Dev: dev, Off: off, Data: data}
+					payload, err := json.Marshal(e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := encodeWALEntry(e), core.EncodeFrame(payload); !bytes.Equal(got, want) {
+						t.Fatalf("encodeWALEntry(%+v):\n got %q\nwant %q", e, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -24,7 +24,7 @@ import (
 // trailing newline) to dst and returns the extended buffer.
 func AppendRecord(dst []byte, r Record) []byte {
 	dst = append(dst, `{"kind":`...)
-	dst = appendJSONString(dst, r.Kind)
+	dst = AppendJSONString(dst, r.Kind)
 	dst = append(dst, `,"time":`...)
 	dst = strconv.AppendInt(dst, r.Time, 10)
 	if r.Boot != 0 {
@@ -33,11 +33,11 @@ func AppendRecord(dst []byte, r Record) []byte {
 	}
 	if r.OSVersion != "" {
 		dst = append(dst, `,"os":`...)
-		dst = appendJSONString(dst, r.OSVersion)
+		dst = AppendJSONString(dst, r.OSVersion)
 	}
 	if r.PrevBeat != "" {
 		dst = append(dst, `,"prevBeat":`...)
-		dst = appendJSONString(dst, string(r.PrevBeat))
+		dst = AppendJSONString(dst, string(r.PrevBeat))
 	}
 	if r.PrevTime != 0 {
 		dst = append(dst, `,"prevTime":`...)
@@ -49,11 +49,11 @@ func AppendRecord(dst []byte, r Record) []byte {
 	}
 	if r.Detected != "" {
 		dst = append(dst, `,"detected":`...)
-		dst = appendJSONString(dst, string(r.Detected))
+		dst = AppendJSONString(dst, string(r.Detected))
 	}
 	if r.Category != "" {
 		dst = append(dst, `,"category":`...)
-		dst = appendJSONString(dst, r.Category)
+		dst = AppendJSONString(dst, r.Category)
 	}
 	if r.PType != 0 {
 		dst = append(dst, `,"ptype":`...)
@@ -65,13 +65,13 @@ func AppendRecord(dst []byte, r Record) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, app)
+			dst = AppendJSONString(dst, app)
 		}
 		dst = append(dst, ']')
 	}
 	if r.Activity != "" {
 		dst = append(dst, `,"activity":`...)
-		dst = appendJSONString(dst, r.Activity)
+		dst = AppendJSONString(dst, r.Activity)
 	}
 	if r.LogSalvaged != 0 {
 		dst = append(dst, `,"salvaged":`...)
@@ -93,7 +93,7 @@ func AppendRecordLine(dst []byte, r Record) []byte {
 // has no omitempty fields).
 func AppendBeat(dst []byte, b Beat) []byte {
 	dst = append(dst, `{"kind":`...)
-	dst = appendJSONString(dst, string(b.Kind))
+	dst = AppendJSONString(dst, string(b.Kind))
 	dst = append(dst, `,"time":`...)
 	dst = strconv.AppendInt(dst, b.Time, 10)
 	return append(dst, '}')
@@ -174,11 +174,11 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// appendJSONString matches encoding/json's default (HTML-escaping) string
-// encoder: printable ASCII passes through except ", \, <, >, &; control
-// bytes use the short escapes or \u00xx; invalid UTF-8 becomes �;
-// U+2028/U+2029 are escaped for JS embedding.
-func appendJSONString(dst []byte, s string) []byte {
+// AppendJSONString appends s as encoding/json's default (HTML-escaping)
+// string encoder writes it: printable ASCII passes through except ", \,
+// <, >, &; control bytes use the short escapes or \u00xx; invalid UTF-8
+// becomes �; U+2028/U+2029 are escaped for JS embedding.
+func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

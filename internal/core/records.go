@@ -141,6 +141,19 @@ func ParseRecords(data []byte) []Record {
 	return out
 }
 
+// ParseRecordLines is ParseRecords with each record's AppendRecordLine
+// bytes. A canonical record's line aliases data (its frame's payload and
+// closing '\n', or its legacy line), so parsing re-encodes only the records
+// written in some other form.
+func ParseRecordLines(data []byte) []RecordLine {
+	var out []RecordLine
+	_ = eachLine(data, func(line []byte) error {
+		out = appendRecordLine(out, line)
+		return nil
+	})
+	return out
+}
+
 // ScanRecords parses a Log File incrementally, calling fn once per record
 // in log order without materialising the record slice — the streaming
 // analysis path reads whole exported datasets this way with one device's
@@ -148,56 +161,71 @@ func ParseRecords(data []byte) []Record {
 // (which is built on it): corrupt frames, blank lines and unparsable JSON
 // lines are dropped. An error from fn stops the scan and is returned.
 func ScanRecords(data []byte, fn func(Record) error) error {
-	if len(data) > 0 && data[0] == FrameMagic {
-		for _, payload := range RecoverLog(data).Payloads {
-			var r Record
-			if err := json.Unmarshal(payload, &r); err != nil {
-				continue
-			}
-			if err := fn(r); err != nil {
-				return err
-			}
+	return eachLine(data, func(line []byte) error {
+		r, ok := DecodeRecord(bytes.TrimSuffix(line, newline))
+		if !ok {
+			return nil
 		}
-		return nil
+		return fn(r)
+	})
+}
+
+// eachLine calls fn with every record candidate of a Log File in log order:
+// a framed log's intact frame payloads, each with the '\n' that closes its
+// frame, or a legacy log's lines, each with its '\n' (the last may lack
+// one). An error from fn stops the scan and is returned.
+func eachLine(data []byte, fn func(line []byte) error) error {
+	if len(data) > 0 && data[0] == FrameMagic {
+		return eachFrameLine(data, fn)
 	}
 	for len(data) > 0 {
 		line := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
+			line, data = data[:i+1], data[i+1:]
 		} else {
 			data = nil
 		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			continue
-		}
-		if err := fn(r); err != nil {
+		if err := fn(line); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// eachFrameLine is eachLine over the intact frames frame recovery finds in
+// data, wherever data starts.
+func eachFrameLine(data []byte, fn func(line []byte) error) error {
+	for _, payload := range RecoverLog(data).Payloads {
+		if err := fn(frameLine(payload)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// frameLine extends a payload decodeFrame returned by one byte, to the '\n'
+// that closes its frame: the payload is a subslice of the frame, and an
+// intact frame's last byte is that '\n'.
+func frameLine(payload []byte) []byte { return payload[:len(payload)+1] }
+
 // ScanSettled parses a growing framed log from byte offset off, for a
-// reader that has already consumed the records before off. It decodes
-// intact frames from off and stops at the first one that fails to decode:
-// that point is settled, because the bytes before it can no longer change
-// what ParseRecords sees there however the log grows, while the bytes past
-// it can (a torn tail completes on the next append). The records past the
+// reader that has already consumed the records before off, and returns
+// each record with its line (see ParseRecordLines). It decodes intact
+// frames from off and stops at the first one that fails to decode: that
+// point is settled, because the bytes before it can no longer change what
+// ParseRecords sees there however the log grows, while the bytes past it
+// can (a torn tail completes on the next append). The records past the
 // settled point are still returned; the next call re-reads them from
 // settled. off must be 0 or a settled offset an earlier call returned for a
 // prefix of data. Frame recovery scans left to right, so
 //
-//	ParseRecords(data) == ParseRecords(data[:off]) ++ recs
+//	ParseRecordLines(data) == ParseRecordLines(data[:off]) ++ recs
 //
 // Unframed (legacy JSON-lines) logs never settle: they return every record
 // with settled 0.
-func ScanSettled(data []byte, off int) (recs []Record, settled int) {
+func ScanSettled(data []byte, off int) (recs []RecordLine, settled int) {
 	if len(data) == 0 || data[0] != FrameMagic {
-		return ParseRecords(data), 0
+		return ParseRecordLines(data), 0
 	}
 	settled = off
 	for settled < len(data) {
@@ -205,23 +233,14 @@ func ScanSettled(data []byte, off int) (recs []Record, settled int) {
 		if !ok {
 			break
 		}
-		recs = appendPayloadRecord(recs, payload)
+		recs = appendRecordLine(recs, frameLine(payload))
 		settled += size
 	}
-	for _, payload := range RecoverLog(data[settled:]).Payloads {
-		recs = appendPayloadRecord(recs, payload)
-	}
+	_ = eachFrameLine(data[settled:], func(line []byte) error {
+		recs = appendRecordLine(recs, line)
+		return nil
+	})
 	return recs, settled
-}
-
-// appendPayloadRecord appends the record a frame payload holds, skipping a
-// payload that is not a record (the ParseRecords rule).
-func appendPayloadRecord(recs []Record, payload []byte) []Record {
-	var r Record
-	if json.Unmarshal(payload, &r) != nil {
-		return recs
-	}
-	return append(recs, r)
 }
 
 // EncodeBeat serialises the heartbeat record.

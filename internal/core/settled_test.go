@@ -49,11 +49,11 @@ func TestScanSettled(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			recs, settled := ScanSettled(tc.data, tc.off)
+			lines, settled := ScanSettled(tc.data, tc.off)
 			if settled != tc.wantSettled {
 				t.Errorf("settled = %d, want %d", settled, tc.wantSettled)
 			}
-			if !reflect.DeepEqual(recs, tc.wantRecs) {
+			if recs := recordsOf(lines); !reflect.DeepEqual(recs, tc.wantRecs) {
 				t.Errorf("records = %+v, want %+v", recs, tc.wantRecs)
 			}
 			checkScanSettled(t, tc.data, tc.off)
@@ -88,13 +88,28 @@ func TestScanSettledGrowingLog(t *testing.T) {
 	}
 }
 
-// checkScanSettled asserts the prefix law and that everything before the
-// settled offset is intact frames.
+// recordsOf drops the lines of a ScanSettled result.
+func recordsOf(lines []RecordLine) []Record {
+	var out []Record
+	for _, rl := range lines {
+		out = append(out, rl.Record)
+	}
+	return out
+}
+
+// checkScanSettled asserts the prefix law, that every returned line is its
+// record's AppendRecordLine, and that everything before the settled offset
+// is intact frames.
 func checkScanSettled(t *testing.T, data []byte, off int) {
 	t.Helper()
-	recs, settled := ScanSettled(data, off)
+	lines, settled := ScanSettled(data, off)
+	for _, rl := range lines {
+		if want := AppendRecordLine(nil, rl.Record); !bytes.Equal(rl.Line, want) {
+			t.Fatalf("ScanSettled(data, %d) returned line %q for %+v, want AppendRecordLine's %q", off, rl.Line, rl.Record, want)
+		}
+	}
 	want := ParseRecords(data)
-	got := append(ParseRecords(data[:off]), recs...)
+	got := append(ParseRecords(data[:off]), recordsOf(lines)...)
 	if len(want) != len(got) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 		t.Fatalf("ParseRecords(data[:%d]) ++ ScanSettled(data, %d) = %+v, want ParseRecords(data) = %+v", off, off, got, want)
 	}
@@ -135,4 +150,27 @@ func FuzzScanSettled(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestScanSettledLinesAliasStream: a canonically encoded frame's line is
+// the frame's own payload and newline, not a re-encoding; a frame whose
+// payload json.Unmarshal reads but AppendRecord would not write gets a
+// fresh line.
+func TestScanSettledLinesAliasStream(t *testing.T) {
+	f1, f2, _, _, _, _, _, _ := settledTestFrames()
+	odd := EncodeFrame([]byte(`{"time":3, "kind":"boot"}`))
+	data := cat(f1, odd, f2)
+	lines, _ := ScanSettled(data, 0)
+	if len(lines) != 3 {
+		t.Fatalf("got %d records, want 3", len(lines))
+	}
+	aliases := func(line []byte, at int) bool {
+		return len(line) > 0 && &line[0] == &data[at+frameHeaderLen]
+	}
+	if !aliases(lines[0].Line, 0) || !aliases(lines[2].Line, len(f1)+len(odd)) {
+		t.Error("canonical frames' lines do not alias their payloads")
+	}
+	if aliases(lines[1].Line, len(f1)) || string(lines[1].Line) != "{\"kind\":\"boot\",\"time\":3}\n" {
+		t.Errorf("non-canonical frame's line = %q, want a fresh AppendRecordLine", lines[1].Line)
+	}
 }
