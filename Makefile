@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica chaos-checkpoint flake fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover loc clean
+.PHONY: all build vet lint lint-json check chaos chaos-kill chaos-fleet chaos-replica flake fuzz parallel stream test test-short bench bench-parallel bench-analysis bench-resnapshot bench-check repro repro-quick montecarlo cover loc clean
 
 all: build vet lint test
 
@@ -56,14 +56,6 @@ chaos-fleet:
 # no healthy shard ever confirmed dead (DESIGN.md §15).
 chaos-replica:
 	$(GO) test -race -run 'TestReplicaKillAnything' -v .
-
-# The checkpoint/resume harness: a continuous study over a Workers:4 fleet
-# dataset, killed at RNG-drawn points — mid-record-stream and inside the
-# checkpoint write/sync/rename protocol itself — and resumed from the
-# crash-surviving store; the eventual tables must be byte-identical to an
-# uninterrupted run (DESIGN.md §16).
-chaos-checkpoint:
-	$(GO) test -race -run 'TestCheckpoint' -v .
 
 # Flake sampling: rerun N times (default 3) the tests that have failed
 # intermittently on loaded multi-CPU hosts — the live record tap across

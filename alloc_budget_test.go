@@ -17,6 +17,9 @@ import (
 // decodeSink keeps the decoder's result alive, as a caller's would be.
 var decodeSink core.Record
 
+// panicKeySink keeps the panic key alive, as a reducer's map would.
+var panicKeySink string
+
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -88,6 +91,15 @@ func TestAllocBudgets(t *testing.T) {
 					PType: 3, Apps: []string{"phone", "camera"}, Activity: "voice-call",
 				})
 				return func() { decodeSink, _ = core.DecodeRecord(payload) }
+			},
+		},
+		{
+			// Every reducer keys its panic counts by this string: one
+			// concatenation (fmt.Sprintf made 2 allocations).
+			name: "core: PanicKey of a panic record", budget: 1,
+			setup: func() func() {
+				rec := core.Record{Kind: core.KindPanic, Category: "E32USER-CBase", PType: 47}
+				return func() { panicKeySink = rec.PanicKey() }
 			},
 		},
 		{

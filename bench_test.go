@@ -184,7 +184,7 @@ func BenchmarkFigure5Coalescence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := analysis.New(ds, analysis.Options{})
 		st = s.Coalesce()
-		all = s.RelatedPercentWithAllShutdowns()
+		all = s.Snapshot().RelatedPercentAllShutdowns
 		_ = report.Figure5FromSnapshot(&stream.TablesSnapshot{
 			Config: s.Options(), Coalescence: st, RelatedPercentAllShutdowns: all,
 		})
@@ -201,7 +201,7 @@ func BenchmarkTable3PanicActivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s = analysis.New(ds, analysis.Options{})
 		_ = report.Table3FromSnapshot(&stream.TablesSnapshot{
-			Activity: s.ActivityTable(), RealTimeActivitySharePct: s.RealTimeActivityShare(),
+			Activity: s.Snapshot().Activity, RealTimeActivitySharePct: s.RealTimeActivityShare(),
 		})
 	}
 	b.ReportMetric(s.RealTimeActivityShare(), "realtime-activity-pct")
@@ -214,7 +214,7 @@ func BenchmarkFigure6RunningApps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := analysis.New(ds, analysis.Options{})
-		hist = s.RunningAppsHistogram(stream.RunningAppsCap)
+		hist = s.Snapshot().RunningApps
 		_ = report.Figure6FromSnapshot(&stream.TablesSnapshot{RunningApps: hist})
 	}
 	mode, best := 0, 0
@@ -233,9 +233,9 @@ func BenchmarkTable4PanicApps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s = analysis.New(ds, analysis.Options{})
-		_ = report.Table4FromSnapshot(&stream.TablesSnapshot{AppTable: s.AppPanicTable(), TopApps: s.TopPanicApps(5)})
+		_ = report.Table4FromSnapshot(&stream.TablesSnapshot{AppTable: s.Snapshot().AppTable, TopApps: s.Snapshot().TopApps})
 	}
-	tops := s.TopPanicApps(1)
+	tops := s.Snapshot().TopApps
 	if len(tops) > 0 {
 		b.ReportMetric(tops[0].Percent, "top-app-pct")
 	}

@@ -71,7 +71,7 @@ func TestHeadlineReproduction(t *testing.T) {
 	if co.RelatedPercent < 38 || co.RelatedPercent > 66 {
 		t.Errorf("related panics = %.1f%%, paper: 51%%", co.RelatedPercent)
 	}
-	if all := s.RelatedPercentWithAllShutdowns(); all-co.RelatedPercent > 10 {
+	if all := s.Snapshot().RelatedPercentAllShutdowns; all-co.RelatedPercent > 10 {
 		t.Errorf("all-shutdown check moved the relation by %.1f points, paper: ~4", all-co.RelatedPercent)
 	}
 
@@ -92,7 +92,7 @@ func TestHeadlineReproduction(t *testing.T) {
 	}
 
 	// Figure 6: concurrency does not drive panics — the mode is 0 or 1.
-	hist := s.RunningAppsHistogram(8)
+	hist := s.Snapshot().RunningApps
 	mode, best := -1, 0
 	for n, c := range hist {
 		if c > best {
@@ -104,7 +104,10 @@ func TestHeadlineReproduction(t *testing.T) {
 	}
 
 	// Table 4: Messages is among the top applications at panic time.
-	tops := s.TopPanicApps(4)
+	tops := s.Snapshot().TopApps
+	if len(tops) > 4 {
+		tops = tops[:4]
+	}
 	foundMessages := false
 	for _, a := range tops {
 		if a.App == "Messages" {

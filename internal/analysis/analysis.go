@@ -13,9 +13,10 @@
 // Since the streaming refactor (DESIGN.md §11) the package is a façade over
 // internal/analysis/stream: Study is built by feeding records through a
 // stream.Collect accumulator (the same per-device cursors the online path
-// uses), and every table method delegates to the stream package's reducers,
-// so the batch and streaming paths share one implementation and produce
-// byte-identical results.
+// uses), whose reducers fold every paper table in that one pass. The table
+// methods read the resulting stream.TablesSnapshot, so each table has one
+// fold, shared with the streaming stream.Tables; only the Figure 4 window
+// sweep and the extras re-scan the kept events.
 package analysis
 
 import (
@@ -64,12 +65,10 @@ type Study struct {
 	// Per-device, time-ordered.
 	hlByDevice     map[string][]*HLEvent
 	panicsByDevice map[string][]*PanicEvent
-	// Reboot durations of every orderly shutdown (Figure 2's data set).
-	rebootDurations []float64
-	// lowBattery / loggerOff boots, excluded from the failure data.
-	explainedShutdowns int
 	// Uptime estimate per device, in hours.
 	uptime map[string]float64
+	// snap is every paper table, folded while the events were derived.
+	snap *stream.TablesSnapshot
 }
 
 // New builds a study from collected per-device records, computing derived
@@ -93,16 +92,16 @@ func New(dataset map[string][]core.Record, opts Options) *Study {
 	return FromCollect(c)
 }
 
-// FromCollect adopts a stream.Collect accumulator's finalized events as a
-// Study, finishing the accumulator first. The events transfer ownership:
-// the sealed accumulator never touches them again.
+// FromCollect adopts a stream.Collect accumulator's finalized events and
+// tables as a Study, sealing the accumulator first. The events transfer
+// ownership: the sealed accumulator never touches them again.
 func FromCollect(c *stream.Collect) *Study {
-	c.Finish()
 	s := &Study{
 		opts:           c.Config(),
 		hlByDevice:     make(map[string][]*HLEvent),
 		panicsByDevice: make(map[string][]*PanicEvent),
 		uptime:         make(map[string]float64),
+		snap:           c.Tables(),
 	}
 	for _, id := range c.Devices() {
 		s.deviceIDs = append(s.deviceIDs, id)
@@ -113,9 +112,7 @@ func FromCollect(c *stream.Collect) *Study {
 			s.hlByDevice[id] = hls
 		}
 		s.uptime[id] = c.UptimeOf(id)
-		s.rebootDurations = append(s.rebootDurations, c.RebootDurationsOf(id)...)
 	}
-	s.explainedShutdowns = c.ExplainedShutdowns()
 	return s
 }
 
@@ -206,20 +203,20 @@ func (s *Study) HLEvents(kinds ...HLKind) []*HLEvent {
 // RebootDurations returns the reboot duration (seconds) of every orderly
 // shutdown event — the data behind Figure 2.
 func (s *Study) RebootDurations() []float64 {
-	return append([]float64(nil), s.rebootDurations...)
+	return append([]float64(nil), s.snap.RebootDurations...)
 }
 
 // RebootHistogram bins the reboot durations (Figure 2); lo/hi in seconds.
 func (s *Study) RebootHistogram(lo, hi float64, bins int) *sim.Histogram {
 	h := sim.NewHistogram(lo, hi, bins)
-	for _, v := range s.rebootDurations {
+	for _, v := range s.snap.RebootDurations {
 		h.Add(v)
 	}
 	return h
 }
 
 // ExplainedShutdowns returns the count of low-battery and logger-off boots.
-func (s *Study) ExplainedShutdowns() int { return s.explainedShutdowns }
+func (s *Study) ExplainedShutdowns() int { return s.snap.ExplainedShutdowns }
 
 // UptimeHours returns the estimated powered-on hours, per device and total.
 func (s *Study) UptimeHours() (perDevice map[string]float64, total float64) {
@@ -234,15 +231,12 @@ func (s *Study) UptimeHours() (perDevice map[string]float64, total float64) {
 	return perDevice, total
 }
 
-// MTBF computes the study's failure-rate headline.
-func (s *Study) MTBF() MTBFReport {
-	_, hours := s.UptimeHours()
-	return stream.MTBFOf(hours, len(s.allHLs(HLFreeze)), len(s.allHLs(HLSelfShutdown)))
-}
+// MTBF returns the study's failure-rate headline.
+func (s *Study) MTBF() MTBFReport { return s.snap.MTBF }
 
 // coalesceAll re-runs coalescence over every device at the given window.
-func (s *Study) coalesceAll(window time.Duration, includeUser bool) {
+func (s *Study) coalesceAll(window time.Duration) {
 	for _, id := range s.deviceIDs {
-		stream.CoalesceAt(s.panicsByDevice[id], s.hlByDevice[id], window, includeUser)
+		stream.CoalesceAt(s.panicsByDevice[id], s.hlByDevice[id], window)
 	}
 }

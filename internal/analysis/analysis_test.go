@@ -182,13 +182,9 @@ func TestRelatedPercentWithAllShutdowns(t *testing.T) {
 	ds["p1"] = append(ds["p1"], panicRec(20*time.Hour-time.Minute, "KERN-EXEC", 0, "unspecified"))
 	s := New(ds, Options{})
 	std := s.Coalesce().RelatedPercent
-	all := s.RelatedPercentWithAllShutdowns()
+	all := s.Snapshot().RelatedPercentAllShutdowns
 	if all <= std {
 		t.Errorf("all-shutdown related %% (%v) should exceed standard (%v)", all, std)
-	}
-	// And the standard view must be restored afterwards.
-	if again := s.Coalesce().RelatedPercent; again != std {
-		t.Errorf("state not restored: %v != %v", again, std)
 	}
 }
 
@@ -218,7 +214,7 @@ func TestPanicTable(t *testing.T) {
 
 func TestActivityTable(t *testing.T) {
 	s := newSyntheticStudy(t)
-	rows := s.ActivityTable()
+	rows := s.Snapshot().Activity
 	// Only related panics count: both are voice-call.
 	if len(rows) != 1 || rows[0].Activity != "voice-call" {
 		t.Fatalf("rows = %+v", rows)
@@ -233,7 +229,7 @@ func TestActivityTable(t *testing.T) {
 
 func TestRunningAppsHistogram(t *testing.T) {
 	s := newSyntheticStudy(t)
-	h := s.RunningAppsHistogram(10)
+	h := s.Snapshot().RunningApps
 	if h[3] != 1 || h[1] != 2 {
 		t.Errorf("histogram = %v", h)
 	}
@@ -241,7 +237,7 @@ func TestRunningAppsHistogram(t *testing.T) {
 
 func TestAppPanicTable(t *testing.T) {
 	s := newSyntheticStudy(t)
-	rows := s.AppPanicTable()
+	rows := s.Snapshot().AppTable
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -262,8 +258,8 @@ func TestAppPanicTable(t *testing.T) {
 	if !foundFreezeKE3 {
 		t.Errorf("no freeze/KERN-EXEC row: %+v", rows)
 	}
-	tops := s.TopPanicApps(2)
-	if len(tops) != 2 || tops[0].App != "Telephone" {
+	tops := s.Snapshot().TopApps
+	if len(tops) < 2 || tops[0].App != "Telephone" {
 		t.Errorf("top apps = %+v", tops)
 	}
 }
@@ -308,7 +304,7 @@ func TestEmptyDataset(t *testing.T) {
 	if s.RealTimeActivityShare() != 0 {
 		t.Error("empty real-time share nonzero")
 	}
-	if rows := s.AppPanicTable(); rows != nil {
+	if rows := s.Snapshot().AppTable; rows != nil {
 		t.Errorf("empty app table = %v", rows)
 	}
 }

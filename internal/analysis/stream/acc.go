@@ -2,52 +2,159 @@ package stream
 
 import (
 	"fmt"
-	"slices"
 
 	"symfail/internal/core"
 )
 
-// accBase carries the cursor plumbing shared by every cursor-fed
-// accumulator: config, the per-device cursor set, and the seal flag.
-type accBase struct {
+// tableSet is the one fold behind every paper table: the cursor plumbing
+// (config, per-device cursor set, seal flag) and the seven reducers the
+// cursors' finalized events fan out to. Tables is a tableSet; Collect
+// embeds one and also keeps the events, so the streaming accumulator and
+// the batch Study (via analysis.FromCollect) read their tables from the
+// same reducers.
+type tableSet struct {
 	cfg    Config
 	cs     *cursorSet
 	sealed bool
+
+	panics   *panicRed
+	reboots  *rebootRed
+	mtbf     *mtbfRed
+	coal     *coalRed
+	bursts   *burstRed
+	activity *activityRed
+	apps     *appsRed
+	snap     *TablesSnapshot
 }
 
-func (b *accBase) observe(name, id string, r core.Record) {
-	if b.sealed {
+// init starts empty reducers, with sink (the embedding accumulator) as the
+// cursors' event sink.
+func (s *tableSet) init(cfg Config, sink evsink) {
+	s.cfg = cfg.WithDefaults()
+	s.cs = newCursorSet(s.cfg, sink)
+	s.panics = newPanicRed()
+	s.reboots = newRebootRed()
+	s.mtbf = newMTBFRed()
+	s.coal = newCoalRed()
+	s.bursts = newBurstRed()
+	s.activity = newActivityRed()
+	s.apps = newAppsRed()
+}
+
+// The set is an event sink itself, fanning every event out to the reducers.
+
+func (s *tableSet) panicDone(id string, p *PanicEvent, relatedAll bool) {
+	s.panics.panicDone(id, p, relatedAll)
+	s.coal.panicDone(id, p, relatedAll)
+	s.bursts.panicDone(id, p, relatedAll)
+	s.activity.panicDone(id, p, relatedAll)
+	s.apps.panicDone(id, p, relatedAll)
+}
+
+func (s *tableSet) hlDone(id string, hl *HLEvent) {
+	s.mtbf.hlDone(id, hl)
+	s.coal.hlDone(id, hl)
+}
+
+func (s *tableSet) rebootDone(id string, off float64)   { s.reboots.rebootDone(id, off) }
+func (s *tableSet) explainedDone(id string)             { s.reboots.explainedDone(id) }
+func (s *tableSet) uptimeDone(id string, hours float64) { s.mtbf.uptimeDone(id, hours) }
+
+func (s *tableSet) observe(name, id string, r core.Record) {
+	if s.sealed {
 		panic("stream: " + name + ".Observe after Seal")
 	}
-	b.cs.observe(id, r)
+	s.cs.observe(id, r)
 }
 
-func (b *accBase) addDevice(name, id string) {
-	if b.sealed {
+func (s *tableSet) addDevice(name, id string) {
+	if s.sealed {
 		panic("stream: " + name + ".AddDevice after Seal")
 	}
-	b.cs.add(id)
+	s.cs.add(id)
 }
 
-func (b *accBase) mergeBase(o *accBase, name string) error {
-	if b.sealed || o.sealed {
+// merge absorbs o's cursors and reducers and seals o.
+func (s *tableSet) merge(o *tableSet, name string) error {
+	if s.sealed || o.sealed {
 		return fmt.Errorf("%w: %s", ErrSealed, name)
 	}
-	if b.cfg != o.cfg {
+	if s.cfg != o.cfg {
 		return fmt.Errorf("%w: %s", ErrConfigMismatch, name)
 	}
-	if err := b.cs.merge(o.cs); err != nil {
+	if err := s.cs.merge(o.cs); err != nil {
 		return err
 	}
 	o.sealed = true
+	s.panics.merge(o.panics)
+	s.reboots.merge(o.reboots)
+	s.mtbf.merge(o.mtbf)
+	s.coal.merge(o.coal)
+	s.bursts.merge(o.bursts)
+	s.activity.merge(o.activity)
+	s.apps.merge(o.apps)
 	return nil
 }
 
-// seal finishes every cursor and returns the canonical device order.
-func (b *accBase) seal() []string {
-	b.sealed = true
-	b.cs.finish()
-	return b.cs.devices()
+// cloneInto deep-copies the live set into d for an epoch snapshot:
+// reducers first, then the cursor set with sink (d's embedding
+// accumulator) as its event sink.
+func (s *tableSet) cloneInto(d *tableSet, sink evsink) {
+	d.cfg = s.cfg
+	d.panics = s.panics.clone()
+	d.reboots = s.reboots.clone()
+	d.mtbf = s.mtbf.clone()
+	d.coal = s.coal.clone()
+	d.bursts = s.bursts.clone()
+	d.activity = s.activity.clone()
+	d.apps = s.apps.clone()
+	d.cs = s.cs.clone(sink)
+}
+
+// finish seals the set and flushes every cursor. Idempotent.
+func (s *tableSet) finish() {
+	s.sealed = true
+	s.cs.finish()
+}
+
+// Tables finalizes (sealing the accumulator, flushing every cursor) and
+// returns every table. The snapshot is cached: later calls return it.
+func (s *tableSet) Tables() *TablesSnapshot {
+	if s.snap != nil {
+		return s.snap
+	}
+	s.finish()
+	devices := s.cs.devices()
+	s.snap = &TablesSnapshot{
+		Config:                     s.cfg,
+		Devices:                    devices,
+		RebootDurations:            s.reboots.all(devices),
+		ExplainedShutdowns:         s.reboots.explained,
+		UserShutdowns:              s.mtbf.users,
+		MTBF:                       MTBFOf(s.mtbf.hours(devices), s.mtbf.freezes, s.mtbf.selfs),
+		PanicTable:                 s.panics.rows(),
+		CategoryShare:              s.panics.shares(),
+		Bursts:                     s.bursts.stats(),
+		Coalescence:                s.coal.stats(),
+		RelatedPercentAllShutdowns: s.coal.relatedAllPercent(),
+		Activity:                   s.activity.rows(),
+		RealTimeActivitySharePct:   s.activity.realTimeShare(),
+		RunningApps:                s.apps.hist(),
+		AppTable:                   s.apps.table(),
+		TopApps:                    s.apps.top(),
+	}
+	return s.snap
+}
+
+// Peek reports progress without sealing.
+func (s *tableSet) Peek() Peek {
+	return Peek{
+		Devices:  len(s.cs.cursors),
+		Records:  s.cs.records,
+		Panics:   s.panics.total,
+		HLEvents: s.mtbf.freezes + s.mtbf.selfs + s.mtbf.users,
+		Reboots:  s.reboots.count,
+	}
 }
 
 // ---- Tables: the composite accumulator behind every paper table ----
@@ -82,51 +189,15 @@ type TablesSnapshot struct {
 // Tables streams every experiment at once: one cursor set fanning finalized
 // events out to all reducers.
 type Tables struct {
-	accBase
-	panics   *panicRed
-	reboots  *rebootRed
-	mtbf     *mtbfRed
-	coal     *coalRed
-	bursts   *burstRed
-	activity *activityRed
-	apps     *appsRed
-	snap     *TablesSnapshot
+	tableSet
 }
 
 // NewTables builds the composite accumulator with the given thresholds.
 func NewTables(cfg Config) *Tables {
-	t := &Tables{
-		panics:   newPanicRed(),
-		reboots:  newRebootRed(),
-		mtbf:     newMTBFRed(),
-		coal:     newCoalRed(),
-		bursts:   newBurstRed(),
-		activity: newActivityRed(),
-		apps:     newAppsRed(),
-	}
-	t.cfg = cfg.WithDefaults()
-	t.cs = newCursorSet(t.cfg, t)
+	t := &Tables{}
+	t.init(cfg, t)
 	return t
 }
-
-// Tables is its own event sink, fanning out to the reducers.
-
-func (t *Tables) panicDone(id string, p *PanicEvent, relatedAll bool) {
-	t.panics.panicDone(id, p, relatedAll)
-	t.coal.panicDone(id, p, relatedAll)
-	t.bursts.panicDone(id, p, relatedAll)
-	t.activity.panicDone(id, p, relatedAll)
-	t.apps.panicDone(id, p, relatedAll)
-}
-
-func (t *Tables) hlDone(id string, hl *HLEvent) {
-	t.mtbf.hlDone(id, hl)
-	t.coal.hlDone(id, hl)
-}
-
-func (t *Tables) rebootDone(id string, off float64)   { t.reboots.rebootDone(id, off) }
-func (t *Tables) explainedDone(id string)             { t.reboots.explainedDone(id) }
-func (t *Tables) uptimeDone(id string, hours float64) { t.mtbf.uptimeDone(id, hours) }
 
 // Observe folds one record in.
 func (t *Tables) Observe(deviceID string, r core.Record) { t.observe("Tables", deviceID, r) }
@@ -140,17 +211,7 @@ func (t *Tables) Merge(other Accumulator) error {
 	if !ok {
 		return typeErr("Tables", other)
 	}
-	if err := t.mergeBase(&o.accBase, "Tables"); err != nil {
-		return err
-	}
-	t.panics.merge(o.panics)
-	t.reboots.merge(o.reboots)
-	t.mtbf.merge(o.mtbf)
-	t.coal.merge(o.coal)
-	t.bursts.merge(o.bursts)
-	t.activity.merge(o.activity)
-	t.apps.merge(o.apps)
-	return nil
+	return t.merge(&o.tableSet, "Tables")
 }
 
 // Snapshot returns the current epoch's *TablesSnapshot. On a live
@@ -161,68 +222,14 @@ func (t *Tables) Snapshot() any {
 	if t.sealed {
 		return t.Tables()
 	}
-	return t.epoch().Tables()
+	c := &Tables{}
+	t.cloneInto(&c.tableSet, c)
+	return c.Tables()
 }
 
 // Seal finalizes the accumulator destructively (the batch path): further
 // Merges return ErrSealed and further Observes panic.
 func (t *Tables) Seal() { t.Tables() }
-
-// epoch deep-clones the live accumulator: reducers first, then the cursor
-// set with the clone as its event sink.
-func (t *Tables) epoch() *Tables {
-	c := &Tables{
-		panics:   t.panics.clone(),
-		reboots:  t.reboots.clone(),
-		mtbf:     t.mtbf.clone(),
-		coal:     t.coal.clone(),
-		bursts:   t.bursts.clone(),
-		activity: t.activity.clone(),
-		apps:     t.apps.clone(),
-	}
-	c.cfg = t.cfg
-	c.cs = t.cs.clone(c)
-	return c
-}
-
-// Tables finalizes (sealing the accumulator) and returns every table.
-func (t *Tables) Tables() *TablesSnapshot {
-	if t.snap != nil {
-		return t.snap
-	}
-	devices := t.seal()
-	hours := t.mtbf.hours(devices)
-	t.snap = &TablesSnapshot{
-		Config:                     t.cfg,
-		Devices:                    devices,
-		RebootDurations:            t.reboots.all(devices),
-		ExplainedShutdowns:         t.reboots.explained,
-		UserShutdowns:              t.mtbf.users,
-		MTBF:                       MTBFOf(hours, t.mtbf.freezes, t.mtbf.selfs),
-		PanicTable:                 t.panics.rows(),
-		CategoryShare:              t.panics.shares(),
-		Bursts:                     t.bursts.stats(),
-		Coalescence:                t.coal.stats(),
-		RelatedPercentAllShutdowns: t.coal.relatedAllPercent(),
-		Activity:                   t.activity.rows(),
-		RealTimeActivitySharePct:   t.activity.realTimeShare(),
-		RunningApps:                t.apps.hist(),
-		AppTable:                   t.apps.table(),
-		TopApps:                    t.apps.top(0),
-	}
-	return t.snap
-}
-
-// Peek reports progress without sealing.
-func (t *Tables) Peek() Peek {
-	return Peek{
-		Devices:  len(t.cs.cursors),
-		Records:  t.cs.records,
-		Panics:   t.panics.total,
-		HLEvents: t.mtbf.freezes + t.mtbf.selfs + t.mtbf.users,
-		Reboots:  t.reboots.count,
-	}
-}
 
 // ---- Collect: the event-collecting accumulator behind the Study façade ----
 
@@ -238,52 +245,39 @@ type CollectSnapshot struct {
 }
 
 // Collect runs the device cursors and keeps the finalized events — it is
-// the streaming builder behind analysis.Study (via analysis.FromCollect)
-// and deliberately O(events), not O(bins): the façade's recomputable
-// methods (window sweeps, refits) need the events themselves.
+// the streaming builder behind analysis.Study (via analysis.FromCollect).
+// Its embedded tableSet folds the paper tables from the same events in the
+// same pass; the events themselves are kept, O(events) rather than
+// O(bins), because the Study's recomputable methods (window sweeps,
+// refits) need them.
 type Collect struct {
-	accBase
-	panics    map[string][]*PanicEvent
-	hls       map[string][]*HLEvent
-	durs      map[string][]float64
-	uptime    map[string]float64
-	explained int
-	nPanics   int
-	nHLs      int
-	nReboots  int
+	tableSet
+	panicEvs map[string][]*PanicEvent
+	hlEvs    map[string][]*HLEvent
 }
 
 // NewCollect builds an event-collecting accumulator.
 func NewCollect(cfg Config) *Collect {
 	c := &Collect{
-		panics: make(map[string][]*PanicEvent),
-		hls:    make(map[string][]*HLEvent),
-		durs:   make(map[string][]float64),
-		uptime: make(map[string]float64),
+		panicEvs: make(map[string][]*PanicEvent),
+		hlEvs:    make(map[string][]*HLEvent),
 	}
-	c.cfg = cfg.WithDefaults()
-	c.cs = newCursorSet(c.cfg, c)
+	c.init(cfg, c)
 	return c
 }
 
-func (c *Collect) panicDone(id string, p *PanicEvent, _ bool) {
-	c.panics[id] = append(c.panics[id], p)
-	c.nPanics++
+// Collect keeps each panic and HL event, then forwards it to the reducers;
+// the other events go to the reducers alone.
+
+func (c *Collect) panicDone(id string, p *PanicEvent, relatedAll bool) {
+	c.panicEvs[id] = append(c.panicEvs[id], p)
+	c.tableSet.panicDone(id, p, relatedAll)
 }
 
 func (c *Collect) hlDone(id string, hl *HLEvent) {
-	c.hls[id] = append(c.hls[id], hl)
-	c.nHLs++
+	c.hlEvs[id] = append(c.hlEvs[id], hl)
+	c.tableSet.hlDone(id, hl)
 }
-
-func (c *Collect) rebootDone(id string, off float64) {
-	c.durs[id] = append(c.durs[id], off)
-	c.nReboots++
-}
-
-func (c *Collect) explainedDone(string) { c.explained++ }
-
-func (c *Collect) uptimeDone(id string, hours float64) { c.uptime[id] = hours }
 
 // Observe folds one record in.
 func (c *Collect) Observe(deviceID string, r core.Record) { c.observe("Collect", deviceID, r) }
@@ -297,96 +291,47 @@ func (c *Collect) Merge(other Accumulator) error {
 	if !ok {
 		return typeErr("Collect", other)
 	}
-	if err := c.mergeBase(&o.accBase, "Collect"); err != nil {
+	if err := c.merge(&o.tableSet, "Collect"); err != nil {
 		return err
 	}
-	for id, v := range o.panics {
-		c.panics[id] = v
+	for id, v := range o.panicEvs {
+		c.panicEvs[id] = v
 	}
-	for id, v := range o.hls {
-		c.hls[id] = v
+	for id, v := range o.hlEvs {
+		c.hlEvs[id] = v
 	}
-	for id, v := range o.durs {
-		c.durs[id] = v
-	}
-	for id, v := range o.uptime {
-		c.uptime[id] = v
-	}
-	c.explained += o.explained
-	c.nPanics += o.nPanics
-	c.nHLs += o.nHLs
-	c.nReboots += o.nReboots
 	return nil
 }
 
 // Finish seals the accumulator and flushes all pending cursor state so the
 // event accessors are complete. Idempotent.
-func (c *Collect) Finish() {
-	c.sealed = true
-	c.cs.finish()
-}
+func (c *Collect) Finish() { c.finish() }
 
 // Seal is Finish: the destructive seal of the batch path.
 func (c *Collect) Seal() { c.Finish() }
 
-// epoch deep-clones the live accumulator. Finalized events are immutable
-// once emitted, so the event slices copy their headers but share the
-// events; the pending cursor graph is deep-copied.
-func (c *Collect) epoch() *Collect {
-	o := NewCollect(c.cfg)
-	for id, v := range c.panics {
-		o.panics[id] = slices.Clone(v)
-	}
-	for id, v := range c.hls {
-		o.hls[id] = slices.Clone(v)
-	}
-	for id, v := range c.durs {
-		o.durs[id] = slices.Clone(v)
-	}
-	for id, v := range c.uptime {
-		o.uptime[id] = v
-	}
-	o.explained = c.explained
-	o.nPanics = c.nPanics
-	o.nHLs = c.nHLs
-	o.nReboots = c.nReboots
-	o.cs = c.cs.clone(o)
-	return o
-}
-
 // Snapshot returns the current epoch's *CollectSnapshot; on a live
 // accumulator the pending state is finished in a deep copy, so Observe may
-// continue afterwards.
+// continue afterwards. The summary reads only the reducers, so the copy is
+// a Tables over a clone of the set, and the kept events are not copied.
 func (c *Collect) Snapshot() any {
-	cc := c
+	s := &c.tableSet
 	if !c.sealed {
-		cc = c.epoch()
+		t := &Tables{}
+		c.cloneInto(&t.tableSet, t)
+		s = &t.tableSet
 	}
-	cc.Finish()
-	devices := cc.cs.devices()
-	var hours float64
-	for _, id := range devices {
-		hours += cc.uptime[id]
-	}
+	s.finish()
+	devices := s.cs.devices()
+	p := s.Peek()
 	return &CollectSnapshot{
 		Devices:            devices,
-		Records:            cc.cs.records,
-		Panics:             cc.nPanics,
-		HLEvents:           cc.nHLs,
-		Reboots:            cc.nReboots,
-		ExplainedShutdowns: cc.explained,
-		UptimeHours:        hours,
-	}
-}
-
-// Peek reports progress without sealing.
-func (c *Collect) Peek() Peek {
-	return Peek{
-		Devices:  len(c.cs.cursors),
-		Records:  c.cs.records,
-		Panics:   c.nPanics,
-		HLEvents: c.nHLs,
-		Reboots:  c.nReboots,
+		Records:            p.Records,
+		Panics:             p.Panics,
+		HLEvents:           p.HLEvents,
+		Reboots:            p.Reboots,
+		ExplainedShutdowns: s.reboots.explained,
+		UptimeHours:        s.mtbf.hours(devices),
 	}
 }
 
@@ -398,16 +343,10 @@ func (c *Collect) Devices() []string { return c.cs.devices() }
 
 // PanicsOf returns one device's finalized panics, time-ordered. The slice
 // is owned by the caller after Finish; Collect never mutates it again.
-func (c *Collect) PanicsOf(deviceID string) []*PanicEvent { return c.panics[deviceID] }
+func (c *Collect) PanicsOf(deviceID string) []*PanicEvent { return c.panicEvs[deviceID] }
 
 // HLEventsOf returns one device's finalized HL events, time-ordered.
-func (c *Collect) HLEventsOf(deviceID string) []*HLEvent { return c.hls[deviceID] }
-
-// RebootDurationsOf returns one device's reboot durations, record-ordered.
-func (c *Collect) RebootDurationsOf(deviceID string) []float64 { return c.durs[deviceID] }
-
-// ExplainedShutdowns returns the count of low-battery and logger-off boots.
-func (c *Collect) ExplainedShutdowns() int { return c.explained }
+func (c *Collect) HLEventsOf(deviceID string) []*HLEvent { return c.hlEvs[deviceID] }
 
 // UptimeOf returns one device's uptime estimate in hours.
-func (c *Collect) UptimeOf(deviceID string) float64 { return c.uptime[deviceID] }
+func (c *Collect) UptimeOf(deviceID string) float64 { return c.mtbf.uptime[deviceID] }

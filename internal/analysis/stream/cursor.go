@@ -12,9 +12,7 @@ import (
 
 // evsink receives the finalized events a deviceCursor emits. Per device,
 // panics arrive in time order, HL events arrive in time order, and reboot
-// durations arrive in record order — exactly the orders the batch ingest
-// produced — so reducers fed from a cursor match reducers fed from the
-// batch event slices.
+// durations arrive in record order — the orders Collect keeps them in.
 type evsink interface {
 	// panicDone delivers a panic with Burst, BurstLen and Related final.
 	// relatedAll reports whether any HL event — user shutdowns included —

@@ -26,10 +26,8 @@ type HLEvent struct {
 	OffSeconds float64  // reboot duration observed at the following boot
 
 	// refd is set by the device cursor when a finalized panic coalesces
-	// with this event, so the streaming coalescence reducer (in Tables)
-	// can count isolated HL events without holding every panic pointer.
-	// The batch Study does not use it (it recomputes relations from
-	// Related pointers).
+	// with this event, so the coalescence reducer can count isolated HL
+	// events without holding every panic pointer.
 	refd bool
 }
 
@@ -55,18 +53,17 @@ func (p *PanicEvent) Key() string {
 	return core.Record{Kind: core.KindPanic, Category: p.Category, PType: p.Type}.PanicKey()
 }
 
-// CoalesceAt relates each panic to the nearest high-level event within the
-// window (Figure 4's scheme), overwriting Related. With includeUser true,
-// user shutdowns count as high-level events too — the robustness check of
-// section 6. The device cursor reproduces exactly this relation online; the
-// batch Study calls it directly for window sweeps and restores.
-func CoalesceAt(panics []*PanicEvent, hls []*HLEvent, window time.Duration, includeUser bool) {
+// CoalesceAt relates each panic to the nearest freeze or self-shutdown
+// within the window (Figure 4's scheme), overwriting Related. The device
+// cursor reproduces exactly this relation online; the batch Study calls it
+// directly for the Figure 4 window sweep and its restore.
+func CoalesceAt(panics []*PanicEvent, hls []*HLEvent, window time.Duration) {
 	for _, p := range panics {
 		p.Related = nil
 		var best *HLEvent
 		var bestGap time.Duration
 		for _, hl := range hls {
-			if hl.Kind == HLUserShutdown && !includeUser {
+			if hl.Kind == HLUserShutdown {
 				continue
 			}
 			gap := hl.Time.Sub(p.Time)

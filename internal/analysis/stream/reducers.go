@@ -8,14 +8,12 @@ import (
 )
 
 // This file holds the per-experiment reducers: small folds over finalized
-// events with O(bins + devices) state. Each reducer is used twice — fed
-// the cursor's finalized events by the composite Tables accumulator, and
-// fed from the event slices by the batch Study's table methods (via the
-// exported *Of helpers) — so both paths share one implementation and stay
-// byte-identical by construction. A reducer implements only the event
-// methods it folds; Tables calls them directly. Merges only add integers
-// and union device-keyed maps; every float is derived at finalize time in
-// canonical order.
+// events with O(bins + devices) state. Each table has exactly one fold,
+// here; the tableSet (acc.go) fans every event a device cursor finalizes
+// out to all seven, for the streaming Tables and for the Collect behind
+// the batch Study alike. A reducer implements only the event methods it
+// folds. Merges only add integers and union device-keyed maps; every float
+// is derived at finalize time in canonical order.
 
 // ---- Table 2: panic frequencies ----
 
@@ -115,30 +113,6 @@ func (r *panicRed) shares() map[string]float64 {
 		out[cat] = 100 * float64(n) / float64(r.total)
 	}
 	return out
-}
-
-// PanicTableRows reproduces Table 2 from an event slice (the batch path).
-func PanicTableRows(panics []*PanicEvent) []PanicRow {
-	red := newPanicRed()
-	for _, p := range panics {
-		red.panicDone(p.Device, p, false)
-	}
-	return red.rows()
-}
-
-// CategoryShareOf sums the percentage of panics in the given category.
-func CategoryShareOf(panics []*PanicEvent, category string) float64 {
-	var n, total int
-	for _, p := range panics {
-		total++
-		if p.Category == category {
-			n++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(n) / float64(total)
 }
 
 // ---- Figure 2: reboot durations, plus explained shutdowns ----
@@ -352,18 +326,6 @@ func (r *burstRed) stats() BurstStats {
 	return st
 }
 
-// BurstStatsOf computes the cascade statistics from event slices (the
-// batch path): deviceIDs in canonical order, panics per device time-ordered.
-func BurstStatsOf(deviceIDs []string, panicsByDevice map[string][]*PanicEvent) BurstStats {
-	red := newBurstRed()
-	for _, id := range deviceIDs {
-		for _, p := range panicsByDevice[id] {
-			red.panicDone(id, p, false)
-		}
-	}
-	return red.stats()
-}
-
 // ---- Figure 5: panic / HL-event coalescence ----
 
 // CoalescenceStats reproduces Figure 5: how panics relate to high-level
@@ -402,7 +364,8 @@ func newCoalRed() *coalRed { return &coalRed{byCat: make(map[string]RelatedCount
 
 func (r *coalRed) panicDone(_ string, p *PanicEvent, relatedAll bool) {
 	r.total++
-	rc := r.byCat[p.Key()]
+	key := p.Key()
+	rc := r.byCat[key]
 	rc.Total++
 	if p.Related != nil {
 		r.related++
@@ -416,7 +379,7 @@ func (r *coalRed) panicDone(_ string, p *PanicEvent, relatedAll bool) {
 			rc.ToSelfShutdown++
 		}
 	}
-	r.byCat[p.Key()] = rc
+	r.byCat[key] = rc
 	if relatedAll {
 		r.relAll++
 	}
@@ -478,42 +441,6 @@ func (r *coalRed) relatedAllPercent() float64 {
 		return 0
 	}
 	return 100 * float64(r.relAll) / float64(r.total)
-}
-
-// CoalescenceStatsOf computes the Figure 5 statistics from event slices
-// (the batch path). Relations are read from the Related pointers; isolated
-// HL events are the freeze/self-shutdown events no panic points at.
-func CoalescenceStatsOf(panics []*PanicEvent, hls []*HLEvent) CoalescenceStats {
-	st := CoalescenceStats{ByCategory: make(map[string]RelatedCount)}
-	relatedHL := make(map[*HLEvent]bool)
-	for _, p := range panics {
-		st.TotalPanics++
-		rc := st.ByCategory[p.Key()]
-		rc.Total++
-		if p.Related != nil {
-			st.RelatedPanics++
-			rc.Related++
-			relatedHL[p.Related] = true
-			switch p.Related.Kind {
-			case HLFreeze:
-				st.ToFreeze++
-				rc.ToFreeze++
-			case HLSelfShutdown:
-				st.ToSelfShutdown++
-				rc.ToSelfShutdown++
-			}
-		}
-		st.ByCategory[p.Key()] = rc
-	}
-	for _, hl := range hls {
-		if (hl.Kind == HLFreeze || hl.Kind == HLSelfShutdown) && !relatedHL[hl] {
-			st.IsolatedHL++
-		}
-	}
-	if st.TotalPanics > 0 {
-		st.RelatedPercent = 100 * float64(st.RelatedPanics) / float64(st.TotalPanics)
-	}
-	return st
 }
 
 // ---- Table 3: panic-activity relationship ----
@@ -613,25 +540,6 @@ func (r *activityRed) realTimeShare() float64 {
 		return 0
 	}
 	return 100 * float64(r.rt) / float64(r.related)
-}
-
-// ActivityRowsOf reproduces Table 3 from an event slice (the batch path).
-func ActivityRowsOf(panics []*PanicEvent) []ActivityRow {
-	red := newActivityRed()
-	for _, p := range panics {
-		red.panicDone(p.Device, p, false)
-	}
-	return red.rows()
-}
-
-// RealTimeShareOf returns the percentage of HL-related panics during a
-// voice call or message — the paper reports ~45%.
-func RealTimeShareOf(panics []*PanicEvent) float64 {
-	red := newActivityRed()
-	for _, p := range panics {
-		red.panicDone(p.Device, p, false)
-	}
-	return red.realTimeShare()
 }
 
 // ---- Figure 6 / Table 4: running applications ----
@@ -749,7 +657,8 @@ func (r *appsRed) table() []AppPanicRow {
 	return rows
 }
 
-func (r *appsRed) top(n int) []AppShare {
+// top ranks every app by its share of panics; renderers truncate.
+func (r *appsRed) top() []AppShare {
 	shares := make([]AppShare, 0, len(r.appCounts))
 	for app, c := range r.appCounts {
 		shares = append(shares, AppShare{App: app, Percent: 100 * float64(c) / float64(r.total)})
@@ -760,9 +669,6 @@ func (r *appsRed) top(n int) []AppShare {
 		}
 		return shares[i].App < shares[j].App
 	})
-	if n > 0 && len(shares) > n {
-		shares = shares[:n]
-	}
 	return shares
 }
 
@@ -770,39 +676,6 @@ func (r *appsRed) hist() map[int]int {
 	out := make(map[int]int, len(r.runApps))
 	for k, n := range r.runApps {
 		out[k] = n
-	}
-	return out
-}
-
-// AppPanicTableOf reproduces Table 4 from an event slice (the batch path).
-func AppPanicTableOf(panics []*PanicEvent) []AppPanicRow {
-	red := newAppsRed()
-	for _, p := range panics {
-		red.panicDone(p.Device, p, false)
-	}
-	return red.table()
-}
-
-// TopPanicAppsOf returns the applications most frequently running at panic
-// time, sorted by share descending, truncated to n when n > 0.
-func TopPanicAppsOf(panics []*PanicEvent, n int) []AppShare {
-	red := newAppsRed()
-	for _, p := range panics {
-		red.panicDone(p.Device, p, false)
-	}
-	return red.top(n)
-}
-
-// RunningAppsHistogramOf reproduces Figure 6 from an event slice, folding
-// panics with more than maxApps running applications into the maxApps bin.
-func RunningAppsHistogramOf(panics []*PanicEvent, maxApps int) map[int]int {
-	out := make(map[int]int)
-	for _, p := range panics {
-		n := len(p.Apps)
-		if n > maxApps {
-			n = maxApps
-		}
-		out[n]++
 	}
 	return out
 }

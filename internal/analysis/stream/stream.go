@@ -1,15 +1,16 @@
 // Package stream implements the analysis tier as a pipeline of mergeable,
 // single-pass accumulators (DESIGN.md §11).
 //
-// The batch pipeline in internal/analysis materialises the whole dataset
-// and re-scans it per table. This package computes the same tables online:
-// records are Observed one at a time, per-device ingest/coalesce state lives
-// in a small deviceCursor that emits finalized PanicEvent/HLEvents, and each
-// experiment folds those events into O(devices + bins) reducer state.
-// Partial accumulators built over disjoint device shards Merge into one,
-// and every floating-point result is computed at Snapshot time in canonical
-// (sorted-device, sorted-key) order, so streaming, batch, and shard-merged
-// runs produce byte-identical tables.
+// This package computes every paper table online: records are Observed one
+// at a time, per-device ingest/coalesce state lives in a small deviceCursor
+// that emits finalized PanicEvent/HLEvents, and one reducer per experiment
+// folds those events into O(devices + bins) state. The streaming Tables and
+// the Collect behind the batch analysis.Study run the same reducers in the
+// same pass, so there is one fold per table. Partial accumulators built
+// over disjoint device shards Merge into one, and every floating-point
+// result is computed at Snapshot time in canonical (sorted-device,
+// sorted-key) order, so streaming, batch, and shard-merged runs produce
+// byte-identical tables.
 //
 // Input contract: per device, records must be fed in non-decreasing Time
 // order with non-decreasing down-event (PrevTime) order — the natural order

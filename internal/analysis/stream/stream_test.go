@@ -230,6 +230,10 @@ func TestStreamMergeAfterSealErrors(t *testing.T) {
 	}
 }
 
+// tabler is implemented by the accumulators that fold the paper tables
+// (Tables, Collect).
+type tabler interface{ Tables() *stream.TablesSnapshot }
+
 // TestStreamResnapshotLaw is the epoch-snapshot property: for every
 // registered accumulator, a Snapshot taken mid-stream (cursors still holding
 // pending events) is byte-identical to the sealed snapshot of a fresh
@@ -299,6 +303,20 @@ func TestStreamResnapshotLaw(t *testing.T) {
 				t.Errorf("seed %d %s cut %d/%d: feeding past an epoch snapshot diverged:\n got %s\nwant %s",
 					seed, name, cut, len(ops), got, want)
 				ok = false
+			}
+			// Nor its tables: Collect's Snapshot clones the reducer set
+			// it shares with Tables, and the live set's final tables
+			// must equal those of an accumulator never snapshotted.
+			if tb, isTabler := acc.(tabler); isTabler {
+				fresh := stream.NewRegistered(stream.Config{})[name]
+				feedAcc(fresh, ds, ids)
+				got, _ := json.Marshal(tb.Tables())
+				want, _ := json.Marshal(fresh.(tabler).Tables())
+				if string(got) != string(want) {
+					t.Errorf("seed %d %s cut %d/%d: final tables diverged after an epoch snapshot:\n got %s\nwant %s",
+						seed, name, cut, len(ops), got, want)
+					ok = false
+				}
 			}
 		}
 		return ok

@@ -145,10 +145,10 @@ func TestDExcAnalysisCapabilityGap(t *testing.T) {
 	if len(base.HLEvents()) != 0 {
 		t.Error("D_EXC reconstructed HL events without a heartbeat")
 	}
-	if rows := base.ActivityTable(); len(rows) != 0 {
+	if rows := base.Snapshot().Activity; len(rows) != 0 {
 		t.Errorf("D_EXC produced an activity table: %v", rows)
 	}
-	if hist := base.RunningAppsHistogram(8); hist[0] != len(base.Panics()) {
+	if hist := base.Snapshot().RunningApps; hist[0] != len(base.Panics()) {
 		t.Errorf("D_EXC running-apps histogram should be all-zeros bucket: %v", hist)
 	}
 }

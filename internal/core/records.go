@@ -21,7 +21,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"strconv"
 
 	"symfail/internal/sim"
 )
@@ -119,7 +119,7 @@ func (r Record) PanicKey() string {
 	if r.Kind != KindPanic {
 		return ""
 	}
-	return fmt.Sprintf("%s %d", r.Category, r.PType)
+	return r.Category + " " + strconv.Itoa(r.PType)
 }
 
 // EncodeRecord serialises a record as one JSON line.

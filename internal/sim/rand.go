@@ -36,18 +36,6 @@ func NewRand(seed uint64) *Rand {
 	return r
 }
 
-// State returns the generator's full internal state, for checkpointing.
-// NewRandFromState(r.State()) continues the stream bit-for-bit.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// NewRandFromState reconstructs a generator from a State() value.
-func NewRandFromState(s [4]uint64) *Rand {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		s[0] = 0x9e3779b97f4a7c15
-	}
-	return &Rand{s: s}
-}
-
 // Split derives an independent child generator. The child stream is a pure
 // function of the parent state at the time of the call, so the order of
 // Split calls is part of the deterministic contract.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"symfail/internal/analysis"
 	"symfail/internal/analysis/stream"
@@ -161,20 +162,29 @@ func TestStreamEquivalence(t *testing.T) {
 
 // TestStreamReportEquivalence proves the rendered paper report is
 // byte-identical between the batch Study's snapshot and the streamed Tables
-// snapshot of the same dataset.
+// snapshot of the same dataset. The batch side also covers the Study's own
+// reducer set when it is merged from per-device Collects across four
+// workers, and a snapshot read after a Figure 4 window sweep re-coalesced
+// the Study's events.
 func TestStreamReportEquivalence(t *testing.T) {
-	fs, err := RunFieldStudy(FieldStudyConfig{
+	cfg := FieldStudyConfig{
 		Seed:       424242,
 		Phones:     6,
 		Duration:   3 * phone.StudyMonth,
 		JoinWindow: phone.StudyMonth / 2,
 		Workers:    1,
-	})
+	}
+	fs, err := RunFieldStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := fs.Study.Snapshot()
 	streamed := streamSnapshot(t, fs.Dataset, fs.Study.Options())
+	cfg.Workers = 4
+	merged, err := RunFieldStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged.Study.WindowSweep([]time.Duration{30 * time.Second, time.Hour})
 	renderers := []struct {
 		name   string
 		render func(*stream.TablesSnapshot) string
@@ -188,9 +198,20 @@ func TestStreamReportEquivalence(t *testing.T) {
 		{"Figure6", report.Figure6FromSnapshot},
 		{"Table4", report.Table4FromSnapshot},
 	}
-	for _, r := range renderers {
-		if b, st := r.render(batch), r.render(streamed); b != st {
-			t.Errorf("%s renders differently:\nbatch:\n%s\nstream:\n%s", r.name, b, st)
+	for _, study := range []struct {
+		name  string
+		batch *stream.TablesSnapshot
+	}{
+		{"workers=1", fs.Study.Snapshot()},
+		{"workers=4 after WindowSweep", merged.Study.Snapshot()},
+	} {
+		if got, want := snapshotJSON(t, study.batch), snapshotJSON(t, streamed); !bytes.Equal(got, want) {
+			t.Errorf("%s: batch snapshot differs from stream:\n got: %s\nwant: %s", study.name, got, want)
+		}
+		for _, r := range renderers {
+			if b, st := r.render(study.batch), r.render(streamed); b != st {
+				t.Errorf("%s: %s renders differently:\nbatch:\n%s\nstream:\n%s", study.name, r.name, b, st)
+			}
 		}
 	}
 }

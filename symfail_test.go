@@ -141,7 +141,7 @@ func TestFieldStudyCoalescenceNearPaper(t *testing.T) {
 	if st.RelatedPercent < 30 || st.RelatedPercent > 72 {
 		t.Errorf("related panics = %.1f%% (paper: 51%%)", st.RelatedPercent)
 	}
-	all := fs.Study.RelatedPercentWithAllShutdowns()
+	all := fs.Study.Snapshot().RelatedPercentAllShutdowns
 	if all < st.RelatedPercent {
 		t.Errorf("all-shutdowns related %.1f%% < standard %.1f%%", all, st.RelatedPercent)
 	}
