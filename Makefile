@@ -118,7 +118,7 @@ bench-analysis:
 
 # Epoch-snapshot overhead on loaded live accumulators -> BENCH_resnapshot.json.
 bench-resnapshot:
-	$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 20x .
+	$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
 
 # Perf-regression gate: re-measure the quick benchmark cells into fresh
 # reports (committed baselines untouched) and diff against the committed
@@ -141,7 +141,7 @@ bench-check:
 	BENCH_ANALYSIS_OUT=.bench_new_analysis.json \
 		$(GO) test -run xxx -bench BenchmarkStudyStreamVsBatch -benchtime 5x .
 	BENCH_RESNAPSHOT_OUT=.bench_new_resnapshot.json \
-		$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 20x .
+		$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_parallel.json .bench_new_parallel.json
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_analysis.json .bench_new_analysis.json
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_resnapshot.json .bench_new_resnapshot.json

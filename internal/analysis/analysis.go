@@ -21,7 +21,6 @@ package analysis
 
 import (
 	"sort"
-	"time"
 
 	"symfail/internal/analysis/stream"
 	"symfail/internal/core"
@@ -233,10 +232,3 @@ func (s *Study) UptimeHours() (perDevice map[string]float64, total float64) {
 
 // MTBF returns the study's failure-rate headline.
 func (s *Study) MTBF() MTBFReport { return s.snap.MTBF }
-
-// coalesceAll re-runs coalescence over every device at the given window.
-func (s *Study) coalesceAll(window time.Duration) {
-	for _, id := range s.deviceIDs {
-		stream.CoalesceAt(s.panicsByDevice[id], s.hlByDevice[id], window)
-	}
-}

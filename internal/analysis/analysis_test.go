@@ -186,6 +186,12 @@ func TestRelatedPercentWithAllShutdowns(t *testing.T) {
 	if all <= std {
 		t.Errorf("all-shutdown related %% (%v) should exceed standard (%v)", all, std)
 	}
+	// The Figure 4 sweep follows the standard rule: the user shutdown
+	// relates nothing at any window.
+	sweep := s.WindowSweep([]time.Duration{s.Options().CoalescenceWindow})
+	if got, want := sweep[0].Related, s.Coalesce().RelatedPanics; got != want {
+		t.Errorf("sweep at the configured window relates %d panics, coalescence %d", got, want)
+	}
 }
 
 func TestPanicTable(t *testing.T) {

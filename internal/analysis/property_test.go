@@ -97,15 +97,18 @@ func TestPropertyWindowMonotonicity(t *testing.T) {
 		s := New(randomDataset(seed), Options{})
 		points := s.WindowSweep([]time.Duration{
 			time.Second, time.Minute, 10 * time.Minute, time.Hour, 6 * time.Hour,
+			s.Options().CoalescenceWindow,
 		})
 		prev := -1
-		for _, p := range points {
+		for _, p := range points[:len(points)-1] {
 			if p.Related < prev {
 				return false
 			}
 			prev = p.Related
 		}
-		return true
+		// At the configured window the sweep relates exactly the panics
+		// the device cursor coalesced.
+		return points[len(points)-1].Related == s.Coalesce().RelatedPanics
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"time"
-
 	"symfail/internal/core"
 	"symfail/internal/sim"
 )
@@ -51,30 +49,4 @@ type PanicEvent struct {
 // Key returns the "category type" identity used by the tables.
 func (p *PanicEvent) Key() string {
 	return core.Record{Kind: core.KindPanic, Category: p.Category, PType: p.Type}.PanicKey()
-}
-
-// CoalesceAt relates each panic to the nearest freeze or self-shutdown
-// within the window (Figure 4's scheme), overwriting Related. The device
-// cursor reproduces exactly this relation online; the batch Study calls it
-// directly for the Figure 4 window sweep and its restore.
-func CoalesceAt(panics []*PanicEvent, hls []*HLEvent, window time.Duration) {
-	for _, p := range panics {
-		p.Related = nil
-		var best *HLEvent
-		var bestGap time.Duration
-		for _, hl := range hls {
-			if hl.Kind == HLUserShutdown {
-				continue
-			}
-			gap := hl.Time.Sub(p.Time)
-			if gap < 0 {
-				gap = -gap
-			}
-			if gap <= window && (best == nil || gap < bestGap) {
-				best = hl
-				bestGap = gap
-			}
-		}
-		p.Related = best
-	}
 }

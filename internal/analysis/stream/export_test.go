@@ -6,9 +6,7 @@ package stream
 // second list.
 func NewRegistered(cfg Config) map[string]Accumulator {
 	return map[string]Accumulator{
-		"Tables":    NewTables(cfg),
-		"Collect":   NewCollect(cfg),
-		"WindowAcc": NewWindowAcc(cfg),
-		"DecayAcc":  NewDecayAcc(cfg),
+		"Tables":  NewTables(cfg),
+		"Collect": NewCollect(cfg),
 	}
 }

@@ -10,22 +10,22 @@ import (
 )
 
 // LiveStudy is the live query tier of DESIGN.md §16: a concurrency-safe
-// composite of the exact Tables and the windowed/decaying views, fed record
-// by record from collect.ServerConfig.OnRecord and queried while the study
-// is still running. The collection tier's acked ledger is the one dedup
-// stage in front of the tap, so LiveStudy folds every delivery it is given
-// (a supervisor resumed on an existing store, whose ledger starts empty, is
-// the one case that re-delivers records). Delivery is not ordered, so
-// LiveStudy guards the cursor-fed Tables behind a per-device order check:
-// an out-of-order record still feeds the order-insensitive windowed and
-// decaying folds, but is excluded from the exact tables (and counted in
-// Reordered) rather than corrupting their cursor state.
+// composite of the exact Tables and one day fold rendering the windowed and
+// decaying views, fed record by record from collect.ServerConfig.OnRecord
+// and queried while the study is still running. The collection tier's
+// acked ledger is the one dedup stage in front of the tap, so LiveStudy
+// folds every delivery it is given (a supervisor resumed on an existing
+// store, whose ledger starts empty, is the one case that re-delivers
+// records). Delivery is not ordered, so LiveStudy guards the cursor-fed
+// Tables behind a per-device order check: an out-of-order record still
+// feeds the day fold, but is excluded from the exact tables (and counted
+// in Reordered) rather than corrupting their cursor state. The day fold's
+// counts do not depend on delivery order; its uptime, and so the windowed
+// and decaying MTBF, does (see window.go).
 type LiveStudy struct {
 	mu     sync.Mutex
-	cfg    Config
 	tables *Tables
-	window *WindowAcc
-	decay  *DecayAcc
+	fold   *dayBuckets
 
 	// lastTime guards the exact tables' per-device time order; its keys
 	// are the devices seen so far.
@@ -39,10 +39,8 @@ type LiveStudy struct {
 func NewLiveStudy(cfg Config) *LiveStudy {
 	cfg = cfg.WithDefaults()
 	return &LiveStudy{
-		cfg:      cfg,
 		tables:   NewTables(cfg),
-		window:   NewWindowAcc(cfg),
-		decay:    NewDecayAcc(cfg),
+		fold:     newDayBuckets(cfg),
 		lastTime: make(map[string]int64),
 	}
 }
@@ -58,8 +56,7 @@ func (s *LiveStudy) Observe(deviceID string, r core.Record) {
 		last = r.Time
 	}
 	s.records++
-	s.window.Observe(deviceID, r)
-	s.decay.Observe(deviceID, r)
+	s.fold.observe(deviceID, r)
 	if r.Time >= last {
 		s.lastTime[deviceID] = r.Time
 		s.tables.Observe(deviceID, r)
@@ -98,14 +95,14 @@ func (s *LiveStudy) Tables() *TablesSnapshot {
 func (s *LiveStudy) Window(days int) *WindowSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.window.Stats(days)
+	return s.fold.window(days)
 }
 
 // Decay returns the current epoch's exponentially-decaying view.
 func (s *LiveStudy) Decay() *DecaySnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.decay.Snapshot().(*DecaySnapshot)
+	return s.fold.decay()
 }
 
 // LiveStatus is the "status" query answer. Duplicates is always 0 (see

@@ -13,30 +13,15 @@ import (
 
 // TestLiveStudyMatchesBatchPrefix is the live query tier's correctness
 // property: a LiveStudy fed an arbitrary prefix of the record stream must
-// answer exactly like a fresh batch accumulator set fed the same prefix.
-// Snapshots are compared as marshalled bytes, the repo-wide equivalence
-// criterion.
+// answer exactly like a fresh batch Tables fed the same prefix, and its
+// windowed and decaying views exactly like a second LiveStudy fed the same
+// prefix device by device — another interleaving, with each device's
+// records still in order. Snapshots are compared as marshalled bytes, the
+// repo-wide equivalence criterion.
 func TestLiveStudyMatchesBatchPrefix(t *testing.T) {
-	type op struct {
-		id string
-		r  core.Record
-	}
 	f := func(seed uint64) bool {
 		ds := randomDevices(seed)
-		ids := sortedIDs(ds)
-		var ops []op
-		for i := 0; ; i++ {
-			fed := false
-			for _, id := range ids {
-				if i < len(ds[id]) {
-					ops = append(ops, op{id, ds[id][i]})
-					fed = true
-				}
-			}
-			if !fed {
-				break
-			}
-		}
+		ops := interleave(ds)
 		r := sim.NewRand(seed ^ 0x11fe)
 		cut := r.Intn(len(ops) + 1)
 		cfg := stream.Config{}
@@ -51,44 +36,118 @@ func TestLiveStudyMatchesBatchPrefix(t *testing.T) {
 		}
 
 		tables := stream.NewTables(cfg)
-		window := stream.NewWindowAcc(cfg)
-		decay := stream.NewDecayAcc(cfg)
-		seen := make(map[string]bool)
+		byDevice := stream.NewLiveStudy(cfg)
+		prefix := make(map[string][]core.Record)
 		for _, o := range ops[:cut] {
-			if !seen[o.id] {
-				seen[o.id] = true
+			if _, ok := prefix[o.id]; !ok {
 				tables.AddDevice(o.id)
 			}
 			tables.Observe(o.id, o.r)
-			window.Observe(o.id, o.r)
-			decay.Observe(o.id, o.r)
+			prefix[o.id] = append(prefix[o.id], o.r)
+		}
+		for _, id := range sortedIDs(ds) {
+			for _, rec := range prefix[id] {
+				byDevice.Observe(id, rec)
+			}
 		}
 
 		ok := true
 		check := func(name string, got, want any) {
-			g, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := json.Marshal(want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(g) != string(w) {
-				t.Errorf("seed %d cut %d: live %s differs from batch prefix:\n got %s\nwant %s",
-					seed, cut, name, g, w)
+			if g, w := marshal(t, got), marshal(t, want); g != w {
+				t.Errorf("seed %d cut %d: live %s differs:\n got %s\nwant %s", seed, cut, name, g, w)
 				ok = false
 			}
 		}
 		check("tables", live.Tables(), tables.Snapshot())
-		check("window", live.Window(0), window.Snapshot())
-		check("window30", live.Window(30), window.Stats(30))
-		check("decay", live.Decay(), decay.Snapshot())
+		check("window", live.Window(0), byDevice.Window(0))
+		check("window30", live.Window(30), byDevice.Window(30))
+		check("decay", live.Decay(), byDevice.Decay())
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLiveStudyCountsIgnoreOrder pins what of the day fold is free of
+// delivery order: shuffling one device's records leaves every count and
+// both panic rankings unchanged. Uptime is not compared: each boot closes
+// the session of the boot last delivered for its device, so it depends on
+// the order within a device.
+func TestLiveStudyCountsIgnoreOrder(t *testing.T) {
+	type counts struct {
+		Records, Panics, Freezes, SelfShutdowns, UserShutdowns int
+		PanicTable                                             []stream.PanicRow
+		DecayPanics, DecayFreezes, DecaySelfs, DecayUsers      float64
+		DecayTable                                             []stream.DecayRow
+	}
+	countsOf := func(s *stream.LiveStudy) string {
+		w, d := s.Window(0), s.Decay()
+		return marshal(t, counts{
+			w.Records, w.Panics, w.Freezes, w.SelfShutdowns, w.UserShutdowns, w.PanicTable,
+			d.Panics, d.Freezes, d.SelfShutdowns, d.UserShutdowns, d.PanicTable,
+		})
+	}
+	f := func(seed uint64) bool {
+		ds := randomDevices(seed)
+		ids := sortedIDs(ds)
+		r := sim.NewRand(seed ^ 0x5fff)
+		shuffled := ids[r.Intn(len(ids))]
+		recs := append([]core.Record(nil), ds[shuffled]...)
+		r.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+
+		inOrder, reordered := stream.NewLiveStudy(stream.Config{}), stream.NewLiveStudy(stream.Config{})
+		for _, o := range interleave(ds) {
+			inOrder.Observe(o.id, o.r)
+			if o.id != shuffled {
+				reordered.Observe(o.id, o.r)
+			}
+		}
+		for _, rec := range recs {
+			reordered.Observe(shuffled, rec)
+		}
+		if got, want := countsOf(reordered), countsOf(inOrder); got != want {
+			t.Errorf("seed %d: shuffling device %s moved the counts:\n got %s\nwant %s", seed, shuffled, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+type liveOp struct {
+	id string
+	r  core.Record
+}
+
+// interleave deals the devices' records round-robin in sorted-device
+// order, each device's records in order.
+func interleave(ds map[string][]core.Record) []liveOp {
+	ids := sortedIDs(ds)
+	var ops []liveOp
+	for i := 0; ; i++ {
+		fed := false
+		for _, id := range ids {
+			if i < len(ds[id]) {
+				ops = append(ops, liveOp{id, ds[id][i]})
+				fed = true
+			}
+		}
+		if !fed {
+			return ops
+		}
+	}
+}
+
+func marshal(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestLiveStudyQueries exercises the query surface itself: every supported

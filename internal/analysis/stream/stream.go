@@ -71,18 +71,17 @@ type Config struct {
 	// BurstWindow groups panics into cascades: two panics closer than the
 	// window belong to the same burst.
 	BurstWindow time.Duration
-	// Window is the hard-cutoff horizon of the windowed accumulators
-	// (WindowAcc): a snapshot covers the last Window of simulated time,
-	// in whole simulated days, ending at the latest observed day.
+	// Window is the default horizon of LiveStudy.Window: the windowed
+	// view covers the last Window of simulated time, in whole simulated
+	// days, ending at the latest observed day.
 	Window time.Duration
-	// DecayHalfLife is the exponential-decay horizon of the decaying
-	// accumulators (DecayAcc): a bucket one half-life old weighs half as
-	// much as today's.
+	// DecayHalfLife is the horizon of LiveStudy.Decay: a day bucket one
+	// half-life old weighs half as much as today's.
 	DecayHalfLife time.Duration
 }
 
 // DefaultConfig returns the paper's thresholds, a 30-day window and a
-// 7-day half-life for the continuous-operation accumulators.
+// 7-day half-life for the live tier's windowed and decaying views.
 func DefaultConfig() Config {
 	return Config{
 		SelfShutdownThreshold: 360 * time.Second,
@@ -135,10 +134,8 @@ var (
 // against the test-only NewRegistered — adding an implementation without
 // registering it here (or vice versa) fails `make lint` and the test suite.
 var RegisteredAccumulators = map[string]bool{
-	"Tables":    true,
-	"Collect":   true,
-	"WindowAcc": true,
-	"DecayAcc":  true,
+	"Tables":  true,
+	"Collect": true,
 }
 
 // Peek is a cheap, non-sealing progress summary of an accumulator. Counts

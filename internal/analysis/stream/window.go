@@ -1,33 +1,36 @@
 package stream
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"symfail/internal/core"
 	"symfail/internal/sim"
 )
 
-// This file holds the continuous-operation accumulators: time-windowed and
+// This file holds the live tier's day fold: time-windowed and
 // exponentially-decaying views of the failure stream. Unlike the cursor-fed
-// accumulators they fold raw records straight into integer per-sim-day
-// buckets — no pending event graph, no coalescence — so their state is a
-// pure set union: Merge only adds integers, Snapshot applies every cutoff
-// and every floating-point weight in canonical (ascending-day, sorted-key)
-// order, and both accumulators are naturally re-snapshottable without
-// cloning. The price is cursor-free semantics: a freeze or self-shutdown is
-// classified directly from its boot record, and uptime counts closed
-// boot-to-down sessions only (the open tail of a live device is still
-// moving, so it belongs to no bucket yet).
+// reducers it folds raw records straight into integer per-sim-day buckets —
+// no pending event graph, no coalescence — and applies every cutoff and
+// every floating-point weight at render time, in canonical (ascending-day,
+// sorted-key) order, so it re-renders without cloning. The price is
+// cursor-free semantics: a freeze or self-shutdown is classified directly
+// from its boot record, and uptime counts closed boot-to-down sessions only
+// (the open tail of a live device is still moving, so it belongs to no
+// bucket yet).
+//
+// The counts fold in any order. Uptime does not: each boot closes the
+// session opened by the boot last delivered for its device, so uptime (and
+// every MTBF derived from it) depends on the order a device's records
+// arrive in.
 
-// simDay is the bucket width of the windowed accumulators.
+// simDay is the bucket width of the day fold.
 const simDay = int64(24 * time.Hour)
 
-// dayBuckets is the integer per-day fold shared by WindowAcc and DecayAcc.
+// dayBuckets is LiveStudy's integer per-day fold.
 type dayBuckets struct {
+	cfg      Config
 	session  map[string]sim.Time // device -> current session start (doubles as the device set)
 	ids      map[string]panicID
 	panics   map[int]map[string]int // day -> panic key -> count
@@ -40,8 +43,9 @@ type dayBuckets struct {
 	hasData  bool
 }
 
-func newDayBuckets() *dayBuckets {
+func newDayBuckets(cfg Config) *dayBuckets {
 	return &dayBuckets{
+		cfg:      cfg,
 		session:  make(map[string]sim.Time),
 		ids:      make(map[string]panicID),
 		panics:   make(map[int]map[string]int),
@@ -60,7 +64,7 @@ func (b *dayBuckets) see(day int) {
 	b.hasData = true
 }
 
-func (b *dayBuckets) observe(cfg Config, id string, r core.Record) {
+func (b *dayBuckets) observe(id string, r core.Record) {
 	if _, ok := b.session[id]; !ok {
 		b.session[id] = sim.Never
 	}
@@ -89,7 +93,7 @@ func (b *dayBuckets) observe(cfg Config, id string, r core.Record) {
 			b.freezes[down]++
 			b.see(down)
 		case core.DetectedShutdown:
-			if r.OffSeconds <= cfg.SelfShutdownThreshold.Seconds() {
+			if r.OffSeconds <= b.cfg.SelfShutdownThreshold.Seconds() {
 				b.selfs[down]++
 			} else {
 				b.users[down]++
@@ -100,7 +104,7 @@ func (b *dayBuckets) observe(cfg Config, id string, r core.Record) {
 }
 
 // addUptime splits the closed session [lo, hi) across its day buckets as
-// integer nanoseconds, so merged uptime stays exact.
+// integer nanoseconds, so summed uptime stays exact.
 func (b *dayBuckets) addUptime(lo, hi int64) {
 	for lo < hi {
 		d := lo / simDay
@@ -111,55 +115,6 @@ func (b *dayBuckets) addUptime(lo, hi int64) {
 		b.uptimeNs[int(d)] += end - lo
 		lo = end
 	}
-}
-
-// merge unions the other fold in; the device sets must be disjoint.
-func (b *dayBuckets) merge(o *dayBuckets) error {
-	var overlap []string
-	for id := range o.session {
-		if _, ok := b.session[id]; ok {
-			overlap = append(overlap, id)
-		}
-	}
-	if len(overlap) > 0 {
-		sort.Strings(overlap)
-		return fmt.Errorf("%w: %s", ErrDeviceOverlap, strings.Join(overlap, ", "))
-	}
-	for id, s := range o.session {
-		b.session[id] = s
-	}
-	for k, id := range o.ids {
-		b.ids[k] = id
-	}
-	for d, m := range o.panics {
-		dst := b.panics[d]
-		if dst == nil {
-			dst = make(map[string]int, len(m))
-			b.panics[d] = dst
-		}
-		for k, n := range m {
-			dst[k] += n
-		}
-	}
-	for d, n := range o.records {
-		b.records[d] += n
-	}
-	for d, n := range o.freezes {
-		b.freezes[d] += n
-	}
-	for d, n := range o.selfs {
-		b.selfs[d] += n
-	}
-	for d, n := range o.users {
-		b.users[d] += n
-	}
-	for d, ns := range o.uptimeNs {
-		b.uptimeNs[d] += ns
-	}
-	if o.hasData {
-		b.see(o.maxDay)
-	}
-	return nil
 }
 
 func (b *dayBuckets) devices() []string {
@@ -174,11 +129,11 @@ func (b *dayBuckets) devices() []string {
 	return ids
 }
 
-// ---- WindowAcc: hard-cutoff view over the last N simulated days ----
+// ---- windowed view: hard cutoff over the last N simulated days ----
 
 // WindowSnapshot is the windowed view: every count covers the whole days
-// [FromDay, ToDay], the last Config.Window of simulated time ending at the
-// latest observed day. An empty accumulator snapshots to ToDay = -1.
+// [FromDay, ToDay], the last N simulated days ending at the latest observed
+// day. An empty fold renders ToDay = -1.
 type WindowSnapshot struct {
 	Config        Config
 	Devices       []string
@@ -197,96 +152,34 @@ type WindowSnapshot struct {
 	FreezesPerDay float64
 }
 
-// WindowAcc folds records into per-day integer buckets and snapshots the
-// last Config.Window of them: the freeze-rate-over-last-N-days view of the
-// live query tier. Unlike the cursor-fed accumulators it tolerates records
-// arriving out of order (the fold is order-insensitive), and Snapshot never
-// needs to clone.
-type WindowAcc struct {
-	cfg    Config
-	b      *dayBuckets
-	sealed bool
-	snap   *WindowSnapshot
-}
-
-// NewWindowAcc builds a windowed accumulator.
-func NewWindowAcc(cfg Config) *WindowAcc {
-	return &WindowAcc{cfg: cfg.WithDefaults(), b: newDayBuckets()}
-}
-
-// Observe folds one record in.
-func (a *WindowAcc) Observe(deviceID string, r core.Record) {
-	if a.sealed {
-		panic("stream: WindowAcc.Observe after Seal")
-	}
-	a.b.observe(a.cfg, deviceID, r)
-}
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *WindowAcc) Merge(other Accumulator) error {
-	o, ok := other.(*WindowAcc)
-	if !ok {
-		return typeErr("WindowAcc", other)
-	}
-	if a.sealed || o.sealed {
-		return fmt.Errorf("%w: WindowAcc", ErrSealed)
-	}
-	if a.cfg != o.cfg {
-		return fmt.Errorf("%w: WindowAcc", ErrConfigMismatch)
-	}
-	if err := a.b.merge(o.b); err != nil {
-		return err
-	}
-	o.sealed = true
-	return nil
-}
-
-// Snapshot returns the *WindowSnapshot over the configured window; live
-// accumulators recompute it from the bucket state without sealing.
-func (a *WindowAcc) Snapshot() any {
-	if a.snap != nil {
-		return a.snap
-	}
-	return a.Stats(0)
-}
-
-// Seal freezes the accumulator and caches the final snapshot.
-func (a *WindowAcc) Seal() {
-	if a.sealed && a.snap != nil {
-		return
-	}
-	a.snap = a.Stats(0)
-	a.sealed = true
-}
-
-// Stats renders the window over the last `days` whole simulated days
-// (0 = the configured Config.Window), ending at the latest observed day —
-// the live query tier uses it for freeze-rate-over-last-N-days requests.
-func (a *WindowAcc) Stats(days int) *WindowSnapshot {
+// window renders the last `days` whole simulated days (0 = the configured
+// Config.Window), ending at the latest observed day — the live query
+// tier's freeze-rate-over-last-N-days view.
+func (b *dayBuckets) window(days int) *WindowSnapshot {
 	if days <= 0 {
-		days = int(a.cfg.Window / time.Duration(simDay))
+		days = int(b.cfg.Window / time.Duration(simDay))
 		if days < 1 {
 			days = 1
 		}
 	}
-	snap := &WindowSnapshot{Config: a.cfg, Devices: a.b.devices(), ToDay: -1}
-	if !a.b.hasData {
+	snap := &WindowSnapshot{Config: b.cfg, Devices: b.devices(), ToDay: -1}
+	if !b.hasData {
 		return snap
 	}
-	snap.ToDay = a.b.maxDay
-	snap.FromDay = a.b.maxDay - days + 1
+	snap.ToDay = b.maxDay
+	snap.FromDay = b.maxDay - days + 1
 	if snap.FromDay < 0 {
 		snap.FromDay = 0
 	}
 	counts := make(map[string]int)
 	var uptime int64
 	for d := snap.FromDay; d <= snap.ToDay; d++ {
-		snap.Records += a.b.records[d]
-		snap.Freezes += a.b.freezes[d]
-		snap.SelfShutdowns += a.b.selfs[d]
-		snap.UserShutdowns += a.b.users[d]
-		uptime += a.b.uptimeNs[d]
-		for k, n := range a.b.panics[d] {
+		snap.Records += b.records[d]
+		snap.Freezes += b.freezes[d]
+		snap.SelfShutdowns += b.selfs[d]
+		snap.UserShutdowns += b.users[d]
+		uptime += b.uptimeNs[d]
+		for k, n := range b.panics[d] {
 			counts[k] += n
 			snap.Panics += n
 		}
@@ -294,13 +187,13 @@ func (a *WindowAcc) Stats(days int) *WindowSnapshot {
 	snap.UptimeHours = float64(uptime) / float64(time.Second) / 3600
 	snap.MTBF = MTBFOf(snap.UptimeHours, snap.Freezes, snap.SelfShutdowns)
 	if snap.Panics > 0 {
-		snap.PanicTable = panicRowsFrom(counts, a.b.ids, snap.Panics)
+		snap.PanicTable = panicRowsFrom(counts, b.ids, snap.Panics)
 	}
 	snap.FreezesPerDay = float64(snap.Freezes) / float64(days)
 	return snap
 }
 
-// ---- DecayAcc: exponentially-decaying view ----
+// ---- decaying view: exponential half-life weights ----
 
 // DecayRow is one row of the decaying panic leaderboard.
 type DecayRow struct {
@@ -325,83 +218,24 @@ type DecaySnapshot struct {
 	PanicTable    []DecayRow
 }
 
-// DecayAcc folds records into the same per-day integer buckets as
-// WindowAcc but snapshots them under exponential half-life weights. The
-// weights are applied only at Snapshot, in ascending-day order over the
-// exact merged integer state, so the merge law holds byte-for-byte.
-type DecayAcc struct {
-	cfg    Config
-	b      *dayBuckets
-	sealed bool
-	snap   *DecaySnapshot
-}
-
-// NewDecayAcc builds a decaying accumulator.
-func NewDecayAcc(cfg Config) *DecayAcc {
-	return &DecayAcc{cfg: cfg.WithDefaults(), b: newDayBuckets()}
-}
-
-// Observe folds one record in.
-func (a *DecayAcc) Observe(deviceID string, r core.Record) {
-	if a.sealed {
-		panic("stream: DecayAcc.Observe after Seal")
-	}
-	a.b.observe(a.cfg, deviceID, r)
-}
-
-// Merge absorbs a device-disjoint partial accumulator.
-func (a *DecayAcc) Merge(other Accumulator) error {
-	o, ok := other.(*DecayAcc)
-	if !ok {
-		return typeErr("DecayAcc", other)
-	}
-	if a.sealed || o.sealed {
-		return fmt.Errorf("%w: DecayAcc", ErrSealed)
-	}
-	if a.cfg != o.cfg {
-		return fmt.Errorf("%w: DecayAcc", ErrConfigMismatch)
-	}
-	if err := a.b.merge(o.b); err != nil {
-		return err
-	}
-	o.sealed = true
-	return nil
-}
-
-// Snapshot returns the *DecaySnapshot; live accumulators recompute it from
-// the bucket state without sealing.
-func (a *DecayAcc) Snapshot() any {
-	if a.snap != nil {
-		return a.snap
-	}
-	return a.stats()
-}
-
-// Seal freezes the accumulator and caches the final snapshot.
-func (a *DecayAcc) Seal() {
-	if a.sealed && a.snap != nil {
-		return
-	}
-	a.snap = a.stats()
-	a.sealed = true
-}
-
-func (a *DecayAcc) stats() *DecaySnapshot {
-	snap := &DecaySnapshot{Config: a.cfg, Devices: a.b.devices(), AsOfDay: -1}
-	if !a.b.hasData {
+// decay renders every bucket under Config.DecayHalfLife weights, applied
+// in ascending-day order over the exact integer state.
+func (b *dayBuckets) decay() *DecaySnapshot {
+	snap := &DecaySnapshot{Config: b.cfg, Devices: b.devices(), AsOfDay: -1}
+	if !b.hasData {
 		return snap
 	}
-	snap.AsOfDay = a.b.maxDay
-	halfDays := a.cfg.DecayHalfLife.Hours() / 24
+	snap.AsOfDay = b.maxDay
+	halfDays := b.cfg.DecayHalfLife.Hours() / 24
 	weights := make(map[string]float64)
 	var uptimeHours float64
-	for d := 0; d <= a.b.maxDay; d++ {
-		w := math.Exp2(-float64(a.b.maxDay-d) / halfDays)
-		snap.Freezes += w * float64(a.b.freezes[d])
-		snap.SelfShutdowns += w * float64(a.b.selfs[d])
-		snap.UserShutdowns += w * float64(a.b.users[d])
-		uptimeHours += w * (float64(a.b.uptimeNs[d]) / float64(time.Second) / 3600)
-		if m := a.b.panics[d]; len(m) > 0 {
+	for d := 0; d <= b.maxDay; d++ {
+		w := math.Exp2(-float64(b.maxDay-d) / halfDays)
+		snap.Freezes += w * float64(b.freezes[d])
+		snap.SelfShutdowns += w * float64(b.selfs[d])
+		snap.UserShutdowns += w * float64(b.users[d])
+		uptimeHours += w * (float64(b.uptimeNs[d]) / float64(time.Second) / 3600)
+		if m := b.panics[d]; len(m) > 0 {
 			keys := make([]string, 0, len(m))
 			for k := range m {
 				keys = append(keys, k)
@@ -419,7 +253,7 @@ func (a *DecayAcc) stats() *DecaySnapshot {
 	}
 	rows := make([]DecayRow, 0, len(weights))
 	for k, w := range weights {
-		row := DecayRow{Key: k, Weight: w, Meaning: meaningOf(a.b.ids[k])}
+		row := DecayRow{Key: k, Weight: w, Meaning: meaningOf(b.ids[k])}
 		if snap.Panics > 0 {
 			row.Percent = 100 * w / snap.Panics
 		}

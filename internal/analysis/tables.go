@@ -92,22 +92,44 @@ type WindowSweepPoint struct {
 	Related int
 }
 
-// WindowSweep recomputes the number of related panics for each candidate
-// coalescence window. The knee of this curve is why the paper fixes the
-// window at five minutes.
+// WindowSweep counts, for each candidate coalescence window, the panics
+// that window relates to a high-level event: a panic is related at window w
+// when its nearest freeze or self-shutdown on the same device is at most w
+// away (the device cursor's coalescence rule). The knee of this curve is
+// why the paper fixes the window at five minutes. The Study's events are
+// read, not rewritten.
 func (s *Study) WindowSweep(windows []time.Duration) []WindowSweepPoint {
+	var gaps []time.Duration // each panic's gap to its nearest failure
+	for _, id := range s.deviceIDs {
+		for _, p := range s.panicsByDevice[id] {
+			nearest := time.Duration(-1)
+			for _, hl := range s.hlByDevice[id] {
+				if hl.Kind == HLUserShutdown {
+					continue
+				}
+				gap := hl.Time.Sub(p.Time)
+				if gap < 0 {
+					gap = -gap
+				}
+				if nearest < 0 || gap < nearest {
+					nearest = gap
+				}
+			}
+			if nearest >= 0 {
+				gaps = append(gaps, nearest)
+			}
+		}
+	}
 	out := make([]WindowSweepPoint, 0, len(windows))
 	for _, w := range windows {
-		s.coalesceAll(w)
 		related := 0
-		for _, p := range s.allPanics() {
-			if p.Related != nil {
+		for _, gap := range gaps {
+			if gap <= w {
 				related++
 			}
 		}
 		out = append(out, WindowSweepPoint{Window: w, Related: related})
 	}
-	s.coalesceAll(s.opts.CoalescenceWindow)
 	return out
 }
 

@@ -267,10 +267,12 @@ type ServerConfig struct {
 	// The one exception is a supervisor resumed on an existing non-empty
 	// store: its ledger starts empty, so it re-taps what an earlier process
 	// delivered. Delivery order is not guaranteed, even within a device,
-	// so consumers must be order-tolerant (stream.LiveStudy is; the exact
-	// analysis accumulators are not — they re-read the merged Dataset at
-	// study end instead). It runs under the server mutex, so it must be
-	// fast and must not call back into the server.
+	// so consumers must tolerate reordering (stream.LiveStudy keeps its
+	// exact tables behind a per-device order guard, and its day fold's
+	// counts are order-free, though its uptime is not; the exact analysis
+	// accumulators re-read the merged Dataset at study end instead). It
+	// runs under the server mutex, so it must be fast and must not call
+	// back into the server.
 	OnRecord func(deviceID string, r core.Record)
 
 	// Query, when set, serves the read-only QUERY verb: the hook receives

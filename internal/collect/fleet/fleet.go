@@ -169,7 +169,6 @@ type Supervisor struct {
 	handoffs       int
 	handoffFails   int
 	aborted        int
-	rebalances     int
 	migrated       int
 	suspicions     int
 	falseSusp      int
@@ -732,7 +731,6 @@ func (f *Supervisor) Join() error {
 	donors := f.liveLocked()
 	f.members = append(f.members, joiner)
 	f.epoch++
-	f.rebalances++
 	f.updateQuorumLocked()
 	names := make([]string, 0, len(donors)+1)
 	for _, m := range donors {
@@ -816,7 +814,6 @@ func (f *Supervisor) Leave() error {
 		cut = f.rng.Intn(len(plan))
 		f.aborted++
 	}
-	f.rebalances++
 	f.mu.Unlock()
 	for _, dev := range plan[:cut] {
 		data, ok := leaver.ds.Get(dev)
@@ -1100,13 +1097,6 @@ func (f *Supervisor) Migrated() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.migrated
-}
-
-// Rebalances returns completed join/leave operations.
-func (f *Supervisor) Rebalances() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.rebalances
 }
 
 // CutPower permanently destroys a live shard by name: the process dies and

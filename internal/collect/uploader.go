@@ -60,11 +60,10 @@ type Uploader struct {
 	lastErr      error
 
 	// Observability counters (see the accessors for semantics).
-	retries        int
-	resumes        int
-	reconnects     int
-	quorumRefusals int
-	retransmitted  int64
+	retries       int
+	resumes       int
+	reconnects    int
+	retransmitted int64
 	// sentHigh is the high-water end offset of every chunk that reached
 	// the wire for the current file identity; bytes offered again below it
 	// count as retransmission. Reset when rotation or a master reset gives
@@ -148,11 +147,6 @@ func (u *Uploader) Resumes() int { return u.resumes }
 // failures — the connection came back.
 func (u *Uploader) Reconnects() int { return u.reconnects }
 
-// QuorumRefusals counts upload attempts the fleet rejected with its
-// retryable below-quorum ERR: the write would have been durable on fewer
-// than W shards, so the fleet refused to acknowledge it at all.
-func (u *Uploader) QuorumRefusals() int { return u.quorumRefusals }
-
 // BytesRetransmitted counts payload bytes put on the wire again below the
 // high-water mark of what had already been sent: the cost of lost
 // acknowledgements and of offset regression, where a crashed server lost
@@ -192,12 +186,6 @@ func (u *Uploader) scheduleRetry() {
 }
 
 func (u *Uploader) fail(err error) {
-	if IsBelowQuorum(err) {
-		// The fleet answered honestly that it cannot make the write durable
-		// on W shards right now. Count it — the degradation experiments
-		// read this — and back off like any other failure.
-		u.quorumRefusals++
-	}
 	u.lastErr = err
 	u.failStreak++
 	u.resync = true

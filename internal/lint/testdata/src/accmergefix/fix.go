@@ -79,8 +79,8 @@ func (n *Nested) Observe(deviceID string, r Record) {
 func (n *Nested) Merge(other Accumulator) error { return nil }
 func (n *Nested) Snapshot() any                 { return n.buf.count }
 
-// WindowedCounter is the continuous-operation clean case (mirrors
-// stream.WindowAcc): records fold into per-day integer buckets — bounded
+// WindowedCounter is the continuous-operation clean case (mirrors the
+// live tier's day fold): records fold into per-day integer buckets — bounded
 // state, re-snapshottable, no Record survives Observe.
 type WindowedCounter struct {
 	perDay  map[int]int

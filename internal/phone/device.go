@@ -158,9 +158,6 @@ func (d *Device) Oracle() *Oracle { return d.oracle }
 // State returns the coarse device state.
 func (d *Device) State() DeviceState { return d.state }
 
-// Battery returns the battery level in [0, 1].
-func (d *Device) Battery() float64 { return d.battery }
-
 // Kernel returns the kernel of the current boot (nil before first boot).
 func (d *Device) Kernel() *symbos.Kernel { return d.kernel }
 

@@ -40,16 +40,6 @@ type FleetConfig struct {
 	Workers int
 }
 
-// DefaultFleetConfig mirrors the paper's deployment.
-func DefaultFleetConfig(seed uint64) FleetConfig {
-	return FleetConfig{
-		Seed:       seed,
-		Phones:     25,
-		Duration:   StudyDuration,
-		JoinWindow: 9 * StudyMonth,
-	}
-}
-
 // Fleet is a set of enrolled devices. Each device is one shard of the
 // study: it owns a private discrete-event engine (Engines[i] drives
 // Devices[i] and nothing else), which is what lets Run simulate shards on

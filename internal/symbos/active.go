@@ -84,9 +84,6 @@ func (t *Thread) NewActiveObject(name string, priority int, runL func(code int))
 // Name returns the active object's name.
 func (ao *ActiveObject) Name() string { return ao.name }
 
-// Priority returns the scheduling priority.
-func (ao *ActiveObject) Priority() int { return ao.priority }
-
 // Runs returns how many times RunL has executed.
 func (ao *ActiveObject) Runs() uint64 { return ao.runs }
 

@@ -86,9 +86,6 @@ func (h *Heap) Free(c *Cell) {
 // Allocated returns the number of live bytes.
 func (h *Heap) Allocated() int { return h.allocated }
 
-// Limit returns the heap quota in bytes.
-func (h *Heap) Limit() int { return h.limit }
-
 // SetLimit adjusts the quota (used to model memory pressure).
 func (h *Heap) SetLimit(n int) { h.limit = n }
 

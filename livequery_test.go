@@ -72,16 +72,19 @@ func TestLiveStudyAcrossServerCrashes(t *testing.T) {
 				t.Errorf("live study saw %d records, dataset holds %d", live.Records(), total)
 			}
 
-			// The windowed fold is order-insensitive, so the live view must
-			// equal a batch fold of the final dataset byte for byte.
-			batch := stream.NewWindowAcc(stream.Config{})
-			for id, recs := range all {
-				for _, r := range recs {
+			// The live windowed view must equal the day fold of the final
+			// dataset byte for byte. Its counts fold in any order; its
+			// uptime pairs each boot with the boot delivered before it on
+			// the same device, so this also checks that each device's
+			// boots reached the tap in log order.
+			batch := stream.NewLiveStudy(stream.Config{})
+			for _, id := range sortedStrings(all) {
+				for _, r := range all[id] {
 					batch.Observe(id, r)
 				}
 			}
 			gotW, _ := json.Marshal(live.Window(0))
-			wantW, _ := json.Marshal(batch.Stats(0))
+			wantW, _ := json.Marshal(batch.Window(0))
 			if string(gotW) != string(wantW) {
 				t.Errorf("live windowed view diverged from batch fold of the dataset:\n got %s\nwant %s", gotW, wantW)
 			}

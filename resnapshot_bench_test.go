@@ -1,14 +1,14 @@
 package symfail
 
 // BenchmarkResnapshotOverhead is the perf harness for the epoch-snapshot
-// lifecycle: over a loaded mid-stream accumulator set (records folded in, not
-// sealed) it measures the cost of one non-destructive Snapshot — the deep
-// cursor/reducer clone for the exact Tables, the bucket re-render for the
-// windowed and decaying views — and writes the grid to BENCH_resnapshot.json
-// so `make bench-check` gates the live query tier's read path. Run it alone
-// for stable numbers:
+// lifecycle: over a loaded mid-stream Tables and LiveStudy (records folded
+// in, not sealed) it measures the cost of one non-destructive snapshot — the
+// deep cursor/reducer clone for the exact Tables, the day-bucket re-render
+// for the LiveStudy's windowed and decaying views — and writes the grid to
+// BENCH_resnapshot.json so `make bench-check` gates the live query tier's
+// read path. Run it alone for stable numbers:
 //
-//	go test -bench BenchmarkResnapshotOverhead -benchtime 20x .
+//	go test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
 
 import (
 	"encoding/json"
@@ -40,18 +40,16 @@ type resnapshotReport struct {
 }
 
 func BenchmarkResnapshotOverhead(b *testing.B) {
-	const phones = 25
+	const phones, allocRuns = 25, 100
 	duration := 2 * phone.StudyMonth
 	ds, records := streamBenchDataset(b, phones, duration)
 
 	opts := analysis.Options{}
 	tables := stream.NewTables(opts)
-	window := stream.NewWindowAcc(opts)
-	decay := stream.NewDecayAcc(opts)
+	live := stream.NewLiveStudy(opts)
 	f := &stream.Feeder{AddDevice: tables.AddDevice, Observe: func(id string, r core.Record) {
 		tables.Observe(id, r)
-		window.Observe(id, r)
-		decay.Observe(id, r)
+		live.Observe(id, r)
 	}}
 	if err := ds.Stream(f.Begin, f.Record); err != nil {
 		b.Fatal(err)
@@ -64,8 +62,8 @@ func BenchmarkResnapshotOverhead(b *testing.B) {
 		snap func() any
 	}{
 		{"tables", func() any { return tables.Snapshot() }},
-		{"window", func() any { return window.Snapshot() }},
-		{"decay", func() any { return decay.Snapshot() }},
+		{"window", func() any { return live.Window(0) }},
+		{"decay", func() any { return live.Decay() }},
 	}
 	for _, m := range modes {
 		var cell resnapshotCell
@@ -96,15 +94,19 @@ func BenchmarkResnapshotOverhead(b *testing.B) {
 		if cell.Phones == 0 {
 			continue // sub-bench filtered out by -bench
 		}
-		// B/op and allocs/op for the JSON trajectory, measured outside the
+		// B/op and allocs/op for the JSON trajectory, averaged outside the
 		// timed loop (the harness prints its own via ReportAllocs).
+		// AllocsPerRun pins GOMAXPROCS to 1 and warms up first, so stray
+		// runtime allocations do not move the gated count.
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		_ = m.snap()
+		for i := 0; i < allocRuns; i++ {
+			_ = m.snap()
+		}
 		runtime.ReadMemStats(&after)
-		cell.BytesPerOp = float64(after.TotalAlloc - before.TotalAlloc)
-		cell.AllocsPerOp = float64(after.Mallocs - before.Mallocs)
+		cell.BytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / allocRuns
+		cell.AllocsPerOp = testing.AllocsPerRun(allocRuns, func() { _ = m.snap() })
 		report.Cells = append(report.Cells, cell)
 	}
 	if len(report.Cells) == 0 {
