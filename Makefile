@@ -95,9 +95,12 @@ parallel:
 # Study, and shard-merged partial accumulators must snapshot to identical
 # bytes, anchored to the pinned golden fingerprints, and `analyze -stream`
 # must print the batch `analyze` tables and -json summary byte for byte,
-# under the race detector (DESIGN.md §11).
+# under the race detector (DESIGN.md §11). The second line runs the live
+# tier's differential tests (DESIGN.md §16) under the race detector too;
+# the root TestLiveStudyAcrossServerCrashes is left to `make flake`.
 stream:
 	$(GO) test -race -run 'Stream' -v . ./internal/analysis/... ./cmd/analyze
+	$(GO) test -race -run 'LiveStudy' -v ./internal/analysis/stream
 
 test:
 	$(GO) test ./...
@@ -116,7 +119,7 @@ bench-parallel:
 bench-analysis:
 	$(GO) test -run xxx -bench BenchmarkStudyStreamVsBatch -benchtime 5x .
 
-# Epoch-snapshot overhead on loaded live accumulators -> BENCH_resnapshot.json.
+# The live tier's read path on a loaded LiveStudy -> BENCH_resnapshot.json.
 bench-resnapshot:
 	$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
 

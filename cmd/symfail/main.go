@@ -238,7 +238,7 @@ func serveQueries(addr string, live *stream.LiveStudy, opts stream.Config, study
 	}
 	defer srv.Close()
 	fmt.Printf("serving live queries on %s (%d devices, %d records; ^C to stop)\n",
-		srv.Addr(), len(live.Tables().Devices), live.Records())
+		srv.Addr(), live.Devices(), live.Records())
 	fmt.Printf("  try: go run ./cmd/symquery -addr %s mtbf\n", srv.Addr())
 	fmt.Printf("       go run ./cmd/symquery -addr %s panics 3\n", srv.Addr())
 	fmt.Printf("       go run ./cmd/symquery -addr %s freezerate 30\n", srv.Addr())

@@ -96,21 +96,6 @@ func (s *tableSet) merge(o *tableSet, name string) error {
 	return nil
 }
 
-// cloneInto deep-copies the live set into d for an epoch snapshot:
-// reducers first, then the cursor set with sink (d's embedding
-// accumulator) as its event sink.
-func (s *tableSet) cloneInto(d *tableSet, sink evsink) {
-	d.cfg = s.cfg
-	d.panics = s.panics.clone()
-	d.reboots = s.reboots.clone()
-	d.mtbf = s.mtbf.clone()
-	d.coal = s.coal.clone()
-	d.bursts = s.bursts.clone()
-	d.activity = s.activity.clone()
-	d.apps = s.apps.clone()
-	d.cs = s.cs.clone(sink)
-}
-
 // finish seals the set and flushes every cursor. Idempotent.
 func (s *tableSet) finish() {
 	s.sealed = true
@@ -214,18 +199,8 @@ func (t *Tables) Merge(other Accumulator) error {
 	return t.merge(&o.tableSet, "Tables")
 }
 
-// Snapshot returns the current epoch's *TablesSnapshot. On a live
-// accumulator it deep-clones the pending cursor state, finishes the clone
-// and renders from it — Observe may continue afterwards. On a sealed
-// accumulator it returns the cached final snapshot.
-func (t *Tables) Snapshot() any {
-	if t.sealed {
-		return t.Tables()
-	}
-	c := &Tables{}
-	t.cloneInto(&c.tableSet, c)
-	return c.Tables()
-}
+// Snapshot seals the accumulator and returns its *TablesSnapshot.
+func (t *Tables) Snapshot() any { return t.Tables() }
 
 // Seal finalizes the accumulator destructively (the batch path): further
 // Merges return ErrSealed and further Observes panic.
@@ -310,28 +285,20 @@ func (c *Collect) Finish() { c.finish() }
 // Seal is Finish: the destructive seal of the batch path.
 func (c *Collect) Seal() { c.Finish() }
 
-// Snapshot returns the current epoch's *CollectSnapshot; on a live
-// accumulator the pending state is finished in a deep copy, so Observe may
-// continue afterwards. The summary reads only the reducers, so the copy is
-// a Tables over a clone of the set, and the kept events are not copied.
+// Snapshot seals the accumulator (Finish) and returns its
+// *CollectSnapshot.
 func (c *Collect) Snapshot() any {
-	s := &c.tableSet
-	if !c.sealed {
-		t := &Tables{}
-		c.cloneInto(&t.tableSet, t)
-		s = &t.tableSet
-	}
-	s.finish()
-	devices := s.cs.devices()
-	p := s.Peek()
+	c.Finish()
+	devices := c.cs.devices()
+	p := c.Peek()
 	return &CollectSnapshot{
 		Devices:            devices,
 		Records:            p.Records,
 		Panics:             p.Panics,
 		HLEvents:           p.HLEvents,
 		Reboots:            p.Reboots,
-		ExplainedShutdowns: s.reboots.explained,
-		UptimeHours:        s.mtbf.hours(devices),
+		ExplainedShutdowns: c.reboots.explained,
+		UptimeHours:        c.mtbf.hours(devices),
 	}
 }
 

@@ -79,9 +79,8 @@ type deviceCursor struct {
 	cfg  Config
 	sink evsink
 
-	sessionStart sim.Time
-	lastSeen     sim.Time
-	uptime       float64
+	sessions
+	lastSeen sim.Time
 
 	hls    []*HLEvent // open-window HL events, time-ordered
 	lastHL sim.Time
@@ -97,7 +96,32 @@ type deviceCursor struct {
 }
 
 func newCursor(id string, cfg Config, sink evsink) *deviceCursor {
-	return &deviceCursor{id: id, cfg: cfg, sink: sink, sessionStart: sim.Never}
+	return &deviceCursor{id: id, cfg: cfg, sink: sink, sessions: sessions{sessionStart: sim.Never}}
+}
+
+// sessions is a device's uptime estimate: each boot closes the session the
+// previous boot opened, at the down time the boot reports, and the open
+// session runs until the last record seen. LiveStudy keeps one per device
+// too, so its exact MTBF adds the same floats in the same order as Tables.
+type sessions struct {
+	sessionStart sim.Time // sim.Never before the first boot
+	uptime       float64  // closed sessions, hours
+}
+
+// boot closes the open session at the boot's down time and opens the next.
+func (s *sessions) boot(r core.Record) {
+	if s.sessionStart != sim.Never && r.PrevTime > int64(s.sessionStart) {
+		s.uptime += sim.Time(r.PrevTime).Sub(s.sessionStart).Hours()
+	}
+	s.sessionStart = r.When()
+}
+
+// hours is the uptime with the open session closed at lastSeen.
+func (s *sessions) hours(lastSeen sim.Time) float64 {
+	if s.sessionStart != sim.Never && lastSeen > s.sessionStart {
+		return s.uptime + lastSeen.Sub(s.sessionStart).Hours()
+	}
+	return s.uptime
 }
 
 func (c *deviceCursor) observe(r core.Record) {
@@ -127,18 +151,14 @@ func (c *deviceCursor) observe(r core.Record) {
 		c.open = append(c.open, pp)
 		c.panics = append(c.panics, pp)
 	case core.KindBoot:
-		// Close the previous session for the uptime estimate.
-		if c.sessionStart != sim.Never && r.PrevTime > int64(c.sessionStart) {
-			c.uptime += sim.Time(r.PrevTime).Sub(c.sessionStart).Hours()
-		}
-		c.sessionStart = r.When()
+		c.boot(r)
 		switch r.Detected {
 		case core.DetectedFreeze:
 			c.addHL(&HLEvent{Device: c.id, Kind: HLFreeze, Time: sim.Time(r.PrevTime), OffSeconds: r.OffSeconds})
 		case core.DetectedShutdown:
 			c.sink.rebootDone(c.id, r.OffSeconds)
 			kind := HLUserShutdown
-			if r.OffSeconds <= c.cfg.SelfShutdownThreshold.Seconds() {
+			if c.cfg.selfShutdown(r.OffSeconds) {
 				kind = HLSelfShutdown
 			}
 			c.addHL(&HLEvent{Device: c.id, Kind: kind, Time: sim.Time(r.PrevTime), OffSeconds: r.OffSeconds})
@@ -221,47 +241,6 @@ func (c *deviceCursor) advance(final bool) {
 	}
 }
 
-// clone deep-copies the cursor's pending state for an epoch snapshot,
-// rebuilding the event graph: pending HL events and panic events are
-// copied, and every pendingPanic's best pointer is remapped to the copy
-// (best always lives in hls — hlDone refuses to emit an event a pending
-// panic still holds). bestAll may point at an HL event that already left
-// the cursor; only its nil-ness is ever read, so the clone keeps the
-// original pointer rather than resurrecting the emitted event.
-func (c *deviceCursor) clone(sink evsink) *deviceCursor {
-	d := *c
-	d.sink = sink
-	hlMap := make(map[*HLEvent]*HLEvent, len(c.hls))
-	d.hls = make([]*HLEvent, len(c.hls))
-	for i, hl := range c.hls {
-		cp := *hl
-		d.hls[i] = &cp
-		hlMap[hl] = &cp
-	}
-	ppMap := make(map[*pendingPanic]*pendingPanic, len(c.panics))
-	d.panics = make([]*pendingPanic, len(c.panics))
-	for i, pp := range c.panics {
-		cp := *pp
-		ev := *pp.ev
-		cp.ev = &ev
-		if pp.best != nil {
-			cp.best = hlMap[pp.best]
-		}
-		if pp.bestAll != nil {
-			if m := hlMap[pp.bestAll]; m != nil {
-				cp.bestAll = m
-			}
-		}
-		d.panics[i] = &cp
-		ppMap[pp] = &cp
-	}
-	d.open = make([]*pendingPanic, len(c.open))
-	for i, pp := range c.open {
-		d.open[i] = ppMap[pp]
-	}
-	return &d
-}
-
 func (c *deviceCursor) pendingRefs(hl *HLEvent) bool {
 	for _, pp := range c.panics {
 		if pp.best == hl {
@@ -280,10 +259,7 @@ func (c *deviceCursor) finish() {
 	c.finished = true
 	c.closeBurst()
 	c.advance(true)
-	if c.sessionStart != sim.Never && c.lastSeen > c.sessionStart {
-		c.uptime += c.lastSeen.Sub(c.sessionStart).Hours()
-	}
-	c.sink.uptimeDone(c.id, c.uptime)
+	c.sink.uptimeDone(c.id, c.hours(c.lastSeen))
 }
 
 // cursorSet owns one deviceCursor per observed device.
@@ -334,18 +310,6 @@ func (cs *cursorSet) merge(other *cursorSet) error {
 	}
 	cs.records += other.records
 	return nil
-}
-
-// clone deep-copies the set for an epoch snapshot; the clones emit into
-// the given sink (the snapshot's own reducers).
-func (cs *cursorSet) clone(sink evsink) *cursorSet {
-	out := newCursorSet(cs.cfg, sink)
-	out.records = cs.records
-	out.finished = cs.finished
-	for id, c := range cs.cursors {
-		out.cursors[id] = c.clone(sink)
-	}
-	return out
 }
 
 // finish flushes every cursor, in sorted device order. Idempotent.

@@ -3,45 +3,62 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"symfail/internal/core"
+	"symfail/internal/sim"
 )
 
 // LiveStudy is the live query tier of DESIGN.md §16: a concurrency-safe
-// composite of the exact Tables and one day fold rendering the windowed and
-// decaying views, fed record by record from collect.ServerConfig.OnRecord
-// and queried while the study is still running. The collection tier's
-// acked ledger is the one dedup stage in front of the tap, so LiveStudy
-// folds every delivery it is given (a supervisor resumed on an existing
-// store, whose ledger starts empty, is the one case that re-delivers
-// records). Delivery is not ordered, so LiveStudy guards the cursor-fed
-// Tables behind a per-device order check: an out-of-order record still
-// feeds the day fold, but is excluded from the exact tables (and counted
-// in Reordered) rather than corrupting their cursor state. The day fold's
-// counts do not depend on delivery order; its uptime, and so the windowed
-// and decaying MTBF, does (see window.go).
+// fold fed record by record from collect.ServerConfig.OnRecord and queried
+// while the study is still running. The collection tier's acked ledger is
+// the one dedup stage in front of the tap, so LiveStudy folds every
+// delivery it is given (a supervisor resumed on an existing store, whose
+// ledger starts empty, is the one case that re-delivers records).
+//
+// It keeps one state per device, in a list sorted by device ID, and the
+// day fold. The day fold renders the windowed and decaying views; its
+// counts do not depend on delivery order, but its uptime, and so the
+// windowed and decaying MTBF, does (see window.go). The exact MTBF is what
+// a Tables fed the same records would report: it reads each device's
+// session bookkeeping, kept as a deviceCursor keeps it, and the freeze and
+// self-shutdown counts. Delivery is not ordered, so a per-device order
+// check guards it: an out-of-order record still feeds the day fold, but is
+// left out of the exact MTBF (and counted in Reordered).
 type LiveStudy struct {
 	mu     sync.Mutex
-	tables *Tables
 	fold   *dayBuckets
+	devs   map[string]*liveDevice
+	sorted []*liveDevice // devs in ascending ID order
 
-	// lastTime guards the exact tables' per-device time order; its keys
-	// are the devices seen so far.
-	lastTime map[string]int64
+	// freezes and selfs count the in-order records' freezes and
+	// self-shutdowns, the HL events the exact MTBF divides by.
+	freezes, selfs int
 
 	records   int // records observed
-	reordered int // records excluded from the exact tables
+	reordered int // records left out of the exact MTBF
+}
+
+// liveDevice is LiveStudy's state of one device.
+type liveDevice struct {
+	id   string
+	last int64 // latest in-order record time: the order guard
+	// sessions is the uptime of the in-order records, kept as the
+	// device's cursor in a Tables would keep it.
+	sessions
+	// foldSession is the day fold's open session start, over every
+	// delivered record.
+	foldSession sim.Time
 }
 
 // NewLiveStudy builds a live study with the given analysis thresholds.
 func NewLiveStudy(cfg Config) *LiveStudy {
-	cfg = cfg.WithDefaults()
 	return &LiveStudy{
-		tables:   NewTables(cfg),
-		fold:     newDayBuckets(cfg),
-		lastTime: make(map[string]int64),
+		fold: newDayBuckets(cfg.WithDefaults()),
+		devs: make(map[string]*liveDevice),
 	}
 }
 
@@ -50,19 +67,70 @@ func NewLiveStudy(cfg Config) *LiveStudy {
 func (s *LiveStudy) Observe(deviceID string, r core.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	last, ok := s.lastTime[deviceID]
-	if !ok {
-		s.tables.AddDevice(deviceID)
-		last = r.Time
+	d := s.devs[deviceID]
+	if d == nil {
+		d = &liveDevice{
+			id:          deviceID,
+			last:        r.Time,
+			sessions:    sessions{sessionStart: sim.Never},
+			foldSession: sim.Never,
+		}
+		s.devs[deviceID] = d
+		i, _ := slices.BinarySearchFunc(s.sorted, deviceID, func(d *liveDevice, id string) int {
+			return strings.Compare(d.id, id)
+		})
+		s.sorted = slices.Insert(s.sorted, i, d)
 	}
 	s.records++
-	s.fold.observe(deviceID, r)
-	if r.Time >= last {
-		s.lastTime[deviceID] = r.Time
-		s.tables.Observe(deviceID, r)
-	} else {
+	s.fold.observe(&d.foldSession, r)
+	if r.Time < d.last {
 		s.reordered++
+		return
 	}
+	d.last = r.Time
+	if r.Kind != core.KindBoot {
+		return
+	}
+	d.boot(r)
+	switch r.Detected {
+	case core.DetectedFreeze:
+		s.freezes++
+	case core.DetectedShutdown:
+		if s.fold.cfg.selfShutdown(r.OffSeconds) {
+			s.selfs++
+		}
+	}
+}
+
+// mtbf is the exact MTBF over the in-order records: the MTBF of a sealed
+// Tables fed them. Like mtbfRed.hours it sums uptime in sorted device
+// order, each device's open session closed at its last record (a cursor's
+// lastSeen starts at 0, hence the floor).
+func (s *LiveStudy) mtbf() MTBFReport {
+	var hours float64
+	for _, d := range s.sorted {
+		hours += d.hours(sim.Time(max(d.last, 0)))
+	}
+	return MTBFOf(hours, s.freezes, s.selfs)
+}
+
+// ids returns the device IDs, sorted; nil before the first record.
+func (s *LiveStudy) ids() []string {
+	if len(s.sorted) == 0 {
+		return nil
+	}
+	ids := make([]string, len(s.sorted))
+	for i, d := range s.sorted {
+		ids[i] = d.id
+	}
+	return ids
+}
+
+// Devices returns the number of devices observed so far.
+func (s *LiveStudy) Devices() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.sorted)
 }
 
 // Records returns the number of records observed so far.
@@ -77,32 +145,29 @@ func (s *LiveStudy) Records() int {
 // clients that read it.
 func (s *LiveStudy) Duplicates() int { return 0 }
 
-// Reordered returns how many records the exact tables excluded.
+// Reordered returns how many records the exact MTBF left out.
 func (s *LiveStudy) Reordered() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.reordered
 }
 
-// Tables returns the current epoch's exact table set.
-func (s *LiveStudy) Tables() *TablesSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tables.Snapshot().(*TablesSnapshot)
-}
-
-// Window returns the current epoch's windowed view (0 = configured window).
+// Window returns the current windowed view (0 = configured window).
 func (s *LiveStudy) Window(days int) *WindowSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fold.window(days)
+	snap := s.fold.window(days)
+	snap.Devices = s.ids()
+	return snap
 }
 
-// Decay returns the current epoch's exponentially-decaying view.
+// Decay returns the current exponentially-decaying view.
 func (s *LiveStudy) Decay() *DecaySnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.fold.decay()
+	snap := s.fold.decay()
+	snap.Devices = s.ids()
+	return snap
 }
 
 // LiveStatus is the "status" query answer. Duplicates is always 0 (see
@@ -114,7 +179,7 @@ type LiveStatus struct {
 	Reordered  int `json:"reordered"`
 }
 
-// LiveMTBF is the "mtbf" query answer: the exact-tables MTBF alongside the
+// LiveMTBF is the "mtbf" query answer: the exact MTBF alongside the
 // decaying view's, so a client sees both the whole-study and recency-biased
 // numbers in one round-trip.
 type LiveMTBF struct {
@@ -152,46 +217,53 @@ type LiveFreezeRate struct {
 //	freezerate [days]    windowed freeze rate over the last days (default
 //	                     the configured Config.Window)
 func (s *LiveStudy) Query(name string, args []string) (string, error) {
-	var v any
+	v, err := s.answer(name, args)
+	if err != nil {
+		return "", err
+	}
+	blob, err := json.Marshal(v)
+	if err != nil {
+		return "", err
+	}
+	return string(blob), nil
+}
+
+// answer computes a query answer under the lock.
+func (s *LiveStudy) answer(name string, args []string) (any, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch name {
 	case "status":
-		s.mu.Lock()
-		v = LiveStatus{
-			Devices:   len(s.lastTime),
-			Records:   s.records,
-			Reordered: s.reordered,
-		}
-		s.mu.Unlock()
+		return LiveStatus{Devices: len(s.sorted), Records: s.records, Reordered: s.reordered}, nil
 	case "mtbf":
 		if len(args) != 0 {
-			return "", fmt.Errorf("stream: mtbf takes no arguments")
+			return nil, fmt.Errorf("stream: mtbf takes no arguments")
 		}
-		tbl := s.Tables()
-		dec := s.Decay()
-		v = LiveMTBF{
-			Devices:        len(tbl.Devices),
-			MTBF:           tbl.MTBF,
+		dec := s.fold.decay()
+		return LiveMTBF{
+			Devices:        len(s.sorted),
+			MTBF:           s.mtbf(),
 			DecayMTBFHours: dec.MTBFHours,
 			AsOfDay:        dec.AsOfDay,
-		}
+		}, nil
 	case "panics":
 		n, err := optInt(args, 5)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		dec := s.Decay()
+		dec := s.fold.decay()
 		top := dec.PanicTable
 		if n > 0 && len(top) > n {
 			top = top[:n]
 		}
-		v = LivePanics{AsOfDay: dec.AsOfDay, Total: dec.Panics, Top: top}
+		return LivePanics{AsOfDay: dec.AsOfDay, Total: dec.Panics, Top: top}, nil
 	case "freezerate":
 		days, err := optInt(args, 0)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		w := s.Window(days)
-		v = LiveFreezeRate{
+		w := s.fold.window(days)
+		return LiveFreezeRate{
 			FromDay:       w.FromDay,
 			ToDay:         w.ToDay,
 			Records:       w.Records,
@@ -199,15 +271,10 @@ func (s *LiveStudy) Query(name string, args []string) (string, error) {
 			FreezesPerDay: w.FreezesPerDay,
 			UptimeHours:   w.UptimeHours,
 			MTBFHours:     w.MTBF.MTBFHours,
-		}
+		}, nil
 	default:
-		return "", fmt.Errorf("stream: unknown query %q", name)
+		return nil, fmt.Errorf("stream: unknown query %q", name)
 	}
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	return string(blob), nil
 }
 
 // optInt parses the single optional integer argument of a query.

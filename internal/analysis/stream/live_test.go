@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"symfail/internal/analysis/stream"
 	"symfail/internal/core"
@@ -12,60 +13,114 @@ import (
 )
 
 // TestLiveStudyMatchesBatchPrefix is the live query tier's correctness
-// property: a LiveStudy fed an arbitrary prefix of the record stream must
-// answer exactly like a fresh batch Tables fed the same prefix, and its
-// windowed and decaying views exactly like a second LiveStudy fed the same
-// prefix device by device — another interleaving, with each device's
-// records still in order. Snapshots are compared as marshalled bytes, the
-// repo-wide equivalence criterion.
+// property, checked after every record fed. The mtbf and status answers
+// must equal those of a sealed Tables fed the prefix's in-order records:
+// per device, each record no earlier than the last one accepted; the rest
+// are the Reordered count. The windowed and decaying views must equal a
+// second LiveStudy's fed the same prefix device by device — another
+// interleaving, with each device's records in arrival order. A third of the
+// seeds shuffle the whole feed, so the order guard trips. Answers are
+// compared as marshalled bytes, the repo-wide equivalence criterion.
 func TestLiveStudyMatchesBatchPrefix(t *testing.T) {
+	cfg := stream.Config{}
 	f := func(seed uint64) bool {
 		ds := randomDevices(seed)
 		ops := interleave(ds)
-		r := sim.NewRand(seed ^ 0x11fe)
-		cut := r.Intn(len(ops) + 1)
-		cfg := stream.Config{}
-
+		if seed%3 == 0 {
+			r := sim.NewRand(seed ^ 0x11fe)
+			r.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+		}
 		live := stream.NewLiveStudy(cfg)
-		for _, o := range ops[:cut] {
+		last := make(map[string]int64)
+		var inOrder []liveOp
+		for i, o := range ops {
 			live.Observe(o.id, o.r)
-		}
-		if live.Records() != cut {
-			t.Errorf("seed %d: live saw %d records, fed %d", seed, live.Records(), cut)
-			return false
-		}
+			if t, seen := last[o.id]; !seen || o.r.Time >= t {
+				last[o.id] = o.r.Time
+				inOrder = append(inOrder, o)
+			}
 
-		tables := stream.NewTables(cfg)
-		byDevice := stream.NewLiveStudy(cfg)
-		prefix := make(map[string][]core.Record)
-		for _, o := range ops[:cut] {
-			if _, ok := prefix[o.id]; !ok {
-				tables.AddDevice(o.id)
+			tables := stream.NewTables(cfg)
+			byDevice := stream.NewLiveStudy(cfg)
+			prefix := make(map[string][]core.Record)
+			for _, o := range inOrder {
+				tables.Observe(o.id, o.r)
 			}
-			tables.Observe(o.id, o.r)
-			prefix[o.id] = append(prefix[o.id], o.r)
-		}
-		for _, id := range sortedIDs(ds) {
-			for _, rec := range prefix[id] {
-				byDevice.Observe(id, rec)
+			for _, o := range ops[:i+1] {
+				prefix[o.id] = append(prefix[o.id], o.r)
 			}
-		}
+			for _, id := range sortedIDs(ds) {
+				for _, rec := range prefix[id] {
+					byDevice.Observe(id, rec)
+				}
+			}
+			sealed, dec := tables.Tables(), live.Decay()
 
-		ok := true
-		check := func(name string, got, want any) {
-			if g, w := marshal(t, got), marshal(t, want); g != w {
-				t.Errorf("seed %d cut %d: live %s differs:\n got %s\nwant %s", seed, cut, name, g, w)
-				ok = false
+			ok := true
+			check := func(name string, got, want any) {
+				if g, w := marshal(t, got), marshal(t, want); g != w {
+					t.Errorf("seed %d record %d/%d: live %s differs:\n got %s\nwant %s", seed, i+1, len(ops), name, g, w)
+					ok = false
+				}
+			}
+			check("mtbf", query(t, live, "mtbf"), stream.LiveMTBF{
+				Devices:        len(sealed.Devices),
+				MTBF:           sealed.MTBF,
+				DecayMTBFHours: dec.MTBFHours,
+				AsOfDay:        dec.AsOfDay,
+			})
+			check("status", query(t, live, "status"), stream.LiveStatus{
+				Devices:   len(sealed.Devices),
+				Records:   i + 1,
+				Reordered: i + 1 - len(inOrder),
+			})
+			check("window", live.Window(0), byDevice.Window(0))
+			check("window30", live.Window(30), byDevice.Window(30))
+			check("decay", dec, byDevice.Decay())
+			if !ok {
+				return false
 			}
 		}
-		check("tables", live.Tables(), tables.Snapshot())
-		check("window", live.Window(0), byDevice.Window(0))
-		check("window30", live.Window(30), byDevice.Window(30))
-		check("decay", live.Decay(), byDevice.Decay())
-		return ok
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, quickConfig(200)); err != nil {
 		t.Error(err)
+	}
+}
+
+// query returns a live query's answer, parsed as raw JSON so check
+// re-marshals it to the same bytes.
+func query(t *testing.T, s *stream.LiveStudy, name string) json.RawMessage {
+	t.Helper()
+	out, err := s.Query(name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return json.RawMessage(out)
+}
+
+// TestLiveStudyMTBFBeforeEpoch covers what the generated feeds never
+// reach: records timed before the epoch. A device cursor's last-seen time
+// starts at 0, so a session opened before the epoch and still open runs to
+// 0, not to the device's last record; the mtbf answer must do the same.
+func TestLiveStudyMTBFBeforeEpoch(t *testing.T) {
+	recs := []core.Record{
+		{Kind: core.KindBoot, Time: -int64(3 * time.Hour), Boot: 1, Detected: core.DetectedFirstBoot},
+		{Kind: core.KindPanic, Time: -int64(time.Hour), Category: "USER", PType: 11},
+	}
+	live, tables := stream.NewLiveStudy(stream.Config{}), stream.NewTables(stream.Config{})
+	for _, r := range recs {
+		live.Observe("a", r)
+		tables.Observe("a", r)
+	}
+	sealed, dec := tables.Tables(), live.Decay()
+	if got, want := marshal(t, query(t, live, "mtbf")), marshal(t, stream.LiveMTBF{
+		Devices:        len(sealed.Devices),
+		MTBF:           sealed.MTBF,
+		DecayMTBFHours: dec.MTBFHours,
+		AsOfDay:        dec.AsOfDay,
+	}); got != want {
+		t.Errorf("mtbf answer before the epoch:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -112,7 +167,7 @@ func TestLiveStudyCountsIgnoreOrder(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, quickConfig(20)); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"slices"
 	"sort"
 
 	"symfail/internal/symbos"
@@ -66,21 +65,6 @@ func (r *panicRed) merge(o *panicRed) {
 	r.total += o.total
 }
 
-func (r *panicRed) clone() *panicRed {
-	c := newPanicRed()
-	for k, n := range r.counts {
-		c.counts[k] = n
-	}
-	for k, id := range r.ids {
-		c.ids[k] = id
-	}
-	for k, n := range r.cats {
-		c.cats[k] = n
-	}
-	c.total = r.total
-	return c
-}
-
 func (r *panicRed) rows() []PanicRow { return panicRowsFrom(r.counts, r.ids, r.total) }
 
 func meaningOf(id panicID) string { return symbos.Meaning(symbos.Category(id.cat), id.ptype) }
@@ -140,17 +124,6 @@ func (r *rebootRed) merge(o *rebootRed) {
 	}
 	r.count += o.count
 	r.explained += o.explained
-}
-
-// clone deep-copies the duration slices: the original keeps appending to
-// them after an epoch snapshot, so sharing backing arrays would race.
-func (r *rebootRed) clone() *rebootRed {
-	c := newRebootRed()
-	for id, v := range r.durs {
-		c.durs[id] = slices.Clone(v)
-	}
-	c.count, c.explained = r.count, r.explained
-	return c
 }
 
 // all concatenates the durations in the given (canonical) device order —
@@ -229,15 +202,6 @@ func (r *mtbfRed) merge(o *mtbfRed) {
 	r.users += o.users
 }
 
-func (r *mtbfRed) clone() *mtbfRed {
-	c := newMTBFRed()
-	for id, h := range r.uptime {
-		c.uptime[id] = h
-	}
-	c.freezes, c.selfs, c.users = r.freezes, r.selfs, r.users
-	return c
-}
-
 // hours sums uptime in the given (canonical) device order so the
 // floating-point total is deterministic.
 func (r *mtbfRed) hours(devices []string) float64 {
@@ -297,18 +261,6 @@ func (r *burstRed) merge(o *burstRed) {
 	r.totalPanics += o.totalPanics
 	r.totalBursts += o.totalBursts
 	r.inBursts += o.inBursts
-}
-
-func (r *burstRed) clone() *burstRed {
-	c := newBurstRed()
-	for sz, n := range r.sizeCounts {
-		c.sizeCounts[sz] = n
-	}
-	for id, b := range r.lastBurst {
-		c.lastBurst[id] = b
-	}
-	c.totalPanics, c.totalBursts, c.inBursts = r.totalPanics, r.totalBursts, r.inBursts
-	return c
 }
 
 func (r *burstRed) stats() BurstStats {
@@ -408,16 +360,6 @@ func (r *coalRed) merge(o *coalRed) {
 	r.relAll += o.relAll
 }
 
-func (r *coalRed) clone() *coalRed {
-	c := newCoalRed()
-	c.total, c.related, c.toFreeze, c.toSelf = r.total, r.related, r.toFreeze, r.toSelf
-	for k, rc := range r.byCat {
-		c.byCat[k] = rc
-	}
-	c.isolated, c.relAll = r.isolated, r.relAll
-	return c
-}
-
 func (r *coalRed) stats() CoalescenceStats {
 	st := CoalescenceStats{
 		TotalPanics:    r.total,
@@ -493,19 +435,6 @@ func (r *activityRed) merge(o *activityRed) {
 	}
 	r.related += o.related
 	r.rt += o.rt
-}
-
-func (r *activityRed) clone() *activityRed {
-	c := newActivityRed()
-	for act, byCat := range r.counts {
-		m := make(map[string]int, len(byCat))
-		for cat, n := range byCat {
-			m[cat] = n
-		}
-		c.counts[act] = m
-	}
-	c.related, c.rt = r.related, r.rt
-	return c
 }
 
 // rows renders the table. Row totals are accumulated in sorted category
@@ -609,21 +538,6 @@ func (r *appsRed) merge(o *appsRed) {
 		r.runApps[k] += n
 	}
 	r.total += o.total
-}
-
-func (r *appsRed) clone() *appsRed {
-	c := newAppsRed()
-	for cell, n := range r.cells {
-		c.cells[cell] = n
-	}
-	for app, n := range r.appCounts {
-		c.appCounts[app] = n
-	}
-	for k, n := range r.runApps {
-		c.runApps[k] = n
-	}
-	c.total = r.total
-	return c
 }
 
 func (r *appsRed) table() []AppPanicRow {

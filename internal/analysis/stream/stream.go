@@ -35,17 +35,13 @@ import (
 // ErrTypeMismatch, ErrConfigMismatch or ErrDeviceOverlap without modifying
 // either side.
 //
-// Snapshot is an epoch snapshot: a repeatable, read-only seal of the
-// current epoch. On a live accumulator it finalizes a deep copy of the
-// pending per-device state and renders the experiment's result from the
-// copy, so Observe and Merge may continue afterwards and a later Snapshot
-// reflects the records observed since. Snapshot of a fully-fed accumulator
-// is byte-identical to the snapshot after Seal.
-//
-// Seal finalizes the accumulator destructively — the batch path: pending
-// cursor state is flushed in place, further Merges return ErrSealed,
-// further Observes panic, and Snapshot returns the cached final result.
-// The batch finalizers (Tables.Tables, Collect.Finish) seal implicitly.
+// Seal finalizes the accumulator destructively: pending cursor state is
+// flushed in place, further Merges return ErrSealed and further Observes
+// panic. Snapshot seals too and renders the experiment's result, so it
+// returns the same bytes whether or not Seal came first, and every later
+// Snapshot repeats them. The batch finalizers (Tables.Tables,
+// Collect.Finish) seal implicitly. Live reads go through LiveStudy, which
+// keeps what its queries need current instead of snapshotting.
 //
 // Merge is associative and order-insensitive: any merge tree over any
 // device-disjoint sharding of the same observations snapshots to identical
@@ -113,10 +109,16 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// selfShutdown reports whether a shutdown with the given off time was a
+// self-shutdown (an automatic reboot) rather than a user power cycle.
+func (c Config) selfShutdown(offSeconds float64) bool {
+	return offSeconds <= c.SelfShutdownThreshold.Seconds()
+}
+
 // Merge errors. All are wrapped, so errors.Is works on the results.
 var (
 	// ErrSealed: the accumulator (or its argument) has been sealed by
-	// Seal (or a batch finalizer) and can no longer change.
+	// Seal, Snapshot or a batch finalizer and can no longer change.
 	ErrSealed = errors.New("stream: accumulator sealed")
 	// ErrDeviceOverlap: both sides observed the same device. Shards must
 	// be device-disjoint; records of one device cannot be split.

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,15 @@ func randomDevices(seed uint64) map[string][]core.Record {
 		ds[id] = recs
 	}
 	return ds
+}
+
+// quickSeed seeds every quick.Check of this package's tests, so a failing
+// input replays.
+const quickSeed = 2007
+
+// quickConfig draws maxCount inputs from a generator seeded with quickSeed.
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(quickSeed))}
 }
 
 // sortedIDs returns the dataset's device IDs in sorted (generation) order.
@@ -198,27 +208,32 @@ func TestStreamMergeOrderInsensitive(t *testing.T) {
 		}
 		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, quickConfig(15)); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestStreamMergeAfterSealErrors: Seal is destructive, and a sealed
-// accumulator can neither merge nor be merged. Snapshot, by contrast, is an
-// epoch read — it must leave the accumulator live and mergeable.
+// TestStreamMergeAfterSealErrors: Seal and Snapshot both seal. A sealed
+// accumulator can neither merge nor be merged, and Snapshot renders the
+// same bytes whether or not Seal came first.
 func TestStreamMergeAfterSealErrors(t *testing.T) {
 	ds := randomDevices(3)
 	for name := range stream.RegisteredAccumulators {
 		cfg := stream.Config{}
-		sealed := stream.NewRegistered(cfg)[name]
-		feedAcc(sealed, ds, []string{"a"})
-		_ = sealed.Snapshot() // epoch snapshot: must NOT seal
+		snapped := stream.NewRegistered(cfg)[name]
+		feedAcc(snapped, ds, []string{"a"})
+		got := snapJSON(t, snapped)
 		other := stream.NewRegistered(cfg)[name]
 		feedAcc(other, ds, []string{"c"})
-		if err := sealed.Merge(other); err != nil {
-			t.Errorf("%s: Merge after epoch Snapshot = %v, want nil", name, err)
+		if err := snapped.Merge(other); !errors.Is(err, stream.ErrSealed) {
+			t.Errorf("%s: Merge after Snapshot = %v, want ErrSealed", name, err)
 		}
+		sealed := stream.NewRegistered(cfg)[name]
+		feedAcc(sealed, ds, []string{"a"})
 		sealed.Seal()
+		if want := snapJSON(t, sealed); string(got) != string(want) {
+			t.Errorf("%s: Snapshot differs from Snapshot after Seal:\n got %s\nwant %s", name, got, want)
+		}
 		live := stream.NewRegistered(cfg)[name]
 		feedAcc(live, ds, []string{"b"})
 		if err := sealed.Merge(live); !errors.Is(err, stream.ErrSealed) {
@@ -227,102 +242,6 @@ func TestStreamMergeAfterSealErrors(t *testing.T) {
 		if err := live.Merge(sealed); !errors.Is(err, stream.ErrSealed) {
 			t.Errorf("%s: live.Merge(sealed) = %v, want ErrSealed", name, err)
 		}
-	}
-}
-
-// tabler is implemented by the accumulators that fold the paper tables
-// (Tables, Collect).
-type tabler interface{ Tables() *stream.TablesSnapshot }
-
-// TestStreamResnapshotLaw is the epoch-snapshot property: for every
-// registered accumulator, a Snapshot taken mid-stream (cursors still holding
-// pending events) is byte-identical to the sealed snapshot of a fresh
-// accumulator fed exactly the same prefix — and taking it does not perturb
-// the result of anything observed afterwards.
-func TestStreamResnapshotLaw(t *testing.T) {
-	type op struct {
-		id string
-		r  core.Record
-	}
-	f := func(seed uint64) bool {
-		ds := randomDevices(seed)
-		ids := sortedIDs(ds)
-		// Flatten to one interleaved feed order (round-robin across devices).
-		var ops []op
-		for i := 0; ; i++ {
-			fed := false
-			for _, id := range ids {
-				if i < len(ds[id]) {
-					ops = append(ops, op{id, ds[id][i]})
-					fed = true
-				}
-			}
-			if !fed {
-				break
-			}
-		}
-		r := sim.NewRand(seed ^ 0xc0de)
-		cut := r.Intn(len(ops) + 1)
-		ok := true
-		for name, acc := range stream.NewRegistered(stream.Config{}) {
-			mk := func(n int, seal bool) []byte {
-				a := stream.NewRegistered(stream.Config{})[name]
-				ad, _ := a.(addDevicer)
-				for _, id := range ids {
-					if ad != nil {
-						ad.AddDevice(id)
-					}
-				}
-				for _, o := range ops[:n] {
-					a.Observe(o.id, o.r)
-				}
-				if seal {
-					a.Seal()
-				}
-				return snapJSON(t, a)
-			}
-			if ad, _ := acc.(addDevicer); ad != nil {
-				for _, id := range ids {
-					ad.AddDevice(id)
-				}
-			}
-			for _, o := range ops[:cut] {
-				acc.Observe(o.id, o.r)
-			}
-			// Epoch snapshot mid-stream == sealed snapshot of the prefix.
-			if mid, want := snapJSON(t, acc), mk(cut, true); string(mid) != string(want) {
-				t.Errorf("seed %d %s cut %d/%d: epoch snapshot differs from sealed prefix:\n got %s\nwant %s",
-					seed, name, cut, len(ops), mid, want)
-				ok = false
-			}
-			// Snapshotting must not have perturbed the live accumulator.
-			for _, o := range ops[cut:] {
-				acc.Observe(o.id, o.r)
-			}
-			if got, want := snapJSON(t, acc), mk(len(ops), false); string(got) != string(want) {
-				t.Errorf("seed %d %s cut %d/%d: feeding past an epoch snapshot diverged:\n got %s\nwant %s",
-					seed, name, cut, len(ops), got, want)
-				ok = false
-			}
-			// Nor its tables: Collect's Snapshot clones the reducer set
-			// it shares with Tables, and the live set's final tables
-			// must equal those of an accumulator never snapshotted.
-			if tb, isTabler := acc.(tabler); isTabler {
-				fresh := stream.NewRegistered(stream.Config{})[name]
-				feedAcc(fresh, ds, ids)
-				got, _ := json.Marshal(tb.Tables())
-				want, _ := json.Marshal(fresh.(tabler).Tables())
-				if string(got) != string(want) {
-					t.Errorf("seed %d %s cut %d/%d: final tables diverged after an epoch snapshot:\n got %s\nwant %s",
-						seed, name, cut, len(ops), got, want)
-					ok = false
-				}
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -398,7 +317,7 @@ func TestStreamTablesMatchesStudy(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, quickConfig(25)); err != nil {
 		t.Error(err)
 	}
 }

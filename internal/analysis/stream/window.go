@@ -28,10 +28,10 @@ import (
 // simDay is the bucket width of the day fold.
 const simDay = int64(24 * time.Hour)
 
-// dayBuckets is LiveStudy's integer per-day fold.
+// dayBuckets is LiveStudy's integer per-day fold. The devices' session
+// starts live in LiveStudy's device state, which passes each one in.
 type dayBuckets struct {
 	cfg      Config
-	session  map[string]sim.Time // device -> current session start (doubles as the device set)
 	ids      map[string]panicID
 	panics   map[int]map[string]int // day -> panic key -> count
 	records  map[int]int
@@ -46,7 +46,6 @@ type dayBuckets struct {
 func newDayBuckets(cfg Config) *dayBuckets {
 	return &dayBuckets{
 		cfg:      cfg,
-		session:  make(map[string]sim.Time),
 		ids:      make(map[string]panicID),
 		panics:   make(map[int]map[string]int),
 		records:  make(map[int]int),
@@ -64,10 +63,9 @@ func (b *dayBuckets) see(day int) {
 	b.hasData = true
 }
 
-func (b *dayBuckets) observe(id string, r core.Record) {
-	if _, ok := b.session[id]; !ok {
-		b.session[id] = sim.Never
-	}
+// observe folds one record of the device whose fold session start is
+// *session (sim.Never before its first boot).
+func (b *dayBuckets) observe(session *sim.Time, r core.Record) {
 	t := sim.Time(r.Time)
 	day := t.Day()
 	b.see(day)
@@ -83,17 +81,17 @@ func (b *dayBuckets) observe(id string, r core.Record) {
 		m[key]++
 		b.ids[key] = panicID{r.Category, r.PType}
 	case core.KindBoot:
-		if start := b.session[id]; start != sim.Never && r.PrevTime > int64(start) {
+		if start := *session; start != sim.Never && r.PrevTime > int64(start) {
 			b.addUptime(int64(start), r.PrevTime)
 		}
-		b.session[id] = t
+		*session = t
 		down := sim.Time(r.PrevTime).Day()
 		switch r.Detected {
 		case core.DetectedFreeze:
 			b.freezes[down]++
 			b.see(down)
 		case core.DetectedShutdown:
-			if r.OffSeconds <= b.cfg.SelfShutdownThreshold.Seconds() {
+			if b.cfg.selfShutdown(r.OffSeconds) {
 				b.selfs[down]++
 			} else {
 				b.users[down]++
@@ -115,18 +113,6 @@ func (b *dayBuckets) addUptime(lo, hi int64) {
 		b.uptimeNs[int(d)] += end - lo
 		lo = end
 	}
-}
-
-func (b *dayBuckets) devices() []string {
-	if len(b.session) == 0 {
-		return nil
-	}
-	ids := make([]string, 0, len(b.session))
-	for id := range b.session {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // ---- windowed view: hard cutoff over the last N simulated days ----
@@ -154,7 +140,7 @@ type WindowSnapshot struct {
 
 // window renders the last `days` whole simulated days (0 = the configured
 // Config.Window), ending at the latest observed day — the live query
-// tier's freeze-rate-over-last-N-days view.
+// tier's freeze-rate-over-last-N-days view. Devices is left to the caller.
 func (b *dayBuckets) window(days int) *WindowSnapshot {
 	if days <= 0 {
 		days = int(b.cfg.Window / time.Duration(simDay))
@@ -162,7 +148,7 @@ func (b *dayBuckets) window(days int) *WindowSnapshot {
 			days = 1
 		}
 	}
-	snap := &WindowSnapshot{Config: b.cfg, Devices: b.devices(), ToDay: -1}
+	snap := &WindowSnapshot{Config: b.cfg, ToDay: -1}
 	if !b.hasData {
 		return snap
 	}
@@ -219,9 +205,10 @@ type DecaySnapshot struct {
 }
 
 // decay renders every bucket under Config.DecayHalfLife weights, applied
-// in ascending-day order over the exact integer state.
+// in ascending-day order over the exact integer state. Devices is left to
+// the caller.
 func (b *dayBuckets) decay() *DecaySnapshot {
-	snap := &DecaySnapshot{Config: b.cfg, Devices: b.devices(), AsOfDay: -1}
+	snap := &DecaySnapshot{Config: b.cfg, AsOfDay: -1}
 	if !b.hasData {
 		return snap
 	}

@@ -268,7 +268,7 @@ type ServerConfig struct {
 	// store: its ledger starts empty, so it re-taps what an earlier process
 	// delivered. Delivery order is not guaranteed, even within a device,
 	// so consumers must tolerate reordering (stream.LiveStudy keeps its
-	// exact tables behind a per-device order guard, and its day fold's
+	// exact MTBF behind a per-device order guard, and its day fold's
 	// counts are order-free, though its uptime is not; the exact analysis
 	// accumulators re-read the merged Dataset at study end instead). It
 	// runs under the server mutex, so it must be fast and must not call

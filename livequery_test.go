@@ -90,8 +90,9 @@ func TestLiveStudyAcrossServerCrashes(t *testing.T) {
 			}
 
 			// When every delivery arrived in per-device time order, the exact
-			// live tables equal a batch fold of the final dataset too (fed the
-			// way analysis.New feeds it: sorted devices, stable time order).
+			// MTBF of the mtbf answer equals that of the sealed batch Tables
+			// of the final dataset too (fed the way analysis.New feeds it:
+			// sorted devices, stable time order).
 			if live.Reordered() == 0 {
 				tables := stream.NewTables(stream.Config{})
 				for _, id := range sortedStrings(all) {
@@ -102,10 +103,15 @@ func TestLiveStudyAcrossServerCrashes(t *testing.T) {
 						tables.Observe(id, r)
 					}
 				}
-				gotT, _ := json.Marshal(live.Tables())
-				wantT, _ := json.Marshal(tables.Snapshot())
-				if string(gotT) != string(wantT) {
-					t.Error("live exact tables diverged from the batch fold despite in-order delivery")
+				sealed, dec := tables.Tables(), batch.Decay()
+				want, _ := json.Marshal(stream.LiveMTBF{
+					Devices:        len(sealed.Devices),
+					MTBF:           sealed.MTBF,
+					DecayMTBFHours: dec.MTBFHours,
+					AsOfDay:        dec.AsOfDay,
+				})
+				if got, err := live.Query("mtbf", nil); err != nil || got != string(want) {
+					t.Errorf("live mtbf answer diverged from the batch fold despite in-order delivery:\n got %s (%v)\nwant %s", got, err, want)
 				}
 			}
 

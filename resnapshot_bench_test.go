@@ -1,12 +1,11 @@
 package symfail
 
-// BenchmarkResnapshotOverhead is the perf harness for the epoch-snapshot
-// lifecycle: over a loaded mid-stream Tables and LiveStudy (records folded
-// in, not sealed) it measures the cost of one non-destructive snapshot — the
-// deep cursor/reducer clone for the exact Tables, the day-bucket re-render
-// for the LiveStudy's windowed and decaying views — and writes the grid to
-// BENCH_resnapshot.json so `make bench-check` gates the live query tier's
-// read path. Run it alone for stable numbers:
+// BenchmarkResnapshotOverhead is the perf harness for the live query
+// tier's read path: over a loaded LiveStudy (records folded in, study still
+// running) it measures one read — the mtbf query answer, rendered from the
+// per-device sessions, and the day-bucket re-render of the windowed and
+// decaying views — and writes the grid to BENCH_resnapshot.json so `make
+// bench-check` gates it. Run it alone for stable numbers:
 //
 //	go test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
 
@@ -18,7 +17,6 @@ import (
 
 	"symfail/internal/analysis"
 	"symfail/internal/analysis/stream"
-	"symfail/internal/core"
 	"symfail/internal/phone"
 )
 
@@ -26,7 +24,7 @@ type resnapshotCell struct {
 	Phones          int     `json:"phones"`
 	Months          float64 `json:"months"`
 	Records         int     `json:"records"`
-	Mode            string  `json:"mode"` // which accumulator is snapshotted
+	Mode            string  `json:"mode"` // which read is timed
 	NsPerOp         float64 `json:"nsPerOp"`
 	BytesPerOp      float64 `json:"bytesPerOp"`
 	AllocsPerOp     float64 `json:"allocsPerOp"`
@@ -44,13 +42,8 @@ func BenchmarkResnapshotOverhead(b *testing.B) {
 	duration := 2 * phone.StudyMonth
 	ds, records := streamBenchDataset(b, phones, duration)
 
-	opts := analysis.Options{}
-	tables := stream.NewTables(opts)
-	live := stream.NewLiveStudy(opts)
-	f := &stream.Feeder{AddDevice: tables.AddDevice, Observe: func(id string, r core.Record) {
-		tables.Observe(id, r)
-		live.Observe(id, r)
-	}}
+	live := stream.NewLiveStudy(analysis.Options{})
+	f := &stream.Feeder{Observe: live.Observe}
 	if err := ds.Stream(f.Begin, f.Record); err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +54,13 @@ func BenchmarkResnapshotOverhead(b *testing.B) {
 		mode string
 		snap func() any
 	}{
-		{"tables", func() any { return tables.Snapshot() }},
+		{"mtbf", func() any {
+			out, err := live.Query("mtbf", nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return out
+		}},
 		{"window", func() any { return live.Window(0) }},
 		{"decay", func() any { return live.Decay() }},
 	}
