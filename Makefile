@@ -72,15 +72,17 @@ flake:
 	$(GO) test -count=$(N) -run 'TestTap' ./internal/collect
 	$(GO) test -race -count=$(N) -run 'TestKeepAlive|TestServerNoGoroutineLeak|FuzzServerHeader|TestBeat|TestReplicateLegs' ./internal/collect ./internal/collect/fleet
 
-# Fuzz for a short burst each (CI runs 10 s FuzzServerHeader and
-# FuzzDecodeRecord bursts and the other seed corpora): the collection
-# server's wire protocol through its connection handler (panics and wedged
-# handlers fail the run), the incremental CHUNK ingest against the
+# Fuzz for a short burst each (CI runs 10 s FuzzServerHeader,
+# FuzzSnapshotParts and FuzzDecodeRecord bursts and the other seed
+# corpora): the collection server's wire protocol through its connection
+# handler (panics and wedged handlers fail the run), compaction snapshots
+# against the reference encoder, the incremental CHUNK ingest against the
 # whole-stream merge, chunk replication onto a replica's stream against the
 # same merge, the settled-offset scan they rest on, and the canonical
 # record decoder against encoding/json.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServerHeader$$' -fuzztime 30s ./internal/collect/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotParts$$' -fuzztime 30s ./internal/collect/
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalIngest$$' -fuzztime 30s ./internal/collect/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicaChunk$$' -fuzztime 30s ./internal/collect/
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSettled$$' -fuzztime 30s ./internal/core/

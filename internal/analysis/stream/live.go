@@ -239,7 +239,8 @@ func (s *LiveStudy) answer(name string, args []string) (any, error) {
 		if len(args) != 0 {
 			return nil, fmt.Errorf("stream: mtbf takes no arguments")
 		}
-		dec := s.fold.decay()
+		var dec DecaySnapshot
+		s.fold.decayScalars(&dec, nil)
 		return LiveMTBF{
 			Devices:        len(s.sorted),
 			MTBF:           s.mtbf(),

@@ -69,6 +69,11 @@ func TestLiveStudyMatchesBatchPrefix(t *testing.T) {
 				DecayMTBFHours: dec.MTBFHours,
 				AsOfDay:        dec.AsOfDay,
 			})
+			top := dec.PanicTable
+			if len(top) > 5 {
+				top = top[:5]
+			}
+			check("panics", query(t, live, "panics"), stream.LivePanics{AsOfDay: dec.AsOfDay, Total: dec.Panics, Top: top})
 			check("status", query(t, live, "status"), stream.LiveStatus{
 				Devices:   len(sealed.Devices),
 				Records:   i + 1,

@@ -208,36 +208,23 @@ type DecaySnapshot struct {
 // in ascending-day order over the exact integer state. Devices is left to
 // the caller.
 func (b *dayBuckets) decay() *DecaySnapshot {
-	snap := &DecaySnapshot{Config: b.cfg, AsOfDay: -1}
-	if !b.hasData {
-		return snap
-	}
-	snap.AsOfDay = b.maxDay
-	halfDays := b.cfg.DecayHalfLife.Hours() / 24
+	snap := &DecaySnapshot{Config: b.cfg}
 	weights := make(map[string]float64)
-	var uptimeHours float64
-	for d := 0; d <= b.maxDay; d++ {
-		w := math.Exp2(-float64(b.maxDay-d) / halfDays)
-		snap.Freezes += w * float64(b.freezes[d])
-		snap.SelfShutdowns += w * float64(b.selfs[d])
-		snap.UserShutdowns += w * float64(b.users[d])
-		uptimeHours += w * (float64(b.uptimeNs[d]) / float64(time.Second) / 3600)
-		if m := b.panics[d]; len(m) > 0 {
-			keys := make([]string, 0, len(m))
-			for k := range m {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				weights[k] += w * float64(m[k])
-				snap.Panics += w * float64(m[k])
-			}
+	b.decayScalars(snap, func(d int, w float64) {
+		m := b.panics[d]
+		if len(m) == 0 {
+			return
 		}
-	}
-	snap.UptimeHours = uptimeHours
-	if f := snap.Freezes + snap.SelfShutdowns; f > 0 {
-		snap.MTBFHours = uptimeHours / f
-	}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			weights[k] += w * float64(m[k])
+			snap.Panics += w * float64(m[k])
+		}
+	})
 	rows := make([]DecayRow, 0, len(weights))
 	for k, w := range weights {
 		row := DecayRow{Key: k, Weight: w, Meaning: meaningOf(b.ids[k])}
@@ -254,4 +241,32 @@ func (b *dayBuckets) decay() *DecaySnapshot {
 	})
 	snap.PanicTable = rows
 	return snap
+}
+
+// decayScalars fills the decaying view's scalars — AsOfDay, the freeze,
+// shutdown and uptime sums and the MTBF they give — in ascending-day
+// order, and hands each day's weight to perDay when it is set. decay (which
+// folds its panic leaderboard in perDay) and the live mtbf answer (which
+// needs only the scalars) both call it, so both add the same floats in the
+// same order.
+func (b *dayBuckets) decayScalars(snap *DecaySnapshot, perDay func(d int, w float64)) {
+	snap.AsOfDay = -1
+	if !b.hasData {
+		return
+	}
+	snap.AsOfDay = b.maxDay
+	halfDays := b.cfg.DecayHalfLife.Hours() / 24
+	for d := 0; d <= b.maxDay; d++ {
+		w := math.Exp2(-float64(b.maxDay-d) / halfDays)
+		if perDay != nil {
+			perDay(d, w)
+		}
+		snap.Freezes += w * float64(b.freezes[d])
+		snap.SelfShutdowns += w * float64(b.selfs[d])
+		snap.UserShutdowns += w * float64(b.users[d])
+		snap.UptimeHours += w * (float64(b.uptimeNs[d]) / float64(time.Second) / 3600)
+	}
+	if f := snap.Freezes + snap.SelfShutdowns; f > 0 {
+		snap.MTBFHours = snap.UptimeHours / f
+	}
 }

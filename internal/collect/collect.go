@@ -327,6 +327,10 @@ type Server struct {
 	// (core.ScanSettled): a CHUNK parses only the stream past it. A rewind,
 	// FIN or stream handoff resets it, and every incarnation starts at 0.
 	settled map[string]int
+	// frames is the last compaction's frame per snapshot entry: the
+	// snapshot aliases the logs and streams, and the next compaction
+	// checksums only the bytes added since (see snapFrames.parts).
+	frames snapFrames
 
 	// connMu guards conns, every open connection mapped to whether it is
 	// serving a request (busy) or waiting for the next one, and hangUp,
@@ -767,7 +771,7 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 // stream costs amortised O(chunk) per CHUNK; a rewind copies into a fresh
 // array. Either way no byte below len(stream) is ever overwritten, so a
 // slice of an earlier stream handed out before (a replication in flight, a
-// settled scan) keeps its bytes, and two streams with the same first
+// settled scan, a compaction snapshot) keeps its bytes, and two streams with the same first
 // element and length hold the same bytes.
 func appendChunk(stream []byte, off int, chunk []byte) []byte {
 	if off == len(stream) {
@@ -996,8 +1000,9 @@ func (s *Server) commitLocked(e walEntry) bool {
 }
 
 // maybeCompactLocked folds the state into a fresh snapshot once the WAL has
-// outgrown the configured bound: write snapshot.tmp, sync it, rename it
-// over snapshot (the atomic commit point), then truncate the WAL. Two
+// outgrown the configured bound: write snapshot.tmp (as parts aliasing the
+// logs and streams, see snapFrames.parts), sync it, rename it over
+// snapshot (the atomic commit point), then truncate the WAL. Two
 // crashpoints bracket the commit point. Returns true when an injected
 // crash consumed the request (s.mu released). Caller holds s.mu.
 func (s *Server) maybeCompactLocked() bool {
@@ -1006,9 +1011,9 @@ func (s *Server) maybeCompactLocked() bool {
 		return false
 	}
 	s.ds.mu.Lock()
-	snap := encodeSnapshot(s.ds.files, s.streams)
+	parts := s.frames.parts(s.ds.files, s.streams)
 	s.ds.mu.Unlock()
-	st.WriteFile(snapTmpName, snap)
+	st.WriteFile(snapTmpName, parts...)
 	st.Sync(snapTmpName)
 	if s.crashAtLocked(CrashDuringCompaction) {
 		return true

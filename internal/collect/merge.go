@@ -70,8 +70,9 @@ func withLines(recs []core.Record) []core.RecordLine {
 // the settled offset suffix was scanned from (core.ScanSettled); suffix
 // holds the records of stream past it. When canonical, and the sorted,
 // deduplicated suffix sorts strictly after the log's last (Time, line) key,
-// the suffix's lines are appended to log in place. Otherwise the whole
-// stream is merged. Either way the result is canonical and its bytes equal
+// the suffix's lines are appended to log in place, past len(log), which
+// leaves every byte a compaction snapshot aliases as it was. Otherwise the
+// whole stream is merged into a new array. Either way the result is canonical and its bytes equal
 // EncodeRecords(MergeRecords(ParseRecords(log), ParseRecords(stream))): the
 // records before the settled offset are already in the log, and the
 // appended ones sort after all of it.
@@ -85,18 +86,26 @@ func mergeStream(log []byte, canonical bool, stream []byte, suffix []core.Record
 }
 
 // sortsAfterLog reports whether rl sorts strictly after the last record of
-// a canonical log in the MergeRecords order, (Time, line).
+// a canonical log in the MergeRecords order, (Time, line). A canonical
+// log's lines are AppendRecordLine's, so the last one's time is read from
+// its prefix (core.RecordTime), and the line is decoded only when that
+// prefix does not parse.
 func sortsAfterLog(rl core.RecordLine, log []byte) bool {
 	if len(log) == 0 {
 		return true
 	}
 	line := log[bytes.LastIndexByte(log[:len(log)-1], '\n')+1:]
-	last, ok := core.DecodeRecord(bytes.TrimSuffix(line, []byte{'\n'}))
+	payload := bytes.TrimSuffix(line, []byte{'\n'})
+	last, ok := core.RecordTime(payload)
 	if !ok {
-		return false
+		r, decoded := core.DecodeRecord(payload)
+		if !decoded {
+			return false
+		}
+		last = r.Time
 	}
-	if rl.Record.Time != last.Time {
-		return rl.Record.Time > last.Time
+	if rl.Record.Time != last {
+		return rl.Record.Time > last
 	}
 	return bytes.Compare(rl.Line, line) > 0
 }

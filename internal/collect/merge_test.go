@@ -143,3 +143,43 @@ func FuzzMergeRecords(f *testing.F) {
 		}
 	})
 }
+
+// sortsAfterLogDecoding is sortsAfterLog with the last line fully decoded,
+// the reference the prefix read must agree with.
+func sortsAfterLogDecoding(rl core.RecordLine, log []byte) bool {
+	if len(log) == 0 {
+		return true
+	}
+	line := log[bytes.LastIndexByte(log[:len(log)-1], '\n')+1:]
+	last, ok := core.DecodeRecord(bytes.TrimSuffix(line, []byte{'\n'}))
+	if !ok {
+		return false
+	}
+	if rl.Record.Time != last.Time {
+		return rl.Record.Time > last.Time
+	}
+	return bytes.Compare(rl.Line, line) > 0
+}
+
+// TestSortsAfterLogMatchesDecode: over the merge tests' canonical logs,
+// cut after every record, and every record of the stream as the candidate
+// (earlier, equal and later keys alike), reading the last line's time from
+// its prefix gives the full decode's answer. Escaped kinds and 19-digit
+// times take the decode fallback.
+func TestSortsAfterLogMatchesDecode(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		recs := genRecords(seed, 1+int(seed%30))
+		if seed%4 == 0 {
+			recs = append(recs, core.Record{Kind: `pa"nic`, Time: 7e9}, core.Record{Kind: core.KindPanic, Time: 1 << 62})
+		}
+		merged := withLines(MergeRecords(recs))
+		for cut := 0; cut <= len(merged); cut++ {
+			log := appendLines(nil, merged[:cut])
+			for _, rl := range merged {
+				if got, want := sortsAfterLog(rl, log), sortsAfterLogDecoding(rl, log); got != want {
+					t.Fatalf("seed %d, log of %d records, candidate %q: sortsAfterLog = %v, the full decode says %v", seed, cut, rl.Line, got, want)
+				}
+			}
+		}
+	}
+}

@@ -21,7 +21,10 @@ import (
 // immediately durable, the standard guarantee of a journalled filesystem;
 // the snapshot installation relies on Rename being the atomic commit point.
 // A staged replacement (WriteFile before Sync) is all-or-nothing: a crash
-// before the Sync reverts the file to its previous synced content.
+// before the Sync reverts the file to its previous synced content. A
+// replacement is written as parts the store keeps without copying, so a
+// compaction stores the shard's own log and stream bytes (see
+// Server.maybeCompactLocked); readers see the concatenation.
 //
 // CrashStore is safe for concurrent use, but the server serialises every
 // access under its own mutex anyway (lock order: Server.mu, then Dataset.mu
@@ -39,13 +42,35 @@ type CrashStore struct {
 // storeFile is one named file on the crash-faithful medium.
 type storeFile struct {
 	// synced survives a crash verbatim.
-	synced []byte
+	synced content
 	// tail has been written but not synced; a crash keeps a strict prefix.
 	tail []byte
 	// repl is a staged full replacement (WriteFile before Sync); a crash
 	// drops it entirely and the file reverts to synced.
-	repl    []byte
+	repl    content
 	hasRepl bool
+}
+
+// content is a file's bytes: the parts WriteFile was given, which the store
+// reads but never writes, then the bytes appended after them, which it owns.
+type content struct {
+	parts [][]byte
+	own   []byte
+}
+
+func (c *content) size() int {
+	n := len(c.own)
+	for _, p := range c.parts {
+		n += len(p)
+	}
+	return n
+}
+
+func (c *content) appendTo(dst []byte) []byte {
+	for _, p := range c.parts {
+		dst = append(dst, p...)
+	}
+	return append(dst, c.own...)
 }
 
 // NewCrashStore returns an empty medium. rng draws the torn-tail lengths on
@@ -70,23 +95,29 @@ func (s *CrashStore) Append(name string, p []byte) {
 	defer s.mu.Unlock()
 	f := s.file(name)
 	if f.hasRepl {
-		f.repl = append(f.repl, p...)
+		f.repl.own = append(f.repl.own, p...)
 	} else {
 		f.tail = append(f.tail, p...)
 	}
 	s.appends++
 }
 
-// WriteFile stages a full replacement of the file's content. Until Sync the
-// replacement is volatile: a crash reverts to the previous synced content.
-// The store takes ownership of p, which the caller must not modify
-// afterwards; its capacity is clipped, so a later Append copies rather
-// than writing into the caller's memory past len(p).
-func (s *CrashStore) WriteFile(name string, p []byte) {
+// WriteFile stages a full replacement of the file's content: the
+// concatenation of parts. Until Sync the replacement is volatile: a crash
+// reverts to the previous synced content. The store keeps the parts
+// without copying them, so the caller must never modify their bytes
+// afterwards; it may append past a part's length, which the store never
+// reads or writes.
+func (s *CrashStore) WriteFile(name string, parts ...[]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.file(name)
-	f.repl = p[:len(p):len(p)]
+	f.repl = content{parts: make([][]byte, 0, len(parts))}
+	for _, p := range parts {
+		if len(p) > 0 {
+			f.repl.parts = append(f.repl.parts, p[:len(p):len(p)])
+		}
+	}
 	f.hasRepl = true
 	s.appends++
 }
@@ -101,9 +132,9 @@ func (s *CrashStore) Sync(name string) {
 	}
 	if f.hasRepl {
 		f.synced = f.repl
-		f.repl, f.hasRepl = nil, false
+		f.repl, f.hasRepl = content{}, false
 	} else {
-		f.synced = append(f.synced, f.tail...)
+		f.synced.own = append(f.synced.own, f.tail...)
 	}
 	f.tail = nil
 	s.syncs++
@@ -119,17 +150,23 @@ func (s *CrashStore) Read(name string) []byte {
 	if !ok {
 		return nil
 	}
-	return append([]byte(nil), f.logical()...)
+	n := f.size()
+	if n == 0 {
+		return nil
+	}
+	if f.hasRepl {
+		return f.repl.appendTo(make([]byte, 0, n))
+	}
+	return append(f.synced.appendTo(make([]byte, 0, n)), f.tail...)
 }
 
-func (f *storeFile) logical() []byte {
+// size is the file's logical length, summed without building it: the
+// server asks for the WAL's after every verb.
+func (f *storeFile) size() int {
 	if f.hasRepl {
-		return f.repl
+		return f.repl.size()
 	}
-	if len(f.tail) == 0 {
-		return f.synced
-	}
-	return append(f.synced[:len(f.synced):len(f.synced)], f.tail...)
+	return f.synced.size() + len(f.tail)
 }
 
 // Size returns the file's current logical length.
@@ -140,7 +177,7 @@ func (s *CrashStore) Size(name string) int {
 	if !ok {
 		return 0
 	}
-	return len(f.logical())
+	return f.size()
 }
 
 // Rename atomically renames a file, replacing any existing target — the
@@ -181,7 +218,7 @@ func (s *CrashStore) Crash() {
 	for _, name := range names {
 		f := s.files[name]
 		if f.hasRepl {
-			f.repl, f.hasRepl = nil, false
+			f.repl, f.hasRepl = content{}, false
 			f.tail = nil
 			continue
 		}
@@ -192,7 +229,7 @@ func (s *CrashStore) Crash() {
 		if s.rng != nil {
 			keep = s.rng.Intn(len(f.tail))
 		}
-		f.synced = append(f.synced, f.tail[:keep]...)
+		f.synced.own = append(f.synced.own, f.tail[:keep]...)
 		f.tail = nil
 	}
 }

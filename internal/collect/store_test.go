@@ -140,3 +140,53 @@ func TestCrashStoreWriteFileKeepsCallerCapacity(t *testing.T) {
 		t.Errorf("caller's buffer became %q", buf)
 	}
 }
+
+// TestCrashStoreWriteFileParts: a replacement written as parts reads, sizes
+// and recovers as their concatenation; it is all or nothing under Crash
+// like a one-buffer WriteFile; Appends after it land past the parts,
+// staged and synced alike, and tear like any tail; and no part's memory,
+// its spare capacity included, is ever written.
+func TestCrashStoreWriteFileParts(t *testing.T) {
+	a := append(make([]byte, 0, 32), "head|"...)
+	b := append(make([]byte, 0, 32), "body"...)
+	parts := [][]byte{a, nil, b, []byte("|end")}
+	s := NewCrashStore(sim.NewRand(3))
+	s.Append("f", []byte("old"))
+	s.Sync("f")
+
+	s.WriteFile("f", parts...)
+	if got, n := s.Read("f"), s.Size("f"); string(got) != "head|body|end" || n != len(got) {
+		t.Errorf("staged parts read %q, size %d", got, n)
+	}
+	s.Append("f", []byte("+staged"))
+	s.Crash()
+	if got := s.Read("f"); string(got) != "old" {
+		t.Errorf("a crash before Sync left %q, want the old synced content", got)
+	}
+
+	s.WriteFile("f", parts...)
+	s.Append("f", []byte("+staged"))
+	s.Sync("f")
+	s.Crash()
+	if got := s.Read("f"); string(got) != "head|body|end+staged" {
+		t.Errorf("synced parts and append after a crash: %q", got)
+	}
+	s.Append("f", []byte("+tail"))
+	if got, n := s.Read("f"), s.Size("f"); string(got) != "head|body|end+staged+tail" || n != len(got) {
+		t.Errorf("append after synced parts read %q, size %d", got, n)
+	}
+	s.Crash()
+	got := s.Read("f")
+	if !bytes.HasPrefix(got, []byte("head|body|end+staged")) || !bytes.HasPrefix([]byte("head|body|end+staged+tail"), got) || len(got) == len("head|body|end+staged+tail") {
+		t.Errorf("crash tore the appended tail to %q, want a strict prefix of it after the synced parts", got)
+	}
+	s.Sync("f")
+	s.Append("f", []byte("!"))
+	s.Sync("f")
+	if got2 := s.Read("f"); string(got2) != string(got)+"!" {
+		t.Errorf("append after a torn tail read %q", got2)
+	}
+	if string(a[:cap(a)][:5]) != "head|" || string(b[:cap(b)][:4]) != "body" || !bytes.Equal(a[5:cap(a)], make([]byte, cap(a)-5)) || !bytes.Equal(b[4:cap(b)], make([]byte, cap(b)-4)) {
+		t.Errorf("the store wrote into a part's memory: %q, %q", a[:cap(a)], b[:cap(b)])
+	}
+}

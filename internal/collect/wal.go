@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"hash/crc32"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,7 +33,12 @@ import (
 // crash anywhere in that sequence leaves either the old snapshot + full WAL
 // or the new snapshot + not-yet-truncated WAL; replaying a WAL against a
 // snapshot that already contains its effects is a no-op because chunk
-// replay is positional and the dataset merge is idempotent.
+// replay is positional and the dataset merge is idempotent. The snapshot
+// is written as parts that alias the server's own logs and streams, and
+// each entry's frame checksum is extended over what was appended since
+// the last compaction (snapFrames.parts), so a compaction costs what
+// changed, not what the shard holds; the bytes are the one-buffer
+// encoding's.
 //
 // Recovery is canonical and idempotent, like log recovery on the phone:
 // recovering an already-recovered store changes nothing, byte for byte.
@@ -95,36 +101,81 @@ func encodeWALEntry(e walEntry) []byte {
 	return core.AppendFrameParts(nil, head, data, []byte(`"}`))
 }
 
-// encodeSnapshot serialises the server state as framed snapEntries in
-// sorted device order (logs first, then streams), so a snapshot of a given
-// state is always the same bytes. It sums the snapshot's exact size first
-// and writes every frame into one buffer of that size, reading files and
-// streams in place: the server calls it under Dataset.mu with the live
-// maps. Besides that buffer it allocates the two sorted key slices and one
-// header scratch sized for the longest header, however much data the shard
-// holds.
-func encodeSnapshot(files, streams map[string][]byte) []byte {
-	kinds := [...]struct {
-		name string
-		m    map[string][]byte
-	}{{"log", files}, {"stream", streams}}
-	size, longest := 0, 0
-	for _, kind := range kinds {
-		for dev, data := range kind.m {
-			h := len(kind.name) + 1 + len(dev) + 1
-			size += core.FrameSize(h + len(data))
-			longest = max(longest, h)
+// snapKinds are the snapshot's entry kinds, in snapshot order: every
+// device's log, then every device's stream.
+var snapKinds = [2]string{"log", "stream"}
+
+// frameEnd is the closing byte of every frame.
+var frameEnd = []byte{'\n'}
+
+// snapFrames is the server's compaction state: per entry kind and device,
+// the frame the last compaction wrote, so the next one checksums only
+// what changed since.
+type snapFrames [2]map[string]*snapFrame
+
+// snapFrame is one snapshot entry's frame as last written.
+type snapFrame struct {
+	name []byte // "<kind> <dev>\n"
+	data []byte // the entry's bytes when written; aliases the server state
+	sum  uint32 // CRC-32C of the payload, name + data
+	head []byte // frame header + name; never written once handed out
+}
+
+// parts serialises the server state as framed snapEntries in sorted device
+// order (logs first, then streams), so a snapshot of a given state is
+// always the same bytes. It returns them as parts, three per entry: the
+// frame header with the "<kind> <dev>\n" line, the entry's own bytes (the
+// live log or stream, not a copy) and the frame's closing newline.
+//
+// An entry whose bytes only grew since the last call, in the same array,
+// extends its checksum over the new bytes; an unchanged entry reuses its
+// header. A compaction thus costs O(entries + new bytes), not O(all
+// bytes). Both rest on one invariant of the server state: no byte below a
+// log's or stream's length is ever overwritten (appendChunk and mergeStream
+// append past the end or build a new array, every other writer copies), so
+// the same first element and a length no shorter mean the same prefix, and
+// a stored snapshot's bytes never change under it. FuzzSnapshotParts checks
+// both against the one-buffer reference encoder. The server calls it under
+// Dataset.mu with the live maps.
+func (fr *snapFrames) parts(files, streams map[string][]byte) [][]byte {
+	parts := make([][]byte, 0, 3*(len(files)+len(streams)))
+	for k, m := range [2]map[string][]byte{files, streams} {
+		if fr[k] == nil {
+			fr[k] = make(map[string]*snapFrame, len(m))
+		}
+		frames := fr[k]
+		for dev := range frames {
+			if _, ok := m[dev]; !ok {
+				delete(frames, dev)
+			}
+		}
+		for _, dev := range sortedKeys(m) {
+			f := frames[dev]
+			if f == nil {
+				f = &snapFrame{name: []byte(snapKinds[k] + " " + dev + "\n")}
+				f.sum = crc32.Checksum(f.name, castagnoli)
+				frames[dev] = f
+			}
+			f.update(m[dev])
+			parts = append(parts, f.head, f.data, frameEnd)
 		}
 	}
-	out := make([]byte, 0, size)
-	header := make([]byte, 0, longest) // "<kind> <dev>\n"
-	for _, kind := range kinds {
-		for _, dev := range sortedKeys(kind.m) {
-			header = append(append(append(append(header[:0], kind.name...), ' '), dev...), '\n')
-			out = core.AppendFrameParts(out, header, kind.m[dev])
-		}
+	return parts
+}
+
+// update moves the frame to data, checksumming only the bytes past the
+// prefix it already covers.
+func (f *snapFrame) update(data []byte) {
+	if len(data) < len(f.data) || len(f.data) > 0 && &data[0] != &f.data[0] {
+		f.sum, f.data, f.head = crc32.Checksum(f.name, castagnoli), nil, nil // another array
 	}
-	return out
+	if f.head != nil && len(data) == len(f.data) {
+		return
+	}
+	f.sum = crc32.Update(f.sum, castagnoli, data[len(f.data):])
+	f.data = data
+	n := len(f.name) + len(data)
+	f.head = append(core.AppendFrameHeader(make([]byte, 0, core.FrameSize(len(f.name))), n, f.sum), f.name...)
 }
 
 // decodeSnapEntry parses one snapshot frame's payload. Data aliases the

@@ -252,111 +252,6 @@ func TestReplayEmptyFirstWrite(t *testing.T) {
 	}
 }
 
-// refSnapshot is encodeSnapshot built the plain way: each entry's payload
-// concatenated into a scratch buffer, then framed by core.AppendFrame.
-func refSnapshot(files, streams map[string][]byte) []byte {
-	var out []byte
-	for _, kind := range []string{"log", "stream"} {
-		m := files
-		if kind == "stream" {
-			m = streams
-		}
-		for _, dev := range sortedKeys(m) {
-			payload := append([]byte(kind+" "+dev+"\n"), m[dev]...)
-			out = core.AppendFrame(out, payload)
-		}
-	}
-	return out
-}
-
-// randomSnapState draws up to n devices' logs and streams, some of them
-// empty, and sometimes no streams at all.
-func randomSnapState(rng *sim.Rand, n int) (files, streams map[string][]byte) {
-	files, streams = map[string][]byte{}, map[string][]byte{}
-	draw := func() []byte {
-		b := make([]byte, rng.Intn(3)*rng.Intn(300))
-		for i := range b {
-			b[i] = byte(rng.Intn(256))
-		}
-		return b
-	}
-	for i := rng.Intn(n + 1); i > 0; i-- {
-		dev := fmt.Sprintf("phone-%03d", rng.Intn(1000))
-		files[dev] = draw()
-		if rng.Intn(2) == 0 {
-			streams[dev] = draw()
-		}
-	}
-	if rng.Intn(4) == 0 {
-		streams = map[string][]byte{}
-	}
-	return files, streams
-}
-
-// sameFiles reports whether a and b hold the same keys with the same bytes
-// (an empty entry may be nil on one side).
-func sameFiles(a, b map[string][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || !bytes.Equal(v, w) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestEncodeSnapshotMatchesReference: the one-pass encoder writes the
-// reference bytes, exactly sized, and recovery decodes them back.
-func TestEncodeSnapshotMatchesReference(t *testing.T) {
-	rng := sim.NewRand(22)
-	for i := 0; i < 300; i++ {
-		files, streams := randomSnapState(rng, 40)
-		got := encodeSnapshot(files, streams)
-		if want := refSnapshot(files, streams); !bytes.Equal(got, want) {
-			t.Fatalf("case %d (%d logs, %d streams): snapshot differs from the AppendFrame reference", i, len(files), len(streams))
-		}
-		if len(got) != cap(got) {
-			t.Fatalf("case %d: snapshot is %d bytes in a %d-byte buffer", i, len(got), cap(got))
-		}
-		store := NewCrashStore(nil)
-		store.WriteFile(snapName, got)
-		store.Sync(snapName)
-		gotFiles, gotStreams := recoverServerState(store)
-		if !sameFiles(gotFiles, files) || !sameFiles(gotStreams, streams) {
-			t.Fatalf("case %d: recovery of the snapshot differs from the encoded state", i)
-		}
-	}
-}
-
-// snapAllocs is encodeSnapshot's allocation count over a state of n
-// devices, a third of them with a stream, plus one empty log.
-func snapAllocs(n int) float64 {
-	files, streams := map[string][]byte{}, map[string][]byte{}
-	for i := 0; i < n; i++ {
-		dev := fmt.Sprintf("phone-%04d", i)
-		files[dev] = walTestRecords(int64(i), int64(i+1), int64(i+2))
-		if i%3 == 0 {
-			streams[dev] = files[dev][:len(files[dev])/2]
-		}
-	}
-	files["phone-empty"] = []byte{}
-	return testing.AllocsPerRun(10, func() { encodeSnapshot(files, streams) })
-}
-
-// TestEncodeSnapshotAllocationsFlat: the snapshot buffer is the only
-// allocation that scales with the data; besides it come the two sorted key
-// slices and one header scratch. 1,500 devices is about what
-// one shard holds in a 25 s replicate benchmark run (1,454 logs and
-// streams at its last compaction on seed 2007).
-func TestEncodeSnapshotAllocationsFlat(t *testing.T) {
-	small, large := snapAllocs(50), snapAllocs(1500)
-	if large != small || large > 4 {
-		t.Errorf("encodeSnapshot = %v allocs at 50 devices, %v at 1500; want the same count, at most 4", small, large)
-	}
-}
-
 // TestEncodeWALEntryMatchesMarshal pins the hand-written WAL encoder to the
 // frame of json.Marshal's bytes: WAL size triggers compaction, so a byte
 // more or less would move every compaction point. Device IDs cover what

@@ -115,26 +115,33 @@ func AppendFrameParts(dst []byte, parts ...[]byte) []byte {
 	for _, p := range parts {
 		n += len(p)
 	}
-	if n > MaxFramePayload {
-		// Records are small JSON objects; a payload this large is a
-		// programming error, not flash damage.
-		panic(fmt.Sprintf("core: frame payload %d bytes exceeds %d", n, MaxFramePayload))
-	}
 	start := len(dst)
-	dst = slices.Grow(dst, FrameSize(n))[:start+frameHeaderLen]
-	header := dst[start:]
-	header[0] = FrameMagic
-	header[9] = ':'
-	putHex(header[10:16], uint32(n))
-	header[16] = ':'
+	dst = AppendFrameHeader(slices.Grow(dst, FrameSize(n)), n, 0)
 	var sum uint32
 	for _, p := range parts {
 		i := len(dst)
 		dst = append(dst, p...)
 		sum = crc32.Update(sum, frameTable, dst[i:])
 	}
-	putHex(header[1:9], sum)
+	putHex(dst[start+1:start+9], sum)
 	return append(dst, '\n')
+}
+
+// AppendFrameHeader appends the header of a frame around an n-byte payload
+// whose CRC-32C is sum. The frame is that header, the payload, then '\n':
+// a writer that streams the checksum (crc32.Update) over bytes it does not
+// copy can emit the frame as three parts.
+func AppendFrameHeader(dst []byte, n int, sum uint32) []byte {
+	if n > MaxFramePayload {
+		// Records are small JSON objects; a payload this large is a
+		// programming error, not flash damage.
+		panic(fmt.Sprintf("core: frame payload %d bytes exceeds %d", n, MaxFramePayload))
+	}
+	start := len(dst)
+	dst = append(dst, FrameMagic, 0, 0, 0, 0, 0, 0, 0, 0, ':', 0, 0, 0, 0, 0, 0, ':')
+	putHex(dst[start+1:start+9], sum)
+	putHex(dst[start+10:start+16], uint32(n))
+	return dst
 }
 
 // FrameSize is the encoded size of a frame around an n-byte payload.

@@ -70,6 +70,43 @@ func appendRecordLine(recs []RecordLine, line []byte) []RecordLine {
 
 var newline = []byte{'\n'}
 
+// RecordTime reads the Time of a record payload from its prefix alone,
+// `{"kind":"<kind>","time":<int>` followed by ',' or '}', as AppendRecord
+// writes it, without decoding the rest. ok is false when the prefix does
+// not have that shape (an escaped kind, a time of more than 18 digits, or
+// not AppendRecord's bytes at all), and the caller decodes the payload
+// instead. For a payload AppendRecord wrote, Time is the decoded record's
+// (checked over the decoder's fuzz corpus).
+func RecordTime(payload []byte) (t int64, ok bool) {
+	rest, ok := bytes.CutPrefix(payload, []byte(`{"kind":"`))
+	if !ok {
+		return 0, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 || bytes.IndexByte(rest[:end], '\\') >= 0 {
+		return 0, false
+	}
+	if rest, ok = bytes.CutPrefix(rest[end+1:], []byte(`,"time":`)); !ok {
+		return 0, false
+	}
+	neg := len(rest) > 0 && rest[0] == '-'
+	if neg {
+		rest = rest[1:]
+	}
+	n := 0
+	for n < len(rest) && '0' <= rest[n] && rest[n] <= '9' {
+		t = t*10 + int64(rest[n]-'0')
+		n++
+	}
+	if n == 0 || n > 18 || n > 1 && rest[0] == '0' || n == len(rest) || rest[n] != ',' && rest[n] != '}' {
+		return 0, false
+	}
+	if neg {
+		t = -t
+	}
+	return t, true
+}
+
 // The closed vocabularies come back as the package's constants, so
 // decoding a record allocates only for its free-text fields.
 var (

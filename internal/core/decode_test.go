@@ -36,6 +36,11 @@ func checkDecode(t *testing.T, payload []byte) {
 		if enc := AppendRecord(nil, r); !bytes.Equal(enc, payload) {
 			t.Fatalf("canonical path accepted %q, but AppendRecord of its record is %q", payload, enc)
 		}
+		// A canonical kind needs no escape, so only a time of 19 digits
+		// sends RecordTime's caller to the full decode.
+		if tm, ok := RecordTime(payload); ok != (-1e18 < r.Time && r.Time < 1e18) || ok && tm != r.Time {
+			t.Fatalf("RecordTime(%q) = %d, %v; the record's time is %d", payload, tm, ok, r.Time)
+		}
 	}
 }
 
@@ -188,6 +193,8 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add(AppendRecord(nil, Record{Kind: KindPanic, Time: 2, Category: "USER", PType: 11, Apps: []string{"Phone", ""}, Activity: "idle", LogSalvaged: 1, LogLost: 2}))
 	f.Add([]byte(`{"kind":"boot","time":1,"offSeconds":1e21}`))
 	f.Add([]byte(`{"kind":"panic","time":1,"apps":["a","b"]}`))
+	f.Add(AppendRecord(nil, Record{Kind: KindPanic, Time: -1 << 62}))
+	f.Add(AppendRecord(nil, Record{Kind: KindBoot, Time: 999_999_999_999_999_999}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		checkDecode(t, payload)
 	})

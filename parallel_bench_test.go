@@ -16,7 +16,6 @@ package symfail
 // the sharded path costs nothing when there is nothing to win.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -169,18 +168,5 @@ func BenchmarkFleetScaling(b *testing.B) {
 	if len(report.Cells) == 0 {
 		return
 	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	// BENCH_PARALLEL_OUT redirects the report so `make bench-check` can
-	// measure a fresh grid without clobbering the committed baseline.
-	out := os.Getenv("BENCH_PARALLEL_OUT")
-	if out == "" {
-		out = "BENCH_parallel.json"
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("scaling grid written to %s (%d cells)", out, len(report.Cells))
+	writeBenchReport(b, "BENCH_PARALLEL_OUT", "BENCH_parallel.json", report, len(report.Cells))
 }

@@ -10,8 +10,6 @@ package symfail
 //	go test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 
@@ -111,17 +109,5 @@ func BenchmarkResnapshotOverhead(b *testing.B) {
 	if len(report.Cells) == 0 {
 		return
 	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	// BENCH_RESNAPSHOT_OUT redirects the report so `make bench-check` can
-	// measure fresh cells without clobbering the committed baseline.
-	out := os.Getenv("BENCH_RESNAPSHOT_OUT")
-	if out == "" {
-		out = "BENCH_resnapshot.json"
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchReport(b, "BENCH_RESNAPSHOT_OUT", "BENCH_resnapshot.json", report, len(report.Cells))
 }

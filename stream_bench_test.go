@@ -11,9 +11,7 @@ package symfail
 //	go test -bench BenchmarkStudyStreamVsBatch -benchtime 5x .
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -136,17 +134,5 @@ func BenchmarkStudyStreamVsBatch(b *testing.B) {
 	if len(report.Cells) == 0 {
 		return
 	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	// BENCH_ANALYSIS_OUT redirects the report so `make bench-check` can
-	// measure a fresh grid without clobbering the committed baseline.
-	out := os.Getenv("BENCH_ANALYSIS_OUT")
-	if out == "" {
-		out = "BENCH_analysis.json"
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchReport(b, "BENCH_ANALYSIS_OUT", "BENCH_analysis.json", report, len(report.Cells))
 }
