@@ -149,6 +149,17 @@ func TestAllocBudgets(t *testing.T) {
 				return op
 			},
 		},
+		{
+			// The live day fold interns each panic key once and counts a
+			// key it has seen that day in place: no key string per panic.
+			name: "analysis/stream: LiveStudy.Observe of a repeated panic record", budget: 0,
+			setup: func() func() {
+				live := stream.NewLiveStudy(stream.Config{})
+				rec := core.Record{Kind: core.KindPanic, Time: int64(sim.Epoch), Category: "KERN-EXEC", PType: 3}
+				live.Observe("a", rec)
+				return func() { live.Observe("a", rec) }
+			},
+		},
 	}
 	for _, tc := range cases {
 		tc := tc

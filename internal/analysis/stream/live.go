@@ -240,7 +240,7 @@ func (s *LiveStudy) answer(name string, args []string) (any, error) {
 			return nil, fmt.Errorf("stream: mtbf takes no arguments")
 		}
 		var dec DecaySnapshot
-		s.fold.decayScalars(&dec, nil)
+		s.fold.decayScalars(&dec)
 		return LiveMTBF{
 			Devices:        len(s.sorted),
 			MTBF:           s.mtbf(),
@@ -263,7 +263,7 @@ func (s *LiveStudy) answer(name string, args []string) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := s.fold.window(days)
+		w := s.fold.windowScalars(days)
 		return LiveFreezeRate{
 			FromDay:       w.FromDay,
 			ToDay:         w.ToDay,

@@ -273,3 +273,41 @@ func TestLiveStudyQueries(t *testing.T) {
 		t.Error("mtbf with an argument did not error")
 	}
 }
+
+// TestLiveQueryAllocationsFlat pins that a live answer costs the same
+// allocations however many days the fold spans: the mtbf, panics and
+// freezerate answers allocate as much on a 425-day fold (the paper's
+// deployment length) as on a 60-day one with the same panic keys.
+func TestLiveQueryAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	cats := []string{"KERN-EXEC", "USER", "E32USER-CBase"}
+	foldOf := func(days int) *stream.LiveStudy {
+		live := stream.NewLiveStudy(stream.Config{})
+		day := int64(24 * time.Hour)
+		live.Observe("a", core.Record{Kind: core.KindBoot, Time: 0, Boot: 1, Detected: core.DetectedFirstBoot})
+		for d := 0; d < days; d++ {
+			at := int64(d) * day
+			live.Observe("a", core.Record{Kind: core.KindPanic, Time: at + day/4, Category: cats[d%len(cats)], PType: d % 4})
+			live.Observe("a", core.Record{
+				Kind: core.KindBoot, Time: at + day/2, Boot: d + 2, Detected: core.DetectedFreeze,
+				PrevTime: at + day/3, OffSeconds: 30,
+			})
+		}
+		return live
+	}
+	short, long := foldOf(60), foldOf(425)
+	for _, q := range []string{"mtbf", "panics", "freezerate"} {
+		allocs := func(live *stream.LiveStudy) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if _, err := live.Query(q, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if s, l := allocs(short), allocs(long); s != l {
+			t.Errorf("%s answer: %.0f allocs on a 60-day fold, %.0f on a 425-day fold", q, s, l)
+		}
+	}
+}

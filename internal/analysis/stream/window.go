@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"symfail/internal/core"
@@ -11,14 +13,19 @@ import (
 
 // This file holds the live tier's day fold: time-windowed and
 // exponentially-decaying views of the failure stream. Unlike the cursor-fed
-// reducers it folds raw records straight into integer per-sim-day buckets —
-// no pending event graph, no coalescence — and applies every cutoff and
-// every floating-point weight at render time, in canonical (ascending-day,
-// sorted-key) order, so it re-renders without cloning. The price is
-// cursor-free semantics: a freeze or self-shutdown is classified directly
-// from its boot record, and uptime counts closed boot-to-down sessions only
-// (the open tail of a live device is still moving, so it belongs to no
-// bucket yet).
+// reducers it folds raw records straight into a dense slice of per-sim-day
+// counts — no pending event graph, no coalescence. A day holds integer
+// record, freeze and shutdown counts, its closed-session uptime in
+// nanoseconds, and its panics as a short list of (key id, count) sorted by
+// key string; each panic key is interned once. Every cutoff and every
+// floating-point weight is applied at render time, in canonical
+// (ascending-day, sorted-key) order, so the fold re-renders without
+// cloning, and each decay weight 2^(-age/halfLife) is computed once per
+// age, when a new latest day first reaches it. The price is cursor-free
+// semantics: a freeze or self-shutdown is classified directly from its
+// boot record, and uptime counts closed boot-to-down sessions only (the
+// open tail of a live device is still moving, so it belongs to no day
+// yet). Days before the epoch are counted in no day: no view renders them.
 //
 // The counts fold in any order. Uptime does not: each boot closes the
 // session opened by the boot last delivered for its device, so uptime (and
@@ -28,89 +35,138 @@ import (
 // simDay is the bucket width of the day fold.
 const simDay = int64(24 * time.Hour)
 
-// dayBuckets is LiveStudy's integer per-day fold. The devices' session
-// starts live in LiveStudy's device state, which passes each one in.
+// dayBuckets is LiveStudy's per-day fold. The devices' session starts live
+// in LiveStudy's device state, which passes each one in.
 type dayBuckets struct {
-	cfg      Config
-	ids      map[string]panicID
-	panics   map[int]map[string]int // day -> panic key -> count
-	records  map[int]int
-	freezes  map[int]int
-	selfs    map[int]int
-	users    map[int]int
-	uptimeNs map[int]int64
-	maxDay   int
-	hasData  bool
+	cfg  Config
+	days []dayCounts // indexed by day from 0; may run past maxDay (uptime)
+
+	// The interned panic keys: ids maps (category, type) to an index
+	// into keys (the "KERN-EXEC 3" form) and meanings.
+	ids      map[panicID]int
+	keys     []string
+	meanings []string
+
+	// decayW[age] is the decay weight of a day age days older than the
+	// latest, for every age up to maxDay.
+	decayW []float64
+
+	maxDay  int
+	hasData bool
+}
+
+// dayCounts is one simulated day of the fold.
+type dayCounts struct {
+	records, freezes, selfs, users int
+	uptimeNs                       int64
+	panics                         []keyCount // sorted by key string
+}
+
+// keyCount is one panic key's count on one day.
+type keyCount struct {
+	id, n int
 }
 
 func newDayBuckets(cfg Config) *dayBuckets {
-	return &dayBuckets{
-		cfg:      cfg,
-		ids:      make(map[string]panicID),
-		panics:   make(map[int]map[string]int),
-		records:  make(map[int]int),
-		freezes:  make(map[int]int),
-		selfs:    make(map[int]int),
-		users:    make(map[int]int),
-		uptimeNs: make(map[int]int64),
-	}
+	return &dayBuckets{cfg: cfg, ids: make(map[panicID]int)}
 }
 
-func (b *dayBuckets) see(day int) {
-	if !b.hasData || day > b.maxDay {
-		b.maxDay = day
+// at returns day d's counts, growing the fold to reach it; nil for a day
+// before the epoch. A day is at most math.MaxInt64/simDay, so the fold
+// holds at most ~107k days.
+func (b *dayBuckets) at(d int) *dayCounts {
+	if d < 0 {
+		return nil
 	}
-	b.hasData = true
+	if d >= len(b.days) {
+		b.days = append(b.days, make([]dayCounts, d+1-len(b.days))...)
+	}
+	return &b.days[d]
+}
+
+// touch records that day has data and returns its counts, as at does. A
+// new latest day extends the decay weights to its age.
+func (b *dayBuckets) touch(day int) *dayCounts {
+	if !b.hasData || day > b.maxDay {
+		b.maxDay, b.hasData = day, true
+		halfDays := b.cfg.DecayHalfLife.Hours() / 24
+		for age := len(b.decayW); age <= day; age++ {
+			b.decayW = append(b.decayW, math.Exp2(-float64(age)/halfDays))
+		}
+	}
+	return b.at(day)
 }
 
 // observe folds one record of the device whose fold session start is
 // *session (sim.Never before its first boot).
 func (b *dayBuckets) observe(session *sim.Time, r core.Record) {
 	t := sim.Time(r.Time)
-	day := t.Day()
-	b.see(day)
-	b.records[day]++
-	switch r.Kind {
-	case core.KindPanic:
-		m := b.panics[day]
-		if m == nil {
-			m = make(map[string]int)
-			b.panics[day] = m
+	if c := b.touch(t.Day()); c != nil {
+		c.records++
+		if r.Kind == core.KindPanic {
+			b.addPanic(c, r)
 		}
-		key := r.PanicKey()
-		m[key]++
-		b.ids[key] = panicID{r.Category, r.PType}
-	case core.KindBoot:
-		if start := *session; start != sim.Never && r.PrevTime > int64(start) {
-			b.addUptime(int64(start), r.PrevTime)
+	}
+	if r.Kind != core.KindBoot {
+		return
+	}
+	if start := *session; start != sim.Never && r.PrevTime > int64(start) {
+		b.addUptime(int64(start), r.PrevTime)
+	}
+	*session = t
+	down := sim.Time(r.PrevTime).Day()
+	switch r.Detected {
+	case core.DetectedFreeze:
+		if c := b.touch(down); c != nil {
+			c.freezes++
 		}
-		*session = t
-		down := sim.Time(r.PrevTime).Day()
-		switch r.Detected {
-		case core.DetectedFreeze:
-			b.freezes[down]++
-			b.see(down)
-		case core.DetectedShutdown:
+	case core.DetectedShutdown:
+		if c := b.touch(down); c != nil {
 			if b.cfg.selfShutdown(r.OffSeconds) {
-				b.selfs[down]++
+				c.selfs++
 			} else {
-				b.users[down]++
+				c.users++
 			}
-			b.see(down)
 		}
 	}
 }
 
-// addUptime splits the closed session [lo, hi) across its day buckets as
-// integer nanoseconds, so summed uptime stays exact.
+// addPanic counts the panic record r on day c, interning its key on first
+// sight.
+func (b *dayBuckets) addPanic(c *dayCounts, r core.Record) {
+	pid := panicID{r.Category, r.PType}
+	id, ok := b.ids[pid]
+	if !ok {
+		id = len(b.keys)
+		b.ids[pid] = id
+		b.keys = append(b.keys, r.PanicKey())
+		b.meanings = append(b.meanings, meaningOf(pid))
+	}
+	key := b.keys[id]
+	i, found := slices.BinarySearchFunc(c.panics, key, func(kc keyCount, key string) int {
+		return strings.Compare(b.keys[kc.id], key)
+	})
+	if found {
+		c.panics[i].n++
+		return
+	}
+	c.panics = slices.Insert(c.panics, i, keyCount{id: id, n: 1})
+}
+
+// addUptime splits the closed session [lo, hi) across its days as integer
+// nanoseconds, so summed uptime stays exact. A day is lo / simDay,
+// truncated, and its end is bounded by hi before it can overflow (the last
+// representable day ends past math.MaxInt64).
 func (b *dayBuckets) addUptime(lo, hi int64) {
 	for lo < hi {
 		d := lo / simDay
-		end := (d + 1) * simDay
-		if end > hi {
-			end = hi
+		end := hi
+		if d < math.MaxInt64/simDay && (d+1)*simDay < hi {
+			end = (d + 1) * simDay
 		}
-		b.uptimeNs[int(d)] += end - lo
+		if c := b.at(int(d)); c != nil {
+			c.uptimeNs += end - lo
+		}
 		lo = end
 	}
 }
@@ -142,6 +198,41 @@ type WindowSnapshot struct {
 // Config.Window), ending at the latest observed day — the live query
 // tier's freeze-rate-over-last-N-days view. Devices is left to the caller.
 func (b *dayBuckets) window(days int) *WindowSnapshot {
+	snap := b.windowScalars(days)
+	counts := make([]int, len(b.keys))
+	for d := snap.FromDay; d <= snap.ToDay; d++ {
+		for _, kc := range b.days[d].panics {
+			counts[kc.id] += kc.n
+			snap.Panics += kc.n
+		}
+	}
+	if snap.Panics == 0 {
+		return snap
+	}
+	rows := make([]PanicRow, 0, len(counts))
+	for id, n := range counts {
+		if n > 0 {
+			rows = append(rows, PanicRow{
+				Key:     b.keys[id],
+				Count:   n,
+				Percent: 100 * float64(n) / float64(snap.Panics),
+				Meaning: b.meanings[id],
+			})
+		}
+	}
+	slices.SortFunc(rows, func(x, y PanicRow) int {
+		if x.Count != y.Count {
+			return cmp.Compare(y.Count, x.Count)
+		}
+		return strings.Compare(x.Key, y.Key)
+	})
+	snap.PanicTable = rows
+	return snap
+}
+
+// windowScalars renders the windowed view without its panic count and
+// table: all the live freezerate answer reads.
+func (b *dayBuckets) windowScalars(days int) *WindowSnapshot {
 	if days <= 0 {
 		days = int(b.cfg.Window / time.Duration(simDay))
 		if days < 1 {
@@ -157,24 +248,17 @@ func (b *dayBuckets) window(days int) *WindowSnapshot {
 	if snap.FromDay < 0 {
 		snap.FromDay = 0
 	}
-	counts := make(map[string]int)
 	var uptime int64
 	for d := snap.FromDay; d <= snap.ToDay; d++ {
-		snap.Records += b.records[d]
-		snap.Freezes += b.freezes[d]
-		snap.SelfShutdowns += b.selfs[d]
-		snap.UserShutdowns += b.users[d]
-		uptime += b.uptimeNs[d]
-		for k, n := range b.panics[d] {
-			counts[k] += n
-			snap.Panics += n
-		}
+		c := &b.days[d]
+		snap.Records += c.records
+		snap.Freezes += c.freezes
+		snap.SelfShutdowns += c.selfs
+		snap.UserShutdowns += c.users
+		uptime += c.uptimeNs
 	}
 	snap.UptimeHours = float64(uptime) / float64(time.Second) / 3600
 	snap.MTBF = MTBFOf(snap.UptimeHours, snap.Freezes, snap.SelfShutdowns)
-	if snap.Panics > 0 {
-		snap.PanicTable = panicRowsFrom(counts, b.ids, snap.Panics)
-	}
 	snap.FreezesPerDay = float64(snap.Freezes) / float64(days)
 	return snap
 }
@@ -204,40 +288,34 @@ type DecaySnapshot struct {
 	PanicTable    []DecayRow
 }
 
-// decay renders every bucket under Config.DecayHalfLife weights, applied
-// in ascending-day order over the exact integer state. Devices is left to
-// the caller.
+// decay renders every day under Config.DecayHalfLife weights, applied
+// in ascending-day, sorted-key order over the exact integer state. Devices
+// is left to the caller.
 func (b *dayBuckets) decay() *DecaySnapshot {
 	snap := &DecaySnapshot{Config: b.cfg}
-	weights := make(map[string]float64)
-	b.decayScalars(snap, func(d int, w float64) {
-		m := b.panics[d]
-		if len(m) == 0 {
-			return
+	b.decayScalars(snap)
+	weights := make([]float64, len(b.keys))
+	if b.hasData {
+		for d := 0; d <= b.maxDay; d++ {
+			w := b.decayW[b.maxDay-d]
+			for _, kc := range b.days[d].panics {
+				weights[kc.id] += w * float64(kc.n)
+				snap.Panics += w * float64(kc.n)
+			}
 		}
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			weights[k] += w * float64(m[k])
-			snap.Panics += w * float64(m[k])
-		}
-	})
-	rows := make([]DecayRow, 0, len(weights))
-	for k, w := range weights {
-		row := DecayRow{Key: k, Weight: w, Meaning: meaningOf(b.ids[k])}
-		if snap.Panics > 0 {
-			row.Percent = 100 * w / snap.Panics
-		}
-		rows = append(rows, row)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Weight != rows[j].Weight {
-			return rows[i].Weight > rows[j].Weight
+	rows := make([]DecayRow, len(weights))
+	for id, w := range weights {
+		rows[id] = DecayRow{Key: b.keys[id], Weight: w, Meaning: b.meanings[id]}
+		if snap.Panics > 0 {
+			rows[id].Percent = 100 * w / snap.Panics
 		}
-		return rows[i].Key < rows[j].Key
+	}
+	slices.SortFunc(rows, func(x, y DecayRow) int {
+		if x.Weight != y.Weight {
+			return cmp.Compare(y.Weight, x.Weight)
+		}
+		return strings.Compare(x.Key, y.Key)
 	})
 	snap.PanicTable = rows
 	return snap
@@ -245,26 +323,20 @@ func (b *dayBuckets) decay() *DecaySnapshot {
 
 // decayScalars fills the decaying view's scalars — AsOfDay, the freeze,
 // shutdown and uptime sums and the MTBF they give — in ascending-day
-// order, and hands each day's weight to perDay when it is set. decay (which
-// folds its panic leaderboard in perDay) and the live mtbf answer (which
-// needs only the scalars) both call it, so both add the same floats in the
-// same order.
-func (b *dayBuckets) decayScalars(snap *DecaySnapshot, perDay func(d int, w float64)) {
+// order. decay and the live mtbf answer both call it, so both add the
+// same floats in the same order.
+func (b *dayBuckets) decayScalars(snap *DecaySnapshot) {
 	snap.AsOfDay = -1
 	if !b.hasData {
 		return
 	}
 	snap.AsOfDay = b.maxDay
-	halfDays := b.cfg.DecayHalfLife.Hours() / 24
 	for d := 0; d <= b.maxDay; d++ {
-		w := math.Exp2(-float64(b.maxDay-d) / halfDays)
-		if perDay != nil {
-			perDay(d, w)
-		}
-		snap.Freezes += w * float64(b.freezes[d])
-		snap.SelfShutdowns += w * float64(b.selfs[d])
-		snap.UserShutdowns += w * float64(b.users[d])
-		snap.UptimeHours += w * (float64(b.uptimeNs[d]) / float64(time.Second) / 3600)
+		w, c := b.decayW[b.maxDay-d], &b.days[d]
+		snap.Freezes += w * float64(c.freezes)
+		snap.SelfShutdowns += w * float64(c.selfs)
+		snap.UserShutdowns += w * float64(c.users)
+		snap.UptimeHours += w * (float64(c.uptimeNs) / float64(time.Second) / 3600)
 	}
 	if f := snap.Freezes + snap.SelfShutdowns; f > 0 {
 		snap.MTBFHours = snap.UptimeHours / f

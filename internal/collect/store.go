@@ -136,7 +136,7 @@ func (s *CrashStore) Sync(name string) {
 	} else {
 		f.synced.own = append(f.synced.own, f.tail...)
 	}
-	f.tail = nil
+	f.tail = f.tail[:0] // the next verb's Append reuses its capacity
 	s.syncs++
 }
 

@@ -59,6 +59,51 @@ func TestCrashStoreTornTailIsStrictPrefixAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestCrashStoreAppendAfterSyncAllocatesNothing pins that Sync keeps the
+// un-synced tail's capacity: in steady state the next verb's Append
+// reuses it. The synced region is first given headroom for every
+// measured Sync, so the count is exact.
+func TestCrashStoreAppendAfterSyncAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	const runs = 1000
+	entry := bytes.Repeat([]byte("w"), 64)
+	s := NewCrashStore(nil)
+	s.Append("wal", make([]byte, 4*runs*len(entry)))
+	s.Sync("wal")
+	s.Append("wal", entry)
+	s.Sync("wal") // grows the synced region past the bytes measured below
+	if avg := testing.AllocsPerRun(runs, func() {
+		s.Append("wal", entry)
+		s.Sync("wal")
+	}); avg != 0 {
+		t.Errorf("Append after Sync: %.2f allocs per verb in steady state, want 0", avg)
+	}
+}
+
+// TestCrashStoreTornTailAfterReuse: once a tail's buffer is reused, a
+// crash still keeps only a strict prefix of the new tail's bytes, none of
+// the older tail's left in the buffer.
+func TestCrashStoreTornTailAfterReuse(t *testing.T) {
+	const old, tail = "an older and longer tail, synced", "new tail"
+	for seed := uint64(1); seed <= 32; seed++ {
+		s := NewCrashStore(sim.NewRand(seed))
+		s.Append("f", []byte(old))
+		s.Sync("f")
+		s.Append("f", []byte(tail))
+		s.Crash()
+		got := s.Read("f")
+		if !bytes.HasPrefix(got, []byte(old)) {
+			t.Fatalf("seed %d: crash damaged the synced region: %q", seed, got)
+		}
+		kept := got[len(old):]
+		if len(kept) >= len(tail) || !bytes.HasPrefix([]byte(tail), kept) {
+			t.Errorf("seed %d: torn tail kept %q, want a strict prefix of %q", seed, kept, tail)
+		}
+	}
+}
+
 func TestCrashStoreStagedReplacementIsAllOrNothing(t *testing.T) {
 	s := NewCrashStore(nil)
 	s.Append("f", []byte("old content"))
