@@ -111,9 +111,13 @@ func hexDigit(c byte) (byte, bool) {
 // tally for the boot record.
 type Recovery struct {
 	// Payloads holds the payload bytes of every intact frame, in order.
+	// Each aliases the scanned data.
 	Payloads [][]byte
 	// Clean is the concatenation of the intact frames — writing it back
-	// truncates torn tails and excises corrupt regions.
+	// truncates torn tails and excises corrupt regions. While every frame
+	// up to the last intact one is contiguous (a clean log, or one with
+	// only a torn tail) Clean aliases the scanned data, capacity clipped;
+	// only a log with intact frames after a lost region gets a new buffer.
 	Clean []byte
 	// Salvaged counts intact frames; Lost counts contiguous corrupt
 	// regions skipped (each region is at least one destroyed record).
@@ -130,13 +134,23 @@ type Recovery struct {
 // and reports no damage.
 func RecoverLog(data []byte) Recovery {
 	var rec Recovery
+	prefix := 0 // data[:prefix] is intact frames with no gap
 	i := 0
 	inGarbage := false
 	for i < len(data) {
 		if data[i] == FrameMagic {
 			if payload, size, ok := decodeFrame(data[i:]); ok {
 				rec.Payloads = append(rec.Payloads, payload)
-				rec.Clean = append(rec.Clean, data[i:i+size]...)
+				if rec.Lost == 0 {
+					prefix = i + size
+				} else {
+					if rec.Clean == nil {
+						// The first frame past a lost region: copy the
+						// intact prefix once, then every later frame.
+						rec.Clean = append(make([]byte, 0, len(data)-i+prefix), data[:prefix]...)
+					}
+					rec.Clean = append(rec.Clean, data[i:i+size]...)
+				}
 				rec.Salvaged++
 				i += size
 				inGarbage = false
@@ -149,12 +163,16 @@ func RecoverLog(data []byte) Recovery {
 		}
 		i++
 	}
+	if rec.Clean == nil {
+		rec.Clean = data[:prefix:prefix]
+	}
 	rec.Dirty = rec.Lost > 0 || len(rec.Clean) != len(data)
 	return rec
 }
 
 // rotateFramed drops the oldest frames so at most keep bytes remain,
-// cutting at frame boundaries so the survivors still verify.
+// cutting at frame boundaries so the survivors still verify. The result
+// may alias data.
 func rotateFramed(data []byte, keep int) []byte {
 	if len(data) <= keep {
 		return data
@@ -168,5 +186,5 @@ func rotateFramed(data []byte, keep int) []byte {
 		}
 		clean = clean[size:]
 	}
-	return append([]byte(nil), clean...)
+	return clean
 }

@@ -156,15 +156,65 @@ func TestRecoverLogIdempotent(t *testing.T) {
 	}
 }
 
+// refRecoverLog is the copy-based recovery FuzzRecoverLog checks
+// RecoverLog against: it appends every intact frame to a new Clean.
+func refRecoverLog(data []byte) Recovery {
+	var rec Recovery
+	i := 0
+	inGarbage := false
+	for i < len(data) {
+		if data[i] == FrameMagic {
+			if payload, size, ok := decodeFrame(data[i:]); ok {
+				rec.Payloads = append(rec.Payloads, payload)
+				rec.Clean = append(rec.Clean, data[i:i+size]...)
+				rec.Salvaged++
+				i += size
+				inGarbage = false
+				continue
+			}
+		}
+		if !inGarbage {
+			rec.Lost++
+			inGarbage = true
+		}
+		i++
+	}
+	rec.Dirty = rec.Lost > 0 || len(rec.Clean) != len(data)
+	return rec
+}
+
 // FuzzRecoverLog hammers the recovery scanner with arbitrary bytes: it
 // must never panic, never surface a payload whose frame does not verify,
-// and always reach the idempotent fixpoint in one pass.
+// always reach the idempotent fixpoint in one pass, and give the
+// copy-based reference's Clean, Dirty, payloads and tallies. Where Clean
+// is a prefix of data it must alias it, capacity clipped (no copy), and
+// data must come out of the scan unchanged.
 func FuzzRecoverLog(f *testing.F) {
 	for _, seed := range frameCorpus() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := append([]byte(nil), data...)
 		rec := RecoverLog(data)
+		want := refRecoverLog(orig)
+		if !bytes.Equal(rec.Clean, want.Clean) || rec.Dirty != want.Dirty ||
+			rec.Salvaged != want.Salvaged || rec.Lost != want.Lost || len(rec.Payloads) != len(want.Payloads) {
+			t.Fatalf("recovery %d salvaged, %d lost, dirty=%v, %d clean bytes; reference %d, %d, %v, %d",
+				rec.Salvaged, rec.Lost, rec.Dirty, len(rec.Clean), want.Salvaged, want.Lost, want.Dirty, len(want.Clean))
+		}
+		for i := range rec.Payloads {
+			if !bytes.Equal(rec.Payloads[i], want.Payloads[i]) {
+				t.Fatalf("payload %d differs from the reference", i)
+			}
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatal("recovery changed the scanned bytes")
+		}
+		if len(rec.Clean) > 0 && bytes.HasPrefix(data, rec.Clean) {
+			if &rec.Clean[0] != &data[0] || cap(rec.Clean) != len(rec.Clean) {
+				t.Fatalf("clean prefix of %d bytes copied or not capacity clipped", len(rec.Clean))
+			}
+		}
 		if rec.Salvaged != len(rec.Payloads) {
 			t.Fatalf("salvaged %d != %d payloads", rec.Salvaged, len(rec.Payloads))
 		}

@@ -129,7 +129,7 @@ type daemon struct {
 	// Scratch encode buffers: every heartbeat and record append reuses
 	// them instead of allocating a payload and a frame per write. The
 	// daemon is single-threaded (one engine), and the file server copies
-	// what it stores, so reuse is safe.
+	// the body it stores, so reuse is safe.
 	payload []byte
 	buf     []byte
 }
@@ -307,20 +307,30 @@ func (dm *daemon) onPanic(p *symbos.Panic) {
 	dm.append(rec)
 }
 
-// sampleRunningApps refreshes the runapp file.
+// sampleRunningApps refreshes the runapp file with the Application
+// Architecture Server's reply as it arrives (comma-separated IDs; empty
+// when the query fails).
 func (dm *daemon) sampleRunningApps() {
-	apps := dm.queryRunningApps()
-	dm.files.WriteFile(dm.l.cfg.RunAppPath, []byte(strings.Join(apps, ",")))
+	dm.files.WriteFile(dm.l.cfg.RunAppPath, dm.runningAppsReply())
 }
 
-// queryRunningApps asks the Application Architecture Server for the
-// running application IDs.
-func (dm *daemon) queryRunningApps() []string {
+// runningAppsReply asks the Application Architecture Server for the
+// running application IDs. The reply is valid until the next request.
+func (dm *daemon) runningAppsReply() []byte {
 	resp, code := dm.appArch.Query(phone.OpListApps, "")
-	if code != symbos.KErrNone || resp == "" {
+	if code != symbos.KErrNone {
 		return nil
 	}
-	return strings.Split(resp, ",")
+	return resp
+}
+
+// queryRunningApps is runningAppsReply split into IDs.
+func (dm *daemon) queryRunningApps() []string {
+	resp := dm.runningAppsReply()
+	if len(resp) == 0 {
+		return nil
+	}
+	return strings.Split(string(resp), ",")
 }
 
 // collectActivity refreshes the activity file from the Database Log Server.
@@ -329,13 +339,13 @@ func (dm *daemon) collectActivity() {
 	if code != symbos.KErrNone {
 		return
 	}
-	dm.files.WriteFile(dm.l.cfg.ActivityPath, []byte(resp))
+	dm.files.WriteFile(dm.l.cfg.ActivityPath, resp)
 }
 
 // recordPower refreshes the power file from the System Agent.
 func (dm *daemon) recordPower() {
 	if batt, code := dm.sysAgent.Query(phone.OpBatteryStatus, ""); code == symbos.KErrNone {
-		dm.files.WriteFile(dm.l.cfg.PowerPath, []byte(batt))
+		dm.files.WriteFile(dm.l.cfg.PowerPath, batt)
 	}
 }
 
@@ -347,7 +357,7 @@ func (dm *daemon) currentActivity(at sim.Time) string {
 	if code != symbos.KErrNone {
 		return "unspecified"
 	}
-	for _, rec := range phone.DecodeActivity(resp) {
+	for _, rec := range phone.DecodeActivity(string(resp)) {
 		if rec.Start.After(at) {
 			continue
 		}

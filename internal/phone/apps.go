@@ -1,8 +1,7 @@
 package phone
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"symfail/internal/symbos"
 )
@@ -113,24 +112,37 @@ func (d *Device) AppRunning(name string) bool {
 // lexical order — this is what the Application Architecture Server reports
 // to the logger's Running Applications Detector.
 func (d *Device) RunningApps() []string {
-	out := make([]string, 0, len(d.apps))
-	for name, a := range d.apps {
-		if a.Alive() && a.visible {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), d.runningNames()...)
 }
 
-// runningAppsList joins RunningApps for log records.
-func (d *Device) runningAppsList() string {
-	return strings.Join(d.RunningApps(), ",")
+// runningNames is RunningApps in the device's scratch, valid until the
+// next call.
+func (d *Device) runningNames() []string {
+	d.appNames = d.appNames[:0]
+	for name, a := range d.apps {
+		if a.Alive() && a.visible {
+			d.appNames = append(d.appNames, name)
+		}
+	}
+	slices.Sort(d.appNames)
+	return d.appNames
+}
+
+// appendRunningApps appends the comma-separated running applications, in
+// RunningApps order, to dst: the Application Architecture Server's reply.
+func (d *Device) appendRunningApps(dst []byte) []byte {
+	for i, name := range d.runningNames() {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, name...)
+	}
+	return dst
 }
 
 // randomRunningApp picks a running application uniformly (nil when none).
 func (d *Device) randomRunningApp() *App {
-	names := d.RunningApps()
+	names := d.runningNames()
 	if len(names) == 0 {
 		return nil
 	}
@@ -215,6 +227,6 @@ func (a *App) msgsQueryInto(op int, payload string, into *symbos.Buf) int {
 		d.kernel.Raise(symbos.CatMsgsClient, symbos.TypeMsgsAsyncWrite,
 			"failed to write data into asynchronous call descriptor to be passed back to client")
 	}
-	into.Copy(resp)
+	into.Copy(string(resp))
 	return symbos.KErrNone
 }

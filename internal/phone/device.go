@@ -75,10 +75,13 @@ type Device struct {
 	props    *symbos.PropertyBus
 
 	// srvScratch is reused by the firmware server handlers to build
-	// response descriptors without per-request formatting garbage. Handlers
-	// run synchronously on the device's single simulated CPU, so one buffer
-	// per device suffices.
+	// response descriptors without per-request formatting garbage, and
+	// they reply from it (a reply is valid until the client's next
+	// request). Handlers run synchronously on the device's single
+	// simulated CPU, so one buffer per device suffices; appNames is the
+	// same for the sorted running-application names.
 	srvScratch []byte
+	appNames   []string
 
 	activityLog     []ActivityRecord
 	currentActivity Activity

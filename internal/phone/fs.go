@@ -68,15 +68,17 @@ func (f *FS) EnableFaults(cfg FlashFaults, rng *sim.Rand) {
 	f.rng = rng
 }
 
-// Write replaces the contents of path. It reports false when the flash
-// quota would be exceeded (the write is rejected whole, like a full
-// medium).
+// Write replaces the contents of path, reusing the file's capacity (a
+// rewritten heartbeat file does not regrow from nothing). It reports false
+// when the flash quota would be exceeded (the write is rejected whole,
+// like a full medium). data is copied; no caller holds the stored bytes,
+// since Read returns a copy.
 func (f *FS) Write(path string, data []byte) bool {
 	if !f.CanWrite(path, data) {
 		f.quotaRejects++
 		return false
 	}
-	f.files[path] = append([]byte(nil), data...)
+	f.files[path] = append(f.files[path][:0], data...)
 	f.writes++
 	f.noteWrite(path, 0, len(data))
 	return true

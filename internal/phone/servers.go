@@ -118,7 +118,8 @@ func (d *Device) startServers() {
 	d.appArch = symbos.NewServer(d.kernel, SrvAppArch, true, func(m *symbos.Message) {
 		switch m.Op {
 		case OpListApps:
-			m.Respond(strings.Join(d.RunningApps(), ","))
+			d.srvScratch = d.appendRunningApps(d.srvScratch[:0])
+			m.Respond(d.srvScratch)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)
@@ -135,7 +136,7 @@ func (d *Device) startServers() {
 			// Encode straight from the log tail: the handler runs
 			// synchronously, so no defensive copy is needed.
 			d.srvScratch = appendActivity(d.srvScratch[:0], d.recentActivityView(10))
-			m.Respond(string(d.srvScratch))
+			m.Respond(d.srvScratch)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)
@@ -156,7 +157,7 @@ func (d *Device) startServers() {
 			d.srvScratch = append(d.srvScratch[:0], status...)
 			d.srvScratch = append(d.srvScratch, ' ')
 			d.srvScratch = strconv.AppendFloat(d.srvScratch, d.battery, 'f', 2, 64)
-			m.Respond(string(d.srvScratch))
+			m.Respond(d.srvScratch)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)
@@ -169,7 +170,10 @@ func (d *Device) startServers() {
 		case OpSendMessage:
 			// The delivery report descriptor: long enough that a client
 			// with an under-sized buffer hits the MSGS Client 3 path.
-			m.Respond("delivery-report:" + m.Payload + ":accepted-by-smsc")
+			d.srvScratch = append(d.srvScratch[:0], "delivery-report:"...)
+			d.srvScratch = append(d.srvScratch, m.Payload...)
+			d.srvScratch = append(d.srvScratch, ":accepted-by-smsc"...)
+			m.Respond(d.srvScratch)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)

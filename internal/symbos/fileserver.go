@@ -1,10 +1,5 @@
 package symbos
 
-import (
-	"strconv"
-	"strings"
-)
-
 // The file server (F32). On Symbian every file operation is a
 // client/server request to the file server process; the paper's logger
 // persists its heartbeat and Log File through it. Modelling it as a real
@@ -24,13 +19,14 @@ const (
 // Store is the backing medium the file server manages (the phone package's
 // flash filesystem implements it). Write and Append report false when the
 // medium rejects the operation — a full flash — which the file server
-// surfaces as KErrDiskFull.
+// surfaces as KErrDiskFull. Read returns a copy the caller owns.
 type Store interface {
 	Write(path string, data []byte) bool
 	Append(path string, data []byte) bool
 	Read(path string) ([]byte, bool)
 	Delete(path string)
 	Exists(path string) bool
+	Size(path string) int
 }
 
 // FileServer is the F32 file server process.
@@ -50,21 +46,21 @@ func NewFileServer(k *Kernel, store Store) *FileServer {
 // Server returns the underlying server (for process-level access).
 func (f *FileServer) Server() *Server { return f.srv }
 
-// handle serves one file request. The payload is "<path>\x00<data>" for
-// writes and "<path>" for the rest; responses carry file contents.
+// handle serves one file request. The name argument is the path; writes
+// carry their data as the body, reads reply with the file's bytes, and a
+// size query completes with the size itself.
 func (f *FileServer) handle(m *Message) {
 	switch m.Op {
 	case FsOpWrite, FsOpAppend:
-		path, data, ok := splitPathPayload(m.Payload)
-		if !ok || path == "" {
+		if m.Payload == "" {
 			m.Complete(KErrArgument)
 			return
 		}
 		var stored bool
 		if m.Op == FsOpWrite {
-			stored = f.store.Write(path, []byte(data))
+			stored = f.store.Write(m.Payload, m.Body)
 		} else {
-			stored = f.store.Append(path, []byte(data))
+			stored = f.store.Append(m.Payload, m.Body)
 		}
 		if !stored {
 			m.Complete(KErrDiskFull)
@@ -77,7 +73,7 @@ func (f *FileServer) handle(m *Message) {
 			m.Complete(KErrNotFound)
 			return
 		}
-		m.Respond(string(data))
+		m.Respond(data)
 		m.Complete(KErrNone)
 	case FsOpDelete:
 		f.store.Delete(m.Payload)
@@ -93,24 +89,10 @@ func (f *FileServer) handle(m *Message) {
 			m.Complete(KErrNotFound)
 			return
 		}
-		if sz, ok := f.store.(interface{ Size(path string) int }); ok {
-			m.Respond(strconv.Itoa(sz.Size(m.Payload)))
-		} else {
-			data, _ := f.store.Read(m.Payload)
-			m.Respond(strconv.Itoa(len(data)))
-		}
-		m.Complete(KErrNone)
+		m.Complete(f.store.Size(m.Payload))
 	default:
 		m.Complete(KErrNotSupported)
 	}
-}
-
-func splitPathPayload(payload string) (path, data string, ok bool) {
-	i := strings.IndexByte(payload, 0)
-	if i < 0 {
-		return "", "", false
-	}
-	return payload[:i], payload[i+1:], true
 }
 
 // FileSession is a client connection to the file server (RFs).
@@ -124,23 +106,27 @@ func (f *FileServer) Connect(t *Thread) *FileSession {
 	return &FileSession{sess: f.srv.Connect(t)}
 }
 
-// WriteFile replaces path's contents.
+// WriteFile replaces path's contents. The store copies data, so the
+// caller may reuse it at once.
 func (s *FileSession) WriteFile(path string, data []byte) int {
-	return s.sess.SendReceive(FsOpWrite, path+"\x00"+string(data))
+	_, code := s.sess.call("SendReceive", FsOpWrite, path, data)
+	return code
 }
 
 // AppendFile adds data to the end of path.
 func (s *FileSession) AppendFile(path string, data []byte) int {
-	return s.sess.SendReceive(FsOpAppend, path+"\x00"+string(data))
+	_, code := s.sess.call("SendReceive", FsOpAppend, path, data)
+	return code
 }
 
-// ReadFile returns path's contents (KErrNotFound when absent).
+// ReadFile returns path's contents (KErrNotFound when absent). The bytes
+// are the store's one copy and belong to the caller.
 func (s *FileSession) ReadFile(path string) ([]byte, int) {
-	resp, code := s.sess.Query(FsOpRead, path)
+	data, code := s.sess.Query(FsOpRead, path)
 	if code != KErrNone {
 		return nil, code
 	}
-	return []byte(resp), KErrNone
+	return data, KErrNone
 }
 
 // SizeFile returns path's length in bytes without transferring its
@@ -148,13 +134,9 @@ func (s *FileSession) ReadFile(path string) ([]byte, int) {
 // heartbeat and Log File writers check a rotation budget on every
 // append — must use this instead of ReadFile, which copies the file.
 func (s *FileSession) SizeFile(path string) (int, int) {
-	resp, code := s.sess.Query(FsOpSize, path)
-	if code != KErrNone {
-		return 0, code
-	}
-	n, err := strconv.Atoi(resp)
-	if err != nil {
-		return 0, KErrArgument
+	n := s.sess.SendReceive(FsOpSize, path)
+	if n < 0 {
+		return 0, n
 	}
 	return n, KErrNone
 }

@@ -19,10 +19,11 @@ func (m mapStore) Append(path string, data []byte) bool {
 }
 func (m mapStore) Read(path string) ([]byte, bool) {
 	d, ok := m[path]
-	return d, ok
+	return append([]byte(nil), d...), ok
 }
 func (m mapStore) Delete(path string)      { delete(m, path) }
 func (m mapStore) Exists(path string) bool { _, ok := m[path]; return ok }
+func (m mapStore) Size(path string) int    { return len(m[path]) }
 
 func newFileServerFixture(t *testing.T) (*Kernel, *FileServer, *FileSession, mapStore) {
 	t.Helper()
@@ -73,8 +74,8 @@ func TestFileServerBinaryPayload(t *testing.T) {
 	client := k.Process("Client")
 	blob := []byte{0, 1, 2, 255, 0, 42}
 	k.Exec(client.Main(), "io", func() {
-		// Contents containing NUL bytes must survive: only the FIRST NUL
-		// separates path from data.
+		// Contents containing NUL bytes must survive: the data travels
+		// as the message body, apart from the path.
 		if code := sess.WriteFile("bin", blob); code != KErrNone {
 			t.Fatalf("write: %s", ErrName(code))
 		}

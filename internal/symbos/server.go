@@ -15,6 +15,12 @@ type Server struct {
 	proc    *Process
 	handler Handler
 	served  uint64
+
+	// The engine labels of a served request and of a queued async one,
+	// built at the first Connect: clients may connect once per request,
+	// and most application servers are never connected to.
+	serveLabel string
+	ipcLabel   string
 }
 
 // NewServer starts a server process with the given message handler.
@@ -38,13 +44,24 @@ func (s *Server) Process() *Process { return s.proc }
 // Served returns the number of messages processed.
 func (s *Server) Served() uint64 { return s.served }
 
-// Message is one client/server request (RMessage). Complete answers it; a
-// null RMessagePtr raises USER 70, as does answering twice.
+// Message is one client/server request (RMessage). Like an RMessage it
+// carries a name argument (Payload: a path, a phone number) and a byte
+// body (Body: the TDesC8 a write sends) as separate arguments, so file
+// data crosses the IPC boundary as bytes, never packed into the name.
+// Complete answers it; a null RMessagePtr raises USER 70, as does
+// answering twice. A non-negative completion code can itself be the
+// answer, as Symbian servers return sizes and counts.
 type Message struct {
-	Op       int
-	Payload  string
-	Client   string
-	Response string // set by Respond before Complete
+	Op      int
+	Payload string
+	Body    []byte
+	Client  string
+	// Response is the reply descriptor, set by Respond before Complete.
+	// It is valid until the client's next request: a handler may reply
+	// from scratch it reuses (a device's firmware servers share one), so
+	// a caller that keeps a reply copies it. It may be passed as the body
+	// of that next request, which reads its body before replying.
+	Response []byte
 
 	server    *Server
 	kernel    *Kernel
@@ -58,9 +75,10 @@ type Message struct {
 // next Complete raises USER 70.
 func (m *Message) NullifyPtr() { m.nullPtr = true }
 
-// Respond sets the reply payload written back into the client's descriptor
-// when the request completes.
-func (m *Message) Respond(s string) { m.Response = s }
+// Respond sets the reply written back into the client's descriptor when
+// the request completes; b must stay unchanged until the client's next
+// request (see Response).
+func (m *Message) Respond(b []byte) { m.Response = b }
 
 // Complete answers the request with the given code.
 func (m *Message) Complete(code int) {
@@ -89,33 +107,32 @@ type Session struct {
 	open   bool
 
 	// Synchronous requests are the hottest IPC path in the simulator, so
-	// each session interns its Exec label/closure and keeps one scratch
+	// each session interns its Exec closure and keeps one scratch
 	// Message. cur points serveFn at the request being dispatched; the
 	// busy flag falls nested (re-entrant) requests back to a fresh
 	// allocation, and every handler in the tree replies before returning
 	// (Exec recovers server panics), so the scratch never outlives a call.
-	serveLabel string
-	ipcLabel   string
-	serveFn    func()
-	cur        *Message
-	scratch    Message
-	busy       bool
+	serveFn func()
+	cur     *Message
+	scratch Message
+	busy    bool
 }
 
 // Connect opens a session from the client thread to the server
 // (RSessionBase::CreateSession).
 func (s *Server) Connect(client *Thread) *Session {
 	h := client.proc.OpenObject("session", s.name)
+	if s.serveLabel == "" {
+		s.serveLabel, s.ipcLabel = "serve "+s.name, "ipc "+s.name
+	}
 	sess := &Session{server: s, client: client, handle: h, open: true}
-	sess.serveLabel = "serve " + s.name
-	sess.ipcLabel = "ipc " + s.name
 	sess.serveFn = func() { sess.server.handler(sess.cur) }
 	return sess
 }
 
 // acquire readies a Message for one request — the session scratch when
 // free, a fresh allocation when a handler re-entered the same session.
-func (sess *Session) acquire(k *Kernel, op int, payload string) *Message {
+func (sess *Session) acquire(k *Kernel, op int, payload string, body []byte) *Message {
 	m := &sess.scratch
 	if sess.busy {
 		m = &Message{}
@@ -125,6 +142,7 @@ func (sess *Session) acquire(k *Kernel, op int, payload string) *Message {
 	*m = Message{
 		Op:        op,
 		Payload:   payload,
+		Body:      body,
 		Client:    sess.client.proc.name,
 		server:    sess.server,
 		kernel:    k,
@@ -136,6 +154,8 @@ func (sess *Session) acquire(k *Kernel, op int, payload string) *Message {
 func (sess *Session) release(m *Message) {
 	if m == &sess.scratch {
 		sess.busy = false
+		// Pin neither the caller's body nor a reply it has taken.
+		m.Body, m.Response = nil, nil
 	}
 }
 
@@ -143,7 +163,7 @@ func (sess *Session) release(m *Message) {
 func (sess *Session) dispatch(k *Kernel, m *Message) {
 	prev := sess.cur
 	sess.cur = m
-	k.Exec(sess.server.proc.main, sess.serveLabel, sess.serveFn)
+	k.Exec(sess.server.proc.main, sess.server.serveLabel, sess.serveFn)
 	sess.cur = prev
 }
 
@@ -160,33 +180,30 @@ func (sess *Session) Connected() bool {
 // before replying, the client sees KErrDisconnected — this is how a panic
 // in one process propagates an error (not a panic) into another.
 func (sess *Session) SendReceive(op int, payload string) int {
-	k := sess.server.proc.kernel
-	if !sess.open {
-		k.Raise(CatKernExec, TypeBadHandle,
-			fmt.Sprintf("SendReceive on closed session to %q", sess.server.name))
-	}
-	if !sess.server.proc.alive {
-		return KErrDisconnected
-	}
-	m := sess.acquire(k, op, payload)
-	sess.dispatch(k, m)
-	code := m.replyCode
-	sess.release(m)
+	_, code := sess.call("SendReceive", op, payload, nil)
 	return code
 }
 
-// Query is SendReceive for requests that carry a reply payload: it returns
-// the server's Response alongside the completion code.
-func (sess *Session) Query(op int, payload string) (string, int) {
+// Query is SendReceive for requests that carry a reply: it returns the
+// server's Response (valid until the client's next request) alongside the
+// completion code.
+func (sess *Session) Query(op int, payload string) ([]byte, int) {
+	return sess.call("Query", op, payload, nil)
+}
+
+// call is the one synchronous request path: a name argument, a byte body
+// (nil for most requests), and the reply with its completion code. verb
+// names the client call in the closed-session panic.
+func (sess *Session) call(verb string, op int, payload string, body []byte) ([]byte, int) {
 	k := sess.server.proc.kernel
 	if !sess.open {
 		k.Raise(CatKernExec, TypeBadHandle,
-			fmt.Sprintf("Query on closed session to %q", sess.server.name))
+			fmt.Sprintf("%s on closed session to %q", verb, sess.server.name))
 	}
 	if !sess.server.proc.alive {
-		return "", KErrDisconnected
+		return nil, KErrDisconnected
 	}
-	m := sess.acquire(k, op, payload)
+	m := sess.acquire(k, op, payload, body)
 	sess.dispatch(k, m)
 	resp, code := m.Response, m.replyCode
 	sess.release(m)
@@ -213,7 +230,7 @@ func (sess *Session) SendAsync(op int, payload string, ao *ActiveObject) {
 		kernel:  k,
 		replyAO: ao,
 	}
-	k.eng.After(0, sess.ipcLabel, func() {
+	k.eng.After(0, sess.server.ipcLabel, func() {
 		if !sess.server.proc.alive {
 			ao.Complete(KErrDisconnected)
 			return
