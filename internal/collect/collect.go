@@ -1022,7 +1022,7 @@ func (s *Server) maybeCompactLocked() bool {
 	if s.crashAtLocked(CrashAfterSnapshotInstall) {
 		return true
 	}
-	st.WriteFile(walName, nil)
+	st.WriteFile(walName)
 	st.Sync(walName)
 	s.cfg.ledger.compactions.Add(1)
 	return false
@@ -1082,16 +1082,62 @@ func Handoff(addr, deviceID, kind string, data []byte) error {
 // replica's stream with the whole of stream. A nil return is a durable
 // promise, as for Handoff.
 func HandoffFrom(addr, deviceID string, stream []byte, off int) error {
+	return NewChunkHandoff(deviceID, stream, off).Send(addr)
+}
+
+// ChunkHandoff is a HandoffFrom prepared once and sent to several
+// replicas: write-time replication offers one committed chunk to every
+// replica at once, and its legs share one header (and the two CRCs in it)
+// instead of formatting it per leg.
+type ChunkHandoff struct {
+	deviceID string
+	header   string // past the device ID; see chunkHandoffArgs
+	chunk    []byte
+	err      error
+}
+
+// NewChunkHandoff prepares the HANDOFF of stream[off:] for deviceID. An
+// offset outside the stream fails every Send.
+func NewChunkHandoff(deviceID string, stream []byte, off int) ChunkHandoff {
 	if off < 0 || off > len(stream) {
-		return fmt.Errorf("collect: handoff offset %d outside a %d-byte stream", off, len(stream))
+		return ChunkHandoff{err: fmt.Errorf("collect: handoff offset %d outside a %d-byte stream", off, len(stream))}
 	}
-	return handoff(addr, deviceID, chunkHandoffArgs(stream, off), stream[off:])
+	return ChunkHandoff{deviceID: deviceID, header: chunkHandoffArgs(stream, off), chunk: stream[off:]}
+}
+
+// Send offers the chunk to the replica at addr, with HandoffFrom's
+// contract.
+func (c ChunkHandoff) Send(addr string) error {
+	if c.err != nil {
+		return c.err
+	}
+	return handoff(addr, c.deviceID, c.header, c.chunk)
 }
 
 // chunkHandoffArgs is the HANDOFF chunk header past the device ID for
-// stream[off:].
+// stream[off:]: "chunk <len> <crc> <off> <streamcrc>", lengths in decimal
+// and CRC-32Cs as eight lowercase hex digits.
 func chunkHandoffArgs(stream []byte, off int) string {
-	return fmt.Sprintf("%s %d %08x %d %08x", HandoffChunk, len(stream)-off, crc32.Checksum(stream[off:], castagnoli), off, crc32.Checksum(stream, castagnoli))
+	var buf [64]byte
+	b := append(buf[:0], HandoffChunk...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(stream)-off), 10)
+	b = append(b, ' ')
+	b = appendHex8(b, crc32.Checksum(stream[off:], castagnoli))
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(off), 10)
+	b = append(b, ' ')
+	b = appendHex8(b, crc32.Checksum(stream, castagnoli))
+	return string(b)
+}
+
+// appendHex8 appends v as exactly eight lowercase hex digits (%08x).
+func appendHex8(b []byte, v uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // handoff sends one HANDOFF verb: the header past the device ID, then data.

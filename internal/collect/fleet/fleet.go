@@ -625,6 +625,11 @@ const (
 // for the sum of them. All replication funnels through here: one audited
 // path, one counter set.
 func (f *Supervisor) replicate(dev, kind string, data []byte, off int, targets []target, want, attempts int) int {
+	// A chunk's header is built once per round and shared by its legs.
+	var chunk collect.ChunkHandoff
+	if kind == collect.HandoffChunk {
+		chunk = collect.NewChunkHandoff(dev, data, off)
+	}
 	if want <= 0 {
 		var wg sync.WaitGroup
 		var accepted atomic.Int32
@@ -632,7 +637,7 @@ func (f *Supervisor) replicate(dev, kind string, data []byte, off int, targets [
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if f.offer(dev, kind, data, off, t, attempts) {
+				if f.offer(dev, kind, data, off, chunk, t, attempts) {
 					accepted.Add(1)
 				}
 			}()
@@ -642,7 +647,7 @@ func (f *Supervisor) replicate(dev, kind string, data []byte, off int, targets [
 	}
 	successes := 0
 	for _, t := range rendezvousOrder(dev, targets) {
-		if f.offer(dev, kind, data, off, t, attempts) {
+		if f.offer(dev, kind, data, off, chunk, t, attempts) {
 			if successes++; successes >= want {
 				break
 			}
@@ -656,9 +661,9 @@ func (f *Supervisor) replicate(dev, kind string, data []byte, off int, targets [
 // counts one handoff, or one HandoffFailure if t still refuses, so a
 // two-target round that loses one peer is visible as exactly one failed
 // leg, not a lost round. Kind HandoffChunk replicates the chunk data[off:]
-// of the stream data; a replica that refuses it as stale gets the whole
-// stream on its next attempt, within the same budget.
-func (f *Supervisor) offer(dev, kind string, data []byte, off int, t target, attempts int) bool {
+// of the stream data, prepared as chunk; a replica that refuses it as
+// stale gets the whole stream on its next attempt, within the same budget.
+func (f *Supervisor) offer(dev, kind string, data []byte, off int, chunk collect.ChunkHandoff, t target, attempts int) bool {
 	ok, stale, from := false, false, off
 	for attempt := 0; attempt < attempts && !ok; attempt++ {
 		if attempt > 0 && !stale {
@@ -672,9 +677,14 @@ func (f *Supervisor) offer(dev, kind string, data []byte, off int, t target, att
 			time.Sleep(sleep)
 		}
 		var err error
-		if kind == collect.HandoffChunk {
+		switch {
+		case kind == collect.HandoffChunk && from == off:
+			err = chunk.Send(t.addr)
+		case kind == collect.HandoffChunk:
+			// A stale replica's retry sends the whole stream, under a
+			// header of its own.
 			err = collect.HandoffFrom(t.addr, dev, data, from)
-		} else {
+		default:
 			err = collect.Handoff(t.addr, dev, kind, data)
 		}
 		if stale = errors.Is(err, collect.ErrStale); stale {

@@ -2,6 +2,8 @@ package collect
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -118,5 +120,29 @@ func TestMigratedWALDoubleRecoveryWriteFree(t *testing.T) {
 	if store.Appends() != appends || store.Syncs() != syncs {
 		t.Errorf("second recovery wrote: appends %d->%d, syncs %d->%d",
 			appends, store.Appends(), syncs, store.Syncs())
+	}
+}
+
+// TestChunkHandoffArgsMatchesSprintf pins the HANDOFF chunk header, now
+// built with strconv appends, to the fmt.Sprintf form it replaced, byte
+// for byte, over empty, short and long streams and every offset class.
+func TestChunkHandoffArgsMatchesSprintf(t *testing.T) {
+	streams := [][]byte{nil, []byte("x"), []byte("a short stream\n"), bytes.Repeat([]byte("0123456789abcdef"), 4096)}
+	for _, stream := range streams {
+		for _, off := range []int{0, len(stream) / 3, len(stream) / 2, len(stream)} {
+			want := fmt.Sprintf("%s %d %08x %d %08x", HandoffChunk, len(stream)-off,
+				crc32.Checksum(stream[off:], castagnoli), off, crc32.Checksum(stream, castagnoli))
+			if got := chunkHandoffArgs(stream, off); got != want {
+				t.Errorf("%d-byte stream at %d: header %q, want %q", len(stream), off, got, want)
+			}
+		}
+	}
+	for _, v := range []uint32{0, 1, 0xf, 0x10, 0xdeadbeef, 0xffffffff} {
+		if got, want := string(appendHex8(nil, v)), fmt.Sprintf("%08x", v); got != want {
+			t.Errorf("appendHex8(%#x) = %q, want %q", v, got, want)
+		}
+	}
+	if err := NewChunkHandoff("phone-01", []byte("abc"), 4).Send("127.0.0.1:1"); err == nil {
+		t.Error("a chunk past the stream's end was sent")
 	}
 }

@@ -112,7 +112,7 @@ func (s *CrashStore) WriteFile(name string, parts ...[]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.file(name)
-	f.repl = content{parts: make([][]byte, 0, len(parts))}
+	f.repl = content{} // a truncation (no non-empty part) allocates nothing
 	for _, p := range parts {
 		if len(p) > 0 {
 			f.repl.parts = append(f.repl.parts, p[:len(p):len(p)])
@@ -131,7 +131,13 @@ func (s *CrashStore) Sync(name string) {
 		return
 	}
 	if f.hasRepl {
+		// Keep the capacity of the synced bytes the store owns: a
+		// compaction truncates the WAL, and the appends after it would
+		// otherwise regrow it from nothing. Nothing aliases them (Read
+		// copies), so they can be overwritten.
+		own := append(f.synced.own[:0], f.repl.own...)
 		f.synced = f.repl
+		f.synced.own = own
 		f.repl, f.hasRepl = content{}, false
 	} else {
 		f.synced.own = append(f.synced.own, f.tail...)

@@ -82,6 +82,38 @@ func TestCrashStoreAppendAfterSyncAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCrashStoreTruncateCycleAllocatesNothing pins that a compaction's
+// WAL truncation (WriteFile with no part, then Sync) keeps the synced
+// region's capacity: in steady state a cycle of appends and syncs followed
+// by a truncation allocates nothing.
+func TestCrashStoreTruncateCycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	entry := bytes.Repeat([]byte("w"), 64)
+	s := NewCrashStore(nil)
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			s.Append("wal", entry)
+			s.Sync("wal")
+		}
+		s.WriteFile("wal")
+		s.Sync("wal")
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("append+sync+truncate cycle: %.2f allocs in steady state, want 0", avg)
+	}
+	s.Append("wal", entry)
+	if got := s.Read("wal"); !bytes.Equal(got, entry) {
+		t.Errorf("after truncation and one append the WAL reads %q, want %q", got, entry)
+	}
+	s.Crash()
+	if got := s.Read("wal"); len(got) != 0 {
+		t.Errorf("a crash kept %d un-synced bytes after a truncation", len(got))
+	}
+}
+
 // TestCrashStoreTornTailAfterReuse: once a tail's buffer is reused, a
 // crash still keeps only a strict prefix of the new tail's bytes, none of
 // the older tail's left in the buffer.

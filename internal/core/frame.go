@@ -133,6 +133,17 @@ type Recovery struct {
 // Recovery is idempotent — RecoverLog(rec.Clean) salvages the same frames
 // and reports no damage.
 func RecoverLog(data []byte) Recovery {
+	var payloads [][]byte
+	rec := scanLog(data, func(p []byte) { payloads = append(payloads, p) })
+	rec.Payloads = payloads
+	return rec
+}
+
+// scanLog is RecoverLog without the payload list: it hands each intact
+// payload to visit (when not nil) and leaves Payloads nil. The logger's
+// boot-time repair and rotation need only Clean and the tally, so they
+// scan the flash bytes in place and copy only to excise a lost region.
+func scanLog(data []byte, visit func(payload []byte)) Recovery {
 	var rec Recovery
 	prefix := 0 // data[:prefix] is intact frames with no gap
 	i := 0
@@ -140,7 +151,9 @@ func RecoverLog(data []byte) Recovery {
 	for i < len(data) {
 		if data[i] == FrameMagic {
 			if payload, size, ok := decodeFrame(data[i:]); ok {
-				rec.Payloads = append(rec.Payloads, payload)
+				if visit != nil {
+					visit(payload)
+				}
 				if rec.Lost == 0 {
 					prefix = i + size
 				} else {
@@ -177,8 +190,7 @@ func rotateFramed(data []byte, keep int) []byte {
 	if len(data) <= keep {
 		return data
 	}
-	rec := RecoverLog(data)
-	clean := rec.Clean
+	clean := scanLog(data, nil).Clean
 	for len(clean) > keep {
 		_, size, ok := decodeFrame(clean)
 		if !ok {

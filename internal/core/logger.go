@@ -238,13 +238,16 @@ func (dm *daemon) writeBeat(kind BeatKind) {
 // recoverLog repairs the consolidated Log File from its on-flash bytes:
 // intact frames are kept, torn tails truncated, corrupt regions excised.
 // The logger sees only what a real logger could see — the repair works
-// from flash content, never from simulator ground truth.
+// from flash content, never from simulator ground truth. The scan reads
+// the file server's view of the flash in place; only excising a lost
+// region copies. The result carries the tally; its Clean aliases flash
+// bytes the repair may have rewritten, and no caller reads it.
 func (dm *daemon) recoverLog() Recovery {
 	data, code := dm.files.ReadFile(dm.l.cfg.LogPath)
 	if code != symbos.KErrNone || len(data) == 0 {
 		return Recovery{}
 	}
-	rec := RecoverLog(data)
+	rec := scanLog(data, nil)
 	if rec.Dirty {
 		dm.files.WriteFile(dm.l.cfg.LogPath, rec.Clean)
 	}
@@ -376,8 +379,9 @@ func (dm *daemon) append(rec Record) {
 	frame := dm.buf
 	if n, code := dm.files.SizeFile(dm.l.cfg.LogPath); code == symbos.KErrNone &&
 		n+len(frame) > dm.l.cfg.MaxLogBytes {
-		// Rotation is the one path that still has to materialise the
-		// file: it keeps the newest half of the records.
+		// Rotation keeps the newest half of the records: it scans the
+		// file server's view of the flash and writes back a suffix of it
+		// (a copy only when a lost region has to be excised).
 		if data, rcode := dm.files.ReadFile(dm.l.cfg.LogPath); rcode == symbos.KErrNone {
 			dm.files.WriteFile(dm.l.cfg.LogPath, rotateFramed(data, dm.l.cfg.MaxLogBytes/2))
 		}

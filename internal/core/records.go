@@ -256,8 +256,17 @@ func EncodeBeat(b Beat) []byte {
 // evidence; legacy single-JSON files parse directly.
 func ParseBeat(data []byte) (Beat, bool) {
 	if len(data) > 0 && data[0] == FrameMagic {
+		// The newest intact frame is a beat in every file the logger
+		// writes: find it without listing the payloads, and list them
+		// only to fall back to earlier frames.
+		var last []byte
+		if scanLog(data, func(p []byte) { last = p }).Salvaged > 0 {
+			if b, ok := parseBeatPayload(last); ok {
+				return b, true
+			}
+		}
 		payloads := RecoverLog(data).Payloads
-		for i := len(payloads) - 1; i >= 0; i-- {
+		for i := len(payloads) - 2; i >= 0; i-- {
 			if b, ok := parseBeatPayload(payloads[i]); ok {
 				return b, true
 			}

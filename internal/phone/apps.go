@@ -44,7 +44,7 @@ type App struct {
 	visible bool // listed by the Application Architecture Server
 	dev     *Device
 	proc    *symbos.Process
-	svc     *symbos.Server
+	svc     *symbos.Server // built by service, at the first request
 }
 
 // Name returns the application name.
@@ -75,19 +75,31 @@ func (d *Device) launch(name string, visible bool) *App {
 	proc := d.kernel.StartProcess(name, false)
 	proc.Main().WatchViewSrv() // all stock apps are UI applications
 	a := &App{name: name, ui: true, visible: visible, dev: d, proc: proc}
-	a.svc = symbos.AdoptServer(proc, func(m *symbos.Message) {
-		switch m.Op {
-		case OpPing:
-			m.Complete(symbos.KErrNone)
-		case OpCorruptComplete:
-			m.NullifyPtr()
-			m.Complete(symbos.KErrNone)
-		default:
-			m.Complete(symbos.KErrNotSupported)
-		}
-	})
 	d.apps[name] = a
 	return a
+}
+
+// service returns the application's in-process service, adopting the
+// process as a server at the first request: almost no launch is ever sent
+// one.
+func (a *App) service() *symbos.Server {
+	if a.svc == nil {
+		a.svc = symbos.AdoptServer(a.proc, serveApp)
+	}
+	return a.svc
+}
+
+// serveApp is every application's in-process service.
+func serveApp(m *symbos.Message) {
+	switch m.Op {
+	case OpPing:
+		m.Complete(symbos.KErrNone)
+	case OpCorruptComplete:
+		m.NullifyPtr()
+		m.Complete(symbos.KErrNone)
+	default:
+		m.Complete(symbos.KErrNotSupported)
+	}
 }
 
 // CloseApp exits the named application if it is running.
@@ -156,29 +168,27 @@ func (d *Device) randomRunningApp() *App {
 func (a *App) perform(act Activity) {
 	d := a.dev
 	k := d.kernel
+	ui := d.uiKit()
 	k.Exec(a.proc.Main(), string(act), func() {
 		t := a.proc.Main()
 		switch act {
 		case ActVoiceCall:
-			num := symbos.NewBuf(k, 32)
+			num := ui.number
 			num.Copy("+3908112345")
 			num.Append("67")
 			sess := d.dbLog.Connect(t)
 			sess.SendReceive(OpPing, "call "+num.String())
 			sess.Close()
 		case ActMessage:
-			ed := symbos.NewEdwin(k, 160)
+			ed := ui.editor
+			ed.Text().SetLength(0)
 			ed.BeginInlineEdit()
 			ed.CommitInlineEdit("see you at the lab at ")
 			ed.BeginInlineEdit()
 			ed.CommitInlineEdit("9:30")
-			reply := symbos.NewBuf(k, 128)
-			a.msgsQueryInto(OpSendMessage, ed.Text().String(), reply)
+			a.msgsQueryInto(OpSendMessage, ed.Text().String(), ui.reply)
 		case ActContacts:
-			lb := symbos.NewListBox(k)
-			for _, n := range []string{"alice", "bob", "carol", "dave"} {
-				lb.AddItem(n)
-			}
+			lb := ui.contacts
 			lb.SetCurrentItem(d.rng.Intn(lb.Count()))
 			lb.Draw()
 		case ActCamera:
@@ -194,7 +204,7 @@ func (a *App) perform(act Activity) {
 			route := symbos.TwoPhaseConstructL(t, a.proc.Heap(), 32<<10, "route", func(*symbos.Cell) {})
 			a.proc.Heap().Free(route)
 		case ActBrowseFS:
-			path := symbos.NewBuf(k, 64)
+			path := ui.path
 			path.Copy("C:\\Documents\\photos")
 			path.Append("\\2006")
 			_ = path.Mid(3, 9)
@@ -204,10 +214,46 @@ func (a *App) perform(act Activity) {
 			tm.After(d.rng.ExpDuration(30 * 60e9))
 			tm.Cancel()
 		case ActAudio:
-			ac := symbos.NewAudioClient(k)
+			ac := ui.audio
 			ac.SetVolume(1 + d.rng.Intn(9))
 		}
 	})
+}
+
+// uiKit is the healthy-path working set of App.perform: the descriptors,
+// editor, list box and audio client an activity exercises. Each is bound
+// to one boot's kernel (boot drops the kit) and reset by the operations
+// perform runs on it, so one set serves every activity of a boot; an App
+// is rebuilt at almost every launch, so a set per App would be rebuilt
+// almost every time. The fault model never touches it: its misuses build
+// their own.
+type uiKit struct {
+	number   *symbos.Buf // the dialled number of a voice call
+	editor   *symbos.Edwin
+	reply    *symbos.Buf // a sent message's delivery report
+	contacts *symbos.ListBox
+	path     *symbos.Buf // the browsed folder
+	audio    *symbos.AudioClient
+}
+
+// uiKit returns the boot's kit, building it at the boot's first activity.
+func (d *Device) uiKit() *uiKit {
+	if d.ui == nil {
+		k := d.kernel
+		lb := symbos.NewListBox(k)
+		for _, n := range []string{"alice", "bob", "carol", "dave"} {
+			lb.AddItem(n)
+		}
+		d.ui = &uiKit{
+			number:   symbos.NewBuf(k, 32),
+			editor:   symbos.NewEdwin(k, 160),
+			reply:    symbos.NewBuf(k, 128),
+			contacts: lb,
+			path:     symbos.NewBuf(k, 64),
+			audio:    symbos.NewAudioClient(k),
+		}
+	}
+	return d.ui
 }
 
 // msgsQueryInto is the messaging client library: it issues a request to the

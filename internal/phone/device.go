@@ -82,10 +82,25 @@ type Device struct {
 	// same for the sorted running-application names.
 	srvScratch []byte
 	appNames   []string
+	// activityReply is the Database Log Server's encoded reply, kept
+	// until the activity log changes (activityEncoded false).
+	activityReply   []byte
+	activityEncoded bool
 
 	activityLog     []ActivityRecord
 	currentActivity Activity
 	activityToken   int
+
+	// Built on first use, never at construction (a fleet builds its
+	// devices before any of them runs): the engine labels at the first
+	// boot, the activity mix table at the first pick, the boot's
+	// workload callbacks at each boot and its UI kit at the boot's first
+	// activity.
+	labels     *deviceLabels
+	mixKinds   []Activity
+	mixWeights []float64
+	work       *workload
+	ui         *uiKit
 
 	onBoot        []func(*Device)
 	shutdownHooks []func(ShutdownReason)
@@ -212,11 +227,15 @@ func (d *Device) boot() {
 		return
 	}
 	d.bootGen++
+	if d.labels == nil {
+		d.labels = newDeviceLabels(d.id)
+	}
 	d.state = StateOn
 	d.lastBootAt = d.eng.Now()
 	d.shutdownHooks = nil
 	d.outputHooks = nil
-	d.apps = make(map[string]*App)
+	clear(d.apps) // the last boot's applications died with its kernel
+	d.ui = nil
 	d.currentActivity = ActIdle
 	d.kernel = symbos.NewKernel(d.eng)
 	d.kernel.SetPanicHandler(d.handlePanic)
@@ -261,7 +280,36 @@ func (d *Device) powerDown(offFor time.Duration) {
 	d.accountUptime()
 	d.kernel.Halt()
 	d.state = StateOff
-	d.eng.After(offFor, "boot "+d.id, d.boot)
+	d.eng.After(offFor, d.labels.boot, d.boot)
+}
+
+// deviceLabels are the engine labels of one device's events, built once,
+// at its first boot, instead of at every arm.
+type deviceLabels struct {
+	boot, batteryPull, service                            string
+	activity, activityEnd, night, dayOff, charge, battery string
+	spontaneous, outputFailure, panicOp                   string
+	panicFreeze, panicShutdown, burstPanic                string
+}
+
+func newDeviceLabels(id string) *deviceLabels {
+	return &deviceLabels{
+		boot:          "boot " + id,
+		batteryPull:   "battery-pull " + id,
+		service:       "service " + id,
+		activity:      "activity " + id,
+		activityEnd:   "activity-end " + id,
+		night:         "night " + id,
+		dayOff:        "dayoff " + id,
+		charge:        "charge " + id,
+		battery:       "battery " + id,
+		spontaneous:   "spontaneous " + id,
+		outputFailure: "output-failure " + id,
+		panicOp:       "panic-op " + id,
+		panicFreeze:   "panic-freeze " + id,
+		panicShutdown: "panic-shutdown " + id,
+		burstPanic:    "burst-panic " + id,
+	}
 }
 
 // SelfShutdown reboots the phone on its own initiative (a silent failure).
@@ -306,7 +354,7 @@ func (d *Device) noteFailureForService() {
 // or so of phone-on time.
 func (d *Device) scheduleServiceVisit() {
 	gen := d.bootGen
-	d.eng.After(d.rng.ExpDuration(18*time.Hour), "service "+d.id, func() {
+	d.eng.After(d.rng.ExpDuration(18*time.Hour), d.labels.service, func() {
 		if !d.live(gen) {
 			return // retried from the next boot; servicePending persists
 		}
@@ -352,7 +400,7 @@ func (d *Device) Freeze(cause string) {
 	d.state = StateFrozen
 	d.kernel.Halt()
 	wait := d.rng.LogNormalDuration(d.cfg.FreezeImpatienceMedian, d.cfg.FreezeImpatienceSigma)
-	d.eng.After(wait, "battery-pull "+d.id, func() {
+	d.eng.After(wait, d.labels.batteryPull, func() {
 		if d.state != StateFrozen {
 			return
 		}
@@ -361,7 +409,7 @@ func (d *Device) Freeze(cause string) {
 		d.fs.Crash()
 		d.state = StateOff
 		off := d.rng.LogNormalDuration(d.cfg.BatteryPullOffMedian, d.cfg.BatteryPullOffSigma)
-		d.eng.After(off, "boot "+d.id, d.boot)
+		d.eng.After(off, d.labels.boot, d.boot)
 	})
 }
 

@@ -251,10 +251,9 @@ func TestSysAgentReportsBattery(t *testing.T) {
 func TestDBLogRecordsOnlyCallsAndMessages(t *testing.T) {
 	d, eng := newTestDevice(t, 13, nil)
 	eng.Step()
-	gen := d.bootGen
-	d.beginActivity(gen, ActCamera)
+	d.beginActivity(ActCamera)
 	d.finishActivity(ActCamera)
-	d.beginActivity(gen, ActVoiceCall)
+	d.beginActivity(ActVoiceCall)
 	d.finishActivity(ActVoiceCall)
 	recs := d.recentActivity(10)
 	if len(recs) != 1 || recs[0].Kind != ActVoiceCall {

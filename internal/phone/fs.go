@@ -38,8 +38,14 @@ func (c FlashFaults) Enabled() bool {
 // abrupt power loss can tear the most recent write down to a prefix, worn
 // cells flip bits, and the medium fills up.
 type FS struct {
-	files  map[string][]byte
+	files  map[string]*flashFile
 	writes uint64
+
+	// memo is the file last looked up: the logger touches one file
+	// several times in a row (a size check, then an append), and a hit
+	// costs a string comparison instead of a hash.
+	memoPath string
+	memo     *flashFile
 
 	faults FlashFaults
 	rng    *sim.Rand
@@ -55,9 +61,44 @@ type FS struct {
 	quotaRejects uint64
 }
 
+// flashFile is one file's bytes. Files are held by pointer so a write
+// changes the file in place, with no map assignment.
+type flashFile struct{ data []byte }
+
 // NewFS returns an empty, perfect filesystem.
 func NewFS() *FS {
-	return &FS{files: make(map[string][]byte)}
+	return &FS{files: make(map[string]*flashFile)}
+}
+
+// lookup returns path's file, or nil when it does not exist.
+func (f *FS) lookup(path string) *flashFile {
+	if f.memo != nil && f.memoPath == path {
+		return f.memo
+	}
+	fl := f.files[path]
+	if fl != nil {
+		f.memoPath, f.memo = path, fl
+	}
+	return fl
+}
+
+// create returns path's file, creating it empty if needed.
+func (f *FS) create(path string) *flashFile {
+	fl := f.lookup(path)
+	if fl == nil {
+		fl = &flashFile{}
+		f.files[path] = fl
+		f.memoPath, f.memo = path, fl
+	}
+	return fl
+}
+
+// data returns path's bytes (nil when it does not exist).
+func (f *FS) data(path string) []byte {
+	if fl := f.lookup(path); fl != nil {
+		return fl.data
+	}
+	return nil
 }
 
 // EnableFaults arms the adversity model. rng must be a Split() child of
@@ -71,14 +112,16 @@ func (f *FS) EnableFaults(cfg FlashFaults, rng *sim.Rand) {
 // Write replaces the contents of path, reusing the file's capacity (a
 // rewritten heartbeat file does not regrow from nothing). It reports false
 // when the flash quota would be exceeded (the write is rejected whole,
-// like a full medium). data is copied; no caller holds the stored bytes,
-// since Read returns a copy.
+// like a full medium). data is copied, and it may alias a view of the same
+// file (the copy is a memmove): a repair writes back a prefix or a suffix
+// of what it read.
 func (f *FS) Write(path string, data []byte) bool {
 	if !f.CanWrite(path, data) {
 		f.quotaRejects++
 		return false
 	}
-	f.files[path] = append(f.files[path][:0], data...)
+	fl := f.create(path)
+	fl.data = append(fl.data[:0], data...)
 	f.writes++
 	f.noteWrite(path, 0, len(data))
 	return true
@@ -91,8 +134,9 @@ func (f *FS) Append(path string, data []byte) bool {
 		f.quotaRejects++
 		return false
 	}
-	off := len(f.files[path])
-	f.files[path] = append(f.files[path], data...)
+	fl := f.create(path)
+	off := len(fl.data)
+	fl.data = append(fl.data, data...)
 	f.writes++
 	f.noteWrite(path, off, len(data))
 	return true
@@ -101,7 +145,7 @@ func (f *FS) Append(path string, data []byte) bool {
 // CanWrite reports whether replacing path with data fits the quota.
 func (f *FS) CanWrite(path string, data []byte) bool {
 	return f.faults.QuotaBytes <= 0 ||
-		f.TotalSize()-len(f.files[path])+len(data) <= f.faults.QuotaBytes
+		f.TotalSize()-len(f.data(path))+len(data) <= f.faults.QuotaBytes
 }
 
 // CanAppend reports whether appending data to path fits the quota.
@@ -116,7 +160,7 @@ func (f *FS) noteWrite(path string, off, n int) {
 	if f.faults.BitRotPerWrite <= 0 || f.rng == nil {
 		return
 	}
-	if file := f.files[path]; len(file) > 0 && f.rng.Bool(f.faults.BitRotPerWrite) {
+	if file := f.data(path); len(file) > 0 && f.rng.Bool(f.faults.BitRotPerWrite) {
 		bit := f.rng.Intn(len(file) * 8)
 		file[bit/8] ^= 1 << (bit % 8)
 		f.bitFlips++
@@ -131,12 +175,12 @@ func (f *FS) Crash() {
 	if f.rng == nil || f.lastN == 0 || !f.rng.Bool(f.faults.TornWriteProb) {
 		return
 	}
-	file, ok := f.files[f.lastPath]
-	if !ok || len(file) < f.lastOff+f.lastN {
+	fl := f.lookup(f.lastPath)
+	if fl == nil || len(fl.data) < f.lastOff+f.lastN {
 		return // the file shrank since (rewrite/delete); nothing in flight
 	}
 	keep := f.rng.Intn(f.lastN) // strictly less than lastN: a true tear
-	f.files[f.lastPath] = file[:f.lastOff+keep]
+	fl.data = fl.data[:f.lastOff+keep]
 	f.tornWrites++
 	f.lastN = 0
 }
@@ -154,30 +198,43 @@ func (f *FS) QuotaRejects() uint64 { return f.quotaRejects }
 // Read returns the contents of path and whether it exists. The returned
 // slice is a copy; callers cannot corrupt the stored file.
 func (f *FS) Read(path string) ([]byte, bool) {
-	data, ok := f.files[path]
-	if !ok {
+	fl := f.lookup(path)
+	if fl == nil {
 		return nil, false
 	}
-	return append([]byte(nil), data...), true
+	return append([]byte(nil), fl.data...), true
+}
+
+// View returns the stored bytes of path themselves, not a copy: the file
+// server's read reply. They stay valid until path is next written or
+// deleted, and must not be modified.
+func (f *FS) View(path string) ([]byte, bool) {
+	fl := f.lookup(path)
+	if fl == nil {
+		return nil, false
+	}
+	return fl.data, true
 }
 
 // Delete removes path (missing paths are fine).
-func (f *FS) Delete(path string) { delete(f.files, path) }
-
-// Exists reports whether path is present.
-func (f *FS) Exists(path string) bool {
-	_, ok := f.files[path]
-	return ok
+func (f *FS) Delete(path string) {
+	delete(f.files, path)
+	if f.memoPath == path {
+		f.memo = nil
+	}
 }
 
+// Exists reports whether path is present.
+func (f *FS) Exists(path string) bool { return f.lookup(path) != nil }
+
 // Size returns the length of path in bytes (0 when missing).
-func (f *FS) Size(path string) int { return len(f.files[path]) }
+func (f *FS) Size(path string) int { return len(f.data(path)) }
 
 // TotalSize returns the number of bytes stored across all files.
 func (f *FS) TotalSize() int {
 	total := 0
-	for _, d := range f.files {
-		total += len(d)
+	for _, fl := range f.files {
+		total += len(fl.data)
 	}
 	return total
 }
@@ -199,7 +256,8 @@ func (f *FS) List() []string {
 // factory settings and the user's content is removed" recovery action the
 // forum study describes for service-centre visits.
 func (f *FS) MasterReset() {
-	f.files = make(map[string][]byte)
+	f.files = make(map[string]*flashFile)
+	f.memo = nil
 }
 
 // String summarises the filesystem for diagnostics.

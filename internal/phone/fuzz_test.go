@@ -107,17 +107,21 @@ func (r *refFS) crash() {
 	r.lastN = 0
 }
 
-// FuzzFlashOps runs a fuzzed program of Write, Append, Crash, Read and
-// Delete on a few paths against FS and refFS under torn writes, bit rot and
-// a quota, and compares every file and fault counter after each step. FS
-// reuses a file's capacity on rewrite and flips rotted bits in place, so
-// the test also checks what that must not break: a caller's buffer is
-// copied (scribbling over it after the call changes no file), and the
-// bytes a Read returned never change after a later Write or Append.
+// FuzzFlashOps runs a fuzzed program of Write, Append, Crash, Read, Delete
+// and a write-back of a view on a few paths against FS and refFS under torn
+// writes, bit rot and a quota, and compares every file and fault counter
+// after each step. FS reuses a file's capacity on rewrite and flips rotted
+// bits in place, so the test also checks what that must not break: a
+// caller's buffer is copied (scribbling over it after the call changes no
+// file), the bytes a Read returned never change after a later Write or
+// Append, a View equals Read until the next op, and writing back a prefix
+// or a suffix of a file's own view (the logger's repair and rotation)
+// stores what a copy would.
 func FuzzFlashOps(f *testing.F) {
 	f.Add(uint64(1), uint16(0), []byte{0, 8, 1, 4, 2, 3, 1, 9, 2, 4})
 	f.Add(uint64(7), uint16(40), []byte{1, 20, 1, 20, 0, 30, 3, 2, 0, 5, 3, 2, 4, 1, 6})
 	f.Add(uint64(42), uint16(16), []byte{0, 12, 5, 3, 10, 2, 1, 7, 2, 3, 8, 3, 0, 31, 3})
+	f.Add(uint64(9), uint16(0), []byte{0, 30, 5, 9, 1, 20, 5, 14, 11, 7, 5, 40, 2, 17, 3})
 	paths := []string{"beats", "log", "runapp"}
 	f.Fuzz(func(t *testing.T, seed uint64, quota uint16, prog []byte) {
 		faults := FlashFaults{TornWriteProb: 0.5, BitRotPerWrite: 0.25, QuotaBytes: int(quota % 512)}
@@ -125,10 +129,16 @@ func FuzzFlashOps(f *testing.F) {
 		fs.EnableFaults(faults, sim.NewRand(seed))
 		ref := &refFS{files: map[string][]byte{}, faults: faults, rng: sim.NewRand(seed)}
 		type held struct{ got, want []byte }
-		var reads []held
+		var reads, views []held
 		scratch := make([]byte, 0, 64)
 		for i := 0; i < len(prog); i++ {
-			op, path := prog[i]%5, paths[int(prog[i]/5)%len(paths)]
+			for _, v := range views {
+				if !bytes.Equal(v.got, v.want) {
+					t.Fatalf("step %d: a view changed before the next op: %q, read as %q", i, v.got, v.want)
+				}
+			}
+			views = views[:0]
+			op, path := prog[i]%6, paths[int(prog[i]/6)%len(paths)]
 			switch op {
 			case 0, 1: // Write, Append: the next byte is the length
 				n := 0
@@ -165,6 +175,25 @@ func FuzzFlashOps(f *testing.F) {
 			case 4:
 				fs.Delete(path)
 				delete(ref.files, path)
+			case 5: // write back a prefix (even) or suffix (odd) of the view
+				k := 0
+				if i+1 < len(prog) {
+					i++
+					k = int(prog[i])
+				}
+				view, ok := fs.View(path)
+				if !ok {
+					break
+				}
+				cut := (k / 2) % (len(view) + 1)
+				part := view[:cut]
+				if k%2 == 1 {
+					part = view[cut:]
+				}
+				want := ref.write(path, append([]byte(nil), part...))
+				if got := fs.Write(path, part); got != want {
+					t.Fatalf("step %d: write-back of %s's view accepted=%v, reference %v", i, path, got, want)
+				}
 			}
 			for _, p := range paths {
 				got, ok := fs.Read(p)
@@ -172,6 +201,11 @@ func FuzzFlashOps(f *testing.F) {
 				if ok != wok || !bytes.Equal(got, want) || fs.Size(p) != len(want) {
 					t.Fatalf("step %d: %s = %q %v, reference %q %v", i, p, got, ok, want, wok)
 				}
+				view, vok := fs.View(p)
+				if vok != ok || !bytes.Equal(view, got) {
+					t.Fatalf("step %d: View(%s) = %q %v, Read %q %v", i, p, view, vok, got, ok)
+				}
+				views = append(views, held{view, got})
 			}
 			if fs.Writes() != ref.writes || fs.TornWrites() != ref.torn ||
 				fs.BitFlips() != ref.flips || fs.QuotaRejects() != ref.reject || fs.TotalSize() != ref.total() {

@@ -133,10 +133,14 @@ func (d *Device) startServers() {
 	d.dbLog = symbos.NewServer(d.kernel, SrvDBLog, true, func(m *symbos.Message) {
 		switch m.Op {
 		case OpRecentActivity:
-			// Encode straight from the log tail: the handler runs
-			// synchronously, so no defensive copy is needed.
-			d.srvScratch = appendActivity(d.srvScratch[:0], d.recentActivityView(10))
-			m.Respond(d.srvScratch)
+			// The logger asks every collection period and at every
+			// panic, but the log changes only when a call or message
+			// starts or ends: encode the tail once per change.
+			if !d.activityEncoded {
+				d.activityReply = appendActivity(d.activityReply[:0], d.recentActivityView(10))
+				d.activityEncoded = true
+			}
+			m.Respond(d.activityReply)
 			m.Complete(symbos.KErrNone)
 		case OpPing:
 			m.Complete(symbos.KErrNone)
@@ -207,10 +211,12 @@ func (d *Device) MessageServer() *symbos.Server { return d.msgSrv }
 
 // recordActivityStart opens an activity record in the database log.
 func (d *Device) recordActivityStart(kind Activity) {
-	d.activityLog = append(d.activityLog, ActivityRecord{Kind: kind, Start: d.eng.Now(), End: sim.Never})
-	if len(d.activityLog) > activityLogCap {
-		d.activityLog = d.activityLog[len(d.activityLog)-activityLogCap:]
+	if len(d.activityLog) == activityLogCap {
+		// Drop the oldest in place, so the log never regrows.
+		d.activityLog = append(d.activityLog[:0], d.activityLog[1:]...)
 	}
+	d.activityLog = append(d.activityLog, ActivityRecord{Kind: kind, Start: d.eng.Now(), End: sim.Never})
+	d.activityEncoded = false
 }
 
 // recordActivityEnd closes the most recent open record of the given kind.
@@ -218,6 +224,7 @@ func (d *Device) recordActivityEnd(kind Activity) {
 	for i := len(d.activityLog) - 1; i >= 0; i-- {
 		if d.activityLog[i].Kind == kind && d.activityLog[i].Ongoing() {
 			d.activityLog[i].End = d.eng.Now()
+			d.activityEncoded = false
 			return
 		}
 	}

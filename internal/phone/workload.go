@@ -29,18 +29,55 @@ func meanInterval(ratePerHour float64) (time.Duration, bool) {
 // Every scheduled callback is guarded by the boot generation so that events
 // queued before a shutdown are inert afterwards.
 func (d *Device) startWorkload() {
-	gen := d.bootGen
+	w := d.newWorkload()
+	d.work = w
 
-	d.scheduleNextActivity(gen)
-	d.scheduleNightCheck(gen)
-	d.scheduleDayOff(gen)
-	d.scheduleEveningCharge(gen)
-	d.scheduleBatteryTick(gen)
-	d.scheduleSpontaneous(gen, true)
-	d.scheduleSpontaneous(gen, false)
-	d.scheduleOutputFailures(gen)
-	d.schedulePanicOpportunity(gen)
+	w.scheduleNextActivity()
+	w.scheduleNightCheck()
+	w.scheduleDayOff()
+	w.scheduleEveningCharge()
+	w.scheduleBatteryTick()
+	w.scheduleSpontaneous(true)
+	w.scheduleSpontaneous(false)
+	w.scheduleOutputFailures()
+	w.schedulePanicOpportunity()
 }
+
+// workload is one boot generation's workload. Its events re-arm
+// themselves many times a day, so each callback is built once per boot,
+// here, never at an arm; each checks first that its generation is still
+// live, so the callbacks of an earlier boot stay inert.
+type workload struct {
+	d   *Device
+	gen int
+
+	// The activity whose end is queued. At most one is pending in a live
+	// generation: a new activity starts only once the previous one has
+	// finished, and a power-down ends the generation.
+	endToken int
+	endAct   Activity
+
+	activity, activityEnd, night, dayOff, charge, battery func()
+	freeze, shutdown, outputFailure, panicOp              func()
+}
+
+func (d *Device) newWorkload() *workload {
+	w := &workload{d: d, gen: d.bootGen}
+	w.activity = w.onActivity
+	w.activityEnd = w.onActivityEnd
+	w.night = w.onNight
+	w.dayOff = w.onDayOff
+	w.charge = w.onCharge
+	w.battery = w.onBattery
+	w.freeze = func() { w.onSpontaneous(true) }
+	w.shutdown = func() { w.onSpontaneous(false) }
+	w.outputFailure = w.onOutputFailure
+	w.panicOp = w.onPanicOpportunity
+	return w
+}
+
+// live reports whether the workload's boot generation is still running.
+func (w *workload) live() bool { return w.d.live(w.gen) }
 
 // live reports whether a callback scheduled in boot generation gen should
 // still run.
@@ -81,7 +118,8 @@ func (d *Device) untilWake() time.Duration {
 
 // User activities ------------------------------------------------------
 
-func (d *Device) scheduleNextActivity(gen int) {
+func (w *workload) scheduleNextActivity() {
+	d := w.d
 	wakingHours := d.cfg.SleepHour - d.cfg.WakeHour
 	rate := d.cfg.ActivitiesPerDay
 	if d.weekend() && d.cfg.WeekendActivityFactor > 0 {
@@ -92,33 +130,43 @@ func (d *Device) scheduleNextActivity(gen int) {
 	if !d.awake() {
 		delay = d.untilWake() + d.rng.ExpDuration(meanGap/2)
 	}
-	d.eng.After(delay, "activity "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		if d.awake() && d.currentActivity == ActIdle {
-			d.beginActivity(gen, d.pickActivity())
-		}
-		d.scheduleNextActivity(gen)
-	})
+	d.eng.After(delay, d.labels.activity, w.activity)
+}
+
+func (w *workload) onActivity() {
+	if !w.live() {
+		return
+	}
+	d := w.d
+	if d.awake() && d.currentActivity == ActIdle {
+		d.beginActivity(d.pickActivity())
+	}
+	w.scheduleNextActivity()
 }
 
 // pickActivity draws an activity class from the configured mix.
 func (d *Device) pickActivity() Activity {
-	kinds := make([]Activity, 0, len(d.cfg.ActivityMix))
-	weights := make([]float64, 0, len(d.cfg.ActivityMix))
-	// Deterministic order: iterate a fixed list, not the map.
-	for _, a := range allActivities {
-		if w, ok := d.cfg.ActivityMix[a]; ok && w > 0 {
-			kinds = append(kinds, a)
-			weights = append(weights, w)
-		}
+	if d.mixKinds == nil {
+		d.buildMix()
 	}
-	idx := d.rng.WeightedIndex(weights)
+	idx := d.rng.WeightedIndex(d.mixWeights)
 	if idx < 0 {
 		return ActIdle
 	}
-	return kinds[idx]
+	return d.mixKinds[idx]
+}
+
+// buildMix tabulates the activity mix for pickActivity, at the device's
+// first pick: the classes with a positive weight, in allActivities order
+// (deterministic, unlike the map's).
+func (d *Device) buildMix() {
+	d.mixKinds = make([]Activity, 0, len(d.cfg.ActivityMix))
+	for _, a := range allActivities {
+		if w, ok := d.cfg.ActivityMix[a]; ok && w > 0 {
+			d.mixKinds = append(d.mixKinds, a)
+			d.mixWeights = append(d.mixWeights, w)
+		}
+	}
 }
 
 // allActivities fixes the iteration order over activity classes.
@@ -129,10 +177,11 @@ var allActivities = []Activity{
 
 // beginActivity opens the activity's applications, exercises their healthy
 // code paths, and schedules the end of the activity.
-func (d *Device) beginActivity(gen int, act Activity) {
+func (d *Device) beginActivity(act Activity) {
 	d.currentActivity = act
 	d.activityToken++
-	token := d.activityToken
+	w := d.work
+	w.endToken, w.endAct = d.activityToken, act
 	apps := activityApps[act]
 	// The foreground application always opens; companion applications
 	// (e.g. the call Log next to Telephone) only sometimes — on a real
@@ -162,12 +211,14 @@ func (d *Device) beginActivity(gen int, act Activity) {
 		median = time.Minute
 	}
 	dur := d.rng.LogNormalDuration(median, d.cfg.ActivitySigma)
-	d.eng.After(dur, "activity-end "+d.id, func() {
-		if !d.live(gen) || d.activityToken != token {
-			return
-		}
-		d.finishActivity(act)
-	})
+	d.eng.After(dur, d.labels.activityEnd, w.activityEnd)
+}
+
+func (w *workload) onActivityEnd() {
+	if !w.live() || w.d.activityToken != w.endToken {
+		return
+	}
+	w.d.finishActivity(w.endAct)
 }
 
 // finishActivity closes the database-log record and the activity's
@@ -198,7 +249,8 @@ func (d *Device) endCurrentActivity() {
 
 // Night and day power cycles -------------------------------------------
 
-func (d *Device) scheduleNightCheck(gen int) {
+func (w *workload) scheduleNightCheck() {
+	d := w.d
 	tod := d.eng.Now().TimeOfDay()
 	sleep := time.Duration(d.cfg.SleepHour * float64(time.Hour))
 	delay := sleep - tod
@@ -206,100 +258,115 @@ func (d *Device) scheduleNightCheck(gen int) {
 		delay += 24 * time.Hour
 	}
 	delay += d.rng.ExpDuration(10 * time.Minute)
-	d.eng.After(delay, "night "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		if d.rng.Bool(d.cfg.NightOffProb) {
-			off := d.cfg.NightOffDuration +
-				time.Duration(d.rng.Norm(0, float64(d.cfg.NightOffJitter)))
-			if off < time.Hour {
-				off = time.Hour
-			}
-			d.oracle.record(TruthUserShutdown, d.eng.Now(), "night", d.currentActivity)
-			d.Shutdown(ReasonUser, off)
-			return
-		}
-		d.scheduleNightCheck(gen)
-	})
+	d.eng.After(delay, d.labels.night, w.night)
 }
 
-func (d *Device) scheduleDayOff(gen int) {
+func (w *workload) onNight() {
+	if !w.live() {
+		return
+	}
+	d := w.d
+	if d.rng.Bool(d.cfg.NightOffProb) {
+		off := d.cfg.NightOffDuration +
+			time.Duration(d.rng.Norm(0, float64(d.cfg.NightOffJitter)))
+		if off < time.Hour {
+			off = time.Hour
+		}
+		d.oracle.record(TruthUserShutdown, d.eng.Now(), "night", d.currentActivity)
+		d.Shutdown(ReasonUser, off)
+		return
+	}
+	w.scheduleNightCheck()
+}
+
+func (w *workload) scheduleDayOff() {
+	d := w.d
 	mean, ok := meanInterval(d.cfg.DayOffPerHour)
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "dayoff "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		if !d.awake() {
-			d.scheduleDayOff(gen)
-			return
-		}
-		off := d.rng.LogNormalDuration(d.cfg.DayOffMedian, d.cfg.DayOffSigma)
-		if d.rng.Bool(d.cfg.LoggerOffProb) {
-			d.oracle.record(TruthLoggerOff, d.eng.Now(), "user stopped logger", d.currentActivity)
-			d.Shutdown(ReasonLoggerOff, off)
-			return
-		}
-		d.oracle.record(TruthUserShutdown, d.eng.Now(), "day", d.currentActivity)
-		d.Shutdown(ReasonUser, off)
-	})
+	d.eng.After(d.rng.ExpDuration(mean), d.labels.dayOff, w.dayOff)
+}
+
+func (w *workload) onDayOff() {
+	if !w.live() {
+		return
+	}
+	d := w.d
+	if !d.awake() {
+		w.scheduleDayOff()
+		return
+	}
+	off := d.rng.LogNormalDuration(d.cfg.DayOffMedian, d.cfg.DayOffSigma)
+	if d.rng.Bool(d.cfg.LoggerOffProb) {
+		d.oracle.record(TruthLoggerOff, d.eng.Now(), "user stopped logger", d.currentActivity)
+		d.Shutdown(ReasonLoggerOff, off)
+		return
+	}
+	d.oracle.record(TruthUserShutdown, d.eng.Now(), "day", d.currentActivity)
+	d.Shutdown(ReasonUser, off)
 }
 
 // Battery ----------------------------------------------------------------
 
-func (d *Device) scheduleEveningCharge(gen int) {
+func (w *workload) scheduleEveningCharge() {
+	d := w.d
 	tod := d.eng.Now().TimeOfDay()
 	evening := 21 * time.Hour
 	delay := evening - tod
 	if delay <= 0 {
 		delay += 24 * time.Hour
 	}
-	d.eng.After(delay, "charge "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		if d.rng.Bool(d.cfg.EveningChargeProb) {
-			d.battery = 1
-			d.publishBattery()
-		}
-		d.scheduleEveningCharge(gen)
-	})
+	d.eng.After(delay, d.labels.charge, w.charge)
 }
 
-func (d *Device) scheduleBatteryTick(gen int) {
-	d.eng.After(time.Hour, "battery "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		d.battery -= d.cfg.BatteryDrainPerHour
+func (w *workload) onCharge() {
+	if !w.live() {
+		return
+	}
+	d := w.d
+	if d.rng.Bool(d.cfg.EveningChargeProb) {
+		d.battery = 1
 		d.publishBattery()
-		if d.battery <= d.cfg.LowBatteryThreshold {
-			d.battery = 0
-			d.oracle.record(TruthLowBattery, d.eng.Now(), "battery exhausted", d.currentActivity)
-			// Half the time the user notices quickly and charges; the
-			// other half the phone stays off until the next morning.
-			var off time.Duration
-			if d.rng.Bool(0.5) {
-				off = d.rng.LogNormalDuration(90*time.Minute, 0.5)
-			} else {
-				off = d.untilWake() + d.rng.ExpDuration(30*time.Minute)
-			}
-			d.battery = 1 // charged while off
-			d.Shutdown(ReasonLowBattery, off)
-			return
+	}
+	w.scheduleEveningCharge()
+}
+
+func (w *workload) scheduleBatteryTick() {
+	w.d.eng.After(time.Hour, w.d.labels.battery, w.battery)
+}
+
+func (w *workload) onBattery() {
+	if !w.live() {
+		return
+	}
+	d := w.d
+	d.battery -= d.cfg.BatteryDrainPerHour
+	d.publishBattery()
+	if d.battery <= d.cfg.LowBatteryThreshold {
+		d.battery = 0
+		d.oracle.record(TruthLowBattery, d.eng.Now(), "battery exhausted", d.currentActivity)
+		// Half the time the user notices quickly and charges; the
+		// other half the phone stays off until the next morning.
+		var off time.Duration
+		if d.rng.Bool(0.5) {
+			off = d.rng.LogNormalDuration(90*time.Minute, 0.5)
+		} else {
+			off = d.untilWake() + d.rng.ExpDuration(30*time.Minute)
 		}
-		d.scheduleBatteryTick(gen)
-	})
+		d.battery = 1 // charged while off
+		d.Shutdown(ReasonLowBattery, off)
+		return
+	}
+	w.scheduleBatteryTick()
 }
 
 // Failures ----------------------------------------------------------------
 
 // scheduleSpontaneous drives the freezes/self-shutdowns that happen with no
 // panic record — causes the logger cannot observe.
-func (d *Device) scheduleSpontaneous(gen int, freeze bool) {
+func (w *workload) scheduleSpontaneous(freeze bool) {
+	d := w.d
 	rate := d.cfg.SpontaneousShutdownPerHour
 	if freeze {
 		rate = d.cfg.SpontaneousFreezePerHour
@@ -308,16 +375,22 @@ func (d *Device) scheduleSpontaneous(gen int, freeze bool) {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "spontaneous "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		if freeze {
-			d.Freeze("spontaneous")
-		} else {
-			d.SelfShutdown("spontaneous")
-		}
-	})
+	fire := w.shutdown
+	if freeze {
+		fire = w.freeze
+	}
+	d.eng.After(d.rng.ExpDuration(mean), d.labels.spontaneous, fire)
+}
+
+func (w *workload) onSpontaneous(freeze bool) {
+	if !w.live() {
+		return
+	}
+	if freeze {
+		w.d.Freeze("spontaneous")
+	} else {
+		w.d.SelfShutdown("spontaneous")
+	}
 }
 
 // outputFailureDetails are the value-failure manifestations the forum
@@ -335,47 +408,55 @@ var outputFailureDetails = []string{
 // scheduleOutputFailures drives user-visible value failures. They do not
 // stop the phone; they fire the output-failure hooks so optional observers
 // (core.UserReporter) can model user-driven reporting.
-func (d *Device) scheduleOutputFailures(gen int) {
+func (w *workload) scheduleOutputFailures() {
+	d := w.d
 	mean, ok := meanInterval(d.cfg.OutputFailurePerHour)
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "output-failure "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		of := OutputFailure{
-			Time:     d.eng.Now(),
-			Detail:   outputFailureDetails[d.rng.Intn(len(outputFailureDetails))],
-			Activity: d.currentActivity,
-		}
-		d.oracle.record(TruthOutputFailure, of.Time, of.Detail, of.Activity)
-		for _, fn := range d.outputHooks {
-			fn(of)
-		}
-		d.scheduleOutputFailures(gen)
-	})
+	d.eng.After(d.rng.ExpDuration(mean), d.labels.outputFailure, w.outputFailure)
+}
+
+func (w *workload) onOutputFailure() {
+	if !w.live() {
+		return
+	}
+	d := w.d
+	of := OutputFailure{
+		Time:     d.eng.Now(),
+		Detail:   outputFailureDetails[d.rng.Intn(len(outputFailureDetails))],
+		Activity: d.currentActivity,
+	}
+	d.oracle.record(TruthOutputFailure, of.Time, of.Detail, of.Activity)
+	for _, fn := range d.outputHooks {
+		fn(of)
+	}
+	w.scheduleOutputFailures()
 }
 
 // schedulePanicOpportunity drives the fault model: defect-trigger
 // opportunities arrive as a Poisson process whose intensity is modulated by
 // the current activity's risk multiplier (thinning).
-func (d *Device) schedulePanicOpportunity(gen int) {
+func (w *workload) schedulePanicOpportunity() {
+	d := w.d
 	maxRate := d.cfg.PanicOpportunityPerHour * d.cfg.riskMax()
 	mean, ok := meanInterval(maxRate)
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), "panic-op "+d.id, func() {
-		if !d.live(gen) {
-			return
-		}
-		accept := d.cfg.risk(d.currentActivity) / d.cfg.riskMax()
-		if d.rng.Bool(accept) {
-			d.faults.trigger()
-		}
-		d.schedulePanicOpportunity(gen)
-	})
+	d.eng.After(d.rng.ExpDuration(mean), d.labels.panicOp, w.panicOp)
+}
+
+func (w *workload) onPanicOpportunity() {
+	if !w.live() {
+		return
+	}
+	d := w.d
+	accept := d.cfg.risk(d.currentActivity) / d.cfg.riskMax()
+	if d.rng.Bool(accept) {
+		d.faults.trigger()
+	}
+	w.schedulePanicOpportunity()
 }
 
 var _ = sim.Epoch

@@ -191,8 +191,7 @@ func TestActivitiesOnlyDuringWakingHours(t *testing.T) {
 func TestActivityRecordsCloseOnShutdown(t *testing.T) {
 	d, eng := newTestDevice(t, 71, nil)
 	eng.Step()
-	gen := d.bootGen
-	d.beginActivity(gen, ActVoiceCall)
+	d.beginActivity(ActVoiceCall)
 	if d.CurrentActivity() != ActVoiceCall {
 		t.Fatal("call did not start")
 	}

@@ -45,9 +45,11 @@ type ActiveScheduler struct {
 	dispatchFn func()
 }
 
+// newActiveScheduler installs t's scheduler. One first used after its
+// process died starts shut down, as if it had been there at the kill.
 func newActiveScheduler(t *Thread) *ActiveScheduler {
-	s := &ActiveScheduler{thread: t}
-	s.wakeLabel = "active-scheduler " + t.name
+	s := &ActiveScheduler{thread: t, down: !t.proc.alive}
+	s.wakeLabel = "active-scheduler " + t.Name()
 	s.dispatchFn = s.dispatchOne
 	s.wakeFn = func() {
 		t.proc.kernel.Exec(t, "dispatch", s.dispatchFn)
@@ -61,7 +63,12 @@ func (s *ActiveScheduler) Thread() *Thread { return s.thread }
 // Len returns the number of registered active objects.
 func (s *ActiveScheduler) Len() int { return len(s.aos) }
 
-func (s *ActiveScheduler) shutdown() {
+// shutdown stops the thread's scheduler, if it was ever installed.
+func (t *Thread) shutdown() {
+	s := t.scheduler
+	if s == nil {
+		return
+	}
 	s.down = true
 	for _, ao := range s.aos {
 		ao.dead = true
@@ -77,7 +84,8 @@ func (t *Thread) NewActiveObject(name string, priority int, runL func(code int))
 		thread:   t,
 		runL:     runL,
 	}
-	t.scheduler.aos = append(t.scheduler.aos, ao)
+	s := t.Scheduler()
+	s.aos = append(s.aos, ao)
 	return ao
 }
 

@@ -1,6 +1,10 @@
 package symbos
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"unicode/utf8"
+)
 
 // Buf is a modifiable 16-bit variant descriptor (TBuf/TDes16). Descriptors
 // are Symbian's bounds-checked strings; the bounds checks are exactly what
@@ -32,20 +36,20 @@ func (b *Buf) String() string { return string(b.data) }
 
 // Copy replaces the contents with s (TDes::Copy). Overflow raises USER 11.
 func (b *Buf) Copy(s string) {
-	rs := []rune(s)
-	if len(rs) > b.max {
-		b.overflow("Copy", len(rs))
+	n := utf8.RuneCountInString(s)
+	if n > b.max {
+		b.overflow("Copy", n)
 	}
-	b.data = append(b.data[:0], rs...)
+	b.data = appendRunes(b.data[:0], s, n)
 }
 
 // Append adds s at the end (TDes::Append). Overflow raises USER 11.
 func (b *Buf) Append(s string) {
-	rs := []rune(s)
-	if len(b.data)+len(rs) > b.max {
-		b.overflow("Append", len(b.data)+len(rs))
+	n := utf8.RuneCountInString(s)
+	if len(b.data)+n > b.max {
+		b.overflow("Append", len(b.data)+n)
 	}
-	b.data = append(b.data, rs...)
+	b.data = appendRunes(b.data, s, n)
 }
 
 // AppendFill adds n copies of ch (TDes::AppendFill). Overflow raises USER 11.
@@ -67,12 +71,11 @@ func (b *Buf) Insert(pos int, s string) {
 	if pos < 0 || pos > len(b.data) {
 		b.outOfRange("Insert", pos)
 	}
-	rs := []rune(s)
-	if len(b.data)+len(rs) > b.max {
-		b.overflow("Insert", len(b.data)+len(rs))
+	n := utf8.RuneCountInString(s)
+	if len(b.data)+n > b.max {
+		b.overflow("Insert", len(b.data)+n)
 	}
-	tail := append([]rune(nil), b.data[pos:]...)
-	b.data = append(append(b.data[:pos], rs...), tail...)
+	b.splice(pos, 0, s, n)
 }
 
 // Delete removes length runes at pos (TDes::Delete). Out-of-bounds
@@ -90,12 +93,39 @@ func (b *Buf) Replace(pos, length int, s string) {
 	if pos < 0 || length < 0 || pos+length > len(b.data) {
 		b.outOfRange("Replace", pos)
 	}
-	rs := []rune(s)
-	if len(b.data)-length+len(rs) > b.max {
-		b.overflow("Replace", len(b.data)-length+len(rs))
+	n := utf8.RuneCountInString(s)
+	if len(b.data)-length+n > b.max {
+		b.overflow("Replace", len(b.data)-length+n)
 	}
-	tail := append([]rune(nil), b.data[pos+length:]...)
-	b.data = append(append(b.data[:pos], rs...), tail...)
+	b.splice(pos, length, s, n)
+}
+
+// splice replaces the length runes at pos with s, which holds n runes, in
+// place: the tail moves within the buffer, so no temporary rune slice is
+// built.
+func (b *Buf) splice(pos, length int, s string, n int) {
+	end := len(b.data) - length + n
+	if end > len(b.data) {
+		b.data = slices.Grow(b.data, end-len(b.data))
+	}
+	tail := b.data[pos+length:]
+	b.data = b.data[:end]
+	copy(b.data[pos+n:], tail)
+	i := pos
+	for _, r := range s {
+		b.data[i] = r
+		i++
+	}
+}
+
+// appendRunes appends the n runes of s to dst, as append(dst,
+// []rune(s)...) does without building the []rune.
+func appendRunes(dst []rune, s string, n int) []rune {
+	dst = slices.Grow(dst, n)
+	for _, r := range s {
+		dst = append(dst, r)
+	}
+	return dst
 }
 
 // Mid returns the length runes starting at pos (TDesC::Mid). Out-of-bounds

@@ -199,3 +199,109 @@ func randString(r *sim.Rand, maxLen int) string {
 	}
 	return string(out)
 }
+
+// refBuf is the descriptor model TestBufMatchesRuneSliceReference checks
+// Buf against: every operation converts through a []rune, as Buf once did.
+type refBuf struct {
+	data []rune
+	max  int
+}
+
+// apply runs one operation and reports the panic type it must raise (0
+// for none).
+func (r *refBuf) apply(op, pos, length int, s string) int {
+	rs := []rune(s)
+	switch op {
+	case 0: // Copy
+		if len(rs) > r.max {
+			return TypeDesOverflow
+		}
+		r.data = append([]rune(nil), rs...)
+	case 1: // Append
+		if len(r.data)+len(rs) > r.max {
+			return TypeDesOverflow
+		}
+		r.data = append(r.data, rs...)
+	case 2: // Insert
+		if pos < 0 || pos > len(r.data) {
+			return TypeDesIndexOutOfRange
+		}
+		if len(r.data)+len(rs) > r.max {
+			return TypeDesOverflow
+		}
+		r.data = append(append(append([]rune(nil), r.data[:pos]...), rs...), r.data[pos:]...)
+	case 3: // Replace
+		if pos < 0 || length < 0 || pos+length > len(r.data) {
+			return TypeDesIndexOutOfRange
+		}
+		if len(r.data)-length+len(rs) > r.max {
+			return TypeDesOverflow
+		}
+		r.data = append(append(append([]rune(nil), r.data[:pos]...), rs...), r.data[pos+length:]...)
+	}
+	return 0
+}
+
+// TestBufMatchesRuneSliceReference drives Copy, Append, Insert and Replace
+// — which write runes in place — against the []rune-converting model, with
+// multi-byte and invalid UTF-8 strings, growing and shrinking replacements
+// and out-of-range positions: the contents and every raised panic match.
+func TestBufMatchesRuneSliceReference(t *testing.T) {
+	alphabet := []string{"a", "z", "é", "ß", "€", "𝄞", "\xff", "\xe2\x82"}
+	k := NewKernel(sim.NewEngine())
+	k.SetPanicHandler(func(*Panic, *Process) {})
+	proc := k.StartProcess("Ref", false)
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := sim.NewRand(seed)
+		max := 1 + r.Intn(24)
+		b, ref := NewBuf(k, max), &refBuf{max: max}
+		for i := 0; i < 60; i++ {
+			var s string
+			for n := r.Intn(7); n > 0; n-- {
+				s += alphabet[r.Intn(len(alphabet))]
+			}
+			op, pos, length := r.Intn(4), r.Intn(b.Len()+3)-1, r.Intn(5)
+			want := ref.apply(op, pos, length, s)
+			p := k.Exec(proc.Main(), "op", func() {
+				switch op {
+				case 0:
+					b.Copy(s)
+				case 1:
+					b.Append(s)
+				case 2:
+					b.Insert(pos, s)
+				case 3:
+					b.Replace(pos, length, s)
+				}
+			})
+			got := 0
+			if p != nil {
+				got = p.Type
+			}
+			if got != want || b.String() != string(ref.data) {
+				t.Fatalf("seed %d step %d: op %d(%d, %d, %q) on max %d: %q panic %d, reference %q panic %d",
+					seed, i, op, pos, length, s, max, b.String(), got, string(ref.data), want)
+			}
+		}
+	}
+}
+
+// TestBufOpsOnWarmBufferAllocateNothing: a descriptor with room for what
+// it is given builds no temporary rune slice.
+func TestBufOpsOnWarmBufferAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	b := NewBuf(NewKernel(sim.NewEngine()), 64)
+	op := func() {
+		b.Copy("+3908112345")
+		b.Append("67")
+		b.Insert(3, "€€")
+		b.Replace(1, 4, "x")
+		b.Replace(0, 1, "long replacement")
+	}
+	op()
+	if avg := testing.AllocsPerRun(200, op); avg != 0 {
+		t.Errorf("Copy/Append/Insert/Replace on a warm buffer: %.1f allocs, want 0", avg)
+	}
+}

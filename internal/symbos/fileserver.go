@@ -19,11 +19,15 @@ const (
 // Store is the backing medium the file server manages (the phone package's
 // flash filesystem implements it). Write and Append report false when the
 // medium rejects the operation — a full flash — which the file server
-// surfaces as KErrDiskFull. Read returns a copy the caller owns.
+// surfaces as KErrDiskFull. View returns the stored bytes themselves, not
+// a copy: they stay valid until path is next written or deleted, and the
+// caller must not modify them. Write and Append must accept data that
+// aliases a view of the same file (a repair writes back a prefix or a
+// suffix of what it read).
 type Store interface {
 	Write(path string, data []byte) bool
 	Append(path string, data []byte) bool
-	Read(path string) ([]byte, bool)
+	View(path string) ([]byte, bool)
 	Delete(path string)
 	Exists(path string) bool
 	Size(path string) int
@@ -47,7 +51,8 @@ func NewFileServer(k *Kernel, store Store) *FileServer {
 func (f *FileServer) Server() *Server { return f.srv }
 
 // handle serves one file request. The name argument is the path; writes
-// carry their data as the body, reads reply with the file's bytes, and a
+// carry their data as the body, reads reply with a view of the file's
+// bytes (valid, like every reply, until the client's next request), and a
 // size query completes with the size itself.
 func (f *FileServer) handle(m *Message) {
 	switch m.Op {
@@ -68,7 +73,7 @@ func (f *FileServer) handle(m *Message) {
 		}
 		m.Complete(KErrNone)
 	case FsOpRead:
-		data, ok := f.store.Read(m.Payload)
+		data, ok := f.store.View(m.Payload)
 		if !ok {
 			m.Complete(KErrNotFound)
 			return
@@ -119,8 +124,11 @@ func (s *FileSession) AppendFile(path string, data []byte) int {
 	return code
 }
 
-// ReadFile returns path's contents (KErrNotFound when absent). The bytes
-// are the store's one copy and belong to the caller.
+// ReadFile returns path's contents (KErrNotFound when absent). Like every
+// reply they are valid until the session's next request and must not be
+// modified: they are a view of the flash, not a copy. They may be passed
+// as the body of that next request (a repair writes back a prefix or a
+// suffix of what it read); a caller that keeps them copies them.
 func (s *FileSession) ReadFile(path string) ([]byte, int) {
 	data, code := s.sess.Query(FsOpRead, path)
 	if code != KErrNone {

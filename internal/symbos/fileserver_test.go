@@ -17,9 +17,9 @@ func (m mapStore) Append(path string, data []byte) bool {
 	m[path] = append(m[path], data...)
 	return true
 }
-func (m mapStore) Read(path string) ([]byte, bool) {
+func (m mapStore) View(path string) ([]byte, bool) {
 	d, ok := m[path]
-	return append([]byte(nil), d...), ok
+	return d, ok
 }
 func (m mapStore) Delete(path string)      { delete(m, path) }
 func (m mapStore) Exists(path string) bool { _, ok := m[path]; return ok }

@@ -7,27 +7,21 @@ import "fmt"
 // scarce on a phone), and misuse — double frees, dangling pointers —
 // manifests as KERN-EXEC 3 access violations, the dominant panic in
 // Table 2.
+//
+// A heap keeps no index of its cells: a cell knows its heap and whether it
+// was freed, which is all misuse detection needs, and the live count is
+// allocations minus frees. A process's heap lives inside its Process, so
+// starting a process allocates nothing for it.
 type Heap struct {
 	kernel    *Kernel
 	limit     int
 	allocated int
-	nextID    int
-	cells     map[int]*Cell
 	allocs    uint64
 	frees     uint64
 }
 
-func newHeap(k *Kernel, limit int) *Heap {
-	return &Heap{
-		kernel: k,
-		limit:  limit,
-		cells:  make(map[int]*Cell),
-	}
-}
-
 // Cell is one heap allocation.
 type Cell struct {
-	id    int
 	size  int
 	freed bool
 	heap  *Heap
@@ -54,9 +48,7 @@ func (h *Heap) AllocL(t *Thread, size int, tag string) *Cell {
 	if h.allocated+size > h.limit {
 		t.Leave(KErrNoMemory)
 	}
-	h.nextID++
-	c := &Cell{id: h.nextID, size: size, heap: h, tag: tag}
-	h.cells[c.id] = c
+	c := &Cell{size: size, heap: h, tag: tag}
 	h.allocated += size
 	h.allocs++
 	return c
@@ -79,7 +71,6 @@ func (h *Heap) Free(c *Cell) {
 	}
 	c.freed = true
 	h.allocated -= c.size
-	delete(h.cells, c.id)
 	h.frees++
 }
 
@@ -92,7 +83,7 @@ func (h *Heap) SetLimit(n int) { h.limit = n }
 // LiveCells returns the number of outstanding allocations — nonzero at
 // application exit means a leak, the defect class the forum study blames
 // for "random wallpaper disappearing and power cycling".
-func (h *Heap) LiveCells() int { return len(h.cells) }
+func (h *Heap) LiveCells() int { return int(h.allocs - h.frees) }
 
 // Counts returns cumulative allocation and free counts.
 func (h *Heap) Counts() (allocs, frees uint64) { return h.allocs, h.frees }

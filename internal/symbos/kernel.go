@@ -83,10 +83,9 @@ func (k *Kernel) StartProcess(name string, system bool) *Process {
 		system: system,
 		alive:  true,
 		kernel: k,
-		heap:   newHeap(k, defaultHeapLimit),
-		objs:   make(map[Handle]*KObject),
+		heap:   Heap{kernel: k, limit: defaultHeapLimit},
 	}
-	p.main = p.SpawnThread(name + "::Main")
+	p.main = Thread{proc: p, cleanupInstalled: true}
 	k.procs[name] = p
 	return p
 }
@@ -117,8 +116,9 @@ func (k *Kernel) TerminateProcess(p *Process) {
 		return
 	}
 	p.alive = false
+	p.main.shutdown()
 	for _, t := range p.threads {
-		t.scheduler.shutdown()
+		t.shutdown()
 	}
 }
 
@@ -150,7 +150,7 @@ func (k *Kernel) Exec(t *Thread, label string, fn func()) (p *Panic) {
 					Reason:   "leave " + ErrName(lv.code) + " with no trap handler installed",
 					Time:     k.eng.Now(),
 					Process:  t.proc.name,
-					Thread:   t.name,
+					Thread:   t.Name(),
 					System:   t.proc.system,
 				}
 			} else {
@@ -175,7 +175,7 @@ func (k *Kernel) Raise(cat Category, typ int, reason string) {
 	}
 	if k.current != nil {
 		p.Process = k.current.proc.name
-		p.Thread = k.current.name
+		p.Thread = k.current.Name()
 		p.System = k.current.proc.system
 	} else {
 		p.Process = "?"

@@ -31,18 +31,37 @@ func (o *KObject) Open() bool { return o.open }
 // OpenObject creates a kernel object in the process's object index with a
 // reference count of one and returns its handle.
 func (p *Process) OpenObject(kind, name string) Handle {
+	return p.index(&KObject{name: name, kind: kind, refs: 1, open: true})
+}
+
+// index enters o under the next handle. The object index is a slice by
+// handle (objs[h-1]), built at the process's first handle: handles are
+// issued in order and a process lives for one activity or one boot, so the
+// slice stays short, and a closed or never-entered handle is a nil slot.
+func (p *Process) index(o *KObject) Handle {
 	p.nextH++
-	h := p.nextH
-	p.objs[h] = &KObject{name: name, kind: kind, refs: 1, open: true}
-	return h
+	for Handle(len(p.objs)) < p.nextH-1 {
+		p.objs = append(p.objs, nil) // handles CorruptHandle used up
+	}
+	p.objs = append(p.objs, o)
+	p.handles++
+	return p.nextH
+}
+
+// lookup returns the object entered under h, or nil.
+func (p *Process) lookup(h Handle) *KObject {
+	if h < 1 || int(h) > len(p.objs) {
+		return nil
+	}
+	return p.objs[h-1]
 }
 
 // FindObject resolves a raw handle through the Kernel Executive. An
 // unknown handle raises KERN-EXEC 0: "the Kernel Executive cannot find an
 // object in the object index ... using the specified object index number".
 func (p *Process) FindObject(h Handle) *KObject {
-	o, ok := p.objs[h]
-	if !ok || !o.open {
+	o := p.lookup(h)
+	if o == nil || !o.open {
 		p.kernel.Raise(CatKernExec, TypeBadHandle,
 			fmt.Sprintf("object index has no object for raw handle %d", h))
 	}
@@ -54,20 +73,19 @@ func (p *Process) FindObject(h Handle) *KObject {
 func (p *Process) DuplicateHandle(h Handle) Handle {
 	o := p.FindObject(h)
 	o.refs++
-	p.nextH++
-	p.objs[p.nextH] = o
-	return p.nextH
+	return p.index(o)
 }
 
 // CloseHandle is RHandleBase::Close routed through the Kernel Server. A
 // corrupt handle — one whose object cannot be found — raises KERN-SVR 0.
 func (p *Process) CloseHandle(h Handle) {
-	o, ok := p.objs[h]
-	if !ok {
+	o := p.lookup(h)
+	if o == nil {
 		p.kernel.Raise(CatKernSvr, TypeSvrBadHandle,
 			fmt.Sprintf("Kernel Server cannot find object for handle %d (corrupt handle)", h))
 	}
-	delete(p.objs, h)
+	p.objs[h-1] = nil
+	p.handles--
 	o.refs--
 	if o.refs <= 0 {
 		o.open = false
@@ -83,7 +101,7 @@ func (p *Process) CorruptHandle() Handle {
 }
 
 // HandleCount returns the number of live handles in the process.
-func (p *Process) HandleCount() int { return len(p.objs) }
+func (p *Process) HandleCount() int { return p.handles }
 
 // CObject is a reference-counted container object (class CObject). Its
 // destructor panics with E32USER-CBase 33 when the reference count is not

@@ -8,16 +8,24 @@ const defaultHeapLimit = 1 << 20
 
 // Process is a Symbian process: an address space with one heap, an object
 // index (handle table) and one or more threads.
+//
+// Applications are launched at every user activity, so a process is built
+// lean: the heap and the main thread live inside it, and the object index,
+// the thread's active scheduler and its name are built on first use. A
+// relaunch always builds a new Process — a dead incarnation is never
+// reused, so a wake, an async request or a session aimed at it can never
+// reach its successor.
 type Process struct {
 	name    string
 	system  bool
 	alive   bool
 	kernel  *Kernel
-	heap    *Heap
-	objs    map[Handle]*KObject
+	heap    Heap
+	objs    []*KObject // the object index, by handle; see index
+	handles int        // live entries in objs
 	nextH   Handle
-	main    *Thread
-	threads []*Thread
+	main    Thread
+	threads []*Thread // spawned beyond the main thread
 }
 
 // Name returns the process name (the application name in the logs).
@@ -30,25 +38,25 @@ func (p *Process) System() bool { return p.system }
 func (p *Process) Alive() bool { return p.alive }
 
 // Heap returns the process heap.
-func (p *Process) Heap() *Heap { return p.heap }
+func (p *Process) Heap() *Heap { return &p.heap }
 
 // Main returns the process's main thread.
-func (p *Process) Main() *Thread { return p.main }
+func (p *Process) Main() *Thread { return &p.main }
 
 // Kernel returns the owning kernel.
 func (p *Process) Kernel() *Kernel { return p.kernel }
 
 // SpawnThread adds a thread to the process. Threads come with an active
-// scheduler (CActiveScheduler::Install) and an installed cleanup stack
-// (CTrapCleanup::New), matching what well-formed Symbian code does first
-// thing; faults may explicitly remove the cleanup stack.
+// scheduler (CActiveScheduler::Install, done at its first use) and an
+// installed cleanup stack (CTrapCleanup::New), matching what well-formed
+// Symbian code does first thing; faults may explicitly remove the cleanup
+// stack.
 func (p *Process) SpawnThread(name string) *Thread {
 	t := &Thread{
 		name:             name,
 		proc:             p,
 		cleanupInstalled: true,
 	}
-	t.scheduler = newActiveScheduler(t)
 	p.threads = append(p.threads, t)
 	return t
 }
@@ -59,23 +67,35 @@ func (p *Process) SpawnThread(name string) *Thread {
 // it models what matters to the study — which panics are raised where, and
 // how long handlers monopolise the scheduler.
 type Thread struct {
-	name             string
+	name             string // the main thread's is built by Name
 	proc             *Process
-	scheduler        *ActiveScheduler
+	scheduler        *ActiveScheduler // built by Scheduler
 	cleanup          []func()
 	cleanupInstalled bool
 	trapDepth        int
 	viewSrvWatched   bool
 }
 
-// Name returns the thread name.
-func (t *Thread) Name() string { return t.name }
+// Name returns the thread name. The main thread's, "<process>::Main", is
+// built at its first use: most launches never need it.
+func (t *Thread) Name() string {
+	if t.name == "" && t == &t.proc.main {
+		t.name = t.proc.name + "::Main"
+	}
+	return t.name
+}
 
 // Process returns the owning process.
 func (t *Thread) Process() *Process { return t.proc }
 
-// Scheduler returns the thread's active scheduler.
-func (t *Thread) Scheduler() *ActiveScheduler { return t.scheduler }
+// Scheduler returns the thread's active scheduler, installing it at first
+// use (a thread that never runs an active object never builds one).
+func (t *Thread) Scheduler() *ActiveScheduler {
+	if t.scheduler == nil {
+		t.scheduler = newActiveScheduler(t)
+	}
+	return t.scheduler
+}
 
 // WatchViewSrv marks the thread as hosting a View Server active object —
 // i.e. it is a UI application the View Server monitors for responsiveness.

@@ -121,7 +121,14 @@ func (p *Property) Subscribe(ao *ActiveObject) {
 			fmt.Sprintf("property %q subscribed while a subscription is outstanding", p.key))
 	}
 	ao.SetActive()
-	p.sub = &propertySub{ao: ao, active: true}
+	// A subscription a publication fired is already off the bus's list
+	// (Set drops it in the same call), so it can be listed again as is;
+	// a cancelled one may still be listed until the next publication, so
+	// it is never reused.
+	if p.sub == nil || p.sub.cancelled {
+		p.sub = &propertySub{}
+	}
+	*p.sub = propertySub{ao: ao, active: true}
 	p.bus.subs[p.key] = append(p.bus.subs[p.key], p.sub)
 }
 

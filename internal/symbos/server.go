@@ -16,11 +16,22 @@ type Server struct {
 	handler Handler
 	served  uint64
 
-	// The engine labels of a served request and of a queued async one,
-	// built at the first Connect: clients may connect once per request,
-	// and most application servers are never connected to.
+	// Built at the first Connect, since most application servers are
+	// never connected to: the engine labels of a served request and of a
+	// queued async one, and the synchronous path's interned Exec closure
+	// with its scratch Message. Synchronous requests are the hottest IPC
+	// path in the simulator and clients may connect once per request, so
+	// they live here rather than in each Session. cur points serveFn at
+	// the request being dispatched; busy falls a nested (re-entrant)
+	// request back to a fresh Message, and every handler replies before
+	// returning (Exec recovers server panics), so the scratch never
+	// outlives a call.
 	serveLabel string
 	ipcLabel   string
+	serveFn    func()
+	cur        *Message
+	scratch    Message
+	busy       bool
 }
 
 // NewServer starts a server process with the given message handler.
@@ -99,72 +110,63 @@ func (m *Message) Complete(code int) {
 }
 
 // Session is a client connection to a server, held in the client process's
-// object index like any other kernel object.
+// object index like any other kernel object (obj is that entry).
 type Session struct {
 	server *Server
 	client *Thread
 	handle Handle
 	open   bool
-
-	// Synchronous requests are the hottest IPC path in the simulator, so
-	// each session interns its Exec closure and keeps one scratch
-	// Message. cur points serveFn at the request being dispatched; the
-	// busy flag falls nested (re-entrant) requests back to a fresh
-	// allocation, and every handler in the tree replies before returning
-	// (Exec recovers server panics), so the scratch never outlives a call.
-	serveFn func()
-	cur     *Message
-	scratch Message
-	busy    bool
+	obj    KObject
 }
 
 // Connect opens a session from the client thread to the server
 // (RSessionBase::CreateSession).
 func (s *Server) Connect(client *Thread) *Session {
-	h := client.proc.OpenObject("session", s.name)
-	if s.serveLabel == "" {
+	if s.serveFn == nil {
 		s.serveLabel, s.ipcLabel = "serve "+s.name, "ipc "+s.name
+		s.serveFn = func() { s.handler(s.cur) }
+		s.scratch.server, s.scratch.kernel = s, s.proc.kernel
 	}
-	sess := &Session{server: s, client: client, handle: h, open: true}
-	sess.serveFn = func() { sess.server.handler(sess.cur) }
+	sess := &Session{server: s, client: client, open: true,
+		obj: KObject{name: s.name, kind: "session", refs: 1, open: true}}
+	sess.handle = client.proc.index(&sess.obj)
 	return sess
 }
 
-// acquire readies a Message for one request — the session scratch when
-// free, a fresh allocation when a handler re-entered the same session.
-func (sess *Session) acquire(k *Kernel, op int, payload string, body []byte) *Message {
-	m := &sess.scratch
-	if sess.busy {
-		m = &Message{}
-	} else {
-		sess.busy = true
+// acquire readies a Message for one request from client — the server's
+// scratch when free, a fresh allocation when a handler re-entered the
+// server.
+func (s *Server) acquire(k *Kernel, client string, op int, payload string, body []byte) *Message {
+	if s.busy {
+		return &Message{Op: op, Payload: payload, Body: body, Client: client,
+			server: s, kernel: k, replyCode: KErrDisconnected}
 	}
-	*m = Message{
-		Op:        op,
-		Payload:   payload,
-		Body:      body,
-		Client:    sess.client.proc.name,
-		server:    sess.server,
-		kernel:    k,
-		replyCode: KErrDisconnected, // a panicking server never replies
-	}
+	s.busy = true
+	// Only the fields a request sets: every pointer written while the
+	// collector marks runs a write barrier. Connect set server and kernel
+	// once, release cleared Response, and no async request uses the
+	// scratch, so replyAO stays nil.
+	m := &s.scratch
+	m.Op, m.Payload, m.Body, m.Client = op, payload, body, client
+	m.replied, m.nullPtr = false, false
+	m.replyCode = KErrDisconnected // a panicking server never replies
 	return m
 }
 
-func (sess *Session) release(m *Message) {
-	if m == &sess.scratch {
-		sess.busy = false
+func (s *Server) release(m *Message) {
+	if m == &s.scratch {
+		s.busy = false
 		// Pin neither the caller's body nor a reply it has taken.
 		m.Body, m.Response = nil, nil
 	}
 }
 
-// dispatch runs the server handler on m in the server's thread context.
-func (sess *Session) dispatch(k *Kernel, m *Message) {
-	prev := sess.cur
-	sess.cur = m
-	k.Exec(sess.server.proc.main, sess.server.serveLabel, sess.serveFn)
-	sess.cur = prev
+// dispatch runs the handler on m in the server's thread context.
+func (s *Server) dispatch(k *Kernel, m *Message) {
+	prev := s.cur
+	s.cur = m
+	k.Exec(&s.proc.main, s.serveLabel, s.serveFn)
+	s.cur = prev
 }
 
 // Handle returns the session's raw handle in the client's object index.
@@ -203,10 +205,11 @@ func (sess *Session) call(verb string, op int, payload string, body []byte) ([]b
 	if !sess.server.proc.alive {
 		return nil, KErrDisconnected
 	}
-	m := sess.acquire(k, op, payload, body)
-	sess.dispatch(k, m)
+	srv := sess.server
+	m := srv.acquire(k, sess.client.proc.name, op, payload, body)
+	srv.dispatch(k, m)
 	resp, code := m.Response, m.replyCode
-	sess.release(m)
+	srv.release(m)
 	return resp, code
 }
 
@@ -221,7 +224,7 @@ func (sess *Session) SendAsync(op int, payload string, ao *ActiveObject) {
 	}
 	ao.SetActive()
 	// Async requests outlive this call, so the message cannot come from
-	// the session scratch.
+	// the server's scratch.
 	m := &Message{
 		Op:      op,
 		Payload: payload,
@@ -235,7 +238,7 @@ func (sess *Session) SendAsync(op int, payload string, ao *ActiveObject) {
 			ao.Complete(KErrDisconnected)
 			return
 		}
-		sess.dispatch(k, m)
+		sess.server.dispatch(k, m)
 		if !m.replied {
 			// The server panicked mid-request; fail the client request.
 			ao.Complete(KErrDisconnected)

@@ -43,6 +43,11 @@ type scalingCell struct {
 	// before the fleet is released — the memory footprint of holding that
 	// many simulated devices live at once.
 	RSSMB float64 `json:"rssMB,omitempty"`
+	// AllocsPerEvent is the whole study's heap allocations per fired
+	// simulation event (its collection and analysis included), measured
+	// on the serial cells only, where the count is deterministic;
+	// benchdiff gates it like every allocs* field.
+	AllocsPerEvent float64 `json:"allocsPerEvent,omitempty"`
 }
 
 type scalingReport struct {
@@ -125,7 +130,14 @@ func BenchmarkFleetScaling(b *testing.B) {
 					defer debug.SetGCPercent(debug.SetGCPercent(benchGCPercent()))
 				}
 				var hours float64
+				var mallocs, events uint64
 				for i := 0; i < b.N; i++ {
+					var before runtime.MemStats
+					if workers == 1 {
+						b.StopTimer()
+						runtime.ReadMemStats(&before)
+						b.StartTimer()
+					}
 					fs, err := RunFieldStudy(FieldStudyConfig{
 						Seed:       2007,
 						Phones:     g.phones,
@@ -137,6 +149,16 @@ func BenchmarkFleetScaling(b *testing.B) {
 						b.Fatal(err)
 					}
 					hours += fs.Fleet.ObservedHours()
+					if workers == 1 {
+						b.StopTimer()
+						var after runtime.MemStats
+						runtime.ReadMemStats(&after)
+						mallocs += after.Mallocs - before.Mallocs
+						for _, eng := range fs.Fleet.Engines {
+							events += eng.Fired()
+						}
+						b.StartTimer()
+					}
 					if i == b.N-1 {
 						cell.RSSMB = readRSSMB() // fleet still live: footprint, not garbage
 					}
@@ -149,6 +171,10 @@ func BenchmarkFleetScaling(b *testing.B) {
 				cell.WallSeconds = wall
 				if wall > 0 {
 					cell.PhoneHoursPerSec = hours / wall
+				}
+				if events > 0 {
+					cell.AllocsPerEvent = float64(mallocs) / float64(events)
+					b.ReportMetric(cell.AllocsPerEvent, "allocs/event")
 				}
 				b.ReportMetric(cell.PhoneHoursPerSec, "phone-hours/s")
 				b.ReportMetric(cell.RSSMB, "RSS-MB")
