@@ -129,7 +129,7 @@ bench-analysis:
 
 # The live tier's read path on a loaded LiveStudy -> BENCH_resnapshot.json.
 bench-resnapshot:
-	$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
+	$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 1s .
 
 # Perf-regression gate: re-measure the quick benchmark cells into fresh
 # reports (committed baselines untouched) and diff against the committed
@@ -152,7 +152,7 @@ bench-check:
 	BENCH_ANALYSIS_OUT=.bench_new_analysis.json \
 		$(GO) test -run xxx -bench BenchmarkStudyStreamVsBatch -benchtime 5x .
 	BENCH_RESNAPSHOT_OUT=.bench_new_resnapshot.json \
-		$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
+		$(GO) test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 1s .
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_parallel.json .bench_new_parallel.json
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_analysis.json .bench_new_analysis.json
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_resnapshot.json .bench_new_resnapshot.json

@@ -71,7 +71,7 @@ func main() {
 		{"use the cleanup stack with no trap handler", func() {
 			w := app.SpawnThread("worker")
 			w.DropCleanupStack()
-			k.Exec(w, "demo", func() { w.PushL(func() {}) })
+			k.Exec(w, func() { w.PushL(func() {}) })
 		}},
 		{"list box with an invalid current item", func() {
 			lb := symbos.NewListBox(k)
@@ -85,7 +85,7 @@ func main() {
 
 	for _, d := range demos {
 		before := len(captured)
-		k.Exec(main, d.name, d.run)
+		k.Exec(main, d.run)
 		// Some panics (active-object ones) fire on the next engine tick.
 		_ = eng.RunAll()
 		if len(captured) > before {
@@ -100,11 +100,11 @@ func main() {
 	ao := main.NewActiveObject("notifier", 1, func(int) {})
 	ao.Complete(symbos.KErrNone) // never SetActive: stray signal
 	leaver := main.NewActiveObject("fetcher", 1, func(int) { main.Leave(symbos.KErrNoMemory) })
-	k.Exec(main, "arm", func() { leaver.SetActive() })
+	k.Exec(main, func() { leaver.SetActive() })
 	leaver.Complete(symbos.KErrNone)
 	hog := main.NewActiveObject("redraw-loop", 1, func(int) {})
 	hog.SetCost(45 * time.Second) // monopolise the scheduler
-	k.Exec(main, "arm", func() { hog.SetActive() })
+	k.Exec(main, func() { hog.SetActive() })
 	hog.Complete(symbos.KErrNone)
 	_ = eng.RunAll()
 

@@ -79,7 +79,7 @@ func main() {
 			tm.After(commandPeriod)
 		})
 		tm = symbos.NewTimer(ao)
-		k.Exec(t, "arm", func() { tm.After(commandPeriod) })
+		k.Exec(t, func() { tm.After(commandPeriod) })
 	})
 
 	dev.Enroll(sim.Epoch)

@@ -85,9 +85,11 @@ func (b *refDayBuckets) observe(session *sim.Time, r core.Record) {
 	}
 }
 
-// addUptime bounds a day's end by hi before it can overflow: the last
-// representable day ends past math.MaxInt64.
+// addUptime counts no time before the epoch and bounds a day's end by hi
+// before it can overflow: the last representable day ends past
+// math.MaxInt64.
 func (b *refDayBuckets) addUptime(lo, hi int64) {
+	lo = max(lo, 0)
 	for lo < hi {
 		d := lo / simDay
 		end := hi

@@ -129,6 +129,21 @@ func TestLiveStudyMTBFBeforeEpoch(t *testing.T) {
 	}
 }
 
+// TestLiveStudyUptimeBeforeEpoch pins that a session booted before the
+// epoch adds only its post-epoch part to the window: from a boot 1 h or
+// 25 h early, a session that ends 2 h after the epoch adds 2 h either way.
+func TestLiveStudyUptimeBeforeEpoch(t *testing.T) {
+	for _, early := range []time.Duration{time.Hour, 25 * time.Hour} {
+		live := stream.NewLiveStudy(stream.Config{})
+		live.Observe("a", core.Record{Kind: core.KindBoot, Time: -int64(early), Boot: 1, Detected: core.DetectedFirstBoot})
+		live.Observe("a", core.Record{Kind: core.KindBoot, Time: int64(3 * time.Hour), Boot: 2,
+			PrevTime: int64(2 * time.Hour), Detected: core.DetectedLoggerOff})
+		if got := live.Window(0).UptimeHours; got != 2 {
+			t.Errorf("session booted %v before the epoch: window uptime %v h, want 2", early, got)
+		}
+	}
+}
+
 // TestLiveStudyCountsIgnoreOrder pins what of the day fold is free of
 // delivery order: shuffling one device's records leaves every count and
 // both panic rankings unchanged. Uptime is not compared: each boot closes

@@ -154,10 +154,13 @@ func (b *dayBuckets) addPanic(c *dayCounts, r core.Record) {
 }
 
 // addUptime splits the closed session [lo, hi) across its days as integer
-// nanoseconds, so summed uptime stays exact. A day is lo / simDay,
-// truncated, and its end is bounded by hi before it can overflow (the last
+// nanoseconds, so summed uptime stays exact. Time before the epoch belongs
+// to no day, so lo is clipped to 0 first: truncating a negative lo / simDay
+// would put the pre-epoch part of a session booted less than a day early
+// into day 0. A day's end is bounded by hi before it can overflow (the last
 // representable day ends past math.MaxInt64).
 func (b *dayBuckets) addUptime(lo, hi int64) {
+	lo = max(lo, 0)
 	for lo < hi {
 		d := lo / simDay
 		end := hi

@@ -70,13 +70,11 @@ type Uploader struct {
 	// the file a new identity.
 	sentHigh int
 
-	// Interned event labels and callbacks: the periodic tick and the retry
-	// re-arm on every fire, and a per-arm closure would allocate at fleet
-	// scale. Built once in AttachUploaderWith.
-	tickLabel  string
-	tickFn     func()
-	retryLabel string
-	retryFn    func()
+	// Interned callbacks: the periodic tick and the retry re-arm on every
+	// fire, and a per-arm closure would allocate at fleet scale. Built
+	// once in AttachUploaderWith.
+	tickFn  func()
+	retryFn func()
 }
 
 // AttachUploader installs a periodic uploader on a device. path is the
@@ -100,14 +98,12 @@ func AttachUploaderWith(d *phone.Device, addr, path string, cfg UploaderConfig) 
 		cfg.RetryMax = cfg.Every
 	}
 	u := &Uploader{dev: d, addr: addr, path: path, cfg: cfg}
-	u.tickLabel = "upload " + d.ID()
 	u.tickFn = func() {
 		if u.dev.State() == phone.StateOn {
 			u.uploadNow()
 		}
 		u.loop()
 	}
-	u.retryLabel = "upload-retry " + d.ID()
 	u.retryFn = func() {
 		u.retryPending = false
 		if u.dev.State() == phone.StateOn {
@@ -158,7 +154,7 @@ func (u *Uploader) Reconnects() int { return u.reconnects }
 func (u *Uploader) BytesRetransmitted() int64 { return u.retransmitted }
 
 func (u *Uploader) loop() {
-	u.dev.Engine().After(u.cfg.Every, u.tickLabel, u.tickFn)
+	u.dev.Engine().After(u.cfg.Every, u.tickFn)
 }
 
 // scheduleRetry arms a one-shot retry between periodic ticks, with
@@ -182,7 +178,7 @@ func (u *Uploader) scheduleRetry() {
 		return
 	}
 	u.retryPending = true
-	u.dev.Engine().After(delay, u.retryLabel, u.retryFn)
+	u.dev.Engine().After(delay, u.retryFn)
 }
 
 func (u *Uploader) fail(err error) {

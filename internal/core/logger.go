@@ -149,7 +149,7 @@ func (l *Logger) startDaemon(d *phone.Device) {
 	// on-flash bytes (a battery pull can tear the last append), classify
 	// how the previous session ended from the last heartbeat record,
 	// consolidate a boot record, and reset the heartbeat.
-	k.Exec(t, "logger-boot", func() {
+	k.Exec(t, func() {
 		recovered := dm.recoverLog()
 		dm.consolidateBoot(recovered)
 		dm.writeBeat(BeatAlive)
@@ -162,7 +162,7 @@ func (l *Logger) startDaemon(d *phone.Device) {
 		dm.hbTimer.After(l.cfg.HeartbeatPeriod)
 	})
 	dm.hbTimer = symbos.NewTimer(dm.heartbeat)
-	k.Exec(t, "logger-arm-heartbeat", func() { dm.hbTimer.After(l.cfg.HeartbeatPeriod) })
+	k.Exec(t, func() { dm.hbTimer.After(l.cfg.HeartbeatPeriod) })
 
 	// Running Applications Detector AO.
 	dm.runApp = t.NewActiveObject("RunningApplicationsDetector", 5, func(int) {
@@ -170,7 +170,7 @@ func (l *Logger) startDaemon(d *phone.Device) {
 		dm.raTimer.After(l.cfg.RunAppPeriod)
 	})
 	dm.raTimer = symbos.NewTimer(dm.runApp)
-	k.Exec(t, "logger-arm-runapp", func() { dm.raTimer.After(l.cfg.RunAppPeriod) })
+	k.Exec(t, func() { dm.raTimer.After(l.cfg.RunAppPeriod) })
 
 	// Log Engine AO.
 	dm.logEngine = t.NewActiveObject("LogEngine", 5, func(int) {
@@ -178,7 +178,7 @@ func (l *Logger) startDaemon(d *phone.Device) {
 		dm.leTimer.After(l.cfg.ActivityPeriod)
 	})
 	dm.leTimer = symbos.NewTimer(dm.logEngine)
-	k.Exec(t, "logger-arm-logengine", func() { dm.leTimer.After(l.cfg.ActivityPeriod) })
+	k.Exec(t, func() { dm.leTimer.After(l.cfg.ActivityPeriod) })
 
 	// Power Manager AO: subscribes to the System Agent's battery property
 	// and refreshes the power file on every publication, so a LOWBT
@@ -188,7 +188,7 @@ func (l *Logger) startDaemon(d *phone.Device) {
 		dm.recordPower()
 		dm.battProp.Subscribe(dm.powerMgr)
 	})
-	k.Exec(t, "logger-arm-power", func() {
+	k.Exec(t, func() {
 		dm.recordPower()
 		dm.battProp.Subscribe(dm.powerMgr)
 	})
@@ -199,7 +199,7 @@ func (l *Logger) startDaemon(d *phone.Device) {
 	// Power Manager + Heartbeat shutdown path: when Symbian lets
 	// applications complete their tasks before power-off, record why.
 	d.RegisterShutdownHook(func(reason phone.ShutdownReason) {
-		k.Exec(t, "logger-shutdown", func() {
+		k.Exec(t, func() {
 			switch reason {
 			case phone.ReasonLowBattery:
 				dm.writeBeat(BeatLowBat)

@@ -180,7 +180,7 @@ func TestPanicRecordCarriesContext(t *testing.T) {
 	}
 	// Open an app and panic inside it.
 	a := d.LaunchApp(phone.AppMessages)
-	d.Kernel().Exec(a.Proc().Main(), "boom", func() {
+	d.Kernel().Exec(a.Proc().Main(), func() {
 		d.Kernel().Raise("KERN-EXEC", 3, "test access violation")
 	})
 	var panics []Record
@@ -235,7 +235,7 @@ func TestPanicDuringCallTaggedVoiceCall(t *testing.T) {
 		t.Fatal("never entered a voice call")
 	}
 	a := d.LaunchApp(phone.AppTelephone)
-	d.Kernel().Exec(a.Proc().Main(), "boom", func() {
+	d.Kernel().Exec(a.Proc().Main(), func() {
 		d.Kernel().Raise("USER", 11, "descriptor overflow in call UI")
 	})
 	var last *Record

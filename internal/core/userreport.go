@@ -139,7 +139,7 @@ func (u *UserReporter) startHook(d *phone.Device) {
 		failTime := of.Time
 		detail := of.Detail
 		activity := string(of.Activity)
-		d.Engine().After(delay, "user-report "+d.ID(), func() {
+		d.Engine().After(delay, func() {
 			// The report needs a working phone to be entered on.
 			if d.State() != phone.StateOn {
 				u.lost++

@@ -169,7 +169,7 @@ func (a *App) perform(act Activity) {
 	d := a.dev
 	k := d.kernel
 	ui := d.uiKit()
-	k.Exec(a.proc.Main(), string(act), func() {
+	k.Exec(a.proc.Main(), func() {
 		t := a.proc.Main()
 		switch act {
 		case ActVoiceCall:

@@ -92,11 +92,9 @@ type Device struct {
 	activityToken   int
 
 	// Built on first use, never at construction (a fleet builds its
-	// devices before any of them runs): the engine labels at the first
-	// boot, the activity mix table at the first pick, the boot's
-	// workload callbacks at each boot and its UI kit at the boot's first
-	// activity.
-	labels     *deviceLabels
+	// devices before any of them runs): the activity mix table at the
+	// first pick, the boot's workload callbacks at each boot and its UI kit
+	// at the boot's first activity.
 	mixKinds   []Activity
 	mixWeights []float64
 	work       *workload
@@ -217,7 +215,7 @@ func (d *Device) RegisterOutputFailureHook(fn func(OutputFailure)) {
 func (d *Device) Enroll(at sim.Time) {
 	d.enrolledAt = at
 	d.faults = newFaultModel(d)
-	d.eng.At(at, "enroll "+d.id, d.boot)
+	d.eng.At(at, d.boot)
 }
 
 // boot powers the phone on: fresh kernel, firmware servers, daemon
@@ -227,9 +225,6 @@ func (d *Device) boot() {
 		return
 	}
 	d.bootGen++
-	if d.labels == nil {
-		d.labels = newDeviceLabels(d.id)
-	}
 	d.state = StateOn
 	d.lastBootAt = d.eng.Now()
 	d.shutdownHooks = nil
@@ -280,36 +275,7 @@ func (d *Device) powerDown(offFor time.Duration) {
 	d.accountUptime()
 	d.kernel.Halt()
 	d.state = StateOff
-	d.eng.After(offFor, d.labels.boot, d.boot)
-}
-
-// deviceLabels are the engine labels of one device's events, built once,
-// at its first boot, instead of at every arm.
-type deviceLabels struct {
-	boot, batteryPull, service                            string
-	activity, activityEnd, night, dayOff, charge, battery string
-	spontaneous, outputFailure, panicOp                   string
-	panicFreeze, panicShutdown, burstPanic                string
-}
-
-func newDeviceLabels(id string) *deviceLabels {
-	return &deviceLabels{
-		boot:          "boot " + id,
-		batteryPull:   "battery-pull " + id,
-		service:       "service " + id,
-		activity:      "activity " + id,
-		activityEnd:   "activity-end " + id,
-		night:         "night " + id,
-		dayOff:        "dayoff " + id,
-		charge:        "charge " + id,
-		battery:       "battery " + id,
-		spontaneous:   "spontaneous " + id,
-		outputFailure: "output-failure " + id,
-		panicOp:       "panic-op " + id,
-		panicFreeze:   "panic-freeze " + id,
-		panicShutdown: "panic-shutdown " + id,
-		burstPanic:    "burst-panic " + id,
-	}
+	d.eng.After(offFor, d.boot)
 }
 
 // SelfShutdown reboots the phone on its own initiative (a silent failure).
@@ -354,7 +320,7 @@ func (d *Device) noteFailureForService() {
 // or so of phone-on time.
 func (d *Device) scheduleServiceVisit() {
 	gen := d.bootGen
-	d.eng.After(d.rng.ExpDuration(18*time.Hour), d.labels.service, func() {
+	d.eng.After(d.rng.ExpDuration(18*time.Hour), func() {
 		if !d.live(gen) {
 			return // retried from the next boot; servicePending persists
 		}
@@ -400,7 +366,7 @@ func (d *Device) Freeze(cause string) {
 	d.state = StateFrozen
 	d.kernel.Halt()
 	wait := d.rng.LogNormalDuration(d.cfg.FreezeImpatienceMedian, d.cfg.FreezeImpatienceSigma)
-	d.eng.After(wait, d.labels.batteryPull, func() {
+	d.eng.After(wait, func() {
 		if d.state != StateFrozen {
 			return
 		}
@@ -409,7 +375,7 @@ func (d *Device) Freeze(cause string) {
 		d.fs.Crash()
 		d.state = StateOff
 		off := d.rng.LogNormalDuration(d.cfg.BatteryPullOffMedian, d.cfg.BatteryPullOffSigma)
-		d.eng.After(off, d.labels.boot, d.boot)
+		d.eng.After(off, d.boot)
 	})
 }
 

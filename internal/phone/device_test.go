@@ -195,7 +195,7 @@ func TestRelaunchAfterPanicTermination(t *testing.T) {
 	d, eng := newTestDevice(t, 10, nil)
 	eng.Step()
 	a := d.LaunchApp(AppMessages)
-	d.Kernel().Exec(a.Proc().Main(), "die", func() {
+	d.Kernel().Exec(a.Proc().Main(), func() {
 		symbos.NullPtr(d.Kernel()).Deref()
 	})
 	if a.Alive() {
@@ -216,7 +216,7 @@ func TestAppArchServerListsApps(t *testing.T) {
 	sess := d.AppArchServer().Connect(client.Main())
 	var resp []byte
 	var code int
-	d.Kernel().Exec(client.Main(), "list", func() {
+	d.Kernel().Exec(client.Main(), func() {
 		resp, code = sess.Query(OpListApps, "")
 	})
 	if code != symbos.KErrNone {
@@ -233,14 +233,14 @@ func TestSysAgentReportsBattery(t *testing.T) {
 	client := d.Kernel().StartProcess("TestClient", false)
 	sess := d.SysAgentServer().Connect(client.Main())
 	var resp []byte
-	d.Kernel().Exec(client.Main(), "batt", func() {
+	d.Kernel().Exec(client.Main(), func() {
 		resp, _ = sess.Query(OpBatteryStatus, "")
 	})
 	if len(resp) < 2 || string(resp[:2]) != "ok" {
 		t.Errorf("battery resp = %q", resp)
 	}
 	d.battery = 0.01
-	d.Kernel().Exec(client.Main(), "batt", func() {
+	d.Kernel().Exec(client.Main(), func() {
 		resp, _ = sess.Query(OpBatteryStatus, "")
 	})
 	if len(resp) < 3 || string(resp[:3]) != "low" {

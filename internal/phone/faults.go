@@ -197,13 +197,13 @@ func (f *faultModel) afterPanic(p *symbos.Panic, proc *symbos.Process) {
 	cause := "panic " + p.Key()
 	switch r := d.rng.Float64(); {
 	case r < freezeP:
-		d.eng.After(hlDelay, d.labels.panicFreeze, func() {
+		d.eng.After(hlDelay, func() {
 			if d.live(gen) {
 				d.Freeze(cause)
 			}
 		})
 	case r < freezeP+shutdownP:
-		d.eng.After(hlDelay, d.labels.panicShutdown, func() {
+		d.eng.After(hlDelay, func() {
 			if d.live(gen) {
 				d.SelfShutdown(cause)
 			}
@@ -218,7 +218,7 @@ func (f *faultModel) scheduleFollower() {
 	d := f.d
 	gen := d.bootGen
 	gap := d.rng.LogNormalDuration(d.cfg.BurstGap, 0.5)
-	d.eng.After(gap, d.labels.burstPanic, func() {
+	d.eng.After(gap, func() {
 		if !d.live(gen) {
 			f.inBurst = false
 			return
@@ -262,7 +262,7 @@ func (f *faultModel) victimNamed(name string) *App {
 func (f *faultModel) exec(a *App, fn func(k *symbos.Kernel, t *symbos.Thread)) {
 	k := f.d.kernel
 	t := a.proc.Main()
-	k.Exec(t, "fault "+a.name, func() { fn(k, t) })
+	k.Exec(t, func() { fn(k, t) })
 }
 
 // injectAccessViolation: dereference NULL, dereference freed memory, or
@@ -348,7 +348,7 @@ func (f *faultModel) injectNoTrapHandler() {
 	a := f.victim()
 	worker := a.proc.SpawnThread(a.name + "::Worker")
 	worker.DropCleanupStack()
-	f.d.kernel.Exec(worker, "fault "+a.name, func() {
+	f.d.kernel.Exec(worker, func() {
 		worker.PushL(func() {})
 	})
 }
@@ -375,7 +375,7 @@ func (f *faultModel) injectPopDestroyUnderflow() {
 func (f *faultModel) injectNullMessagePtr() {
 	a := f.victim()
 	shell := f.d.shellApp()
-	f.d.kernel.Exec(shell.proc.Main(), "fault-client", func() {
+	f.d.kernel.Exec(shell.proc.Main(), func() {
 		sess := a.service().Connect(shell.proc.Main())
 		sess.SendReceive(OpCorruptComplete, "")
 	})

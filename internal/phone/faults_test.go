@@ -136,7 +136,7 @@ func TestSystemServerPanicRebootsPhone(t *testing.T) {
 	eng.Step()
 	// Panic inside a critical system server.
 	srv := d.AppArchServer()
-	d.Kernel().Exec(srv.Process().Main(), "die", func() {
+	d.Kernel().Exec(srv.Process().Main(), func() {
 		symbos.NullPtr(d.Kernel()).Deref()
 	})
 	if err := eng.Run(eng.Now().Add(time.Hour)); err != nil {

@@ -18,7 +18,7 @@ func TestAppRelaunchIsFresh(t *testing.T) {
 	for _, kill := range []string{"CloseApp", "panic"} {
 		a := d.LaunchApp(AppCamera)
 		p := a.Proc()
-		k.Exec(p.Main(), "use", func() {
+		k.Exec(p.Main(), func() {
 			p.OpenObject("mutex", "m")
 			p.Heap().AllocL(p.Main(), 64, "leak")
 			p.Main().NewActiveObject("poll", 1, func(int) {})
@@ -28,7 +28,7 @@ func TestAppRelaunchIsFresh(t *testing.T) {
 		case "CloseApp":
 			d.CloseApp(AppCamera)
 		default:
-			if pan := k.Exec(p.Main(), "fault", func() { symbos.NullPtr(k).Deref() }); pan == nil {
+			if pan := k.Exec(p.Main(), func() { symbos.NullPtr(k).Deref() }); pan == nil {
 				t.Fatal("no panic raised")
 			}
 		}
@@ -55,7 +55,7 @@ func TestAppRelaunchIsFresh(t *testing.T) {
 		if sess.Connected() {
 			t.Errorf("%s: a session to the dead incarnation is still connected", kill)
 		}
-		if pan := k.Exec(q.Main(), "first use", func() {
+		if pan := k.Exec(q.Main(), func() {
 			if h := q.OpenObject("mutex", "m"); h != 1 {
 				t.Errorf("%s: first handle after relaunch is %d, want 1", kill, h)
 			}

@@ -130,7 +130,7 @@ func (w *workload) scheduleNextActivity() {
 	if !d.awake() {
 		delay = d.untilWake() + d.rng.ExpDuration(meanGap/2)
 	}
-	d.eng.After(delay, d.labels.activity, w.activity)
+	d.eng.After(delay, w.activity)
 }
 
 func (w *workload) onActivity() {
@@ -211,7 +211,7 @@ func (d *Device) beginActivity(act Activity) {
 		median = time.Minute
 	}
 	dur := d.rng.LogNormalDuration(median, d.cfg.ActivitySigma)
-	d.eng.After(dur, d.labels.activityEnd, w.activityEnd)
+	d.eng.After(dur, w.activityEnd)
 }
 
 func (w *workload) onActivityEnd() {
@@ -258,7 +258,7 @@ func (w *workload) scheduleNightCheck() {
 		delay += 24 * time.Hour
 	}
 	delay += d.rng.ExpDuration(10 * time.Minute)
-	d.eng.After(delay, d.labels.night, w.night)
+	d.eng.After(delay, w.night)
 }
 
 func (w *workload) onNight() {
@@ -285,7 +285,7 @@ func (w *workload) scheduleDayOff() {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), d.labels.dayOff, w.dayOff)
+	d.eng.After(d.rng.ExpDuration(mean), w.dayOff)
 }
 
 func (w *workload) onDayOff() {
@@ -317,7 +317,7 @@ func (w *workload) scheduleEveningCharge() {
 	if delay <= 0 {
 		delay += 24 * time.Hour
 	}
-	d.eng.After(delay, d.labels.charge, w.charge)
+	d.eng.After(delay, w.charge)
 }
 
 func (w *workload) onCharge() {
@@ -333,7 +333,7 @@ func (w *workload) onCharge() {
 }
 
 func (w *workload) scheduleBatteryTick() {
-	w.d.eng.After(time.Hour, w.d.labels.battery, w.battery)
+	w.d.eng.After(time.Hour, w.battery)
 }
 
 func (w *workload) onBattery() {
@@ -379,7 +379,7 @@ func (w *workload) scheduleSpontaneous(freeze bool) {
 	if freeze {
 		fire = w.freeze
 	}
-	d.eng.After(d.rng.ExpDuration(mean), d.labels.spontaneous, fire)
+	d.eng.After(d.rng.ExpDuration(mean), fire)
 }
 
 func (w *workload) onSpontaneous(freeze bool) {
@@ -414,7 +414,7 @@ func (w *workload) scheduleOutputFailures() {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), d.labels.outputFailure, w.outputFailure)
+	d.eng.After(d.rng.ExpDuration(mean), w.outputFailure)
 }
 
 func (w *workload) onOutputFailure() {
@@ -444,7 +444,7 @@ func (w *workload) schedulePanicOpportunity() {
 	if !ok {
 		return
 	}
-	d.eng.After(d.rng.ExpDuration(mean), d.labels.panicOp, w.panicOp)
+	d.eng.After(d.rng.ExpDuration(mean), w.panicOp)
 }
 
 func (w *workload) onPanicOpportunity() {

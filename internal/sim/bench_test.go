@@ -10,7 +10,7 @@ func BenchmarkEngineScheduleAndFire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.After(time.Duration(i%1000)*time.Millisecond, "b", func() {})
+		e.After(time.Duration(i%1000)*time.Millisecond, func() {})
 		if e.Pending() > 1024 {
 			for e.Pending() > 0 {
 				e.Step()
@@ -27,9 +27,9 @@ func BenchmarkEngineTimerWheelPattern(b *testing.B) {
 	var tick func()
 	tick = func() {
 		ticks++
-		e.After(time.Minute, "tick", tick)
+		e.After(time.Minute, tick)
 	}
-	e.After(time.Minute, "tick", tick)
+	e.After(time.Minute, tick)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
@@ -50,7 +50,7 @@ func BenchmarkEngineCancel(b *testing.B) {
 			}
 			evs = evs[:0]
 		}
-		evs = append(evs, e.After(time.Hour, "c", func() {}))
+		evs = append(evs, e.After(time.Hour, func() {}))
 	}
 }
 

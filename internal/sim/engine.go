@@ -14,27 +14,25 @@ type Duration = time.Duration
 // limit was reached.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// eventNode is the engine-owned storage behind an Event handle. Nodes are
-// pooled on a per-engine free list: once an event fires or is cancelled its
-// node is recycled for the next Schedule, so the steady-state event cycle
-// allocates nothing. The generation counter is what keeps recycling safe —
-// it is bumped exactly when the node is released, so every handle ever
-// issued for a previous incarnation goes stale atomically.
+// eventNode is the engine-owned storage behind an Event handle. Nodes live
+// in one per-engine arena and link to each other by index, so the event hot
+// path writes no pointer and pays no GC write barrier while the collector
+// marks. Index 0 means "no node". A node whose event fired or was cancelled
+// goes on the arena's free list and serves the next schedule, so the
+// steady-state event cycle allocates nothing. The generation counter keeps
+// recycling safe: it is bumped exactly when the node is released, so every
+// handle issued for an earlier incarnation goes stale at once.
 type eventNode struct {
-	when  Time
-	seq   uint64 // tie-break so equal-time events fire in schedule order
-	gen   uint64 // incarnation; Event handles capture it at issue time
-	fn    func()
-	label string
+	when Time
+	seq  uint64 // tie-break so equal-time events fire in schedule order
+	gen  uint64 // incarnation; Event handles capture it at issue time
 
 	// Intrusive links. In the wheel the node sits on exactly one doubly
-	// linked list (a slot, the ready list, or the overflow level); on the
-	// free list only next is used. The reference heap (a test oracle) uses
-	// heapIndex.
-	next, prev *eventNode
+	// linked list (a slot, the ready list, or the overflow list); on the
+	// free list only next is used.
+	next, prev int32
 	home       int8 // one of homeFree..homeOverflow
 	lvl, slot  int8 // wheel slot coordinates when home == homeSlot
-	heapIndex  int32
 }
 
 // Node homes.
@@ -43,54 +41,81 @@ const (
 	homeReady
 	homeSlot
 	homeOverflow
-	homeHeap
 )
 
+// arena holds an engine's event nodes and, in a parallel slice, their
+// callbacks. The callbacks are the only pointers: a slot is written once
+// per schedule and cleared when its event fires or is cancelled, so a spent
+// closure, and whatever it captured, is garbage at once. Nothing is
+// allocated until the first schedule.
+type arena struct {
+	nodes []eventNode // nodes[0] is the "no node" sentinel
+	fns   []func()
+	free  int32 // head of the free list; 0 when it is empty
+	seq   uint64
+}
+
+// add fills a node from the free list, or a new one, for an event at when.
+func (a *arena) add(when Time, fn func()) int32 {
+	i := a.free
+	if i != 0 {
+		a.free = a.nodes[i].next
+	} else {
+		if len(a.nodes) == 0 {
+			a.nodes = append(a.nodes, eventNode{})
+			a.fns = append(a.fns, nil)
+		}
+		i = int32(len(a.nodes))
+		a.nodes = append(a.nodes, eventNode{})
+		a.fns = append(a.fns, nil)
+	}
+	n := &a.nodes[i]
+	n.when, n.seq = when, a.seq
+	a.seq++
+	a.fns[i] = fn
+	return i
+}
+
+// handle is the Event for the node's current incarnation.
+func (a *arena) handle(i int32) Event {
+	return Event{index: i, gen: a.nodes[i].gen, when: a.nodes[i].when}
+}
+
+// pending reports whether ev's incarnation is still waiting to fire.
+func (a *arena) pending(ev Event) bool {
+	return ev.index != 0 && a.nodes[ev.index].gen == ev.gen
+}
+
+// release recycles a node whose event fired or was cancelled and returns
+// its callback. Bumping the generation here is the single point that
+// invalidates every outstanding handle to the old incarnation.
+func (a *arena) release(i int32) func() {
+	fn := a.fns[i]
+	a.fns[i] = nil
+	n := &a.nodes[i]
+	n.gen++
+	n.home = homeFree
+	n.prev = 0
+	n.next = a.free
+	a.free = i
+	return fn
+}
+
 // Event is a cancellable handle to a scheduled callback, returned by the
-// scheduling methods. It is a value: copy it freely, compare it to the zero
-// Event to mean "no event". The handle stays valid forever — once the event
-// fires or is cancelled the handle merely reports Pending() == false and
-// Cancel becomes a no-op, even though the engine has long recycled the
-// underlying node for another event (the generation captured at scheduling
-// time can never match a recycled node again).
+// scheduling methods. It is a value that holds no pointer: copy it freely,
+// compare it to the zero Event to mean "no event". The handle stays valid
+// forever. Once the event fires or is cancelled, Engine.IsPending reports
+// false for it and Cancel becomes a no-op, even though the engine has long
+// recycled the underlying node for another event (the generation captured
+// at scheduling time can never match a recycled node again).
 type Event struct {
-	n     *eventNode
+	index int32
 	gen   uint64
 	when  Time
-	label string
 }
 
 // When returns the instant the event is (or was) scheduled for.
 func (e Event) When() Time { return e.when }
-
-// Label returns the diagnostic label given at scheduling time.
-func (e Event) Label() string { return e.label }
-
-// Pending reports whether the event is still waiting to fire.
-func (e Event) Pending() bool { return e.n != nil && e.n.gen == e.gen }
-
-// eventQueue is the contract between the engine and its pending-event
-// store. Two implementations exist: the hierarchical timing wheel (the
-// default — O(1) schedule and amortised O(1) pop with small per-slot
-// sorts) and the binary heap retained as the differential-testing
-// reference. Both must fire events in exactly (when, seq) order; the
-// wheel-vs-heap property and fuzz tests hold them to the byte.
-type eventQueue interface {
-	// Len returns the number of pending events.
-	Len() int
-	// Schedule inserts a node (when >= now holds; the engine clamps).
-	// now lets an implementation resync its cursor after idle gaps.
-	Schedule(n *eventNode, now Time)
-	// Remove unlinks a pending node (the node is guaranteed pending).
-	Remove(n *eventNode)
-	// PopMin removes and returns the minimum (when, seq) node, or nil.
-	PopMin() *eventNode
-	// PeekWhen returns the minimum pending when. It may advance internal
-	// cursors but must not change which events are pending or their order.
-	PeekWhen() (Time, bool)
-	// name labels the implementation for diagnostics.
-	name() string
-}
 
 // Engine is a single-threaded discrete-event scheduler.
 //
@@ -105,29 +130,20 @@ type eventQueue interface {
 // other's state; cross-shard results are combined only after the shards
 // finish, through an order-independent merge (see internal/collect).
 //
-// The single-goroutine contract is also what makes the event pool safe:
+// The single-goroutine contract is also what makes the node arena safe:
 // nodes recycled by this engine can only ever be re-issued by this engine,
 // on this goroutine, so a handle's generation check is race-free.
 type Engine struct {
 	now     Time
-	queue   eventQueue
-	seq     uint64
 	stopped bool
 	fired   uint64
-	free    *eventNode
+	events  arena
+	queue   wheel // held by value and called directly: no interface call per event
 }
 
 // NewEngine returns an engine whose clock reads Epoch, backed by the
 // hierarchical timing wheel.
-func NewEngine() *Engine {
-	return &Engine{queue: newWheel()}
-}
-
-// newEngineWithQueue builds an engine over an explicit queue implementation
-// (the differential tests drive a heap-backed engine against the wheel).
-func newEngineWithQueue(q eventQueue) *Engine {
-	return &Engine{queue: q}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -136,52 +152,26 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return e.queue.count }
 
-// alloc takes a node from the free list, or makes one.
-func (e *Engine) alloc() *eventNode {
-	n := e.free
-	if n == nil {
-		return &eventNode{}
-	}
-	e.free = n.next
-	n.next = nil
-	return n
-}
-
-// release recycles a node whose event fired or was cancelled. Bumping the
-// generation here is the single point that invalidates every outstanding
-// handle to the old incarnation.
-func (e *Engine) release(n *eventNode) {
-	n.gen++
-	n.fn = nil
-	n.label = ""
-	n.prev = nil
-	n.home = homeFree
-	n.next = e.free
-	e.free = n
-}
+// IsPending reports whether ev is still waiting to fire.
+func (e *Engine) IsPending(ev Event) bool { return e.events.pending(ev) }
 
 // At schedules fn to run at instant t. Scheduling in the past (before Now)
 // is an error in the model, so it fires immediately at the current time
 // instead of silently rewinding the clock.
-func (e *Engine) At(t Time, label string, fn func()) Event {
+func (e *Engine) At(t Time, fn func()) Event {
 	if t < e.now {
 		t = e.now
 	}
-	n := e.alloc()
-	n.when = t
-	n.seq = e.seq
-	n.fn = fn
-	n.label = label
-	e.seq++
-	e.queue.Schedule(n, e.now)
-	return Event{n: n, gen: n.gen, when: t, label: label}
+	i := e.events.add(t, fn)
+	e.queue.schedule(e.events.nodes, i, e.now)
+	return e.events.handle(i)
 }
 
 // After schedules fn to run d after the current time.
-func (e *Engine) After(d Duration, label string, fn func()) Event {
-	return e.At(e.now.Add(d), label, fn)
+func (e *Engine) After(d Duration, fn func()) Event {
+	return e.At(e.now.Add(d), fn)
 }
 
 // Cancel removes a pending event. Cancelling a fired or already-cancelled
@@ -189,28 +179,26 @@ func (e *Engine) After(d Duration, label string, fn func()) Event {
 // however the node has been recycled since. It reports whether the event
 // was actually cancelled.
 func (e *Engine) Cancel(ev Event) bool {
-	if ev.n == nil || ev.n.gen != ev.gen {
+	if !e.events.pending(ev) {
 		return false
 	}
-	e.queue.Remove(ev.n)
-	e.release(ev.n)
+	e.queue.remove(e.events.nodes, ev.index)
+	e.events.release(ev.index)
 	return true
 }
 
 // Step fires the next event, advancing the clock to its timestamp.
 // It reports whether an event was available.
 func (e *Engine) Step() bool {
-	n := e.queue.PopMin()
-	if n == nil {
+	i := e.queue.popMin(e.events.nodes)
+	if i == 0 {
 		return false
 	}
-	e.now = n.when
+	e.now = e.events.nodes[i].when
 	e.fired++
-	fn := n.fn
 	// Release before running so a self-re-arming callback (the dominant
 	// workload shape: heartbeats, periodic uploads) reuses this very node.
-	e.release(n)
-	fn()
+	e.events.release(i)()
 	return true
 }
 
@@ -224,7 +212,7 @@ func (e *Engine) Run(until Time) error {
 		if e.stopped {
 			return ErrStopped
 		}
-		next, ok := e.queue.PeekWhen()
+		next, ok := e.queue.peekWhen(e.events.nodes)
 		if !ok {
 			if e.now < until {
 				e.now = until
@@ -255,6 +243,6 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // String summarises engine state for diagnostics.
 func (e *Engine) String() string {
-	return fmt.Sprintf("engine{now=%s pending=%d fired=%d queue=%s}",
-		e.now, e.queue.Len(), e.fired, e.queue.name())
+	return fmt.Sprintf("engine{now=%s pending=%d fired=%d queue=wheel}",
+		e.now, e.queue.count, e.fired)
 }

@@ -1,24 +1,42 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-// queueImpls enumerates the event-queue implementations behind the engine.
-// Every engine contract test below runs against each of them: the timing
-// wheel (the default) and the reference heap must be observably identical.
-var queueImpls = []struct {
-	name string
-	mk   func() *Engine
-}{
-	{"wheel", NewEngine},
-	{"heap", func() *Engine { return newEngineWithQueue(newHeapQueue()) }},
+// engineAPI is the scheduling surface shared by the production Engine
+// (timing wheel) and the test-only heapEngine (reference binary heap).
+// Every engine contract test below runs against both: they must be
+// observably identical.
+type engineAPI interface {
+	At(t Time, fn func()) Event
+	After(d Duration, fn func()) Event
+	Cancel(ev Event) bool
+	IsPending(ev Event) bool
+	Step() bool
+	Run(until Time) error
+	RunAll() error
+	Stop()
+	Now() Time
+	Fired() uint64
+	Pending() int
+	String() string
 }
 
-func forEachQueue(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) {
+// queueImpls enumerates the event-queue implementations behind the engine.
+var queueImpls = []struct {
+	name string
+	mk   func() engineAPI
+}{
+	{"wheel", func() engineAPI { return NewEngine() }},
+	{"heap", func() engineAPI { return &heapEngine{} }},
+}
+
+func forEachQueue(t *testing.T, f func(t *testing.T, newEngine func() engineAPI)) {
 	for _, impl := range queueImpls {
 		impl := impl
 		t.Run(impl.name, func(t *testing.T) { f(t, impl.mk) })
@@ -26,12 +44,12 @@ func forEachQueue(t *testing.T, f func(t *testing.T, newEngine func() *Engine)) 
 }
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		var got []int
-		e.After(3*time.Second, "c", func() { got = append(got, 3) })
-		e.After(1*time.Second, "a", func() { got = append(got, 1) })
-		e.After(2*time.Second, "b", func() { got = append(got, 2) })
+		e.After(3*time.Second, func() { got = append(got, 3) })
+		e.After(1*time.Second, func() { got = append(got, 1) })
+		e.After(2*time.Second, func() { got = append(got, 2) })
 		if err := e.RunAll(); err != nil {
 			t.Fatalf("RunAll: %v", err)
 		}
@@ -48,12 +66,12 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 }
 
 func TestEngineEqualTimesFireInScheduleOrder(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		var got []int
 		for i := 0; i < 10; i++ {
 			i := i
-			e.At(Epoch.Add(time.Second), "tie", func() { got = append(got, i) })
+			e.At(Epoch.Add(time.Second), func() { got = append(got, i) })
 		}
 		if err := e.RunAll(); err != nil {
 			t.Fatalf("RunAll: %v", err)
@@ -67,11 +85,11 @@ func TestEngineEqualTimesFireInScheduleOrder(t *testing.T) {
 }
 
 func TestEngineCancel(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		fired := false
-		ev := e.After(time.Second, "x", func() { fired = true })
-		if !ev.Pending() {
+		ev := e.After(time.Second, func() { fired = true })
+		if !e.IsPending(ev) {
 			t.Fatal("event should be pending")
 		}
 		if !e.Cancel(ev) {
@@ -90,13 +108,13 @@ func TestEngineCancel(t *testing.T) {
 }
 
 func TestEngineCancelMiddleOfQueue(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		var got []int
 		evs := make([]Event, 0, 20)
 		for i := 0; i < 20; i++ {
 			i := i
-			evs = append(evs, e.After(time.Duration(i)*time.Second, "n", func() { got = append(got, i) }))
+			evs = append(evs, e.After(time.Duration(i)*time.Second, func() { got = append(got, i) }))
 		}
 		for i := 5; i < 15; i++ {
 			e.Cancel(evs[i])
@@ -116,15 +134,15 @@ func TestEngineCancelMiddleOfQueue(t *testing.T) {
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		count := 0
 		var tick func()
 		tick = func() {
 			count++
-			e.After(time.Minute, "tick", tick)
+			e.After(time.Minute, tick)
 		}
-		e.After(time.Minute, "tick", tick)
+		e.After(time.Minute, tick)
 		if err := e.Run(Epoch.Add(time.Hour)); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -138,9 +156,9 @@ func TestEngineRunUntil(t *testing.T) {
 }
 
 func TestEngineRunAdvancesToUntilWhenDrained(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
-		e.After(time.Second, "only", func() {})
+		e.After(time.Second, func() {})
 		if err := e.Run(Epoch.Add(time.Hour)); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -151,7 +169,7 @@ func TestEngineRunAdvancesToUntilWhenDrained(t *testing.T) {
 }
 
 func TestEngineStop(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		count := 0
 		var tick func()
@@ -160,9 +178,9 @@ func TestEngineStop(t *testing.T) {
 			if count == 5 {
 				e.Stop()
 			}
-			e.After(time.Second, "tick", tick)
+			e.After(time.Second, tick)
 		}
-		e.After(time.Second, "tick", tick)
+		e.After(time.Second, tick)
 		if err := e.RunAll(); err != ErrStopped {
 			t.Fatalf("RunAll err = %v, want ErrStopped", err)
 		}
@@ -173,11 +191,11 @@ func TestEngineStop(t *testing.T) {
 }
 
 func TestEngineSchedulingInPastClampsToNow(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		var at Time = Never
-		e.After(10*time.Second, "outer", func() {
-			e.At(Epoch, "past", func() { at = e.Now() })
+		e.After(10*time.Second, func() {
+			e.At(Epoch, func() { at = e.Now() })
 		})
 		if err := e.RunAll(); err != nil {
 			t.Fatalf("RunAll: %v", err)
@@ -189,43 +207,46 @@ func TestEngineSchedulingInPastClampsToNow(t *testing.T) {
 }
 
 func TestEngineStringNamesQueue(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
-		e := newEngine()
-		e.After(time.Second, "x", func() {})
-		s := e.String()
-		if !strings.Contains(s, "pending=1") {
-			t.Errorf("String = %q, want pending=1", s)
-		}
-		if !strings.Contains(s, "queue="+e.queue.name()) {
-			t.Errorf("String = %q, want queue=%s", s, e.queue.name())
-		}
-	})
+	for _, impl := range queueImpls {
+		impl := impl
+		t.Run(impl.name, func(t *testing.T) {
+			e := impl.mk()
+			e.After(time.Second, func() {})
+			s := e.String()
+			if !strings.Contains(s, "pending=1") {
+				t.Errorf("String = %q, want pending=1", s)
+			}
+			if !strings.Contains(s, "queue="+impl.name) {
+				t.Errorf("String = %q, want queue=%s", s, impl.name)
+			}
+		})
+	}
 }
 
 func TestEngineHandleOutlivesFire(t *testing.T) {
-	// The value handle keeps reporting the original When/Label after the
-	// node behind it has been recycled for another event.
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	// The value handle keeps reporting the original When after the node
+	// behind it has been recycled for another event.
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
-		ev := e.After(time.Second, "first", func() {})
+		ev := e.After(time.Second, func() {})
 		if err := e.RunAll(); err != nil {
 			t.Fatal(err)
 		}
-		if ev.Pending() {
+		if e.IsPending(ev) {
 			t.Error("fired event still pending")
 		}
 		// Recycle the node.
-		ev2 := e.After(time.Minute, "second", func() {})
-		if ev.Pending() {
+		ev2 := e.After(time.Minute, func() {})
+		if e.IsPending(ev) {
 			t.Error("stale handle pending after node reuse")
 		}
-		if ev.When() != Epoch.Add(time.Second) || ev.Label() != "first" {
-			t.Errorf("stale handle When/Label = %v/%q", ev.When(), ev.Label())
+		if ev.When() != Epoch.Add(time.Second) {
+			t.Errorf("stale handle When = %v", ev.When())
 		}
 		if e.Cancel(ev) {
 			t.Error("Cancel through stale handle succeeded")
 		}
-		if !ev2.Pending() {
+		if !e.IsPending(ev2) {
 			t.Error("live event not pending — stale Cancel hit the recycled node")
 		}
 	})
@@ -257,7 +278,7 @@ func TestEngineRandomScheduleOrderProperty(t *testing.T) {
 	// Property: whatever order events are scheduled in, they fire in
 	// non-decreasing time order, and equal-time events fire in schedule
 	// order.
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		f := func(seed uint64) bool {
 			r := NewRand(seed)
 			e := newEngine()
@@ -270,7 +291,7 @@ func TestEngineRandomScheduleOrderProperty(t *testing.T) {
 			for i := 0; i < n; i++ {
 				i := i
 				at := Epoch.Add(time.Duration(r.Intn(20)) * time.Second)
-				e.At(at, "p", func() { log = append(log, fired{e.Now(), i}) })
+				e.At(at, func() { log = append(log, fired{e.Now(), i}) })
 			}
 			if err := e.RunAll(); err != nil {
 				return false
@@ -295,17 +316,17 @@ func TestEngineRandomScheduleOrderProperty(t *testing.T) {
 }
 
 func TestEngineEventsScheduledDuringRunFire(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		depth := 0
 		var recurse func()
 		recurse = func() {
 			depth++
 			if depth < 10 {
-				e.After(time.Second, "deeper", recurse)
+				e.After(time.Second, recurse)
 			}
 		}
-		e.After(time.Second, "start", recurse)
+		e.After(time.Second, recurse)
 		if err := e.RunAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -315,37 +336,112 @@ func TestEngineEventsScheduledDuringRunFire(t *testing.T) {
 	})
 }
 
-// heapQueue is the binary-heap reference implementation, ordered by
-// (when, seq). It predates the timing wheel and is kept here, in the tests,
-// as the oracle the wheel is differentially tested against.
-type heapQueue struct {
-	nodes []*eventNode
+// heapEngine is the Engine API over the binary-heap reference queue, in
+// the same node arena. It predates the timing wheel and is kept here, in
+// the tests, as the oracle the wheel is differentially tested against;
+// its methods mirror Engine's line for line with the queue swapped.
+type heapEngine struct {
+	now     Time
+	stopped bool
+	fired   uint64
+	events  arena
+	queue   heapQueue
 }
 
-func newHeapQueue() *heapQueue { return &heapQueue{} }
+func (e *heapEngine) Now() Time               { return e.now }
+func (e *heapEngine) Fired() uint64           { return e.fired }
+func (e *heapEngine) Pending() int            { return len(e.queue.items) }
+func (e *heapEngine) IsPending(ev Event) bool { return e.events.pending(ev) }
+func (e *heapEngine) Stop()                   { e.stopped = true }
 
-func (q *heapQueue) name() string { return "heap" }
-
-func (q *heapQueue) Len() int { return len(q.nodes) }
-
-func (q *heapQueue) less(i, j int) bool {
-	a, b := q.nodes[i], q.nodes[j]
-	if a.when != b.when {
-		return a.when < b.when
+func (e *heapEngine) At(t Time, fn func()) Event {
+	if t < e.now {
+		t = e.now
 	}
-	return a.seq < b.seq
+	i := e.events.add(t, fn)
+	e.queue.schedule(e.events.nodes, i)
+	return e.events.handle(i)
+}
+
+func (e *heapEngine) After(d Duration, fn func()) Event { return e.At(e.now.Add(d), fn) }
+
+func (e *heapEngine) Cancel(ev Event) bool {
+	if !e.events.pending(ev) {
+		return false
+	}
+	e.queue.remove(e.events.nodes, ev.index)
+	e.events.release(ev.index)
+	return true
+}
+
+func (e *heapEngine) Step() bool {
+	if len(e.queue.items) == 0 {
+		return false
+	}
+	i := e.queue.items[0]
+	e.queue.remove(e.events.nodes, i)
+	e.now = e.events.nodes[i].when
+	e.fired++
+	e.events.release(i)()
+	return true
+}
+
+func (e *heapEngine) Run(until Time) error {
+	e.stopped = false
+	for {
+		if e.stopped {
+			return ErrStopped
+		}
+		if len(e.queue.items) == 0 {
+			if e.now < until {
+				e.now = until
+			}
+			return nil
+		}
+		if e.events.nodes[e.queue.items[0]].when > until {
+			e.now = until
+			return nil
+		}
+		e.Step()
+	}
+}
+
+func (e *heapEngine) RunAll() error {
+	e.stopped = false
+	for e.Step() {
+		if e.stopped {
+			return ErrStopped
+		}
+	}
+	return nil
+}
+
+func (e *heapEngine) String() string {
+	return fmt.Sprintf("engine{now=%s pending=%d fired=%d queue=heap}",
+		e.now, len(e.queue.items), e.fired)
+}
+
+// heapQueue is a binary heap of arena node indices ordered by (when, seq).
+// pos maps a node index to its place in items, so remove is O(log n).
+type heapQueue struct {
+	items []int32
+	pos   []int32
+}
+
+func (q *heapQueue) less(ns []eventNode, i, j int) bool {
+	return nodeLess(&ns[q.items[i]], &ns[q.items[j]])
 }
 
 func (q *heapQueue) swap(i, j int) {
-	q.nodes[i], q.nodes[j] = q.nodes[j], q.nodes[i]
-	q.nodes[i].heapIndex = int32(i)
-	q.nodes[j].heapIndex = int32(j)
+	q.items[i], q.items[j] = q.items[j], q.items[i]
+	q.pos[q.items[i]] = int32(i)
+	q.pos[q.items[j]] = int32(j)
 }
 
-func (q *heapQueue) up(i int) {
+func (q *heapQueue) up(ns []eventNode, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !q.less(ns, i, parent) {
 			break
 		}
 		q.swap(i, parent)
@@ -353,18 +449,18 @@ func (q *heapQueue) up(i int) {
 	}
 }
 
-func (q *heapQueue) down(i int) {
-	n := len(q.nodes)
+func (q *heapQueue) down(ns []eventNode, i int) {
+	n := len(q.items)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			return
 		}
 		least := left
-		if right := left + 1; right < n && q.less(right, left) {
+		if right := left + 1; right < n && q.less(ns, right, left) {
 			least = right
 		}
-		if !q.less(least, i) {
+		if !q.less(ns, least, i) {
 			return
 		}
 		q.swap(i, least)
@@ -372,39 +468,24 @@ func (q *heapQueue) down(i int) {
 	}
 }
 
-func (q *heapQueue) Schedule(n *eventNode, _ Time) {
-	n.home = homeHeap
-	n.heapIndex = int32(len(q.nodes))
-	q.nodes = append(q.nodes, n)
-	q.up(len(q.nodes) - 1)
+func (q *heapQueue) schedule(ns []eventNode, node int32) {
+	for len(q.pos) <= int(node) {
+		q.pos = append(q.pos, 0)
+	}
+	q.pos[node] = int32(len(q.items))
+	q.items = append(q.items, node)
+	q.up(ns, len(q.items)-1)
 }
 
-func (q *heapQueue) Remove(n *eventNode) {
-	i := int(n.heapIndex)
-	last := len(q.nodes) - 1
+func (q *heapQueue) remove(ns []eventNode, node int32) {
+	i := int(q.pos[node])
+	last := len(q.items) - 1
 	if i != last {
 		q.swap(i, last)
 	}
-	q.nodes[last] = nil
-	q.nodes = q.nodes[:last]
+	q.items = q.items[:last]
 	if i != last {
-		q.down(i)
-		q.up(i)
+		q.down(ns, i)
+		q.up(ns, i)
 	}
-}
-
-func (q *heapQueue) PopMin() *eventNode {
-	if len(q.nodes) == 0 {
-		return nil
-	}
-	n := q.nodes[0]
-	q.Remove(n)
-	return n
-}
-
-func (q *heapQueue) PeekWhen() (Time, bool) {
-	if len(q.nodes) == 0 {
-		return 0, false
-	}
-	return q.nodes[0].when, true
 }

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 )
 
 // --- differential testing: wheel vs reference heap -----------------------
@@ -43,7 +46,7 @@ var diffRuns = []Duration{
 
 // diffRig is one engine plus the script-visible state around it.
 type diffRig struct {
-	eng   *Engine
+	eng   engineAPI
 	evs   []Event
 	trace []string
 }
@@ -67,7 +70,7 @@ func (r *diffRig) schedule(id int, d Duration, kind, aux byte) {
 			}
 		}
 	}
-	r.evs = append(r.evs, r.eng.After(d, "diff", fn))
+	r.evs = append(r.evs, r.eng.After(d, fn))
 }
 
 // runDiffScript interprets data against both rigs and fails t on the
@@ -76,7 +79,7 @@ func runDiffScript(t *testing.T, data []byte) []string {
 	t.Helper()
 	rigs := [2]*diffRig{
 		{eng: NewEngine()},
-		{eng: newEngineWithQueue(newHeapQueue())},
+		{eng: &heapEngine{}},
 	}
 	nextID := 0
 	check := func(step int) {
@@ -239,7 +242,7 @@ func FuzzWheelVsHeap(f *testing.F) {
 // dead forever — Cancel through it is a no-op that cannot kill the node's
 // next tenant, Pending stays false, and no callback ever double-fires.
 func TestEventPoolAliasing(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		r := NewRand(42)
 		fires := map[int]int{}
@@ -254,12 +257,12 @@ func TestEventPoolAliasing(t *testing.T) {
 			case 0, 1:
 				id := nextID
 				nextID++
-				ev := e.After(Duration(r.Intn(5000))*time.Millisecond, "alias", func() { fires[id]++ })
+				ev := e.After(Duration(r.Intn(5000))*time.Millisecond, func() { fires[id]++ })
 				issued = append(issued, slot{ev, id})
 			case 2:
 				if len(issued) > 0 {
 					s := issued[r.Intn(len(issued))]
-					wasPending := s.ev.Pending()
+					wasPending := e.IsPending(s.ev)
 					got := e.Cancel(s.ev)
 					if got != wasPending {
 						t.Fatalf("Cancel returned %v for handle with Pending=%v", got, wasPending)
@@ -277,7 +280,7 @@ func TestEventPoolAliasing(t *testing.T) {
 			if fires[s.id] > 1 {
 				t.Fatalf("event %d fired %d times", s.id, fires[s.id])
 			}
-			if s.ev.Pending() {
+			if e.IsPending(s.ev) {
 				t.Fatalf("handle %d still pending after RunAll", s.id)
 			}
 		}
@@ -298,7 +301,7 @@ func TestEventPoolAliasingSharded(t *testing.T) {
 			i := i
 			switch r.Intn(3) {
 			case 0:
-				evs = append(evs, e.After(Duration(r.Intn(2000))*time.Millisecond, "s", func() {
+				evs = append(evs, e.After(Duration(r.Intn(2000))*time.Millisecond, func() {
 					fired = append(fired, i)
 				}))
 			case 1:
@@ -334,21 +337,152 @@ func TestEventPoolAliasingSharded(t *testing.T) {
 // is warm, a schedule+fire cycle allocates nothing at all — on either
 // queue implementation.
 func TestEngineZeroAllocSteadyState(t *testing.T) {
-	forEachQueue(t, func(t *testing.T, newEngine func() *Engine) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
 		e := newEngine()
 		fn := func() {}
 		// Warm the pool and the heap's slice capacity.
 		for i := 0; i < 64; i++ {
-			e.After(Duration(i)*time.Millisecond, "warm", fn)
+			e.After(Duration(i)*time.Millisecond, fn)
 		}
 		for e.Step() {
 		}
 		avg := testing.AllocsPerRun(2000, func() {
-			e.After(700*time.Millisecond, "steady", fn)
+			e.After(700*time.Millisecond, fn)
 			e.Step()
 		})
 		if avg != 0 {
 			t.Errorf("steady-state schedule+fire = %v allocs/event, want 0", avg)
+		}
+	})
+}
+
+// --- the pointer-free event core -----------------------------------------
+
+// pointerPath returns the path to the first pointer-carrying field of t
+// (strings, slices, maps, funcs, channels and interfaces hold pointers
+// too), or "" if t holds none.
+func pointerPath(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Array:
+		if t.Len() == 0 {
+			return ""
+		}
+		return pointerPath(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.Func, reflect.Chan, reflect.Interface, reflect.String:
+		return path + " (" + t.String() + ")"
+	}
+	return ""
+}
+
+// TestEventCoreIsPointerFree pins what keeps the event hot path free of GC
+// write barriers: an arena node, an Event handle and the wheel hold no
+// pointer-typed field, so linking, unlinking and copying handles are plain
+// stores the collector never hears about.
+func TestEventCoreIsPointerFree(t *testing.T) {
+	for _, v := range []any{eventNode{}, Event{}, wheel{}} {
+		typ := reflect.TypeOf(v)
+		if p := pointerPath(typ, typ.Name()); p != "" {
+			t.Errorf("%s holds a pointer at %s", typ.Name(), p)
+		}
+	}
+}
+
+// arenaOf returns the node arena behind either engine.
+func arenaOf(e engineAPI) *arena {
+	switch e := e.(type) {
+	case *Engine:
+		return &e.events
+	case *heapEngine:
+		return &e.events
+	}
+	panic("unknown engine")
+}
+
+// TestEventHandleSurvivesArenaGrowth checks that handles are indices, not
+// addresses: a fired, a cancelled and a pending handle issued before the
+// arena reallocates keep their Cancel and IsPending verdicts after it.
+func TestEventHandleSurvivesArenaGrowth(t *testing.T) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
+		e := newEngine()
+		firedC := false
+		fired := e.After(time.Second, func() {})
+		cancelled := e.After(2*time.Second, func() {})
+		pending := e.After(time.Hour, func() { firedC = true })
+		if err := e.Run(Epoch.Add(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Cancel(cancelled) {
+			t.Fatal("Cancel of a pending event failed")
+		}
+		a := arenaOf(e)
+		capBefore := cap(a.nodes)
+		n := 0
+		for i := 0; i < 5000; i++ {
+			e.After(Duration(i)*time.Millisecond, func() { n++ })
+		}
+		if cap(a.nodes) == capBefore {
+			t.Fatalf("arena did not grow past cap %d", capBefore)
+		}
+		if e.IsPending(fired) || e.IsPending(cancelled) {
+			t.Error("a spent handle reads pending after arena growth")
+		}
+		if !e.IsPending(pending) {
+			t.Error("a pending handle reads spent after arena growth")
+		}
+		if e.Cancel(fired) || e.Cancel(cancelled) {
+			t.Error("Cancel through a spent handle succeeded after arena growth")
+		}
+		if !e.Cancel(pending) {
+			t.Error("Cancel through a pending handle failed after arena growth")
+		}
+		if err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if firedC || n != 5000 {
+			t.Errorf("after RunAll: cancelled event fired=%v, %d of 5000 fired", firedC, n)
+		}
+	})
+}
+
+// armCollectable schedules a callback that captures a fresh object and
+// returns a weak pointer to the object and the event's handle.
+//
+//go:noinline
+func armCollectable(e engineAPI) (weak.Pointer[[8]uint64], Event) {
+	obj := new([8]uint64)
+	ev := e.After(time.Second, func() { obj[0]++ })
+	return weak.Make(obj), ev
+}
+
+// TestSpentCallbackIsCollectable checks that the arena drops a callback
+// the moment its event fires or is cancelled: a closure kept in its slot
+// would keep everything it captured live until the node's next tenant.
+func TestSpentCallbackIsCollectable(t *testing.T) {
+	forEachQueue(t, func(t *testing.T, newEngine func() engineAPI) {
+		for _, spend := range []string{"fire", "cancel"} {
+			e := newEngine()
+			wp, ev := armCollectable(e)
+			if spend == "fire" {
+				if err := e.RunAll(); err != nil {
+					t.Fatal(err)
+				}
+			} else if !e.Cancel(ev) {
+				t.Fatal("Cancel failed")
+			}
+			runtime.GC()
+			if wp.Value() != nil {
+				t.Errorf("%s: the spent callback's capture is still reachable", spend)
+			}
+			runtime.KeepAlive(e)
 		}
 	})
 }

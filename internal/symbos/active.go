@@ -37,10 +37,9 @@ type ActiveScheduler struct {
 	seq    int
 	down   bool
 
-	// Interned wake-up event: Complete schedules the same label and
-	// closure thousands of times per simulated hour, so both are built
-	// once here instead of once per completion.
-	wakeLabel  string
+	// Interned wake-up event: Complete schedules the same closure
+	// thousands of times per simulated hour, so it is built once here
+	// instead of once per completion.
 	wakeFn     func()
 	dispatchFn func()
 }
@@ -49,10 +48,9 @@ type ActiveScheduler struct {
 // process died starts shut down, as if it had been there at the kill.
 func newActiveScheduler(t *Thread) *ActiveScheduler {
 	s := &ActiveScheduler{thread: t, down: !t.proc.alive}
-	s.wakeLabel = "active-scheduler " + t.Name()
 	s.dispatchFn = s.dispatchOne
 	s.wakeFn = func() {
-		t.proc.kernel.Exec(t, "dispatch", s.dispatchFn)
+		t.proc.kernel.Exec(t, s.dispatchFn)
 	}
 	return s
 }
@@ -132,7 +130,7 @@ func (ao *ActiveObject) Complete(code int) {
 	ao.status = code
 	ao.complete = true
 	s := ao.thread.scheduler
-	ao.thread.proc.kernel.eng.After(0, s.wakeLabel, s.wakeFn)
+	ao.thread.proc.kernel.eng.After(0, s.wakeFn)
 }
 
 // dispatchOne runs the highest-priority completed active object, if any.
@@ -186,16 +184,14 @@ type Timer struct {
 	ev          sim.Event
 	outstanding bool
 
-	// Interned per-timer event label and callback: heartbeat timers
-	// re-arm every simulated period, so After must not rebuild them.
-	label  string
+	// Interned per-timer callback: heartbeat timers re-arm every
+	// simulated period, so After must not rebuild it.
 	fireFn func()
 }
 
 // NewTimer returns a timer completing into ao.
 func NewTimer(ao *ActiveObject) *Timer {
 	tm := &Timer{ao: ao}
-	tm.label = "rtimer " + ao.name
 	tm.fireFn = func() {
 		tm.outstanding = false
 		tm.ao.Complete(KErrNone)
@@ -217,7 +213,7 @@ func (tm *Timer) After(d sim.Duration) {
 	}
 	tm.outstanding = true
 	tm.ao.SetActive()
-	tm.ev = k.eng.After(d, tm.label, tm.fireFn)
+	tm.ev = k.eng.After(d, tm.fireFn)
 }
 
 // Cancel withdraws the pending timer event (RTimer::Cancel).

@@ -13,7 +13,7 @@ func TestActiveObjectRunsOnCompletion(t *testing.T) {
 	ao := proc.Main().NewActiveObject("worker", 0, func(code int) {
 		got = append(got, code)
 	})
-	k.Exec(proc.Main(), "issue", func() { ao.SetActive() })
+	k.Exec(proc.Main(), func() { ao.SetActive() })
 	ao.Complete(KErrNone)
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestActiveSchedulerPriorityOrder(t *testing.T) {
 	var order []string
 	lo := proc.Main().NewActiveObject("lo", 1, func(int) { order = append(order, "lo") })
 	hi := proc.Main().NewActiveObject("hi", 9, func(int) { order = append(order, "hi") })
-	k.Exec(proc.Main(), "issue", func() {
+	k.Exec(proc.Main(), func() {
 		lo.SetActive()
 		hi.SetActive()
 	})
@@ -72,7 +72,7 @@ func TestRunLLeaveWithoutRunErrorPanics(t *testing.T) {
 	ao := proc.Main().NewActiveObject("leaver", 0, func(int) {
 		proc.Main().Leave(KErrGeneral)
 	})
-	k.Exec(proc.Main(), "issue", func() { ao.SetActive() })
+	k.Exec(proc.Main(), func() { ao.SetActive() })
 	ao.Complete(KErrNone)
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestRunLLeaveHandledByRunError(t *testing.T) {
 		}
 		return false
 	})
-	k.Exec(proc.Main(), "issue", func() { ao.SetActive() })
+	k.Exec(proc.Main(), func() { ao.SetActive() })
 	ao.Complete(KErrNone)
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestViewSrvStarvationPanics(t *testing.T) {
 	proc.Main().WatchViewSrv()
 	ao := proc.Main().NewActiveObject("hog", 0, func(int) {})
 	ao.SetCost(30 * time.Second) // beyond the 10 s ViewSrv timeout
-	k.Exec(proc.Main(), "issue", func() { ao.SetActive() })
+	k.Exec(proc.Main(), func() { ao.SetActive() })
 	ao.Complete(KErrNone)
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestViewSrvIgnoresUnwatchedThreads(t *testing.T) {
 	k.SubscribeRDebug(func(p *Panic) { panics = append(panics, p.Key()) })
 	ao := proc.Main().NewActiveObject("hog", 0, func(int) {})
 	ao.SetCost(30 * time.Second)
-	k.Exec(proc.Main(), "issue", func() { ao.SetActive() })
+	k.Exec(proc.Main(), func() { ao.SetActive() })
 	ao.Complete(KErrNone)
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestCancelPreventsDispatch(t *testing.T) {
 	k, proc := newTestKernel(t)
 	runs := 0
 	ao := proc.Main().NewActiveObject("c", 0, func(int) { runs++ })
-	k.Exec(proc.Main(), "issue", func() { ao.SetActive() })
+	k.Exec(proc.Main(), func() { ao.SetActive() })
 	ao.Cancel()
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestTimerFiresAfterDelay(t *testing.T) {
 	var firedAt sim.Time = sim.Never
 	ao := proc.Main().NewActiveObject("tick", 0, func(int) { firedAt = k.Now() })
 	tm := NewTimer(ao)
-	k.Exec(proc.Main(), "arm", func() { tm.After(5 * time.Second) })
+	k.Exec(proc.Main(), func() { tm.After(5 * time.Second) })
 	if !tm.Outstanding() {
 		t.Error("timer not outstanding after After")
 	}
@@ -181,7 +181,7 @@ func TestTimerDoubleArmPanics(t *testing.T) {
 	k, proc := newTestKernel(t)
 	ao := proc.Main().NewActiveObject("tick", 0, func(int) {})
 	tm := NewTimer(ao)
-	p := k.Exec(proc.Main(), "double", func() {
+	p := k.Exec(proc.Main(), func() {
 		tm.After(time.Second)
 		tm.After(time.Second)
 	})
@@ -195,7 +195,7 @@ func TestTimerCancel(t *testing.T) {
 	runs := 0
 	ao := proc.Main().NewActiveObject("tick", 0, func(int) { runs++ })
 	tm := NewTimer(ao)
-	k.Exec(proc.Main(), "arm", func() { tm.After(time.Second) })
+	k.Exec(proc.Main(), func() { tm.After(time.Second) })
 	tm.Cancel()
 	tm.Cancel() // idempotent
 	if err := k.Engine().RunAll(); err != nil {
@@ -205,7 +205,7 @@ func TestTimerCancel(t *testing.T) {
 		t.Errorf("cancelled timer ran %d times", runs)
 	}
 	// Re-arming after cancel must not raise KERN-EXEC 15.
-	k.Exec(proc.Main(), "rearm", func() { tm.After(time.Second) })
+	k.Exec(proc.Main(), func() { tm.After(time.Second) })
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestPeriodicHeartbeatPattern(t *testing.T) {
 		tm.After(30 * time.Second)
 	})
 	tm = NewTimer(ao)
-	k.Exec(proc.Main(), "arm", func() { tm.After(30 * time.Second) })
+	k.Exec(proc.Main(), func() { tm.After(30 * time.Second) })
 	if err := k.Engine().Run(sim.Epoch.Add(10 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestTerminatedProcessStopsDispatch(t *testing.T) {
 	k, proc := newTestKernel(t)
 	runs := 0
 	ao := proc.Main().NewActiveObject("w", 0, func(int) { runs++ })
-	k.Exec(proc.Main(), "issue", func() { ao.SetActive() })
+	k.Exec(proc.Main(), func() { ao.SetActive() })
 	ao.Complete(KErrNone)
 	k.TerminateProcess(proc)
 	if err := k.Engine().RunAll(); err != nil {

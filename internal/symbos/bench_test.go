@@ -21,7 +21,7 @@ func BenchmarkExecNoPanic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Exec(t, "noop", func() {})
+		k.Exec(t, func() {})
 	}
 }
 
@@ -31,7 +31,7 @@ func BenchmarkExecWithPanic(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Exec(t, "boom", func() { NullPtr(k).Deref() })
+		k.Exec(t, func() { NullPtr(k).Deref() })
 	}
 }
 
@@ -42,7 +42,7 @@ func BenchmarkSendReceive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Exec(proc.Main(), "call", func() {
+		k.Exec(proc.Main(), func() {
 			sess.SendReceive(OpBenchPing, "payload")
 		})
 	}
@@ -59,7 +59,7 @@ func BenchmarkActiveObjectDispatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Exec(t, "arm", func() { ao.SetActive() })
+		k.Exec(t, func() { ao.SetActive() })
 		ao.Complete(KErrNone)
 		for k.Engine().Step() {
 		}
@@ -76,7 +76,7 @@ func BenchmarkTimerArmFire(b *testing.B) {
 	tm := NewTimer(ao)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Exec(t, "arm", func() { tm.After(time.Second) })
+		k.Exec(t, func() { tm.After(time.Second) })
 		for k.Engine().Step() {
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkHeapAllocFree(b *testing.B) {
 	h := proc.Heap()
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.Exec(t, "alloc", func() {
+	k.Exec(t, func() {
 		for i := 0; i < b.N; i++ {
 			c := h.AllocL(t, 64, "bench")
 			h.Free(c)
@@ -100,7 +100,7 @@ func BenchmarkDescriptorOps(b *testing.B) {
 	k, proc := benchKernel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.Exec(proc.Main(), "desc", func() {
+	k.Exec(proc.Main(), func() {
 		buf := NewBuf(k, 64)
 		for i := 0; i < b.N; i++ {
 			buf.Copy("+390811234567")
@@ -116,7 +116,7 @@ func BenchmarkTrapLeave(b *testing.B) {
 	t := proc.Main()
 	b.ReportAllocs()
 	b.ResetTimer()
-	k.Exec(t, "trap", func() {
+	k.Exec(t, func() {
 		for i := 0; i < b.N; i++ {
 			t.Trap(func() {
 				t.PushL(func() {})

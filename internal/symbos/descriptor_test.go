@@ -9,7 +9,7 @@ import (
 
 func TestBufCopyAppend(t *testing.T) {
 	k, proc := newTestKernel(t)
-	k.Exec(proc.Main(), "buf", func() {
+	k.Exec(proc.Main(), func() {
 		b := NewBuf(k, 10)
 		b.Copy("hello")
 		if b.String() != "hello" || b.Len() != 5 {
@@ -47,7 +47,7 @@ func TestBufAppendOverflowPanics(t *testing.T) {
 
 func TestBufInsertDeleteReplace(t *testing.T) {
 	k, proc := newTestKernel(t)
-	k.Exec(proc.Main(), "ops", func() {
+	k.Exec(proc.Main(), func() {
 		b := NewBuf(k, 20)
 		b.Copy("hello world")
 		b.Insert(5, ",")
@@ -92,7 +92,7 @@ func TestBufPositionPanics(t *testing.T) {
 
 func TestBufExtraction(t *testing.T) {
 	k, proc := newTestKernel(t)
-	k.Exec(proc.Main(), "extract", func() {
+	k.Exec(proc.Main(), func() {
 		b := NewBuf(k, 16)
 		b.Copy("abcdef")
 		if got := b.Mid(2, 3); got != "cde" {
@@ -109,7 +109,7 @@ func TestBufExtraction(t *testing.T) {
 
 func TestBufSetLengthAndZeroTerminate(t *testing.T) {
 	k, proc := newTestKernel(t)
-	k.Exec(proc.Main(), "setlen", func() {
+	k.Exec(proc.Main(), func() {
 		b := NewBuf(k, 8)
 		b.Copy("abc")
 		b.SetLength(6)
@@ -137,7 +137,7 @@ func TestBufSetLengthAndZeroTerminate(t *testing.T) {
 
 func TestBufAppendFill(t *testing.T) {
 	k, proc := newTestKernel(t)
-	k.Exec(proc.Main(), "fill", func() {
+	k.Exec(proc.Main(), func() {
 		b := NewBuf(k, 6)
 		b.AppendFill('z', 3)
 		if b.String() != "zzz" {
@@ -164,7 +164,7 @@ func TestBufLengthNeverExceedsMaxProperty(t *testing.T) {
 		b := NewBuf(k, 8)
 		ok := true
 		for i := 0; i < 40; i++ {
-			k.Exec(proc.Main(), "op", func() {
+			k.Exec(proc.Main(), func() {
 				switch r.Intn(5) {
 				case 0:
 					b.Copy(randString(r, 12))
@@ -262,7 +262,7 @@ func TestBufMatchesRuneSliceReference(t *testing.T) {
 			}
 			op, pos, length := r.Intn(4), r.Intn(b.Len()+3)-1, r.Intn(5)
 			want := ref.apply(op, pos, length, s)
-			p := k.Exec(proc.Main(), "op", func() {
+			p := k.Exec(proc.Main(), func() {
 				switch op {
 				case 0:
 					b.Copy(s)

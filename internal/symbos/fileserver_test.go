@@ -39,7 +39,7 @@ func newFileServerFixture(t *testing.T) (*Kernel, *FileServer, *FileSession, map
 func TestFileServerWriteReadRoundTrip(t *testing.T) {
 	k, _, sess, store := newFileServerFixture(t)
 	client := k.Process("Client")
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		if code := sess.WriteFile("logs/beats", []byte("alive")); code != KErrNone {
 			t.Fatalf("write code = %s", ErrName(code))
 		}
@@ -59,7 +59,7 @@ func TestFileServerWriteReadRoundTrip(t *testing.T) {
 func TestFileServerAppend(t *testing.T) {
 	k, _, sess, _ := newFileServerFixture(t)
 	client := k.Process("Client")
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		sess.AppendFile("log", []byte("a"))
 		sess.AppendFile("log", []byte("b"))
 		data, code := sess.ReadFile("log")
@@ -73,7 +73,7 @@ func TestFileServerBinaryPayload(t *testing.T) {
 	k, _, sess, _ := newFileServerFixture(t)
 	client := k.Process("Client")
 	blob := []byte{0, 1, 2, 255, 0, 42}
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		// Contents containing NUL bytes must survive: the data travels
 		// as the message body, apart from the path.
 		if code := sess.WriteFile("bin", blob); code != KErrNone {
@@ -89,7 +89,7 @@ func TestFileServerBinaryPayload(t *testing.T) {
 func TestFileServerMissingFile(t *testing.T) {
 	k, _, sess, _ := newFileServerFixture(t)
 	client := k.Process("Client")
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		if _, code := sess.ReadFile("nope"); code != KErrNotFound {
 			t.Errorf("read missing = %s", ErrName(code))
 		}
@@ -105,7 +105,7 @@ func TestFileServerMissingFile(t *testing.T) {
 func TestFileServerDelete(t *testing.T) {
 	k, _, sess, store := newFileServerFixture(t)
 	client := k.Process("Client")
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		sess.WriteFile("f", []byte("x"))
 		sess.DeleteFile("f")
 		if sess.FileExists("f") {
@@ -120,7 +120,7 @@ func TestFileServerDelete(t *testing.T) {
 func TestFileServerEmptyPathRejected(t *testing.T) {
 	k, _, sess, _ := newFileServerFixture(t)
 	client := k.Process("Client")
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		if code := sess.WriteFile("", []byte("x")); code != KErrArgument {
 			t.Errorf("empty path write = %s", ErrName(code))
 		}
@@ -131,7 +131,7 @@ func TestFileServerUnknownOp(t *testing.T) {
 	k, fsrv, _, _ := newFileServerFixture(t)
 	client := k.Process("Client")
 	raw := fsrv.Server().Connect(client.Main())
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		if code := raw.SendReceive(9999, ""); code != KErrNotSupported {
 			t.Errorf("unknown op = %s", ErrName(code))
 		}
@@ -150,7 +150,7 @@ func TestFileServerPanicDisconnectsClients(t *testing.T) {
 	client := k.Process("Client")
 	// Kill the file server the hard way.
 	k.TerminateProcess(fsrv.Server().Process())
-	k.Exec(client.Main(), "io", func() {
+	k.Exec(client.Main(), func() {
 		if code := sess.WriteFile("f", []byte("x")); code != KErrDisconnected {
 			t.Errorf("write to dead server = %s", ErrName(code))
 		}

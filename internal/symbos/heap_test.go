@@ -10,7 +10,7 @@ import (
 func TestHeapAllocFree(t *testing.T) {
 	k, proc := newTestKernel(t)
 	h := proc.Heap()
-	k.Exec(proc.Main(), "alloc", func() {
+	k.Exec(proc.Main(), func() {
 		c := h.AllocL(proc.Main(), 100, "buf")
 		if h.Allocated() != 100 || h.LiveCells() != 1 {
 			t.Errorf("allocated=%d live=%d", h.Allocated(), h.LiveCells())
@@ -34,7 +34,7 @@ func TestHeapExhaustionLeaves(t *testing.T) {
 	h := proc.Heap()
 	h.SetLimit(64)
 	var code int
-	k.Exec(proc.Main(), "oom", func() {
+	k.Exec(proc.Main(), func() {
 		code = proc.Main().Trap(func() {
 			h.AllocL(proc.Main(), 65, "big")
 		})
@@ -51,7 +51,7 @@ func TestHeapDoubleFreeIsAccessViolation(t *testing.T) {
 	k, proc := newTestKernel(t)
 	h := proc.Heap()
 	var c *Cell
-	k.Exec(proc.Main(), "setup", func() {
+	k.Exec(proc.Main(), func() {
 		c = h.AllocL(proc.Main(), 10, "x")
 		h.Free(c)
 	})
@@ -62,7 +62,7 @@ func TestHeapDoubleFreeIsAccessViolation(t *testing.T) {
 
 func TestHeapFreeNilIsNoop(t *testing.T) {
 	k, proc := newTestKernel(t)
-	if p := k.Exec(proc.Main(), "freenil", func() { proc.Heap().Free(nil) }); p != nil {
+	if p := k.Exec(proc.Main(), func() { proc.Heap().Free(nil) }); p != nil {
 		t.Fatalf("User::Free(NULL) panicked: %v", p)
 	}
 }
@@ -71,7 +71,7 @@ func TestHeapForeignFreeIsAccessViolation(t *testing.T) {
 	k, proc := newTestKernel(t)
 	other := k.StartProcess("Other", false)
 	var c *Cell
-	k.Exec(other.Main(), "alloc", func() {
+	k.Exec(other.Main(), func() {
 		c = other.Heap().AllocL(other.Main(), 8, "foreign")
 	})
 	expectPanic(t, k, proc, CatKernExec, TypeUnhandledException, func() {
@@ -99,7 +99,7 @@ func TestDanglingPtrDeref(t *testing.T) {
 	k, proc := newTestKernel(t)
 	h := proc.Heap()
 	var ptr Ptr
-	k.Exec(proc.Main(), "setup", func() {
+	k.Exec(proc.Main(), func() {
 		c := h.AllocL(proc.Main(), 4, "d")
 		ptr = PtrTo(k, c)
 		if ptr.Deref() != c {
@@ -116,7 +116,7 @@ func TestDanglingPtrDeref(t *testing.T) {
 func TestTwoPhaseConstructionSuccess(t *testing.T) {
 	k, proc := newTestKernel(t)
 	h := proc.Heap()
-	k.Exec(proc.Main(), "2phase", func() {
+	k.Exec(proc.Main(), func() {
 		c := TwoPhaseConstructL(proc.Main(), h, 32, "obj", func(*Cell) {})
 		if c.Freed() {
 			t.Error("constructed object was freed")
@@ -134,7 +134,7 @@ func TestTwoPhaseConstructionLeaveFreesViaCleanupStack(t *testing.T) {
 	// using the clean-up stack mechanism".
 	k, proc := newTestKernel(t)
 	h := proc.Heap()
-	k.Exec(proc.Main(), "2phase-fail", func() {
+	k.Exec(proc.Main(), func() {
 		main := proc.Main()
 		code := main.Trap(func() {
 			TwoPhaseConstructL(main, h, 32, "obj", func(*Cell) {
@@ -154,7 +154,7 @@ func TestTrapUnwindsOnlyItemsPushedInsideTrap(t *testing.T) {
 	k, proc := newTestKernel(t)
 	main := proc.Main()
 	destroyedOuter := false
-	k.Exec(main, "nest", func() {
+	k.Exec(main, func() {
 		main.PushL(func() { destroyedOuter = true })
 		code := main.Trap(func() {
 			main.PushL(func() {})
@@ -179,7 +179,7 @@ func TestTrapUnwindsOnlyItemsPushedInsideTrap(t *testing.T) {
 func TestNestedTraps(t *testing.T) {
 	k, proc := newTestKernel(t)
 	main := proc.Main()
-	k.Exec(main, "nested", func() {
+	k.Exec(main, func() {
 		outer := main.Trap(func() {
 			inner := main.Trap(func() { main.Leave(KErrOverflow) })
 			if inner != KErrOverflow {
@@ -200,7 +200,7 @@ func TestPushLWithoutCleanupStackPanics(t *testing.T) {
 	k, proc := newTestKernel(t)
 	worker := proc.SpawnThread("worker")
 	worker.DropCleanupStack()
-	p := k.Exec(worker, "nocleanup", func() {
+	p := k.Exec(worker, func() {
 		worker.PushL(func() {})
 	})
 	if p == nil || p.Key() != "E32USER-CBase 69" {
@@ -229,7 +229,7 @@ func TestHeapNeverLeaksUnderTrappedAllocationStorm(t *testing.T) {
 		main := proc.Main()
 		r := sim.NewRand(seed)
 		ok := true
-		k.Exec(main, "storm", func() {
+		k.Exec(main, func() {
 			main.Trap(func() {
 				for i := 0; i < 50; i++ {
 					c := proc.Heap().AllocL(main, 1+r.Intn(64), "s")

@@ -127,7 +127,7 @@ func (k *Kernel) TerminateProcess(p *Process) {
 // kernel (RDebug subscribers first, then the recovery policy), and returned.
 // A nil return means fn completed without panicking. Exec on a halted
 // kernel or a dead process/thread is a no-op.
-func (k *Kernel) Exec(t *Thread, label string, fn func()) (p *Panic) {
+func (k *Kernel) Exec(t *Thread, fn func()) (p *Panic) {
 	if k.halted || t == nil || !t.proc.alive {
 		return nil
 	}

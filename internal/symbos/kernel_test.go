@@ -24,7 +24,7 @@ func newTestKernel(t *testing.T) (*Kernel, *Process) {
 // given category and type.
 func expectPanic(t *testing.T, k *Kernel, proc *Process, cat Category, typ int, fn func()) *Panic {
 	t.Helper()
-	p := k.Exec(proc.Main(), "test", fn)
+	p := k.Exec(proc.Main(), fn)
 	if p == nil {
 		t.Fatalf("expected panic %s %d, got none", cat, typ)
 	}
@@ -37,7 +37,7 @@ func expectPanic(t *testing.T, k *Kernel, proc *Process, cat Category, typ int, 
 func TestExecCompletesWithoutPanic(t *testing.T) {
 	k, proc := newTestKernel(t)
 	ran := false
-	if p := k.Exec(proc.Main(), "ok", func() { ran = true }); p != nil {
+	if p := k.Exec(proc.Main(), func() { ran = true }); p != nil {
 		t.Fatalf("unexpected panic: %v", p)
 	}
 	if !ran {
@@ -100,9 +100,9 @@ func TestRDebugSubscribersSeeEveryPanic(t *testing.T) {
 	k, proc := newTestKernel(t)
 	var keys []string
 	k.SubscribeRDebug(func(p *Panic) { keys = append(keys, p.Key()) })
-	k.Exec(proc.Main(), "a", func() { NullPtr(k).Deref() })
+	k.Exec(proc.Main(), func() { NullPtr(k).Deref() })
 	proc2 := k.StartProcess("Other", false)
-	k.Exec(proc2.Main(), "b", func() { NewBuf(k, 1).Copy("toolong") })
+	k.Exec(proc2.Main(), func() { NewBuf(k, 1).Copy("toolong") })
 	if len(keys) != 2 || keys[0] != "KERN-EXEC 3" || keys[1] != "USER 11" {
 		t.Errorf("rdebug keys = %v", keys)
 	}
@@ -112,7 +112,7 @@ func TestExecOnDeadProcessIsNoop(t *testing.T) {
 	k, proc := newTestKernel(t)
 	k.TerminateProcess(proc)
 	ran := false
-	if p := k.Exec(proc.Main(), "dead", func() { ran = true }); p != nil {
+	if p := k.Exec(proc.Main(), func() { ran = true }); p != nil {
 		t.Fatalf("panic from dead process: %v", p)
 	}
 	if ran {
@@ -127,7 +127,7 @@ func TestExecOnHaltedKernelIsNoop(t *testing.T) {
 		t.Fatal("Halted() false after Halt")
 	}
 	ran := false
-	k.Exec(proc.Main(), "frozen", func() { ran = true })
+	k.Exec(proc.Main(), func() { ran = true })
 	if ran {
 		t.Error("code ran on halted kernel (freeze should stop everything)")
 	}
@@ -137,8 +137,8 @@ func TestNestedExecRestoresContext(t *testing.T) {
 	k, proc := newTestKernel(t)
 	srvProc := k.StartProcess("Srv", true)
 	var inner, outer *Panic
-	outer = k.Exec(proc.Main(), "outer", func() {
-		inner = k.Exec(srvProc.Main(), "inner", func() {
+	outer = k.Exec(proc.Main(), func() {
+		inner = k.Exec(srvProc.Main(), func() {
 			NullPtr(k).Deref()
 		})
 		// After the inner boundary recovered, the outer context must be
@@ -170,7 +170,7 @@ func TestGoBugsAreNotMasked(t *testing.T) {
 			t.Error("simulator bug was swallowed by Exec")
 		}
 	}()
-	k.Exec(proc.Main(), "bug", func() {
+	k.Exec(proc.Main(), func() {
 		panic("plain Go panic, not a symbian one")
 	})
 }
@@ -228,7 +228,7 @@ func TestPanicKeyFormat(t *testing.T) {
 func TestExecNilThreadIsNoop(t *testing.T) {
 	k, _ := newTestKernel(t)
 	ran := false
-	if p := k.Exec(nil, "nil", func() { ran = true }); p != nil || ran {
+	if p := k.Exec(nil, func() { ran = true }); p != nil || ran {
 		t.Error("Exec(nil) should be a no-op")
 	}
 }

@@ -27,7 +27,7 @@ func checkFresh(t *testing.T, k *Kernel, p *Process) {
 	if n := p.Main().CleanupDepth(); n != 0 {
 		t.Errorf("%s: cleanup depth %d at launch", p.Name(), n)
 	}
-	k.Exec(p.Main(), "first use", func() {
+	k.Exec(p.Main(), func() {
 		if h := p.OpenObject("mutex", "m"); h != 1 {
 			t.Errorf("%s: first handle %d, want 1", p.Name(), h)
 		}
@@ -43,7 +43,7 @@ func checkFresh(t *testing.T, k *Kernel, p *Process) {
 // item and an active object.
 func useProcess(t *testing.T, k *Kernel, p *Process) {
 	t.Helper()
-	k.Exec(p.Main(), "use", func() {
+	k.Exec(p.Main(), func() {
 		p.OpenObject("mutex", "a")
 		p.OpenObject("mutex", "b")
 		p.Heap().AllocL(p.Main(), 64, "leak")
@@ -69,7 +69,7 @@ func TestRelaunchAfterPanicIsFresh(t *testing.T) {
 	k := NewKernel(sim.NewEngine()) // default policy: a panic kills the process
 	old := k.StartProcess("App", false)
 	useProcess(t, k, old)
-	if pan := k.Exec(old.Main(), "fault", func() { NullPtr(k).Deref() }); pan == nil || old.Alive() {
+	if pan := k.Exec(old.Main(), func() { NullPtr(k).Deref() }); pan == nil || old.Alive() {
 		t.Fatalf("the panic did not kill the process (panic %v)", pan)
 	}
 	p := k.StartProcess("App", false)
@@ -122,7 +122,7 @@ func TestAsyncRequestAndSessionStayWithOldIncarnation(t *testing.T) {
 	sess := oldSrv.Connect(client.Main())
 	code := 1
 	ao := client.Main().NewActiveObject("reply", 1, func(c int) { code = c })
-	k.Exec(client.Main(), "send", func() { sess.SendAsync(1, "hello", ao) })
+	k.Exec(client.Main(), func() { sess.SendAsync(1, "hello", ao) })
 	k.TerminateProcess(oldSrv.Process())
 	newSrv := AdoptServer(k.StartProcess("Svc", false), serve)
 	if err := eng.Run(sim.Epoch.Add(sim.Duration(1e9))); err != nil {
@@ -134,7 +134,7 @@ func TestAsyncRequestAndSessionStayWithOldIncarnation(t *testing.T) {
 	if sess.Connected() {
 		t.Error("a session to the dead incarnation still reports Connected")
 	}
-	k.Exec(client.Main(), "sync", func() {
+	k.Exec(client.Main(), func() {
 		if got := sess.SendReceive(1, "again"); got != KErrDisconnected {
 			t.Errorf("SendReceive on the old session = %s, want KErrDisconnected", ErrName(got))
 		}

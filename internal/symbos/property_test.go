@@ -46,7 +46,7 @@ func TestPropertySubscriptionFiresOnPublication(t *testing.T) {
 		fires++
 		prop.Subscribe(ao) // re-subscribe, the daemon pattern
 	})
-	k.Exec(proc.Main(), "arm", func() { prop.Subscribe(ao) })
+	k.Exec(proc.Main(), func() { prop.Subscribe(ao) })
 	bus.Set(PropBatteryStatus, 1)
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestPropertyDoubleSubscribePanics(t *testing.T) {
 	bus.Define(PropCallState, 0)
 	prop := bus.Attach(PropCallState)
 	ao := proc.Main().NewActiveObject("sub", 1, func(int) {})
-	p := k.Exec(proc.Main(), "double", func() {
+	p := k.Exec(proc.Main(), func() {
 		prop.Subscribe(ao)
 		prop.Subscribe(ao)
 	})
@@ -88,7 +88,7 @@ func TestPropertyCancel(t *testing.T) {
 	prop := bus.Attach(PropCallState)
 	fires := 0
 	ao := proc.Main().NewActiveObject("sub", 1, func(int) { fires++ })
-	k.Exec(proc.Main(), "arm", func() { prop.Subscribe(ao) })
+	k.Exec(proc.Main(), func() { prop.Subscribe(ao) })
 	prop.Cancel()
 	prop.Cancel() // idempotent
 	bus.Set(PropCallState, 1)
@@ -99,7 +99,7 @@ func TestPropertyCancel(t *testing.T) {
 		t.Errorf("cancelled subscription fired %d times", fires)
 	}
 	// Re-subscribing after cancel works (no KERN-EXEC 15).
-	if p := k.Exec(proc.Main(), "rearm", func() { prop.Subscribe(ao) }); p != nil {
+	if p := k.Exec(proc.Main(), func() { prop.Subscribe(ao) }); p != nil {
 		t.Fatalf("re-subscribe panicked: %v", p)
 	}
 	bus.Set(PropCallState, 0)
@@ -117,7 +117,7 @@ func TestPropertySubscriberListCompacts(t *testing.T) {
 	prop := bus.Attach(PropBatteryLevel)
 	ao := proc.Main().NewActiveObject("sub", 1, func(int) {})
 	for i := 0; i < 100; i++ {
-		k.Exec(proc.Main(), "arm", func() { prop.Subscribe(ao) })
+		k.Exec(proc.Main(), func() { prop.Subscribe(ao) })
 		bus.Set(PropBatteryLevel, i)
 		if err := k.Engine().RunAll(); err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestPropertyMultipleSubscribers(t *testing.T) {
 	var gotA, gotB int
 	aoA := proc.Main().NewActiveObject("a", 1, func(int) { gotA++ })
 	aoB := proc.Main().NewActiveObject("b", 1, func(int) { gotB++ })
-	k.Exec(proc.Main(), "arm", func() {
+	k.Exec(proc.Main(), func() {
 		a.Subscribe(aoA)
 		b.Subscribe(aoB)
 	})

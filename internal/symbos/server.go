@@ -17,8 +17,7 @@ type Server struct {
 	served  uint64
 
 	// Built at the first Connect, since most application servers are
-	// never connected to: the engine labels of a served request and of a
-	// queued async one, and the synchronous path's interned Exec closure
+	// never connected to: the synchronous path's interned Exec closure
 	// with its scratch Message. Synchronous requests are the hottest IPC
 	// path in the simulator and clients may connect once per request, so
 	// they live here rather than in each Session. cur points serveFn at
@@ -26,12 +25,10 @@ type Server struct {
 	// request back to a fresh Message, and every handler replies before
 	// returning (Exec recovers server panics), so the scratch never
 	// outlives a call.
-	serveLabel string
-	ipcLabel   string
-	serveFn    func()
-	cur        *Message
-	scratch    Message
-	busy       bool
+	serveFn func()
+	cur     *Message
+	scratch Message
+	busy    bool
 }
 
 // NewServer starts a server process with the given message handler.
@@ -123,7 +120,6 @@ type Session struct {
 // (RSessionBase::CreateSession).
 func (s *Server) Connect(client *Thread) *Session {
 	if s.serveFn == nil {
-		s.serveLabel, s.ipcLabel = "serve "+s.name, "ipc "+s.name
 		s.serveFn = func() { s.handler(s.cur) }
 		s.scratch.server, s.scratch.kernel = s, s.proc.kernel
 	}
@@ -165,7 +161,7 @@ func (s *Server) release(m *Message) {
 func (s *Server) dispatch(k *Kernel, m *Message) {
 	prev := s.cur
 	s.cur = m
-	k.Exec(&s.proc.main, s.serveLabel, s.serveFn)
+	k.Exec(&s.proc.main, s.serveFn)
 	s.cur = prev
 }
 
@@ -233,7 +229,7 @@ func (sess *Session) SendAsync(op int, payload string, ao *ActiveObject) {
 		kernel:  k,
 		replyAO: ao,
 	}
-	k.eng.After(0, sess.server.ipcLabel, func() {
+	k.eng.After(0, func() {
 		if !sess.server.proc.alive {
 			ao.Complete(KErrDisconnected)
 			return

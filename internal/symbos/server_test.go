@@ -13,7 +13,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 	})
 	sess := srv.Connect(proc.Main())
 	var code int
-	k.Exec(proc.Main(), "call", func() {
+	k.Exec(proc.Main(), func() {
 		code = sess.SendReceive(1, "hello")
 	})
 	if code != 5 {
@@ -39,7 +39,7 @@ func TestServerPanicDisconnectsClient(t *testing.T) {
 	})
 	sess := srv.Connect(proc.Main())
 	var code int
-	k.Exec(proc.Main(), "call", func() {
+	k.Exec(proc.Main(), func() {
 		code = sess.SendReceive(1, "x")
 	})
 	if code != KErrDisconnected {
@@ -59,7 +59,7 @@ func TestSendReceiveToDeadServer(t *testing.T) {
 	sess := srv.Connect(proc.Main())
 	k.TerminateProcess(srv.Process())
 	var code int
-	k.Exec(proc.Main(), "call", func() { code = sess.SendReceive(1, "") })
+	k.Exec(proc.Main(), func() { code = sess.SendReceive(1, "") })
 	if code != KErrDisconnected {
 		t.Errorf("code = %s", ErrName(code))
 	}
@@ -74,7 +74,7 @@ func TestSendAsyncCompletesActiveObject(t *testing.T) {
 	sess := srv.Connect(proc.Main())
 	var got int
 	ao := proc.Main().NewActiveObject("reply", 0, func(code int) { got = code })
-	k.Exec(proc.Main(), "call", func() { sess.SendAsync(7, "p", ao) })
+	k.Exec(proc.Main(), func() { sess.SendAsync(7, "p", ao) })
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSendAsyncServerPanicFailsRequest(t *testing.T) {
 	sess := srv.Connect(proc.Main())
 	var got = 1
 	ao := proc.Main().NewActiveObject("reply", 0, func(code int) { got = code })
-	k.Exec(proc.Main(), "call", func() { sess.SendAsync(7, "p", ao) })
+	k.Exec(proc.Main(), func() { sess.SendAsync(7, "p", ao) })
 	if err := k.Engine().RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestNullMessagePtrPanics(t *testing.T) {
 		m.Complete(KErrNone)
 	})
 	sess := srv.Connect(proc.Main())
-	k.Exec(proc.Main(), "call", func() { sess.SendReceive(1, "") })
+	k.Exec(proc.Main(), func() { sess.SendReceive(1, "") })
 	if len(panics) != 1 || panics[0] != "USER 70" {
 		t.Errorf("panics = %v, want [USER 70]", panics)
 	}
@@ -124,7 +124,7 @@ func TestDoubleCompletePanics(t *testing.T) {
 		m.Complete(KErrNone)
 	})
 	sess := srv.Connect(proc.Main())
-	k.Exec(proc.Main(), "call", func() { sess.SendReceive(1, "") })
+	k.Exec(proc.Main(), func() { sess.SendReceive(1, "") })
 	if len(panics) != 1 || panics[0] != "USER 70" {
 		t.Errorf("panics = %v", panics)
 	}
@@ -135,12 +135,12 @@ func TestSessionCloseReleasesHandle(t *testing.T) {
 	srv := NewServer(k, "S", false, func(m *Message) { m.Complete(KErrNone) })
 	sess := srv.Connect(proc.Main())
 	before := proc.HandleCount()
-	k.Exec(proc.Main(), "close", func() { sess.Close() })
+	k.Exec(proc.Main(), func() { sess.Close() })
 	if proc.HandleCount() != before-1 {
 		t.Errorf("handle count %d -> %d", before, proc.HandleCount())
 	}
 	// Closing twice is a no-op, not a panic.
-	if p := k.Exec(proc.Main(), "reclose", func() { sess.Close() }); p != nil {
+	if p := k.Exec(proc.Main(), func() { sess.Close() }); p != nil {
 		t.Errorf("second Close panicked: %v", p)
 	}
 }
@@ -149,8 +149,8 @@ func TestSendReceiveOnClosedSessionPanics(t *testing.T) {
 	k, proc := newTestKernel(t)
 	srv := NewServer(k, "S2", false, func(m *Message) { m.Complete(KErrNone) })
 	sess := srv.Connect(proc.Main())
-	k.Exec(proc.Main(), "close", func() { sess.Close() })
-	p := k.Exec(proc.Main(), "use-after-close", func() { sess.SendReceive(1, "") })
+	k.Exec(proc.Main(), func() { sess.Close() })
+	p := k.Exec(proc.Main(), func() { sess.SendReceive(1, "") })
 	if p == nil || p.Key() != "KERN-EXEC 0" {
 		t.Fatalf("panic = %v, want KERN-EXEC 0", p)
 	}
@@ -161,7 +161,7 @@ func TestCorruptSessionHandleRaisesKernSvr(t *testing.T) {
 	srv := NewServer(k, "S3", false, func(m *Message) { m.Complete(KErrNone) })
 	sess := srv.Connect(proc.Main())
 	sess.CorruptSessionHandle()
-	p := k.Exec(proc.Main(), "bad-close", func() { sess.Close() })
+	p := k.Exec(proc.Main(), func() { sess.Close() })
 	if p == nil || p.Key() != "KERN-SVR 0" {
 		t.Fatalf("panic = %v, want KERN-SVR 0", p)
 	}
@@ -173,7 +173,7 @@ func TestAdoptServer(t *testing.T) {
 	srv := AdoptServer(app, func(m *Message) { m.Complete(9) })
 	sess := srv.Connect(proc.Main())
 	var code int
-	k.Exec(proc.Main(), "call", func() { code = sess.SendReceive(0, "") })
+	k.Exec(proc.Main(), func() { code = sess.SendReceive(0, "") })
 	if code != 9 {
 		t.Errorf("code = %d", code)
 	}
@@ -182,22 +182,22 @@ func TestAdoptServer(t *testing.T) {
 func TestObjectIndexLifecycle(t *testing.T) {
 	k, proc := newTestKernel(t)
 	h := proc.OpenObject("mutex", "m1")
-	k.Exec(proc.Main(), "find", func() {
+	k.Exec(proc.Main(), func() {
 		o := proc.FindObject(h)
 		if o.Name() != "m1" || o.Kind() != "mutex" || o.Refs() != 1 || !o.Open() {
 			t.Errorf("object = %+v", o)
 		}
 	})
 	dup := Handle(0)
-	k.Exec(proc.Main(), "dup", func() { dup = proc.DuplicateHandle(h) })
-	k.Exec(proc.Main(), "close1", func() { proc.CloseHandle(h) })
-	k.Exec(proc.Main(), "stillopen", func() {
+	k.Exec(proc.Main(), func() { dup = proc.DuplicateHandle(h) })
+	k.Exec(proc.Main(), func() { proc.CloseHandle(h) })
+	k.Exec(proc.Main(), func() {
 		if o := proc.FindObject(dup); !o.Open() {
 			t.Error("object closed while a duplicate handle remains")
 		}
 	})
-	k.Exec(proc.Main(), "close2", func() { proc.CloseHandle(dup) })
-	p := k.Exec(proc.Main(), "gone", func() { proc.FindObject(dup) })
+	k.Exec(proc.Main(), func() { proc.CloseHandle(dup) })
+	p := k.Exec(proc.Main(), func() { proc.FindObject(dup) })
 	if p == nil || p.Key() != "KERN-EXEC 0" {
 		t.Fatalf("panic = %v, want KERN-EXEC 0", p)
 	}
@@ -206,7 +206,7 @@ func TestObjectIndexLifecycle(t *testing.T) {
 func TestFindCorruptHandleRaisesKernExec0(t *testing.T) {
 	k, proc := newTestKernel(t)
 	bad := proc.CorruptHandle()
-	p := k.Exec(proc.Main(), "find", func() { proc.FindObject(bad) })
+	p := k.Exec(proc.Main(), func() { proc.FindObject(bad) })
 	if p == nil || p.Key() != "KERN-EXEC 0" {
 		t.Fatalf("panic = %v", p)
 	}
@@ -215,7 +215,7 @@ func TestFindCorruptHandleRaisesKernExec0(t *testing.T) {
 func TestCloseCorruptHandleRaisesKernSvr0(t *testing.T) {
 	k, proc := newTestKernel(t)
 	bad := proc.CorruptHandle()
-	p := k.Exec(proc.Main(), "close", func() { proc.CloseHandle(bad) })
+	p := k.Exec(proc.Main(), func() { proc.CloseHandle(bad) })
 	if p == nil || p.Key() != "KERN-SVR 0" {
 		t.Fatalf("panic = %v", p)
 	}
@@ -236,13 +236,13 @@ func TestCObjectLifecycle(t *testing.T) {
 	// Deleting with refs remaining panics E32USER-CBase 33.
 	o2 := NewCObject(k, "leaky")
 	o2.AddRef()
-	p := k.Exec(proc.Main(), "del", func() { o2.Delete() })
+	p := k.Exec(proc.Main(), func() { o2.Delete() })
 	if p == nil || p.Key() != "E32USER-CBase 33" {
 		t.Fatalf("panic = %v, want E32USER-CBase 33", p)
 	}
 	// Deleting the sole reference is fine.
 	o3 := NewCObject(k, "ok")
-	if p := k.Exec(proc.Main(), "del-ok", func() { o3.Delete() }); p != nil {
+	if p := k.Exec(proc.Main(), func() { o3.Delete() }); p != nil {
 		t.Fatalf("clean delete panicked: %v", p)
 	}
 	if !o3.Dead() {
@@ -257,7 +257,7 @@ func TestControlsPanics(t *testing.T) {
 	k, proc := newTestKernel(t)
 
 	// Healthy list box usage.
-	if p := k.Exec(proc.Main(), "lb", func() {
+	if p := k.Exec(proc.Main(), func() {
 		lb := NewListBox(k)
 		lb.AddItem("a")
 		lb.AddItem("b")
@@ -286,7 +286,7 @@ func TestControlsPanics(t *testing.T) {
 		e.CorruptInlineState()
 		e.CommitInlineEdit("hi")
 	})
-	if p := k.Exec(proc.Main(), "edwin-ok", func() {
+	if p := k.Exec(proc.Main(), func() {
 		e := NewEdwin(k, 32)
 		e.BeginInlineEdit()
 		e.CommitInlineEdit("hi")
@@ -303,7 +303,7 @@ func TestControlsPanics(t *testing.T) {
 	expectPanic(t, k, proc, CatMMFAudioClient, TypeVolumeOutOfRange, func() {
 		NewAudioClient(k).SetVolume(10)
 	})
-	if p := k.Exec(proc.Main(), "vol-ok", func() {
+	if p := k.Exec(proc.Main(), func() {
 		a := NewAudioClient(k)
 		a.SetVolume(9)
 		if a.Volume() != 9 {

@@ -8,7 +8,7 @@ package symfail
 // BENCH_resnapshot.json so `make bench-check` gates it. Run it alone for
 // stable numbers:
 //
-//	go test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 2000x .
+//	go test -run xxx -bench BenchmarkResnapshotOverhead -benchtime 1s .
 
 import (
 	"fmt"
