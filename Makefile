@@ -73,16 +73,18 @@ flake:
 	$(GO) test -race -count=$(N) -run 'TestKeepAlive|TestServerNoGoroutineLeak|FuzzServerHeader|TestBeat|TestReplicateLegs' ./internal/collect ./internal/collect/fleet
 
 # Fuzz for a short burst each (CI runs 10 s FuzzServerHeader,
-# FuzzSnapshotParts, FuzzDecodeRecord, FuzzLiveDayFold, FuzzRecoverLog and
-# FuzzFlashOps bursts and the other seed corpora): the collection server's
-# wire protocol through its connection handler (panics and wedged handlers
-# fail the run), compaction snapshots against the reference encoder, the
+# FuzzSnapshotParts, FuzzDecodeRecord, FuzzLiveDayFold, FuzzRecoverLog,
+# FuzzFlashOps and FuzzLedger bursts and the other seed corpora): the
+# collection server's wire protocol through its connection handler
+# (panics and wedged handlers fail the run), compaction snapshots against the reference encoder, the
 # incremental CHUNK ingest against the whole-stream merge, chunk
 # replication onto a replica's stream against the same merge, the
 # settled-offset scan they rest on, the canonical record decoder against
 # encoding/json, the live tier's day fold against the map-based reference
-# fold, boot-time log recovery against its copy-based reference, and the
-# phone's flash filesystem against a copy-on-write reference.
+# fold, boot-time log recovery against its copy-based reference, the
+# phone's flash filesystem against a copy-on-write reference, and the
+# acked ledger's arena and index against the map ledger, checksum
+# collisions included.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServerHeader$$' -fuzztime 30s ./internal/collect/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotParts$$' -fuzztime 30s ./internal/collect/
@@ -93,6 +95,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLiveDayFold$$' -fuzztime 30s ./internal/analysis/stream/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecoverLog$$' -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzFlashOps$$' -fuzztime 30s ./internal/phone/
+	$(GO) test -run '^$$' -fuzz '^FuzzLedger$$' -fuzztime 30s ./internal/collect/
 
 # Serial-vs-parallel equivalence: workers 1/2/4/8 must reproduce the
 # golden fingerprints byte-for-byte, under the race detector (DESIGN.md §9).

@@ -16,7 +16,9 @@ import (
 // a named steady-state budget, and a change that regresses one fails here
 // with the subsystem spelled out. Budgets only ever go down — when an
 // optimisation lands, tighten the number in this table so the gain cannot
-// silently erode. Skipped under -race (instrumentation allocates).
+// silently erode. The collection tier's CHUNK path, whose steps are
+// unexported, keeps its cases in internal/collect's TestAllocBudgets.
+// Skipped under -race (instrumentation allocates).
 // decodeSink keeps the decoder's result alive, as a caller's would be.
 var decodeSink core.Record
 

@@ -78,11 +78,13 @@ package collect
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -294,6 +296,10 @@ type ServerConfig struct {
 	ledger  *Ledger
 }
 
+// maxWALScratch bounds the WAL entry scratch a server keeps between
+// verbs: a larger entry (a whole log uploaded or handed off) is not kept.
+const maxWALScratch = 64 << 10
+
 // DefaultCompactEvery is the WAL size that triggers compaction when
 // ServerConfig.CompactEvery is zero.
 const DefaultCompactEvery = 1 << 20
@@ -331,6 +337,9 @@ type Server struct {
 	// snapshot aliases the logs and streams, and the next compaction
 	// checksums only the bytes added since (see snapFrames.parts).
 	frames snapFrames
+	// wal is the scratch every WAL entry is encoded into (see
+	// appendWALEntry); the store copies what it is given.
+	wal []byte
 
 	// connMu guards conns, every open connection mapped to whether it is
 	// serving a request (busy) or waiting for the next one, and hangUp,
@@ -422,13 +431,33 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serverConn is one connection the server serves, with the buffers its
+// requests reuse: the header reader, a CHUNK's body and the records it
+// scans, and the reply line. Only the connection's own goroutine uses
+// them, so they stay put while a quorum round trip releases s.mu.
+type serverConn struct {
+	net.Conn
+	r    *bufio.Reader
+	body []byte
+	recs []core.RecordLine
+	line []byte
+}
+
+// maxBodyScratch and maxRecsScratch bound the buffers a connection keeps
+// for its next request: a larger body or scan (a whole log uploaded or
+// handed off) gets arrays of its own, so idle connections hold little.
+const (
+	maxBodyScratch = 16 << 10
+	maxRecsScratch = 128
+)
+
 // handle serves one connection's requests in turn until one leaves the
 // connection out of protocol sync or the server hangs up.
-func (s *Server) handle(conn net.Conn) {
-	defer s.forget(conn)
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	for s.setBusy(conn, false) {
+func (s *Server) handle(raw net.Conn) {
+	defer s.forget(raw)
+	defer raw.Close()
+	conn := &serverConn{Conn: raw, r: bufio.NewReader(raw)}
+	for s.setBusy(raw, false) {
 		// One stalled or malicious phone must not wedge the accept loop:
 		// each request, and each wait for the next, happens under a
 		// deadline, the header line is length-capped and the payload size
@@ -437,14 +466,14 @@ func (s *Server) handle(conn net.Conn) {
 		if err := conn.SetDeadline(time.Now().Add(connDeadline)); err != nil {
 			return
 		}
-		header, err := readLine(r, MaxHeaderBytes)
+		header, err := readLine(conn.r, MaxHeaderBytes)
 		if err != nil {
 			fmt.Fprintf(conn, "ERR %v\n", err)
 			return
 		}
 		// A request that arrives as the server hangs up dies unanswered,
 		// like one in flight when a process crashes, and is not counted.
-		if !s.setBusy(conn, true) || !s.serve(conn, r, strings.Fields(header)) {
+		if !s.setBusy(raw, true) || !s.serve(conn, strings.Fields(string(header))) {
 			return
 		}
 	}
@@ -453,7 +482,7 @@ func (s *Server) handle(conn net.Conn) {
 // serve answers one request and reports whether the connection is still
 // in protocol sync: true only after an OK reply with the request's body
 // read in full.
-func (s *Server) serve(conn net.Conn, r *bufio.Reader, fields []string) bool {
+func (s *Server) serve(conn *serverConn, fields []string) bool {
 	if len(fields) == 0 {
 		fmt.Fprint(conn, "ERR bad header\n")
 		return false
@@ -468,13 +497,13 @@ func (s *Server) serve(conn net.Conn, r *bufio.Reader, fields []string) bool {
 	}
 	switch fields[0] {
 	case "CHUNK":
-		return s.handleChunk(conn, r, fields)
+		return s.handleChunk(conn, fields)
 	case "OFFSET":
 		return s.handleOffset(conn, fields)
 	case "FIN":
 		return s.handleFin(conn, fields)
 	case "HANDOFF":
-		return s.handleHandoff(conn, r, fields)
+		return s.handleHandoff(conn, fields)
 	case "PING":
 		return s.handlePing(conn)
 	case "QUERY":
@@ -516,20 +545,27 @@ func (s *Server) hangUpIdle() {
 	}
 }
 
-// replyOK writes one OK reply line and reports whether the connection
-// stays in protocol sync. A server that is hanging up follows the line
-// with an empty one in the same write, which tells the client that this
-// connection carries no further request.
-func (s *Server) replyOK(conn net.Conn, line string) bool {
+// replyOK writes one OK reply line, built in the connection's line buffer
+// (see okLine), and reports whether the connection stays in protocol sync.
+// A server that is hanging up follows the line with an empty one in the
+// same write, which tells the client that this connection carries no
+// further request.
+func (s *Server) replyOK(conn *serverConn, line []byte) bool {
 	s.connMu.Lock()
 	keep := !s.hangUp
 	s.connMu.Unlock()
+	line = append(line, '\n')
 	if !keep {
-		line += "\n"
+		line = append(line, '\n')
 	}
-	_, err := conn.Write([]byte(line + "\n"))
+	conn.line = line[:0]
+	_, err := conn.Write(line)
 	return keep && err == nil
 }
+
+// okLine starts a reply line in the connection's buffer: "OK" and then
+// what the caller appends.
+func (c *serverConn) okLine() []byte { return append(c.line[:0], "OK"...) }
 
 // handlePing answers the fleet's heartbeat probe. A PING is deliberately
 // outside the supervisor's request accounting (it must not advance injected
@@ -537,18 +573,18 @@ func (s *Server) replyOK(conn net.Conn, line string) bool {
 // incarnation is alive and serving requests. Beats ride pooled
 // connections, so it does not prove the server still accepts new ones. A
 // dead incarnation answers nothing, and the beat counts as a miss.
-func (s *Server) handlePing(conn net.Conn) bool {
+func (s *Server) handlePing(conn *serverConn) bool {
 	if s.isDead() {
 		return false
 	}
-	return s.replyOK(conn, "OK")
+	return s.replyOK(conn, conn.okLine())
 }
 
 // handleQuery serves the read-only query verb. Like PING it is outside the
 // supervisor's request accounting and touches no durable state: the answer
 // comes entirely from the ServerConfig.Query hook (the live analysis tier),
 // never from the dataset or the WAL.
-func (s *Server) handleQuery(conn net.Conn, fields []string) bool {
+func (s *Server) handleQuery(conn *serverConn, fields []string) bool {
 	if s.isDead() {
 		return false
 	}
@@ -569,7 +605,7 @@ func (s *Server) handleQuery(conn net.Conn, fields []string) bool {
 		fmt.Fprint(conn, "ERR query answer not single-line\n")
 		return false
 	}
-	return s.replyOK(conn, "OK "+out)
+	return s.replyOK(conn, append(append(conn.okLine(), ' '), out...))
 }
 
 // isDead reports whether this incarnation has been crashed (marked dead by
@@ -580,27 +616,39 @@ func (s *Server) isDead() bool {
 	return s.dead
 }
 
-// readLine reads one \n-terminated line of at most max bytes without ever
-// buffering more than that.
-func readLine(r *bufio.Reader, max int) (string, error) {
-	var line []byte
-	for len(line) < max {
-		c, err := r.ReadByte()
-		if err != nil {
-			return "", fmt.Errorf("short header: %v", err)
+// readLine reads one \n-terminated line of fewer than max bytes, without
+// the '\n', from what r buffers: the line is valid until the next read
+// from r. It reads from the connection only while no '\n' is buffered,
+// and fails as soon as max bytes are buffered without one.
+func readLine(r *bufio.Reader, max int) ([]byte, error) {
+	for {
+		buf, _ := r.Peek(r.Buffered())
+		if i := bytes.IndexByte(buf[:min(len(buf), max)], '\n'); i >= 0 {
+			line, _ := r.ReadSlice('\n')
+			return line[:i], nil
 		}
-		if c == '\n' {
-			return string(line), nil
+		if len(buf) >= max {
+			return nil, errors.New("header too long")
 		}
-		line = append(line, c)
+		if _, err := r.Peek(len(buf) + 1); err != nil {
+			return nil, fmt.Errorf("short header: %v", err)
+		}
 	}
-	return "", errors.New("header too long")
 }
 
-// readBody reads a size-declared, checksum-guarded payload.
-func readBody(r *bufio.Reader, size int, sum uint32) ([]byte, error) {
-	data := make([]byte, size)
-	if _, err := io.ReadFull(r, data); err != nil {
+// readBody reads a size-declared, checksum-guarded payload into the
+// connection's body buffer, which the next request reuses: every verb
+// that keeps the bytes copies them. A body over maxBodyScratch gets an
+// array of its own.
+func (c *serverConn) readBody(size int, sum uint32) ([]byte, error) {
+	var data []byte
+	if size <= maxBodyScratch {
+		c.body = slices.Grow(c.body[:0], size)
+		data = c.body[:size]
+	} else {
+		data = make([]byte, size)
+	}
+	if _, err := io.ReadFull(c.r, data); err != nil {
 		return nil, fmt.Errorf("short body: %v", err)
 	}
 	if got := crc32.Checksum(data, castagnoli); got != sum {
@@ -618,7 +666,7 @@ func readBody(r *bufio.Reader, size int, sum uint32) ([]byte, error) {
 // (crash consumed the request, incarnation died during replication, or
 // quorum failed — the retryable ERR is already written), with s.mu
 // released.
-func (s *Server) replicateQuorumLocked(conn net.Conn, id string, state []byte, off int) bool {
+func (s *Server) replicateQuorumLocked(conn *serverConn, id string, state []byte, off int) bool {
 	if s.maybeCompactLocked() {
 		return false
 	}
@@ -649,7 +697,7 @@ func (s *Server) replicateQuorumLocked(conn net.Conn, id string, state []byte, o
 // past the configured cap is rejected outright (the stream is kept — FIN
 // is how a finished stream is dropped). The accepted chunk goes through
 // applyChunkLocked.
-func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) bool {
+func (s *Server) handleChunk(conn *serverConn, fields []string) bool {
 	if len(fields) != 5 {
 		fmt.Fprint(conn, "ERR bad header\n")
 		return false
@@ -674,7 +722,7 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) bo
 		fmt.Fprint(conn, "ERR stream too large\n")
 		return false
 	}
-	chunk, err := readBody(r, size, uint32(crc))
+	chunk, err := conn.readBody(size, uint32(crc))
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
 		return false
@@ -716,7 +764,7 @@ func (s *Server) handleChunk(conn net.Conn, r *bufio.Reader, fields []string) bo
 // so an acknowledgement is a durable promise even if the stream is later
 // rewound or the process is killed on the next instruction. Called with
 // s.mu held; returns with it released.
-func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byte, replica bool) bool {
+func (s *Server) applyChunkLocked(conn *serverConn, id string, off int, chunk []byte, replica bool) bool {
 	stream := s.streams[id]
 	if off < len(stream) {
 		s.cfg.ledger.tapUnacked(id, stream, s.cfg.OnRecord)
@@ -733,8 +781,10 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 	// quorum path below releases s.mu: no verb overwrites a stream's bytes
 	// below its length (appendChunk extends in place past the end and
 	// copies on a rewind; a stream handoff installs a fresh copy), so a
-	// concurrent verb cannot change what ackLocked reads.
-	recs, settled := core.ScanSettled(stream, s.settled[id])
+	// concurrent verb cannot change what ackLocked reads. The records
+	// themselves are the connection's, and so unshared.
+	recs, settled := core.ScanSettled(conn.recs[:0], stream, s.settled[id])
+	defer conn.keepRecs(recs)
 	if s.cfg.Replicate != nil && !replica {
 		s.ds.putStream(id, stream, recs)
 		if !s.replicateQuorumLocked(conn, id, stream, off) {
@@ -763,7 +813,18 @@ func (s *Server) applyChunkLocked(conn net.Conn, id string, off int, chunk []byt
 	if !diedAfterAck {
 		s.mu.Unlock()
 	}
-	return s.replyOK(conn, "OK "+strconv.Itoa(len(stream)))
+	return s.replyOK(conn, strconv.AppendInt(append(conn.okLine(), ' '), int64(len(stream)), 10))
+}
+
+// keepRecs keeps a scan's slice for the connection's next CHUNK, emptied
+// so that it pins no stream, unless it outgrew maxRecsScratch.
+func (c *serverConn) keepRecs(recs []core.RecordLine) {
+	if cap(recs) > maxRecsScratch {
+		c.recs = nil
+		return
+	}
+	clear(recs)
+	c.recs = recs[:0]
 }
 
 // appendChunk places chunk at offset off of a device stream (off ≤
@@ -825,7 +886,7 @@ var ErrStale = errors.New("collect: replica stream is stale")
 // the wire, and its records join this server's acked ledger: once a peer
 // has been told OK, the records are this shard's durable responsibility. A
 // chunk handoff goes through applyChunkLocked, the CHUNK verb's own step.
-func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) bool {
+func (s *Server) handleHandoff(conn *serverConn, fields []string) bool {
 	if len(fields) != 5 && len(fields) != 7 {
 		fmt.Fprint(conn, "ERR bad header\n")
 		return false
@@ -862,7 +923,7 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 			return false
 		}
 	}
-	data, err := readBody(r, size, uint32(crc))
+	data, err := conn.readBody(size, uint32(crc))
 	if err != nil {
 		fmt.Fprintf(conn, "ERR %v\n", err)
 		return false
@@ -887,7 +948,7 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 		// Nothing committed, nothing to WAL: the live stream outranks the
 		// replicated copy (see HandoffStream).
 		s.mu.Unlock()
-		return s.replyOK(conn, "OK")
+		return s.replyOK(conn, conn.okLine())
 	}
 	op := opHandoff
 	if kind == HandoffStream {
@@ -910,7 +971,7 @@ func (s *Server) handleHandoff(conn net.Conn, r *bufio.Reader, fields []string) 
 	if !diedAfterAck {
 		s.mu.Unlock()
 	}
-	return s.replyOK(conn, "OK")
+	return s.replyOK(conn, conn.okLine())
 }
 
 // Handoffs returns the peer handoffs the server accepted (every
@@ -929,7 +990,7 @@ func (s *Server) Stream(id string) ([]byte, bool) {
 }
 
 // handleOffset reports how much of the device's stream the server holds.
-func (s *Server) handleOffset(conn net.Conn, fields []string) bool {
+func (s *Server) handleOffset(conn *serverConn, fields []string) bool {
 	if len(fields) != 2 {
 		fmt.Fprint(conn, "ERR bad header\n")
 		return false
@@ -942,13 +1003,14 @@ func (s *Server) handleOffset(conn net.Conn, fields []string) bool {
 	stream := s.streams[fields[1]]
 	n, sum := len(stream), crc32.Checksum(stream, castagnoli)
 	s.mu.Unlock()
-	return s.replyOK(conn, fmt.Sprintf("OK %d %08x", n, sum))
+	line := strconv.AppendInt(append(conn.okLine(), ' '), int64(n), 10)
+	return s.replyOK(conn, appendHex8(append(line, ' '), sum))
 }
 
 // handleFin retires a device's chunk stream (the client is done uploading,
 // typically after the study-end CHUNK of the whole log). The retirement is WAL-logged
 // so a restarted server does not resurrect the stream.
-func (s *Server) handleFin(conn net.Conn, fields []string) bool {
+func (s *Server) handleFin(conn *serverConn, fields []string) bool {
 	if len(fields) != 2 {
 		fmt.Fprint(conn, "ERR bad header\n")
 		return false
@@ -976,7 +1038,7 @@ func (s *Server) handleFin(conn net.Conn, fields []string) bool {
 		// nothing durable (the study data is already merged and acked).
 		_ = s.cfg.Replicate(ReplicateFin, id, nil, 0)
 	}
-	return s.replyOK(conn, "OK")
+	return s.replyOK(conn, conn.okLine())
 }
 
 // commitLocked makes one verb durable: WAL append, then the sync barrier,
@@ -988,7 +1050,11 @@ func (s *Server) commitLocked(e walEntry) bool {
 	if s.cfg.Store == nil {
 		return true
 	}
-	s.cfg.Store.Append(walName, encodeWALEntry(e))
+	s.wal = appendWALEntry(s.wal[:0], e)
+	s.cfg.Store.Append(walName, s.wal) // copies
+	if cap(s.wal) > maxWALScratch {
+		s.wal = nil
+	}
 	if s.crashAtLocked(CrashBeforeWALSync) {
 		return false
 	}

@@ -35,12 +35,12 @@ func refMerge(files map[string][]byte, id string, data []byte) {
 type refServer struct {
 	files   map[string][]byte
 	streams map[string][]byte
-	led     *Ledger
+	led     *refLedger
 	tapped  map[string]bool
 }
 
 func newRefServer() *refServer {
-	return &refServer{files: map[string][]byte{}, streams: map[string][]byte{}, led: NewLedger(), tapped: map[string]bool{}}
+	return &refServer{files: map[string][]byte{}, streams: map[string][]byte{}, led: newRefLedger(), tapped: map[string]bool{}}
 }
 
 func (r *refServer) tap(_ string, rec core.Record) {
@@ -48,7 +48,6 @@ func (r *refServer) tap(_ string, rec core.Record) {
 }
 
 func (r *refServer) ack(id string, data []byte) {
-	r.led.uploads.Add(1)
 	r.led.record(id, withLines(core.ParseRecords(data)), r.tap)
 }
 

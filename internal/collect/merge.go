@@ -40,18 +40,36 @@ func MergeRecords(batches ...[]core.Record) []core.Record {
 // core.ScanSettled and core.ParseRecordLines return them: it re-encodes
 // nothing. Equal lines sort next to each other, so deduplication is one
 // pass over the sorted batches. Which of a run of equal lines is kept
-// does not change the merged bytes.
+// does not change the merged bytes. One batch already in strict order,
+// as a CHUNK's new records usually are, is its own merge: it is returned
+// as it is, not copied, and must then only be read.
 func mergeLines(batches ...[]core.RecordLine) []core.RecordLine {
+	if len(batches) == 1 && inStrictOrder(batches[0]) {
+		return batches[0]
+	}
 	all := slices.Concat(batches...)
-	slices.SortFunc(all, func(a, b core.RecordLine) int {
-		if c := cmp.Compare(a.Record.Time, b.Record.Time); c != 0 {
-			return c
-		}
-		return bytes.Compare(a.Line, b.Line)
-	})
+	slices.SortFunc(all, compareLines)
 	return slices.CompactFunc(all, func(a, b core.RecordLine) bool {
 		return bytes.Equal(a.Line, b.Line)
 	})
+}
+
+// compareLines is the merge order: (Time, line).
+func compareLines(a, b core.RecordLine) int {
+	if c := cmp.Compare(a.Record.Time, b.Record.Time); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.Line, b.Line)
+}
+
+// inStrictOrder reports whether recs ascend strictly in the merge order.
+func inStrictOrder(recs []core.RecordLine) bool {
+	for i := 1; i < len(recs); i++ {
+		if compareLines(recs[i-1], recs[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // withLines pairs each record with its core.AppendRecordLine bytes, for

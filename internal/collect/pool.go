@@ -59,12 +59,15 @@ type Pool struct {
 }
 
 // pooledConn is one connection with its reply reader, which outlives any
-// one exchange.
+// one exchange, and the request buffers each exchange reuses.
 type pooledConn struct {
 	net.Conn
 	addr  string
 	br    *bufio.Reader
 	since time.Time // when it went idle
+	head  []byte    // the request's header line, '\n' included
+	req   [2][]byte // head and the body, as the one write sends them
+	bufs  net.Buffers
 }
 
 // RoundTrip sends one request — the header line, then body — to addr over
@@ -82,13 +85,22 @@ func (p *Pool) roundTrip(addr, header string, body []byte, dialWithin, exchangeW
 	if err != nil {
 		return "", err
 	}
+	c.head = append(append(c.head[:0], header...), '\n')
+	return p.exchange(c, body, exchangeWithin)
+}
+
+// exchange sends the request whose header line the caller wrote into
+// c.head, then body, and returns the reply line, within the given bound.
+// It puts c back in the pool or closes it.
+func (p *Pool) exchange(c *pooledConn, body []byte, within time.Duration) (string, error) {
 	//symlint:allow determinism network I/O deadline on a real socket, not simulated time
-	if err := c.SetDeadline(time.Now().Add(exchangeWithin)); err != nil {
+	if err := c.SetDeadline(time.Now().Add(within)); err != nil {
 		c.Close()
 		return "", fmt.Errorf("collect: deadline: %w", err)
 	}
-	req := net.Buffers{append([]byte(header), '\n'), body}
-	if _, err := req.WriteTo(c.Conn); err != nil {
+	c.req = [2][]byte{c.head, body}
+	c.bufs = c.req[:]
+	if _, err := c.bufs.WriteTo(c.Conn); err != nil {
 		c.Close()
 		return "", fmt.Errorf("collect: send request: %w", err)
 	}

@@ -55,7 +55,6 @@ func (NetTransport) uploadChunkRaw(addr, deviceID string, offset int, declared, 
 	if err := checkChunkArgs(deviceID, offset, declared); err != nil {
 		return 0, err
 	}
-	header := fmt.Sprintf("CHUNK %s %d %d %08x", deviceID, offset, len(declared), crc32.Checksum(declared, castagnoli))
 	if len(body) < len(declared) {
 		// A dropped connection never sees the server's reply. It dies on a
 		// fresh connection of its own, so no pooled one is left mid-body.
@@ -64,24 +63,39 @@ func (NetTransport) uploadChunkRaw(addr, deviceID string, offset int, declared, 
 			return 0, err
 		}
 		defer conn.Close()
-		if _, err := (&net.Buffers{[]byte(header + "\n"), body}).WriteTo(conn); err != nil {
+		if _, err := (&net.Buffers{appendChunkHeader(nil, deviceID, offset, declared), body}).WriteTo(conn); err != nil {
 			return 0, fmt.Errorf("collect: send request: %w", err)
 		}
 		return 0, errors.New("collect: connection dropped mid-transfer (injected)")
 	}
-	reply, err := defaultPool.RoundTrip(addr, header, body)
+	c, err := defaultPool.get(addr, dialTimeout)
 	if err != nil {
 		return 0, err
 	}
-	fields := strings.Fields(reply)
-	if len(fields) != 2 || fields[0] != "OK" {
+	c.head = appendChunkHeader(c.head[:0], deviceID, offset, declared)
+	reply, err := defaultPool.exchange(c, body, connDeadline)
+	if err != nil {
+		return 0, err
+	}
+	ack, ok := strings.CutPrefix(reply, "OK ")
+	if !ok || strings.ContainsAny(ack, " \t") {
 		return 0, fmt.Errorf("collect: server rejected chunk: %s", reply)
 	}
-	n, err := strconv.Atoi(fields[1])
+	n, err := strconv.Atoi(ack)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("collect: bad ack %q", reply)
 	}
 	return n, nil
+}
+
+// appendChunkHeader appends the CHUNK header line for chunk, '\n'
+// included: "CHUNK <device-id> <offset> <n-bytes> <crc32c-hex>".
+func appendChunkHeader(dst []byte, deviceID string, offset int, chunk []byte) []byte {
+	dst = append(append(dst, "CHUNK "...), deviceID...)
+	dst = strconv.AppendInt(append(dst, ' '), int64(offset), 10)
+	dst = strconv.AppendInt(append(dst, ' '), int64(len(chunk)), 10)
+	dst = appendHex8(append(dst, ' '), crc32.Checksum(chunk, castagnoli))
+	return append(dst, '\n')
 }
 
 // Offset implements Transport.

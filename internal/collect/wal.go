@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,25 +81,31 @@ type snapEntry struct {
 	Data      []byte
 }
 
-// encodeWALEntry frames e's JSON object, written by hand as json.Marshal
-// writes it: fields in order, off and data left out when zero, data in
-// standard base64, op and dev escaped as encoding/json escapes strings (a
-// device ID may hold '<', '"' or invalid UTF-8). The WAL's size decides
-// when the server compacts, so these bytes are pinned to json.Marshal's by
-// a differential test. The payload's parts are copied once, into the frame.
-func encodeWALEntry(e walEntry) []byte {
-	head := append(make([]byte, 0, 64+len(e.Dev)), `{"op":`...)
-	head = core.AppendJSONString(head, e.Op)
-	head = core.AppendJSONString(append(head, `,"dev":`...), e.Dev)
+// appendWALEntry appends the frame of e's JSON object to dst, the object
+// written by hand as json.Marshal writes it: fields in order, off and data
+// left out when zero, data in standard base64, op and dev escaped as
+// encoding/json escapes strings (a device ID may hold '<', '"' or invalid
+// UTF-8). The WAL's size decides when the server compacts, so these bytes
+// are pinned to json.Marshal's by a differential test. The frame header is
+// reserved first and filled in once the payload's length and checksum are
+// known, so the entry is written once, straight into dst.
+func appendWALEntry(dst []byte, e walEntry) []byte {
+	dst = slices.Grow(dst, core.FrameSize(64+len(e.Op)+len(e.Dev)+base64.StdEncoding.EncodedLen(len(e.Data))))
+	start := len(dst)
+	dst = core.AppendFrameHeader(dst, 0, 0)
+	body := len(dst)
+	dst = core.AppendJSONString(append(dst, `{"op":`...), e.Op)
+	dst = core.AppendJSONString(append(dst, `,"dev":`...), e.Dev)
 	if e.Off != 0 {
-		head = strconv.AppendInt(append(head, `,"off":`...), int64(e.Off), 10)
+		dst = strconv.AppendInt(append(dst, `,"off":`...), int64(e.Off), 10)
 	}
-	if len(e.Data) == 0 {
-		return core.AppendFrameParts(nil, head, []byte("}"))
+	if len(e.Data) > 0 {
+		dst = base64.StdEncoding.AppendEncode(append(dst, `,"data":"`...), e.Data)
+		dst = append(dst, '"')
 	}
-	head = append(head, `,"data":"`...)
-	data := base64.StdEncoding.AppendEncode(nil, e.Data)
-	return core.AppendFrameParts(nil, head, data, []byte(`"}`))
+	dst = append(dst, '}')
+	core.AppendFrameHeader(dst[:start], len(dst)-body, crc32.Checksum(dst[body:], castagnoli))
+	return append(dst, '\n')
 }
 
 // snapKinds are the snapshot's entry kinds, in snapshot order: every
@@ -258,6 +265,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 	// Server.settled; both start empty, as in a new incarnation.
 	canonical := make(map[string]bool)
 	settled := make(map[string]int)
+	var recs []core.RecordLine // every chunk entry's scan, reused
 	walRec := core.RecoverLog(store.Read(walName))
 	for _, payload := range walRec.Payloads {
 		var e walEntry
@@ -275,8 +283,7 @@ func recoverServerState(store *CrashStore) (files, streams map[string][]byte) {
 			}
 			st = appendChunk(st, e.Off, e.Data)
 			streams[e.Dev] = st
-			var recs []core.RecordLine
-			recs, settled[e.Dev] = core.ScanSettled(st, settled[e.Dev])
+			recs, settled[e.Dev] = core.ScanSettled(recs[:0], st, settled[e.Dev])
 			canonical[e.Dev] = mergeLogs(files, e.Dev, canonical[e.Dev], st, recs)
 		case opHandoff:
 			canonical[e.Dev] = mergeLogs(files, e.Dev, false, e.Data, nil)

@@ -262,6 +262,7 @@ func TestEncodeWALEntryMatchesMarshal(t *testing.T) {
 		"bad\xff\xfeutf8", "line\u2028sep\u2029", "é€𝄞", "\xed\xa0\x80",
 	}
 	rng := sim.NewRand(5)
+	var scratch []byte
 	for _, op := range []string{opChunk, opFin, opHandoff, opHandoffStream} {
 		for _, dev := range devs {
 			for _, off := range []int{0, 1, 4096, 1 << 30} {
@@ -278,11 +279,22 @@ func TestEncodeWALEntryMatchesMarshal(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, want := encodeWALEntry(e), core.EncodeFrame(payload); !bytes.Equal(got, want) {
+					want := core.EncodeFrame(payload)
+					if got := encodeWALEntry(e); !bytes.Equal(got, want) {
 						t.Fatalf("encodeWALEntry(%+v):\n got %q\nwant %q", e, got, want)
+					}
+					// The server's warm scratch, and an entry after others.
+					if scratch = appendWALEntry(scratch[:0], e); !bytes.Equal(scratch, want) {
+						t.Fatalf("appendWALEntry(scratch, %+v):\n got %q\nwant %q", e, scratch, want)
+					}
+					if got := appendWALEntry([]byte("prefix"), e); string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+						t.Fatalf("appendWALEntry(prefix, %+v):\n got %q\nwant prefix%q", e, got, want)
 					}
 				}
 			}
 		}
 	}
 }
+
+// encodeWALEntry is one WAL entry's frame in a buffer of its own.
+func encodeWALEntry(e walEntry) []byte { return appendWALEntry(nil, e) }

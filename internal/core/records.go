@@ -209,23 +209,34 @@ func eachFrameLine(data []byte, fn func(line []byte) error) error {
 func frameLine(payload []byte) []byte { return payload[:len(payload)+1] }
 
 // ScanSettled parses a growing framed log from byte offset off, for a
-// reader that has already consumed the records before off, and returns
-// each record with its line (see ParseRecordLines). It decodes intact
-// frames from off and stops at the first one that fails to decode: that
-// point is settled, because the bytes before it can no longer change what
-// ParseRecords sees there however the log grows, while the bytes past it
-// can (a torn tail completes on the next append). The records past the
+// reader that has already consumed the records before off, and appends
+// each record with its line (see ParseRecordLines) to dst. It decodes
+// intact frames from off and stops at the first one that fails to decode:
+// that point is settled, because the bytes before it can no longer change
+// what ParseRecords sees there however the log grows, while the bytes past
+// it can (a torn tail completes on the next append). The records past the
 // settled point are still returned; the next call re-reads them from
 // settled. off must be 0 or a settled offset an earlier call returned for a
 // prefix of data. Frame recovery scans left to right, so
 //
-//	ParseRecordLines(data) == ParseRecordLines(data[:off]) ++ recs
+//	ParseRecordLines(data) == ParseRecordLines(data[:off]) ++ recs[len(dst):]
 //
 // Unframed (legacy JSON-lines) logs never settle: they return every record
-// with settled 0.
-func ScanSettled(data []byte, off int) (recs []RecordLine, settled int) {
+// with settled 0. A caller that scans often passes its own slice back,
+// emptied; a nil dst is sized from the bytes past off, for as many
+// logged records as minRecordBytes allows, so the scan of a log never
+// regrows it.
+func ScanSettled(dst []RecordLine, data []byte, off int) (recs []RecordLine, settled int) {
+	if dst == nil {
+		dst = make([]RecordLine, 0, (len(data)-off)/minRecordBytes+1)
+	}
+	recs = dst
 	if len(data) == 0 || data[0] != FrameMagic {
-		return ParseRecordLines(data), 0
+		_ = eachLine(data, func(line []byte) error {
+			recs = appendRecordLine(recs, line)
+			return nil
+		})
+		return recs, 0
 	}
 	settled = off
 	for settled < len(data) {
@@ -236,12 +247,19 @@ func ScanSettled(data []byte, off int) (recs []RecordLine, settled int) {
 		recs = appendRecordLine(recs, frameLine(payload))
 		settled += size
 	}
-	_ = eachFrameLine(data[settled:], func(line []byte) error {
-		recs = appendRecordLine(recs, line)
-		return nil
-	})
+	if settled < len(data) {
+		_ = eachFrameLine(data[settled:], func(line []byte) error {
+			recs = appendRecordLine(recs, line)
+			return nil
+		})
+	}
 	return recs, settled
 }
+
+// minRecordBytes is about the fewest bytes a logged record takes in a
+// framed log: the frame's header and newline around the shortest payload
+// the logger writes, a boot record's kind, time and boot number.
+const minRecordBytes = 48
 
 // EncodeBeat serialises the heartbeat record.
 func EncodeBeat(b Beat) []byte {

@@ -49,7 +49,7 @@ func TestScanSettled(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lines, settled := ScanSettled(tc.data, tc.off)
+			lines, settled := ScanSettled(nil, tc.data, tc.off)
 			if settled != tc.wantSettled {
 				t.Errorf("settled = %d, want %d", settled, tc.wantSettled)
 			}
@@ -74,7 +74,7 @@ func TestScanSettledGrowingLog(t *testing.T) {
 	for n := 0; n <= len(log); n++ {
 		data := log[:n]
 		checkScanSettled(t, data, off)
-		_, settled := ScanSettled(data, off)
+		_, settled := ScanSettled(nil, data, off)
 		want := 0
 		for _, end := range []int{len(f1), len(f1) + len(f2)} {
 			if n >= end {
@@ -102,11 +102,16 @@ func recordsOf(lines []RecordLine) []Record {
 // is intact frames.
 func checkScanSettled(t *testing.T, data []byte, off int) {
 	t.Helper()
-	lines, settled := ScanSettled(data, off)
+	lines, settled := ScanSettled(nil, data, off)
 	for _, rl := range lines {
 		if want := AppendRecordLine(nil, rl.Record); !bytes.Equal(rl.Line, want) {
 			t.Fatalf("ScanSettled(data, %d) returned line %q for %+v, want AppendRecordLine's %q", off, rl.Line, rl.Record, want)
 		}
+	}
+	sentinel := RecordLine{Line: []byte("sentinel\n")}
+	if after, again := ScanSettled([]RecordLine{sentinel}, data, off); again != settled || len(after) != 1+len(lines) ||
+		string(after[0].Line) != string(sentinel.Line) || !reflect.DeepEqual(after[1:], lines) {
+		t.Fatalf("ScanSettled(dst, data, %d) did not append what ScanSettled(nil, data, %d) returns to dst", off, off)
 	}
 	want := ParseRecords(data)
 	got := append(ParseRecords(data[:off]), recordsOf(lines)...)
@@ -137,14 +142,14 @@ func FuzzScanSettled(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
 		prefix := data[:int(cut)%(len(data)+1)]
-		_, off := ScanSettled(prefix, 0)
+		_, off := ScanSettled(nil, prefix, 0)
 		checkScanSettled(t, data, off)
-		_, settled := ScanSettled(data, off)
+		_, settled := ScanSettled(nil, data, off)
 		if settled == 0 || settled == len(data) {
 			return
 		}
 		grown := append(append([]byte(nil), data...), f1...)
-		if _, again := ScanSettled(grown, settled); again != settled {
+		if _, again := ScanSettled(nil, grown, settled); again != settled {
 			if _, size, ok := decodeFrame(grown[settled:]); !ok || settled+size <= len(data) {
 				t.Fatalf("appending a frame moved settled %d -> %d past a complete damaged frame", settled, again)
 			}
@@ -160,7 +165,7 @@ func TestScanSettledLinesAliasStream(t *testing.T) {
 	f1, f2, _, _, _, _, _, _ := settledTestFrames()
 	odd := EncodeFrame([]byte(`{"time":3, "kind":"boot"}`))
 	data := cat(f1, odd, f2)
-	lines, _ := ScanSettled(data, 0)
+	lines, _ := ScanSettled(nil, data, 0)
 	if len(lines) != 3 {
 		t.Fatalf("got %d records, want 3", len(lines))
 	}
@@ -172,5 +177,24 @@ func TestScanSettledLinesAliasStream(t *testing.T) {
 	}
 	if aliases(lines[1].Line, len(f1)) || string(lines[1].Line) != "{\"kind\":\"boot\",\"time\":3}\n" {
 		t.Errorf("non-canonical frame's line = %q, want a fresh AppendRecordLine", lines[1].Line)
+	}
+}
+
+// TestScanSettledSizesANilSlice: a scan given no slice sizes one from the
+// bytes it reads and never regrows it, so a scan of the logger's shortest
+// records, which decode without allocating, allocates once.
+func TestScanSettledSizesANilSlice(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	var data []byte
+	for i := 0; i < 40; i++ {
+		data = AppendFrame(data, AppendRecord(nil, Record{Kind: KindBoot, Time: int64(i), Boot: 1}))
+	}
+	if lines, _ := ScanSettled(nil, data, 0); len(lines) != 40 {
+		t.Fatalf("got %d records, want 40", len(lines))
+	}
+	if avg := testing.AllocsPerRun(100, func() { ScanSettled(nil, data, 0) }); avg != 1 {
+		t.Errorf("ScanSettled(nil, 40 boot frames) made %.1f allocations, want 1", avg)
 	}
 }

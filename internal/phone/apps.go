@@ -273,6 +273,6 @@ func (a *App) msgsQueryInto(op int, payload string, into *symbos.Buf) int {
 		d.kernel.Raise(symbos.CatMsgsClient, symbos.TypeMsgsAsyncWrite,
 			"failed to write data into asynchronous call descriptor to be passed back to client")
 	}
-	into.Copy(string(resp))
+	into.CopyBytes(resp)
 	return symbos.KErrNone
 }

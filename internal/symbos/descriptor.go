@@ -43,6 +43,20 @@ func (b *Buf) Copy(s string) {
 	b.data = appendRunes(b.data[:0], s, n)
 }
 
+// CopyBytes replaces the contents with the UTF-8 text p, as
+// Copy(string(p)) does without building the string. Overflow raises
+// USER 11.
+func (b *Buf) CopyBytes(p []byte) {
+	n := utf8.RuneCount(p)
+	if n > b.max {
+		b.overflow("Copy", n)
+	}
+	b.data = slices.Grow(b.data[:0], n)
+	for _, r := range string(p) {
+		b.data = append(b.data, r)
+	}
+}
+
 // Append adds s at the end (TDes::Append). Overflow raises USER 11.
 func (b *Buf) Append(s string) {
 	n := utf8.RuneCountInString(s)

@@ -212,7 +212,7 @@ type refBuf struct {
 func (r *refBuf) apply(op, pos, length int, s string) int {
 	rs := []rune(s)
 	switch op {
-	case 0: // Copy
+	case 0, 4: // Copy, CopyBytes
 		if len(rs) > r.max {
 			return TypeDesOverflow
 		}
@@ -242,8 +242,9 @@ func (r *refBuf) apply(op, pos, length int, s string) int {
 	return 0
 }
 
-// TestBufMatchesRuneSliceReference drives Copy, Append, Insert and Replace
-// — which write runes in place — against the []rune-converting model, with
+// TestBufMatchesRuneSliceReference drives Copy, Append, Insert, Replace
+// and CopyBytes — which write runes in place — against the []rune-converting
+// model (CopyBytes against Copy's), with
 // multi-byte and invalid UTF-8 strings, growing and shrinking replacements
 // and out-of-range positions: the contents and every raised panic match.
 func TestBufMatchesRuneSliceReference(t *testing.T) {
@@ -260,7 +261,7 @@ func TestBufMatchesRuneSliceReference(t *testing.T) {
 			for n := r.Intn(7); n > 0; n-- {
 				s += alphabet[r.Intn(len(alphabet))]
 			}
-			op, pos, length := r.Intn(4), r.Intn(b.Len()+3)-1, r.Intn(5)
+			op, pos, length := r.Intn(5), r.Intn(b.Len()+3)-1, r.Intn(5)
 			want := ref.apply(op, pos, length, s)
 			p := k.Exec(proc.Main(), func() {
 				switch op {
@@ -272,6 +273,8 @@ func TestBufMatchesRuneSliceReference(t *testing.T) {
 					b.Insert(pos, s)
 				case 3:
 					b.Replace(pos, length, s)
+				case 4:
+					b.CopyBytes([]byte(s))
 				}
 			})
 			got := 0
@@ -293,15 +296,17 @@ func TestBufOpsOnWarmBufferAllocateNothing(t *testing.T) {
 		t.Skip("allocation counts are distorted under -race")
 	}
 	b := NewBuf(NewKernel(sim.NewEngine()), 64)
+	reply := []byte("3 unread €")
 	op := func() {
 		b.Copy("+3908112345")
 		b.Append("67")
 		b.Insert(3, "€€")
 		b.Replace(1, 4, "x")
 		b.Replace(0, 1, "long replacement")
+		b.CopyBytes(reply)
 	}
 	op()
 	if avg := testing.AllocsPerRun(200, op); avg != 0 {
-		t.Errorf("Copy/Append/Insert/Replace on a warm buffer: %.1f allocs, want 0", avg)
+		t.Errorf("Copy/Append/Insert/Replace/CopyBytes on a warm buffer: %.1f allocs, want 0", avg)
 	}
 }

@@ -24,7 +24,7 @@ type PanicHandler func(*Panic, *Process)
 type Kernel struct {
 	eng     *sim.Engine
 	procs   map[string]*Process
-	current *Thread
+	depth   int // Execs running: a Raise at depth 0 has no thread context
 	rdebug  []func(*Panic)
 	handler PanicHandler
 	halted  bool
@@ -131,41 +131,60 @@ func (k *Kernel) Exec(t *Thread, fn func()) (p *Panic) {
 	if k.halted || t == nil || !t.proc.alive {
 		return nil
 	}
-	prev := k.current
-	k.current = t
-	defer func() {
-		k.current = prev
-		r := recover()
-		if r == nil {
-			return
-		}
-		pan, ok := r.(*Panic)
-		if !ok {
-			if lv, isLeave := r.(leave); isLeave {
-				// A leave escaping all traps means the thread had no
-				// trap handler installed (E32USER-CBase 69 in practice).
-				pan = &Panic{
-					Category: CatE32UserCBase,
-					Type:     TypeNoTrapHandler,
-					Reason:   "leave " + ErrName(lv.code) + " with no trap handler installed",
-					Time:     k.eng.Now(),
-					Process:  t.proc.name,
-					Thread:   t.Name(),
-					System:   t.proc.system,
-				}
-			} else {
-				panic(r) // a genuine Go bug in the simulator: do not mask
-			}
-		}
-		k.dispatch(pan)
-		p = pan
-	}()
+	k.depth++
+	defer k.boundary(t, &p)
 	fn()
 	return nil
 }
 
+// serve runs a server's handler on m in the context of thread t, behind
+// the same panic boundary as Exec.
+func (k *Kernel) serve(t *Thread, h Handler, m *Message) (p *Panic) {
+	if k.halted || t == nil || !t.proc.alive {
+		return nil
+	}
+	k.depth++
+	defer k.boundary(t, &p)
+	h(m)
+	return nil
+}
+
+// boundary closes an Exec (or serve) of thread t: it recovers a Symbian
+// panic raised inside, gives it t's context, delivers it and stores it in
+// *p. The innermost boundary recovers every panic raised inside it, so t
+// is the thread that raised it. Any other panic is a genuine Go bug in
+// the simulator and goes on unmasked.
+func (k *Kernel) boundary(t *Thread, p **Panic) {
+	k.depth--
+	r := recover()
+	if r == nil {
+		return
+	}
+	pan, ok := r.(*Panic)
+	if !ok {
+		lv, isLeave := r.(leave)
+		if !isLeave {
+			panic(r)
+		}
+		// A leave escaping all traps means the thread had no trap
+		// handler installed (E32USER-CBase 69 in practice).
+		pan = &Panic{
+			Category: CatE32UserCBase,
+			Type:     TypeNoTrapHandler,
+			Reason:   "leave " + ErrName(lv.code) + " with no trap handler installed",
+			Time:     k.eng.Now(),
+		}
+	}
+	if pan.Process == "" { // not a Raise outside any Exec, which reads "?"
+		pan.Process, pan.Thread, pan.System = t.proc.name, t.Name(), t.proc.system
+	}
+	k.dispatch(pan)
+	*p = pan
+}
+
 // Raise signals a panic from the currently executing thread. It must be
-// called from inside an Exec context; the surrounding Exec recovers it.
+// called from inside an Exec context; the surrounding Exec recovers it and
+// fills in the thread. Outside any Exec the context reads "?".
 func (k *Kernel) Raise(cat Category, typ int, reason string) {
 	p := &Panic{
 		Category: cat,
@@ -173,11 +192,7 @@ func (k *Kernel) Raise(cat Category, typ int, reason string) {
 		Reason:   reason,
 		Time:     k.eng.Now(),
 	}
-	if k.current != nil {
-		p.Process = k.current.proc.name
-		p.Thread = k.current.Name()
-		p.System = k.current.proc.system
-	} else {
+	if k.depth == 0 {
 		p.Process = "?"
 		p.Thread = "?"
 	}

@@ -16,17 +16,13 @@ type Server struct {
 	handler Handler
 	served  uint64
 
-	// Built at the first Connect, since most application servers are
-	// never connected to: the synchronous path's interned Exec closure
-	// with its scratch Message. Synchronous requests are the hottest IPC
-	// path in the simulator and clients may connect once per request, so
-	// they live here rather than in each Session. cur points serveFn at
-	// the request being dispatched; busy falls a nested (re-entrant)
+	// The synchronous path's scratch Message, readied at the first
+	// Connect. Synchronous requests are the hottest IPC path in the
+	// simulator and clients may connect once per request, so it lives
+	// here rather than in each Session. busy falls a nested (re-entrant)
 	// request back to a fresh Message, and every handler replies before
-	// returning (Exec recovers server panics), so the scratch never
-	// outlives a call.
-	serveFn func()
-	cur     *Message
+	// returning (the boundary recovers server panics), so the scratch
+	// never outlives a call.
 	scratch Message
 	busy    bool
 }
@@ -63,7 +59,6 @@ type Message struct {
 	Op      int
 	Payload string
 	Body    []byte
-	Client  string
 	// Response is the reply descriptor, set by Respond before Complete.
 	// It is valid until the client's next request: a handler may reply
 	// from scratch it reuses (a device's firmware servers share one), so
@@ -119,8 +114,7 @@ type Session struct {
 // Connect opens a session from the client thread to the server
 // (RSessionBase::CreateSession).
 func (s *Server) Connect(client *Thread) *Session {
-	if s.serveFn == nil {
-		s.serveFn = func() { s.handler(s.cur) }
+	if s.scratch.server == nil {
 		s.scratch.server, s.scratch.kernel = s, s.proc.kernel
 	}
 	sess := &Session{server: s, client: client, open: true,
@@ -129,12 +123,11 @@ func (s *Server) Connect(client *Thread) *Session {
 	return sess
 }
 
-// acquire readies a Message for one request from client — the server's
-// scratch when free, a fresh allocation when a handler re-entered the
-// server.
-func (s *Server) acquire(k *Kernel, client string, op int, payload string, body []byte) *Message {
+// acquire readies a Message for one request — the server's scratch when
+// free, a fresh allocation when a handler re-entered the server.
+func (s *Server) acquire(k *Kernel, op int, payload string, body []byte) *Message {
 	if s.busy {
-		return &Message{Op: op, Payload: payload, Body: body, Client: client,
+		return &Message{Op: op, Payload: payload, Body: body,
 			server: s, kernel: k, replyCode: KErrDisconnected}
 	}
 	s.busy = true
@@ -143,7 +136,7 @@ func (s *Server) acquire(k *Kernel, client string, op int, payload string, body 
 	// once, release cleared Response, and no async request uses the
 	// scratch, so replyAO stays nil.
 	m := &s.scratch
-	m.Op, m.Payload, m.Body, m.Client = op, payload, body, client
+	m.Op, m.Payload, m.Body = op, payload, body
 	m.replied, m.nullPtr = false, false
 	m.replyCode = KErrDisconnected // a panicking server never replies
 	return m
@@ -158,12 +151,7 @@ func (s *Server) release(m *Message) {
 }
 
 // dispatch runs the handler on m in the server's thread context.
-func (s *Server) dispatch(k *Kernel, m *Message) {
-	prev := s.cur
-	s.cur = m
-	k.Exec(&s.proc.main, s.serveFn)
-	s.cur = prev
-}
+func (s *Server) dispatch(k *Kernel, m *Message) { k.serve(&s.proc.main, s.handler, m) }
 
 // Handle returns the session's raw handle in the client's object index.
 func (sess *Session) Handle() Handle { return sess.handle }
@@ -202,7 +190,7 @@ func (sess *Session) call(verb string, op int, payload string, body []byte) ([]b
 		return nil, KErrDisconnected
 	}
 	srv := sess.server
-	m := srv.acquire(k, sess.client.proc.name, op, payload, body)
+	m := srv.acquire(k, op, payload, body)
 	srv.dispatch(k, m)
 	resp, code := m.Response, m.replyCode
 	srv.release(m)
@@ -224,7 +212,6 @@ func (sess *Session) SendAsync(op int, payload string, ao *ActiveObject) {
 	m := &Message{
 		Op:      op,
 		Payload: payload,
-		Client:  sess.client.proc.name,
 		server:  sess.server,
 		kernel:  k,
 		replyAO: ao,
